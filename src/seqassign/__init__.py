@@ -28,11 +28,6 @@ from .strategies import (
     SteerPlan,
     optimal_strategy,
     baseline_strategy,
-    steer_stage1,
-    steer_stage2,
-    steer_exact,
-    steer_to_k_target,
-    steer_outward,
     ode_trajectory,
 )
 from .simulate import GameResult, Estimate, play, estimate, deviation_tail

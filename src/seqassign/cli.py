@@ -2,7 +2,7 @@
 
 Subcommands: region classify|flow, value table|at|argmax, phase, scan,
 conjecture, window, steer, simulate.  Exit codes: 0 success, 2 input error,
-3 resource budget exceeded.
+3 resource budget exceeded or out of memory.
 
 CSV files carry one fixed, documented header row per subcommand; JSON output
 is a single object with "columns" and "rows" (tabular commands) or a report
@@ -165,8 +165,13 @@ def _table_for(g: Graph, n: int, args):
 def parse_strategy(spec: str, g: Graph, total: int, args):
     if spec == "optimal":
         return optimal_strategy(_table_for(g, total, args))
+    if getattr(args, "cache", None):
+        raise DomainError(f"strategy {spec!r} reads no value table; drop --cache")
     if spec in ("uniform", "greedy"):
         return baseline_strategy(spec)
+    if spec.startswith(("steer:", "steer-k:", "outward:")) and getattr(args, "weights", None):
+        # the steering kernels realize their targets under the uniform law only
+        raise DomainError(f"strategy {spec!r} does not support --weights")
     if spec.startswith("steer:") or spec.startswith("steer-k:"):
         kind, zspec, n1 = spec.split(":")
         plan = SteerPlan(z=_point(g, zspec), n1=int(n1), q0=getattr(args, "q0", 8))
@@ -326,11 +331,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _add_common(p, runs=False, out=True):
+def _add_common(p, weights=False, cache=False, runs=False):
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--weights", default=None, help="vertex-weight file (k floats)")
-    p.add_argument("--cache", default=None, help="value-table cache path")
+    if weights:
+        p.add_argument("--weights", default=None, help="vertex-weight file (k floats)")
+    if cache:
+        p.add_argument("--cache", default=None, help="value-table cache path")
     if runs:
         p.add_argument("--runs", type=int, default=DEFAULT_RUNS)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["classify", "flow"])
     p.add_argument("--graph", required=True)
     p.add_argument("--point", required=True, help="comma floats or 'xstar'")
-    _add_common(p)
+    _add_common(p, weights=True)
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("value", help="value table operations")
@@ -352,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--config", default=None, help="comma ints (for 'at')")
-    _add_common(p)
+    _add_common(p, weights=True, cache=True)
     p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("phase", help="full probability grid for a 3-edge graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="re-read 1%% of rows")
-    _add_common(p)
+    _add_common(p, weights=True, cache=True)
     p.set_defaults(func=_cmd_phase)
 
     p = sub.add_parser("scan", help="decay/convergence scan along a fixed point")
@@ -367,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True)
     p.add_argument("--n-list", required=True, help="comma list or lo:hi:step")
     p.add_argument("--verify", action="store_true")
-    _add_common(p)
+    _add_common(p, weights=True, cache=True)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("conjecture", help="path-graph argmax partial sums")
@@ -380,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--n-list", required=True)
     p.add_argument("--a-grid", required=True, help="comma list or lo:hi:step")
-    _add_common(p)
+    _add_common(p, cache=True)
     p.set_defaults(func=_cmd_window)
 
     p = sub.add_parser("steer", help="steering report")
@@ -400,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--q0", type=int, default=8)
-    _add_common(p, runs=True)
+    _add_common(p, weights=True, cache=True, runs=True)
     p.set_defaults(func=_cmd_simulate)
 
     return ap
@@ -412,6 +419,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except RESOURCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (SeqAssignError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,10 +52,6 @@ class NoExit(SeqAssignError):
     pass
 
 
-class KernelUnavailable(SeqAssignError):
-    pass
-
-
 class MemoryBudgetExceeded(SeqAssignError):
     def __init__(self, required_bytes: int, budget_bytes: int):
         super().__init__(

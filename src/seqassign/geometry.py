@@ -316,8 +316,19 @@ def kappa(g: Graph) -> float:
     return face_scale(g.m, f)
 
 
-def full_degree_fraction(g: Graph, subset: int) -> float:
-    return full_degree_count(g, subset) / g.k
+def face_values(g: Graph, faces, n, v) -> np.ndarray:
+    """Face functional values L_F(v) = (a+b) * (sum of v over F - n*d(F)/k)
+    for count vectors v of total n: shape v.shape[:-1] + (len(faces),).
+
+    Integer counts are summed exactly and n*d(F) is formed before the
+    division by k, so values compare exactly against window cuts."""
+    v = np.asarray(v)
+    out = np.empty(v.shape[:-1] + (len(faces),))
+    for j, F in enumerate(faces):
+        coef = face_scale(g.m, subset_size(F))
+        d = full_degree_count(g, F)
+        out[..., j] = coef * (v[..., subset_members(F, g.m)].sum(axis=-1) - n * d / g.k)
+    return out
 
 
 def L_value(g: Graph, subset: int, n: int, v) -> float:
@@ -326,9 +337,7 @@ def L_value(g: Graph, subset: int, n: int, v) -> float:
     f = subset_size(subset)
     if subset <= 0 or f == 0 or f >= g.m:
         raise EmptyOrFullSubset(f"subset {subset:#x} must be proper and non-empty")
-    v = np.asarray(v, dtype=float)
-    tot = sum(v[e] for e in subset_members(subset, g.m))
-    return face_scale(g.m, f) * (tot - n * full_degree_fraction(g, subset))
+    return float(face_values(g, [subset], n, np.asarray(v, dtype=float))[0])
 
 
 def boundary_distance(g: Graph, x) -> float:

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllegalStrategyMove
-from .geometry import check_weights, face_scale
-from .graph import Graph, full_degree_count, subset_members, subset_size
+from .geometry import check_weights, face_values
+from .graph import Graph
 from .strategies import FORFEIT, Stage1Steer, Strategy, TableStrategy
 from .values import (
     ValueTable,
     _binom_tables,
     active_faces,
+    check_config,
     graph_hash,
     rank_configs,
     round_to_config,
@@ -103,17 +104,6 @@ def _draw_vertex(rng, cum_weights: np.ndarray) -> int:
     return int(np.searchsorted(cum_weights, rng.random(), side="right")) + 1
 
 
-def _min_face_L(g: Graph, state, faces) -> float:
-    n = int(np.asarray(state).sum())
-    best = math.inf
-    for F in faces:
-        members = subset_members(F, g.m)
-        coef = face_scale(g.m, subset_size(F))
-        val = coef * (sum(state[e] for e in members) - n * full_degree_count(g, F) / g.k)
-        best = min(best, val)
-    return best
-
-
 def play(
     g: Graph,
     config,
@@ -130,7 +120,7 @@ def play(
         rng = np.random.default_rng(int(rng))
     w = check_weights(g, weights)
     cum_w = np.cumsum(w)
-    state = np.array(config, dtype=np.int64)
+    state = check_config(g, config).copy()
     total = int(state.sum())
     steps = total if steps_limit is None else min(total, steps_limit)
     strategy.reset(g, state.copy(), total)
@@ -170,7 +160,7 @@ def play(
             if s_vals is not None:
                 s_vals[t - 1] = float((state - rem * trace_spec.z) @ trace_spec.u)
             if z_vals is not None:
-                z_vals[t - 1] = _min_face_L(g, state, faces)
+                z_vals[t - 1] = face_values(g, faces, rem, state).min()
 
     steps_played = t
     won = forfeit_step is None and steps_played == total
@@ -205,10 +195,10 @@ def estimate(
     take a vectorized path that reproduces the serial loop bit-for-bit."""
     if runs < 1:
         raise ValueError("need at least one run")
-    if isinstance(strategy, TableStrategy):
-        successes = _estimate_table_batch(
-            g, strategy.table, config, runs, master_seed, weights
-        )
+    table = strategy.table if isinstance(strategy, TableStrategy) else None
+    config = check_config(g, config, None if table is None else table.n_max)
+    if table is not None:
+        successes = _estimate_table_batch(g, table, config, runs, master_seed, weights)
     else:
         successes = 0
         for i in range(runs):
@@ -375,7 +365,7 @@ def trace_diagnostics(
         if spec.u is not None:
             s_base = float((start - total * spec.z) @ spec.u)
     if spec is not None and spec.record_faces:
-        z_base = _min_face_L(g, start, active_faces(g))
+        z_base = face_values(g, active_faces(g), total, start).min()
 
     positive: list[int] = []
     if stage1 is not None and stage1.u is not None:

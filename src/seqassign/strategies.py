@@ -58,7 +58,6 @@ class TableStrategy(Strategy):
     """Deterministic argmax play from a precomputed value table."""
 
     name = "optimal"
-    uses_rng = False
 
     def __init__(self, table: ValueTable):
         self.table = table
@@ -83,15 +82,9 @@ class UniformIncident(Strategy):
 
 class GreedyLargest(Strategy):
     name = "greedy"
-    uses_rng = False
 
     def choose(self, state, remaining, vertex, rng) -> int:
-        graph = self._graph
-        best, best_count = FORFEIT, 0
-        for e in graph.incidence[vertex - 1]:
-            if state[e] > best_count:
-                best, best_count = e, state[e]
-        return best
+        return _legal_move(self._graph, state, vertex)
 
     def reset(self, graph, config, total):
         self._graph = graph
@@ -153,6 +146,44 @@ def _legal_move(g: Graph, state, vertex: int, excess=None) -> int:
     return best
 
 
+def _exit_point(g: Graph, origin, direction, fallback=None):
+    """Point where the ray origin + t*direction (t >= 0) leaves the region;
+    `fallback` when no constraint tightens ahead.  A point left outside the
+    closed region by rounding is clipped back onto it."""
+    try:
+        y, t, _ = ray_exit(g, origin, direction)
+        if t < 0:
+            raise NoExit("origin already past the boundary")
+    except NoExit:
+        y = fallback
+    if y is not None and min_slack(g, y)[0] < -1e-12:
+        y = clip_to_region(g, y)
+    return y
+
+
+def _steer_move(g: Graph, point, default, state, vertex: int, rng, excess=None) -> int:
+    """One steering move: draw an edge from the flow kernel of `point` (the
+    `default` sampler when point is None); when the drawn edge is empty, or
+    has no excess over the target when `excess` is given, play the best
+    legal edge instead."""
+    sampler = default if point is None else _kernel_for(g, point)
+    e = sampler.sample(vertex, rng)
+    if state[e] > 0 and (excess is None or excess[e] > 0):
+        return e
+    return _legal_move(g, state, vertex, excess)
+
+
+def _confinement_radius(delta: float, d0: float | None = None) -> float:
+    """Stage-2 radius for a target at boundary distance delta: d0 when given,
+    else sqrt(2) + 4/delta + 1; never below sqrt(2) + 4/delta."""
+    floor = math.sqrt(2) + 4.0 / delta
+    if d0 is None:
+        return floor + 1.0
+    if d0 < floor:
+        raise DomainError(f"d0={d0} below the confinement requirement")
+    return d0
+
+
 def exact_step_mean(g: Graph, kernel: MoveKernel, state) -> np.ndarray:
     """Exact one-step expectation of the normalized state under a kernel,
     summed over every (vertex, edge) outcome."""
@@ -200,9 +231,7 @@ class SteerPlan:
         delta = boundary_distance(g, self.z)
         if delta <= 0:
             raise DomainError("steering target must be interior")
-        d0 = self.d0 if self.d0 is not None else math.sqrt(2) + 4.0 / delta + 1.0
-        if d0 < math.sqrt(2) + 4.0 / delta:
-            raise DomainError(f"d0={d0} below the confinement requirement")
+        d0 = _confinement_radius(delta, self.d0)
         eps0 = self.eps0 if self.eps0 is not None else delta / 8.0
         M = self.M if self.M is not None else math.ceil(1.0 / float(self.z.min()))
         return d0, eps0, M
@@ -232,39 +261,26 @@ class Stage1Steer(Strategy):
 
     def reset(self, graph, config, total):
         x0 = self._x0 if self._x0 is not None else np.asarray(config, float) / total
-        delta = min(boundary_distance(self.g, x0), boundary_distance(self.g, self.z))
-        self.eps0 = self._eps0 if self._eps0 is not None else max(delta, 1e-6) / 8.0
+        if self._eps0 is not None:
+            self.eps0 = self._eps0
+        else:
+            delta = min(boundary_distance(self.g, x0), boundary_distance(self.g, self.z))
+            self.eps0 = max(delta, 1e-6) / 8.0
         gap = x0 - self.z
         norm = float(np.linalg.norm(gap))
         self.u = gap / norm if norm > 0 else None
         self.done = norm <= self.eps0
-        self.steps_in_stage = 0
 
     def current_exit(self, x: np.ndarray) -> np.ndarray:
         """Boundary point ahead of x along the stage direction."""
-        try:
-            y, t, _ = ray_exit(self.g, x, self.u)
-            if t < 0:
-                raise NoExit("state already past the boundary")
-        except NoExit:
-            y = x
-        if min_slack(self.g, y)[0] < -1e-12:
-            y = clip_to_region(self.g, y)
-        return y
+        return _exit_point(self.g, x, self.u, fallback=x)
 
     def choose(self, state, remaining, vertex, rng) -> int:
         x = np.asarray(state, float) / remaining
         if not self.done and (self.u is None or np.linalg.norm(x - self.z) <= self.eps0):
             self.done = True
-        if self.done:
-            sampler = self._z_kernel
-        else:
-            self.steps_in_stage += 1
-            sampler = _kernel_for(self.g, self.current_exit(x))
-        e = sampler.sample(vertex, rng)
-        if state[e] > 0:
-            return e
-        return _legal_move(self.g, state, vertex)
+        y = None if self.done else self.current_exit(x)
+        return _steer_move(self.g, y, self._z_kernel, state, vertex, rng)
 
 
 class Stage2Steer(Strategy):
@@ -280,59 +296,39 @@ class Stage2Steer(Strategy):
         delta = boundary_distance(g, self.z)
         if delta <= 0:
             raise DomainError("stage-2 target must be interior")
-        self.d0 = d0 if d0 is not None else math.sqrt(2) + 4.0 / delta + 1.0
-        if self.d0 < math.sqrt(2) + 4.0 / delta:
-            raise DomainError(f"d0={self.d0} below the confinement requirement")
+        self.d0 = _confinement_radius(delta, d0)
         self._z_kernel = _kernel_for(g, self.z)
 
     def exit_for(self, x: np.ndarray) -> np.ndarray | None:
         direction = x - self.z
         if np.linalg.norm(direction) < 1e-14:
             return None
-        try:
-            y, _, _ = ray_exit(self.g, self.z, direction)
-        except NoExit:
-            return None
-        if min_slack(self.g, y)[0] < -1e-12:
-            y = clip_to_region(self.g, y)
-        return y
+        return _exit_point(self.g, self.z, direction)
 
     def choose(self, state, remaining, vertex, rng) -> int:
         dev = np.asarray(state, float) - remaining * self.z
+        y = None
         if np.linalg.norm(dev) >= self.d0:
             y = self.exit_for(np.asarray(state, float) / remaining)
-            sampler = self._z_kernel if y is None else _kernel_for(self.g, y)
-        else:
-            sampler = self._z_kernel
-        e = sampler.sample(vertex, rng)
-        if state[e] > 0:
-            return e
-        return _legal_move(self.g, state, vertex)
+        return _steer_move(self.g, y, self._z_kernel, state, vertex, rng)
 
 
-def steer_stage1(g: Graph, z, x0, eps0: float | None = None) -> Strategy:
-    return Stage1Steer(g, z, x0, eps0)
-
-
-def steer_stage2(g: Graph, z, d0: float | None = None) -> Strategy:
-    return Stage2Steer(g, z, d0)
-
-
-class SteerExact(Strategy):
+class SteerExact(Stage2Steer):
     """Three-stage steering toward an integer target config at a target total:
     ray drift, confinement, then a greedy finishing window that removes the
-    componentwise excess (largest excess first, only edges above target)."""
+    componentwise excess (largest excess first, only edges above target).
+
+    The confinement stage is inherited from Stage2Steer and shares the
+    target kernel of the drift stage, a Stage1Steer, so the target is
+    classified, measured and given a kernel once."""
 
     name = "steer"
 
     def __init__(self, g: Graph, plan: SteerPlan):
-        self.g = g
         self.plan = plan
-        if classify_point(g, plan.z).kind is not RegionKind.INTERIOR_REACHABLE:
-            raise DomainError("exact steering needs an interior target")
         self.d0, self.eps0, self.M = plan.resolved(g)
         self._stage1 = Stage1Steer(g, plan.z, eps0=self.eps0)
-        self._stage2 = Stage2Steer(g, plan.z, d0=self.d0)
+        self.g, self.z, self._z_kernel = g, self._stage1.z, self._stage1._z_kernel
         self.finish_cut = plan.n1 + self.M * plan.q0
 
     def reset(self, graph, config, total):
@@ -342,15 +338,10 @@ class SteerExact(Strategy):
     def choose(self, state, remaining, vertex, rng) -> int:
         if remaining <= self.finish_cut:
             excess = np.asarray(state) - self.target
-            move = _legal_move(self.g, state, vertex, excess=excess)
-            return move
+            return _legal_move(self.g, state, vertex, excess=excess)
         if not self._stage1.done:
             return self._stage1.choose(state, remaining, vertex, rng)
-        return self._stage2.choose(state, remaining, vertex, rng)
-
-
-def steer_exact(g: Graph, plan: SteerPlan) -> Strategy:
-    return SteerExact(g, plan)
+        return super().choose(state, remaining, vertex, rng)
 
 
 class SteerKTarget(Strategy):
@@ -387,8 +378,7 @@ class SteerKTarget(Strategy):
         if min_slack(self.g, w)[0] <= 0:
             w = clip_to_region(self.g, 0.5 * w + 0.5 * x_star(self.g))
         self.w = w
-        delta = boundary_distance(self.g, w)
-        self.d0 = math.sqrt(2) + 4.0 / max(delta, 1e-6) + 1.0
+        self.d0 = _confinement_radius(max(boundary_distance(self.g, w), 1e-6))
         self.M = math.ceil(1.0 / float(w.min()))
         self._w_kernel = _kernel_for(self.g, w)
         self.phase = "shifted"
@@ -403,26 +393,10 @@ class SteerKTarget(Strategy):
         if m_shift <= self.M * self.q0:
             return _legal_move(self.g, state, vertex, excess=excess)
         shifted = excess.astype(float)
-        dev = shifted - m_shift * self.w
-        if np.linalg.norm(dev) >= self.d0:
-            try:
-                y, _, _ = ray_exit(self.g, self.w, shifted / m_shift - self.w)
-                if min_slack(self.g, y)[0] < -1e-12:
-                    y = clip_to_region(self.g, y)
-                sampler = _kernel_for(self.g, y)
-            except NoExit:
-                sampler = self._w_kernel
-        else:
-            sampler = self._w_kernel
-        e = sampler.sample(vertex, rng)
-        if state[e] > 0 and excess[e] > 0:
-            return e
-        move = _legal_move(self.g, state, vertex, excess=excess)
-        return move
-
-
-def steer_to_k_target(g: Graph, plan: SteerPlan) -> Strategy:
-    return SteerKTarget(g, plan)
+        y = None
+        if np.linalg.norm(shifted - m_shift * self.w) >= self.d0:
+            y = _exit_point(self.g, self.w, shifted / m_shift - self.w)
+        return _steer_move(self.g, y, self._w_kernel, state, vertex, rng, excess)
 
 
 class OutwardSteer(Strategy):
@@ -477,33 +451,13 @@ class OutwardSteer(Strategy):
         if self.reached_step is None and boundary_distance(self.g, x) >= self.clearance:
             self.reached_step = self.step - 1
         if self.reached_step is not None:
-            sampler = _kernel_for(self.g, clip_to_region(self.g, x))
+            y = clip_to_region(self.g, x)
         else:
             # legs share the ray direction; advancing only moves the milestone
             if np.linalg.norm(x - self._target()) < self.leg_eps * (1.5 ** (self.leg + 1)) * self.d:
                 self.leg += 1
-            try:
-                y, t, _ = ray_exit(self.g, x, self.u)
-                if t < 0:
-                    raise NoExit("past the boundary")
-            except NoExit:
-                y = x
-            if min_slack(self.g, y)[0] < -1e-12:
-                y = clip_to_region(self.g, y)
-            sampler = _kernel_for(self.g, y)
-        e = sampler.sample(vertex, rng)
-        if state[e] > 0:
-            return e
-        return _legal_move(self.g, state, vertex)
-
-
-def steer_outward(
-    g: Graph,
-    clearance: float | None = None,
-    leg_eps: float = 0.25,
-    amplitude: float | None = None,
-) -> Strategy:
-    return OutwardSteer(g, clearance, leg_eps, amplitude)
+            y = _exit_point(self.g, x, self.u, fallback=x)
+        return _steer_move(self.g, y, None, state, vertex, rng)
 
 
 # --- controlled ODE --------------------------------------------------------------

@@ -37,8 +37,8 @@ from .errors import (
     MemoryBudgetExceeded,
     NegativeEntry,
 )
-from .geometry import check_weights, face_scale
-from .graph import Graph, full_degree_count, proper_subsets, subset_members, subset_size
+from .geometry import check_weights, face_values
+from .graph import Graph, full_degree_count, proper_subsets
 
 LOSS = -1
 DEFAULT_BUDGET = 1 << 30
@@ -224,26 +224,28 @@ def _next_layer(
     return vals
 
 
-def _check_config(t: ValueTable, cfg) -> np.ndarray:
+def check_config(g: Graph, cfg, n_max: int | None = None) -> np.ndarray:
+    """A config as an int64 array: one non-negative count per edge, with a
+    total of at most n_max when n_max is given."""
     cfg = np.asarray(cfg, dtype=np.int64)
-    if cfg.shape != (t.graph.m,):
-        raise NegativeEntry(f"expected {t.graph.m} entries, got shape {cfg.shape}")
+    if cfg.shape != (g.m,):
+        raise NegativeEntry(f"expected {g.m} entries, got shape {cfg.shape}")
     if np.any(cfg < 0):
         raise NegativeEntry(f"config {cfg.tolist()} has a negative entry")
-    if int(cfg.sum()) > t.n_max:
-        raise LayerOutOfRange(f"total {int(cfg.sum())} exceeds n_max {t.n_max}")
+    if n_max is not None and int(cfg.sum()) > n_max:
+        raise LayerOutOfRange(f"total {int(cfg.sum())} exceeds n_max {n_max}")
     return cfg
 
 
 def value_at(t: ValueTable, cfg) -> float:
-    cfg = _check_config(t, cfg)
+    cfg = check_config(t.graph, cfg, t.n_max)
     return float(t.layers[int(cfg.sum())][rank_config(cfg)])
 
 
 def optimal_move(t: ValueTable, cfg, v: int) -> int:
     """Best edge for the drawn vertex (ties to the lowest edge index), or
     LOSS when no incident edge has positive capacity."""
-    cfg = _check_config(t, cfg)
+    cfg = check_config(t.graph, cfg, t.n_max)
     total = int(cfg.sum())
     if total < 1:
         raise LayerOutOfRange("no move from the empty config")
@@ -285,14 +287,7 @@ def layer_face_values(t: ValueTable, n: int, faces=None) -> np.ndarray:
     g = t.graph
     if faces is None:
         faces = active_faces(g)
-    cfgs = compositions(n, g.m)
-    out = np.empty((len(cfgs), len(faces)))
-    for j, F in enumerate(faces):
-        members = subset_members(F, g.m)
-        coef = face_scale(g.m, subset_size(F))
-        d = full_degree_count(g, F)
-        out[:, j] = coef * (cfgs[:, members].sum(axis=1) - n * d / g.k)
-    return out
+    return face_values(g, faces, n, compositions(n, g.m))
 
 
 def slice_max(t: ValueTable, n: int, spec: SliceSpec):

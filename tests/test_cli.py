@@ -413,3 +413,90 @@ def test_a_star_values():
         a_star(5, 4)
     with pytest.raises(DomainError):
         a_star(0, 2)
+
+
+@pytest.mark.parametrize(
+    "config, strategy",
+    [("10,-1,3", "optimal"), ("5,-1,5", "greedy"), ("5,-1,5", "uniform")],
+)
+def test_simulate_rejects_negative_entry(p4_file, capsys, config, strategy):
+    code, out, err = run(
+        [
+            "simulate", "--graph", p4_file, "--config", config,
+            "--strategy", strategy, "--runs", "1000", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "negative entry" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steer", "--graph", "G", "--n", "120", "--n1", "24", "--weights", "W"],
+        ["conjecture", "--k", "3", "--n-list", "12", "--weights", "W"],
+        ["window", "--graph", "G", "--n-list", "16", "--a-grid", "1", "--weights", "W"],
+        ["region", "classify", "--graph", "G", "--point", "xstar", "--cache", "C"],
+        ["steer", "--graph", "G", "--n", "120", "--n1", "24", "--cache", "C"],
+        ["conjecture", "--k", "3", "--n-list", "12", "--cache", "C"],
+    ],
+)
+def test_unused_flags_are_rejected(p4_file, tmp_path, capsys, argv):
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("0.25 0.25 0.25 0.25\n")
+    subst = {"G": p4_file, "W": str(wfile), "C": str(tmp_path / "t.tbl")}
+    with pytest.raises(SystemExit) as info:
+        main([subst.get(a, a) for a in argv])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "t.tbl").exists()
+
+
+@pytest.mark.parametrize(
+    "strategy", ["steer:xstar:24", "steer-k:0.25,0.375,0.375:24", "outward:1.0"]
+)
+def test_simulate_steering_rejects_weights(p4_file, tmp_path, capsys, strategy):
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("0.4 0.3 0.2 0.1\n")
+    code, out, err = run(
+        [
+            "simulate", "--graph", p4_file, "--config", "45,30,45",
+            "--strategy", strategy, "--runs", "5", "--weights", str(wfile),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--weights" in err
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "steer:xstar:24"])
+def test_simulate_cache_needs_table_strategy(p4_file, tmp_path, capsys, strategy):
+    cache = tmp_path / "t.tbl"
+    code, out, err = run(
+        [
+            "simulate", "--graph", p4_file, "--config", "45,30,45",
+            "--strategy", strategy, "--runs", "5", "--cache", str(cache),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--cache" in err
+    assert not cache.exists()
+
+
+def test_memory_error_exit_code(p4_file, capsys, monkeypatch):
+    import seqassign.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "compute_table", exhausted)
+    code, out, err = run(["value", "argmax", "--graph", p4_file, "--n", "20"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "out of memory" in err
+

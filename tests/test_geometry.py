@@ -12,6 +12,7 @@ from seqassign.geometry import (
     clip_to_region,
     face_functional,
     face_scale,
+    face_values,
     kappa,
     L_value,
     membership_flow,
@@ -20,7 +21,15 @@ from seqassign.geometry import (
     uniform_weights,
     x_star,
 )
-from seqassign.graph import build_graph, cycle_graph, subset_size
+from seqassign.graph import (
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    full_degree_count,
+    proper_subsets,
+    subset_members,
+    subset_size,
+)
 
 SQ32 = math.sqrt(1.5)
 
@@ -226,6 +235,22 @@ def test_L_value_tight_face(p4):
     n = 40
     x = np.array([0.25, 0.35, 0.4])  # first-edge constraint tight
     assert L_value(p4, 0b001, n, n * x) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_face_values_match_scalar_loop(p4, c4):
+    # integer configs: the same sums and the same (n*d)/k as a per-face loop
+    rng = np.random.default_rng(6)
+    for g in (p4, c4, complete_graph(4)):
+        faces = list(proper_subsets(g))
+        cfgs = rng.integers(0, 40, size=(30, g.m))
+        got = face_values(g, faces, cfgs.sum(axis=1), cfgs)
+        for cfg, row in zip(cfgs, got):
+            n = int(cfg.sum())
+            for F, val in zip(faces, row):
+                d = full_degree_count(g, F)
+                tot = sum(int(cfg[e]) for e in subset_members(F, g.m))
+                assert val == face_scale(g.m, subset_size(F)) * (tot - n * d / g.k)
+            assert np.array_equal(face_values(g, faces, n, cfg), row)
 
 
 def test_boundary_distance_examples(p4):

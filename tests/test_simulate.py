@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqassign.errors import IllegalStrategyMove
+from seqassign.errors import IllegalStrategyMove, LayerOutOfRange, NegativeEntry
 from seqassign.geometry import face_scale, x_star
 from seqassign.simulate import (
     TraceSpec,
@@ -265,3 +265,19 @@ def test_diagnostics_requires_trace(p4):
     result = play(p4, [1, 0, 0], FirstPositive(), 1)
     with pytest.raises(ValueError):
         trace_diagnostics(p4, result)
+
+
+def test_play_and_estimate_reject_negative_entry(p4):
+    with pytest.raises(NegativeEntry):
+        play(p4, [5, -1, 5], GreedyLargest(), 1)
+    with pytest.raises(NegativeEntry):
+        estimate(p4, [5, -1, 5], GreedyLargest(), 10, 1)
+    with pytest.raises(NegativeEntry):
+        estimate(p4, [10, -1, 3], TableStrategy(compute_table(p4, 12)), 10, 1)
+
+
+def test_estimate_rejects_config_beyond_table(p4):
+    table = compute_table(p4, 5)
+    with pytest.raises(LayerOutOfRange):
+        estimate(p4, [2, 2, 2], TableStrategy(table), 10, 1)
+
