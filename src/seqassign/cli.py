@@ -50,6 +50,7 @@ from .values import (
 
 DEFAULT_SEED = 0
 DEFAULT_RUNS = 1000
+DEFAULT_Q0 = 8
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -174,7 +175,10 @@ def parse_strategy(spec: str, g: Graph, total: int, args):
         raise DomainError(f"strategy {spec!r} does not support --weights")
     if spec.startswith("steer:") or spec.startswith("steer-k:"):
         kind, zspec, n1 = spec.split(":")
-        plan = SteerPlan(z=_point(g, zspec), n1=int(n1), q0=getattr(args, "q0", 8))
+        q0 = getattr(args, "q0", None)
+        plan = SteerPlan(
+            z=_point(g, zspec), n1=int(n1), q0=DEFAULT_Q0 if q0 is None else q0
+        )
         return SteerExact(g, plan) if kind == "steer" else SteerKTarget(g, plan)
     if spec.startswith("outward:"):
         amplitude = float(spec.split(":")[1])
@@ -309,9 +313,12 @@ def _cmd_steer(args) -> int:
         if args.config
         else round_to_config(args.n, x_star(g))
     )
-    q0 = args.q0
     if args.calibrate:
+        if args.q0 is not None:
+            raise DomainError("--q0 has no effect with --calibrate")
         q0 = exp.calibrate_q0(g, z, args.n1, start, seed=args.seed)
+    else:
+        q0 = DEFAULT_Q0 if args.q0 is None else args.q0
     plan = SteerPlan(z=z, n1=args.n1, q0=q0)
     report = exp.steering_report(
         g, plan, start, args.runs, args.seed, kind=args.kind
@@ -324,6 +331,8 @@ def _cmd_steer(args) -> int:
 def _cmd_simulate(args) -> int:
     g = _graph_arg(args)
     config = [int(v) for v in args.config.split(",")]
+    if args.q0 is not None and not args.strategy.startswith(("steer:", "steer-k:")):
+        raise DomainError(f"strategy {args.strategy!r} does not use --q0")
     strategy = parse_strategy(args.strategy, g, sum(config), args)
     weights = _load_weights(g, args.weights)
     est = estimate(g, config, strategy, args.runs, args.seed, weights)
@@ -397,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="xstar")
     p.add_argument("--config", default=None, help="start config (default round(n*xstar))")
     p.add_argument("--kind", choices=["exact", "k"], default="exact")
-    p.add_argument("--q0", type=int, default=8)
+    p.add_argument("--q0", type=int, default=None)
     p.add_argument("--calibrate", action="store_true")
     _add_common(p, runs=True)
     p.set_defaults(func=_cmd_steer)
@@ -406,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--strategy", required=True)
-    p.add_argument("--q0", type=int, default=8)
+    p.add_argument("--q0", type=int, default=None)
     _add_common(p, weights=True, cache=True, runs=True)
     p.set_defaults(func=_cmd_simulate)
 

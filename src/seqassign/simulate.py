@@ -23,10 +23,11 @@ from .strategies import FORFEIT, Stage1Steer, Strategy, TableStrategy
 from .values import (
     ValueTable,
     _binom_tables,
+    _children,
     active_faces,
     check_config,
     graph_hash,
-    rank_configs,
+    rank_config,
     round_to_config,
     value_at,
 )
@@ -221,7 +222,12 @@ def _estimate_table_batch(
     cum_w = np.cumsum(w)
     start = np.asarray(config, dtype=np.int64)
     total = int(start.sum())
-    tables = _binom_tables(g.m, total)
+    m = g.m
+    tables = _binom_tables(m, total)
+    # each run carries the rank and the bar positions of its state
+    start_bars = np.cumsum(start[:-1]) + np.arange(m - 1)
+    start_rank = rank_config(start)
+    bar_index = np.arange(m - 1)[:, None]
     successes = 0
     for lo in range(0, runs, chunk):
         hi = min(lo + chunk, runs)
@@ -230,10 +236,15 @@ def _estimate_table_batch(
         for i in range(r):
             draws[i] = child_rng(master_seed, lo + i).random(total)
         verts = np.searchsorted(cum_w, draws, side="right").astype(np.int16) + 1
-        states = np.tile(start, (r, 1))
+        ranks = np.full(r, start_rank, dtype=np.int64)
+        bars = np.repeat(start_bars[:, None], r, axis=1)
         alive = np.ones(r, dtype=bool)
+        child = np.empty((m, r), dtype=np.int64)
+        live = np.empty((m, r), dtype=bool)
         for t in range(total):
             prev = table.layers[total - t - 1]
+            for e, ok, ranks_e in _children(ranks.copy(), bars, total - t, tables):
+                live[e], child[e] = ok, ranks_e
             v_now = verts[:, t]
             best_val = np.full(r, -1.0)
             best_edge = np.full(r, FORFEIT, dtype=np.int64)
@@ -242,19 +253,19 @@ def _estimate_table_batch(
                 if not np.any(sel):
                     continue
                 for e in g.incidence[v - 1]:
-                    idx = np.flatnonzero(sel & (states[:, e] > 0))
+                    idx = np.flatnonzero(sel & live[e])
                     if len(idx) == 0:
                         continue
-                    child = states[idx].copy()
-                    child[:, e] -= 1
-                    vals = prev[rank_configs(child, tables)]
+                    vals = prev[child[e, idx]]
                     better = vals > best_val[idx]
                     best_val[idx[better]] = vals[better]
                     best_edge[idx[better]] = e
             moved = alive & (best_edge != FORFEIT)
             alive &= moved
             rows = np.flatnonzero(moved)
-            states[rows, best_edge[rows]] -= 1
+            edge = best_edge[rows]
+            ranks[rows] = child[edge, rows]
+            bars[:, rows] -= bar_index >= edge  # row j holds p_{j+1}
         successes += int(alive.sum())
     return successes
 

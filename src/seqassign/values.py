@@ -6,8 +6,13 @@ total t form one layer, stored as a dense float64 array indexed by the rank
     rank(n) = sum_{i=1}^{m-1} C(p_i, i),   p_i = i - 1 + n_1 + ... + n_i,
 
 the standard combinatorial-number-system (colex) rank of the bar positions of
-the composition.  Decrementing the last coordinate preserves the rank, which
-makes layer-to-layer child lookups cheap.
+the composition.  Decrementing edge e (0-based) lowers every p_i with i > e
+by one, so the child's rank in layer t-1 is
+
+    rank(n - 1^e) = rank(n) - sum_{i>e} C(p_i - 1, i - 1),
+
+and decrementing the last coordinate preserves the rank.  Child lookups are
+therefore rank arithmetic on the bar positions; no child config is built.
 
 Layer t is computed from layer t-1 by the recursion
 
@@ -47,7 +52,7 @@ _MAGIC = b"SAPG"
 _VERSION = 1
 
 
-# --- composition ranking ----------------------------------------------------
+# --- rank arithmetic --------------------------------------------------------
 
 
 def layer_size(total: int, m: int) -> int:
@@ -92,38 +97,58 @@ def _binom_tables(m: int, max_total: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def rank_configs(cfgs: np.ndarray, tables) -> np.ndarray:
-    """Vectorized rank over rows of an (N, m) config array."""
-    m = cfgs.shape[1]
-    p = np.cumsum(cfgs[:, : m - 1], axis=1) + np.arange(m - 1)[None, :]
-    r = np.zeros(len(cfgs), dtype=np.int64)
-    for i in range(1, m):
-        r += tables[i - 1][p[:, i - 1]]
-    return r
+def _bars(ranks: np.ndarray, m: int, tables) -> np.ndarray:
+    """Vectorized unrank: the (m-1, N) bar positions p_1..p_{m-1} of the
+    given ranks, one searchsorted per coordinate from the top down."""
+    bars = np.empty((m - 1, len(ranks)), dtype=np.int64)
+    rem = ranks.copy()
+    for i in range(m - 1, 0, -1):
+        col = tables[i - 1]
+        p = bars[i - 1]
+        p[:] = np.searchsorted(col, rem, side="right")
+        p -= 1
+        rem -= col[p]
+    return bars
 
 
-@lru_cache(maxsize=600)
-def _compositions_cached(total: int, m: int) -> np.ndarray:
-    if m == 1:
-        out = np.array([[total]], dtype=np.int64)
-    else:
-        # rank order groups by the last coordinate, largest first
-        parts = []
-        for last in range(total, -1, -1):
-            rest = _compositions_cached(total - last, m - 1)
-            block = np.empty((len(rest), m), dtype=np.int64)
-            block[:, :-1] = rest
-            block[:, -1] = last
-            parts.append(block)
-        out = np.concatenate(parts, axis=0)
-    out.setflags(write=False)
-    return out
+def _children(ranks: np.ndarray, bars: np.ndarray, total: int, tables):
+    """Child ranks, edge by edge from the last edge down.
+
+    Yields (e, live, child) where live marks the configs with n_e > 0 and
+    child holds the rank in layer total-1 of the config with edge e
+    decremented (meaningless where not live).  Decrementing edge e lowers
+    every bar p_i with i > e by one, so the child rank is
+    rank - sum_{i>e} C(p_i - 1, i - 1), built up one term per edge.  child
+    is the ranks array itself, updated in place: use it before the next
+    edge is yielded, and do not expect ranks to survive the loop.
+    """
+    m = len(bars) + 1
+    child = ranks
+    upper = total + m - 1
+    for e in range(m - 1, -1, -1):
+        lower = bars[e - 1] if e else -1
+        yield e, upper - lower > 1, child
+        if e:
+            child -= tables[e - 2][lower - 1] if e > 1 else 1
+            upper = lower
+
+
+def _unrank(ranks: np.ndarray, total: int, m: int) -> np.ndarray:
+    """The configs of the given ranks in layer total, as an (N, m) array."""
+    bars = _bars(ranks, m, _binom_tables(m, total))
+    cfgs = np.empty((len(ranks), m), dtype=np.int64)
+    lower = -1
+    for e in range(m):
+        upper = bars[e] if e < m - 1 else total + m - 1
+        cfgs[:, e] = upper - lower - 1
+        lower = upper
+    return cfgs
 
 
 def compositions(total: int, m: int) -> np.ndarray:
     """All configs of the given total as an (N, m) int64 array, row r having
-    rank r.  The array is cached and read-only; copy before mutating."""
-    return _compositions_cached(total, m)
+    rank r."""
+    return _unrank(np.arange(layer_size(total, m)), total, m)
 
 
 def round_to_config(total: int, x) -> np.ndarray:
@@ -186,7 +211,15 @@ class ValueTable:
 
 
 def required_bytes(m: int, n_max: int) -> int:
+    """Bytes of the stored layers 0..n_max (the cache file's payload)."""
     return 8 * sum(layer_size(t, m) for t in range(n_max + 1))
+
+
+def peak_bytes(m: int, n_max: int) -> int:
+    """Peak memory of compute_table: the stored layers plus the working
+    arrays of the largest layer, at most 2m + 4 int64/float64 arrays of its
+    size (bars, candidates, child ranks and temporaries)."""
+    return required_bytes(m, n_max) + 8 * (2 * m + 4) * layer_size(n_max, m)
 
 
 def compute_table(
@@ -194,34 +227,36 @@ def compute_table(
 ) -> ValueTable:
     """Exact win probabilities for every config of total <= n_max."""
     w = check_weights(g, weights)
-    need = required_bytes(g.m, n_max)
+    need = peak_bytes(g.m, n_max)
     if need > memory_budget:
         raise MemoryBudgetExceeded(need, memory_budget)
-    layers = [np.array([1.0])]
+    # one buffer for all layers, so that freed working arrays are not
+    # fragmented between stored layers
+    sizes = [layer_size(t, g.m) for t in range(n_max + 1)]
+    layers = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    layers[0][0] = 1.0
     tables = _binom_tables(g.m, n_max)
     for t in range(1, n_max + 1):
-        layers.append(_next_layer(g, w, compositions(t, g.m), layers[t - 1], tables))
+        _next_layer(g, w, t, layers[t - 1], tables, layers[t])
     return ValueTable(graph=g, n_max=n_max, weights=w, layers=layers)
 
 
 def _next_layer(
-    g: Graph, w: np.ndarray, cfgs: np.ndarray, prev: np.ndarray, tables
-) -> np.ndarray:
-    n_states, m = cfgs.shape
-    cand = np.full((n_states, m), -1.0)
-    for e in range(m):
-        mask = cfgs[:, e] > 0
-        if not np.any(mask):
-            continue
-        child = cfgs[mask].copy()
-        child[:, e] -= 1
-        cand[mask, e] = prev[rank_configs(child, tables)]
-    vals = np.zeros(n_states)
+    g: Graph, w: np.ndarray, t: int, prev: np.ndarray, tables, out: np.ndarray
+) -> None:
+    """Write layer t, computed from layer t-1, to out."""
+    ranks = np.arange(len(out))
+    bars = _bars(ranks, g.m, tables)
+    cand = np.empty((g.m, len(out)))
+    for e, live, child in _children(ranks, bars, t, tables):
+        # where n_e = 0 the child rank may fall outside prev; it is masked
+        np.take(prev, child, out=cand[e], mode="clip")
+        cand[e][~live] = -1.0
+    del ranks, bars, child  # peak_bytes counts them only up to here
+    out[:] = 0.0
     for v in range(1, g.k + 1):
-        inc = list(g.incidence[v - 1])
-        vm = cand[:, inc].max(axis=1)
-        vals += w[v - 1] * np.where(vm < 0.0, 0.0, vm)
-    return vals
+        vm = cand[list(g.incidence[v - 1])].max(axis=0)
+        out += w[v - 1] * np.where(vm < 0.0, 0.0, vm)
 
 
 def check_config(g: Graph, cfg, n_max: int | None = None) -> np.ndarray:
@@ -271,9 +306,8 @@ def argmax_config(t: ValueTable, n: int) -> tuple[np.ndarray, float]:
         raise LayerOutOfRange(f"layer {n} not in 0..{t.n_max}")
     vals = t.layers[n]
     best = float(vals.max())
-    cfgs = compositions(n, t.graph.m)
     ties = np.flatnonzero(vals == best)
-    winner = min(map(tuple, cfgs[ties]))
+    winner = min(map(tuple, _unrank(ties, n, t.graph.m)))
     return np.array(winner, dtype=np.int64), best
 
 
@@ -304,7 +338,8 @@ def slice_max(t: ValueTable, n: int, spec: SliceSpec):
     faces = active_faces(g)
     if not faces:
         raise EmptyOrFullSubset("graph has no proper subset with a full-degree vertex")
-    L = layer_face_values(t, n, faces)
+    cfgs = compositions(n, g.m)
+    L = face_values(g, faces, n, cfgs)
     lmin = L.min(axis=1)
     cut = spec.amplitude * np.sqrt(n)
     if spec.kind == "I":
@@ -318,7 +353,6 @@ def slice_max(t: ValueTable, n: int, spec: SliceSpec):
     vals = t.layers[n]
     idx = np.flatnonzero(members)
     best = float(vals[idx].max())
-    cfgs = compositions(n, g.m)
     ties = idx[vals[idx] == best]
     winner = min(map(tuple, cfgs[ties]))
     return np.array(winner, dtype=np.int64), best

@@ -367,6 +367,35 @@ def test_steer_calibrate_flag(p4_file, tmp_path, capsys):
     assert report["q0"] >= 2
 
 
+def test_steer_rejects_q0_with_calibrate(p4_file, tmp_path, capsys):
+    out_path = tmp_path / "c.json"
+    code, out, err = run(
+        [
+            "steer", "--graph", p4_file, "--n", "120", "--n1", "24",
+            "--runs", "20", "--seed", "5", "--calibrate", "--q0", "16",
+            "--out", str(out_path),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--q0" in err
+    assert not out_path.exists()
+
+
+def test_simulate_rejects_q0_without_steering(p4_file, capsys):
+    code, out, err = run(
+        [
+            "simulate", "--graph", p4_file, "--config", "23,15,22",
+            "--strategy", "greedy", "--runs", "200", "--seed", "3", "--q0", "1",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--q0" in err
+
+
 def test_steer_k_kind_cli(p4_file, tmp_path, capsys):
     code, out, _ = run(
         [

@@ -1,5 +1,10 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +17,21 @@ from seqassign.errors import (
     NegativeEntry,
 )
 from seqassign.geometry import x_star
-from seqassign.graph import build_graph
+import seqassign
+from seqassign.graph import (
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 from seqassign.values import (
     LOSS,
     SliceSpec,
-    _next_layer,
+    _bars,
     _binom_tables,
+    _children,
+    _next_layer,
     active_faces,
     argmax_config,
     compositions,
@@ -28,8 +42,8 @@ from seqassign.values import (
     layer_size,
     load_table,
     optimal_move,
+    peak_bytes,
     rank_config,
-    rank_configs,
     round_to_config,
     save_table,
     slice_max,
@@ -59,11 +73,36 @@ def test_rank_last_coordinate_shift():
             assert rank_config(child) == rank_config(cfg)
 
 
-def test_rank_configs_vectorized_matches_scalar():
-    cfgs = compositions(9, 4)
-    tables = _binom_tables(4, 9)
-    ranks = rank_configs(cfgs, tables)
-    assert list(ranks) == [rank_config(c) for c in cfgs]
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_compositions_unrank_edges(m):
+    # the vectorized unrank at the small totals, including the empty layer
+    for total in range(13):
+        cfgs = compositions(total, m)
+        assert cfgs.shape == (layer_size(total, m), m)
+        assert np.all(cfgs.sum(axis=1) == total)
+        for r, row in enumerate(cfgs.tolist()):
+            assert rank_config(row) == r
+            assert unrank_config(r, total, m) == tuple(row)
+
+
+def test_child_rank_shift_matches_scalar():
+    # rank - sum_{i>e} C(p_i - 1, i - 1) is the rank of the config with edge
+    # e decremented, for every edge
+    total = 7
+    for m in range(2, 7):
+        tables = _binom_tables(m, total)
+        ranks = np.arange(layer_size(total, m))
+        cfgs = [unrank_config(r, total, m) for r in ranks]
+        edges = []
+        for e, live, child in _children(ranks.copy(), _bars(ranks, m, tables), total, tables):
+            edges.append(e)
+            for r, cfg in enumerate(cfgs):
+                assert live[r] == (cfg[e] > 0)
+                if cfg[e] > 0:
+                    dec = list(cfg)
+                    dec[e] -= 1
+                    assert child[r] == rank_config(dec)
+        assert sorted(edges) == list(range(m))
 
 
 def test_round_to_config(p4):
@@ -174,16 +213,97 @@ def test_martingale_identity_small(p4, p4_table):
 def test_layer_independence(p4, p4_table):
     tables = _binom_tables(3, 200)
     for t in (5, 60, 137):
-        rebuilt = _next_layer(
-            p4, p4_table.weights, compositions(t, 3), p4_table.layers[t - 1], tables
-        )
+        rebuilt = np.empty(layer_size(t, 3))
+        _next_layer(p4, p4_table.weights, t, p4_table.layers[t - 1], tables, rebuilt)
         assert np.array_equal(rebuilt, p4_table.layers[t])
+
+
+def reference_layers(g, n_max, weights):
+    """Independent layered recursion: configs from itertools (bars and
+    stars), children ranked by the scalar rank_config, accumulation in
+    vertex order as in the table."""
+    layers = [np.array([1.0])]
+    for t in range(1, n_max + 1):
+        prev = layers[-1]
+        layer = np.full(math.comb(t + g.m - 1, g.m - 1), np.nan)
+        for cut in itertools.combinations(range(t + g.m - 1), g.m - 1):
+            cfg = [b - a - 1 for a, b in zip((-1,) + cut, cut + (t + g.m - 1,))]
+            acc = 0.0
+            for v in range(1, g.k + 1):
+                best = -1.0
+                for e in g.incidence[v - 1]:
+                    if cfg[e] > 0:
+                        child = list(cfg)
+                        child[e] -= 1
+                        best = max(best, prev[rank_config(child)])
+                acc += weights[v - 1] * (0.0 if best < 0.0 else best)
+            layer[rank_config(cfg)] = acc
+        layers.append(layer)
+    return layers
+
+
+@pytest.mark.parametrize(
+    "g, n_max, weights",
+    [
+        (path_graph(4), 60, None),
+        (path_graph(3), 80, None),
+        (complete_graph(4), 12, None),
+        (cycle_graph(5), 16, None),
+        (star_graph(4), 20, None),
+        (path_graph(4), 30, [0.1, 0.2, 0.3, 0.4]),
+    ],
+    ids=["P4", "P3", "K4", "C5", "S4", "P4-weighted"],
+)
+def test_table_matches_reference_recursion(g, n_max, weights):
+    table = compute_table(g, n_max, weights)
+    ref = reference_layers(g, n_max, table.weights)
+    assert len(table.layers) == len(ref)
+    for t, (got, want) in enumerate(zip(table.layers, ref)):
+        assert np.array_equal(got, want), f"layer {t}"
 
 
 def test_memory_budget(p4):
     with pytest.raises(MemoryBudgetExceeded) as exc:
         compute_table(p4, 50, memory_budget=1000)
     assert exc.value.required_bytes > 1000
+
+
+def test_memory_budget_one_byte_short(k4):
+    need = peak_bytes(k4.m, 20)
+    with pytest.raises(MemoryBudgetExceeded) as exc:
+        compute_table(k4, 20, memory_budget=need - 1)
+    assert exc.value.required_bytes == need
+    assert compute_table(k4, 20, memory_budget=need).n_max == 20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_peak_bytes_bounds_rss_growth():
+    # the peak RSS growth of a table build in a fresh process stays within
+    # the estimate the memory guard checks.  The child reads its peak RSS
+    # from VmHWM, not ru_maxrss: ru_maxrss survives fork and exec, so a
+    # child of a large test process would start at the parent's peak.
+    code = (
+        "from seqassign.graph import complete_graph\n"
+        "from seqassign.values import compute_table, peak_bytes\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        line = next(x for x in fh if x.startswith('VmHWM:'))\n"
+        "    return int(line.split()[1]) * 1024\n"
+        "g = complete_graph(4)\n"
+        "compute_table(g, 3)\n"
+        "before = hwm()\n"
+        "compute_table(g, 30)\n"
+        "print(hwm() - before, peak_bytes(g.m, 30))\n"
+    )
+    src = str(Path(seqassign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    growth, estimate = map(int, out.stdout.split())
+    assert 0 < growth <= estimate
 
 
 # --- moves and argmax -----------------------------------------------------------
