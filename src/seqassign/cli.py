@@ -247,6 +247,7 @@ def _verify_rows(path: str, fmt: str, table, col: int, make_config) -> None:
 def _cmd_phase(args) -> int:
     g = _graph_arg(args)
     exp.ExperimentConfig(graph_path=args.graph, n=args.n, out=args.out, format=args.format)
+    exp.check_phase_graph(g)
     table = _table_for(g, args.n, args)
     rows, summary = exp.phase_diagram(g, args.n, table=table)
     _emit(args.out, args.format, exp.PHASE_COLUMNS, rows, summary)

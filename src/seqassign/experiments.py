@@ -30,7 +30,7 @@ from .values import (
     compositions,
     compute_table,
     round_to_config,
-    slice_max,
+    slice_maxima,
     value_at,
 )
 
@@ -68,6 +68,12 @@ CONJECTURE_COLUMNS = ["n", "j", "partial_sum", "target", "gap", "gap_symmetric"]
 WINDOW_COLUMNS = ["n", "A", "kind", "p_max", "empty", "gauss_ref"]
 
 
+def check_phase_graph(g: Graph) -> None:
+    """Raise DomainError unless g has the three edges a phase grid needs."""
+    if g.m != 3:
+        raise DomainError(f"phase grid needs a 3-edge graph, got |E|={g.m}")
+
+
 def phase_diagram(g: Graph, n: int, weights=None, table: ValueTable | None = None):
     """Full win-probability grid over a three-edge graph's layer n.
 
@@ -75,8 +81,7 @@ def phase_diagram(g: Graph, n: int, weights=None, table: ValueTable | None = Non
     edge holding n-m-l.  Returns (rows, summary) where the summary carries the
     grid maximum and its location.
     """
-    if g.m != 3:
-        raise DomainError(f"phase grid needs a 3-edge graph, got |E|={g.m}")
+    check_phase_graph(g)
     if table is None:
         table = compute_table(g, n, weights)
     cfgs = compositions(n, 3)
@@ -187,15 +192,15 @@ def window_collapse(g: Graph, n_list, a_grid, weights=None, table: ValueTable | 
     n_list = sorted(n_list)
     if table is None:
         table = compute_table(g, max(n_list), weights)
+    specs = [SliceSpec(amplitude=a, kind=kind) for a in a_grid for kind in ("I", "II", "III")]
     rows = []
     for n in n_list:
-        for a in a_grid:
-            for kind in ("I", "II", "III"):
-                hit = slice_max(table, n, SliceSpec(amplitude=a, kind=kind))
-                if hit is None:
-                    rows.append((n, a, kind, math.nan, True, math.exp(-a * a / 8)))
-                else:
-                    rows.append((n, a, kind, hit[1], False, math.exp(-a * a / 8)))
+        for spec, hit in zip(specs, slice_maxima(table, n, specs)):
+            a, kind = spec.amplitude, spec.kind
+            if hit is None:
+                rows.append((n, a, kind, math.nan, True, math.exp(-a * a / 8)))
+            else:
+                rows.append((n, a, kind, hit[1], False, math.exp(-a * a / 8)))
     return rows, {"n_list": list(n_list), "a_grid": list(a_grid)}
 
 

@@ -36,7 +36,6 @@ from .graph import SUBSET_CAP, Graph, full_degree_count, subset_members, subset_
 
 TOL = 1e-9
 _FLOW_EPS = 1e-12
-_BLOCK = 1 << 16
 
 
 class RegionKind(Enum):
@@ -122,30 +121,37 @@ def check_simplex(g: Graph, x) -> np.ndarray:
 # --- subset machinery -------------------------------------------------------
 
 
-def _build_block(g: Graph, lo: int, hi: int):
-    """Indicator matrix, full-degree vertex matrix and sizes for subsets lo..hi-1."""
-    ids = np.arange(lo, hi, dtype=np.int64)
-    ind = (ids[:, None] >> np.arange(g.m)[None, :]) & 1
-    sizes = ind.sum(axis=1)
-    vmasks = np.array([g.vertex_mask(v) for v in range(1, g.k + 1)], dtype=np.int64)
-    full = (vmasks[None, :] & ~ids[:, None]) == 0
-    return ids, ind.astype(float), full, sizes
+def _subset_sums(v) -> np.ndarray:
+    """s[F] = sum of v_e over the edges e of F, for every mask F = 0..2^m-1.
+
+    Built by m doubling steps s[2^i:2^(i+1)] = s[:2^i] + v_i, so each sum is
+    added up elementwise in increasing edge order.  Raises SubsetCapExceeded
+    when m > 24, before anything of size 2^m is allocated.
+    """
+    v = np.asarray(v)
+    if len(v) > SUBSET_CAP:
+        raise SubsetCapExceeded(f"|E|={len(v)} exceeds enumeration cap {SUBSET_CAP}")
+    s = np.empty(1 << len(v), dtype=v.dtype)
+    s[0] = 0
+    h = 1
+    for vi in v.tolist():
+        np.add(s[:h], vi, s[h : 2 * h])
+        h *= 2
+    return s
 
 
-# graphs up to 16 edges fit one cached block; larger ones stream uncached
-_subset_block = lru_cache(maxsize=64)(_build_block)
-
-
-def _blocks(g: Graph):
-    if g.m > SUBSET_CAP:
-        raise SubsetCapExceeded(f"|E|={g.m} exceeds enumeration cap {SUBSET_CAP}")
-    top = (1 << g.m) - 1
-    make = _subset_block if g.m <= 16 else _build_block
-    lo = 1
-    while lo < top:
-        hi = min(lo + _BLOCK, top)
-        yield make(g, lo, hi)
-        lo = hi
+@lru_cache(maxsize=4)
+def _full_weight(g: Graph, w: tuple) -> np.ndarray:
+    """d[F] = weight of the vertices whose incident edges all lie in F, for
+    every mask F: each w_v is added over the supersets of v's edge mask, in
+    vertex order.  At most 4 vectors of 2^m floats are kept."""
+    d = np.zeros(1 << g.m)
+    cube = d.reshape((2,) * g.m)  # axis j is the bit of edge m-1-j
+    for v, wv in enumerate(w, start=1):
+        inc = g.vertex_mask(v)
+        cube[tuple(1 if inc >> e & 1 else slice(None) for e in reversed(range(g.m)))] += wv
+    d.flags.writeable = False
+    return d
 
 
 def slack(g: Graph, subset: int, x, weights=None) -> float:
@@ -158,28 +164,18 @@ def slack(g: Graph, subset: int, x, weights=None) -> float:
 
 
 def all_slacks(g: Graph, x, weights=None) -> np.ndarray:
-    """Slacks of every proper non-empty subset, ascending bitmask order (id 1..2^m-2)."""
-    x = np.asarray(x, dtype=float)
-    w = check_weights(g, weights)
-    out = []
-    for _, ind, full, _ in _blocks(g):
-        out.append(ind @ x - full @ w)
-    return np.concatenate(out)
+    """Slacks of every proper non-empty subset, ascending bitmask order (id 1..2^m-2),
+    in a new array that the caller may overwrite."""
+    s = _subset_sums(np.asarray(x, dtype=float))
+    s -= _full_weight(g, tuple(check_weights(g, weights).tolist()))
+    return s[1:-1]
 
 
 def min_slack(g: Graph, x, weights=None) -> tuple[float, int]:
     """Minimum slack and the first subset attaining it."""
-    x = np.asarray(x, dtype=float)
-    w = check_weights(g, weights)
-    best = math.inf
-    best_id = 0
-    for ids, ind, full, _ in _blocks(g):
-        s = ind @ x - full @ w
-        i = int(np.argmin(s))
-        if s[i] < best:
-            best = float(s[i])
-            best_id = int(ids[i])
-    return best, best_id
+    s = all_slacks(g, x, weights)
+    i = int(np.argmin(s))
+    return float(s[i]), i + 1
 
 
 def classify_point(g: Graph, x, weights=None) -> RegionClass:
@@ -345,13 +341,13 @@ def boundary_distance(g: Graph, x) -> float:
     (uniform vertex law): min over proper subsets of (a+b) * slack.  Negative
     for points outside the closed region (signed violation depth)."""
     x = check_simplex(g, x)
-    w = uniform_weights(g.k)
-    best = math.inf
-    for _, ind, full, sizes in _blocks(g):
-        coefs = np.sqrt(g.m / (sizes * (g.m - sizes)))
-        s = (ind @ x - full @ w) * coefs
-        best = min(best, float(s.min()))
-    return best
+    s = all_slacks(g, x)
+    f = np.arange(1, g.m)
+    scale = np.sqrt(g.m / (f * (g.m - f)))  # scale[|F| - 1]
+    sizes = _subset_sums(np.ones(g.m, dtype=np.uint8))[1:-1]
+    sizes -= 1
+    s *= scale[sizes]
+    return float(s.min())
 
 
 def ray_exit(g: Graph, origin, direction) -> tuple[np.ndarray, float, int]:
@@ -362,23 +358,16 @@ def ray_exit(g: Graph, origin, direction) -> tuple[np.ndarray, float, int]:
     """
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    w = uniform_weights(g.k)
-    best_t = math.inf
-    best_id = 0
-    for ids, ind, full, _ in _blocks(g):
-        s0 = ind @ origin - full @ w
-        dd = ind @ direction
-        drop = dd < -1e-15
-        if not np.any(drop):
-            continue
-        t = s0[drop] / -dd[drop]
-        i = int(np.argmin(t))
-        if t[i] < best_t:
-            best_t = float(t[i])
-            best_id = int(ids[drop][i])
+    t = all_slacks(g, origin)
+    rate = _subset_sums(-direction)[1:-1]  # how fast each slack drops
+    drop = rate > 1e-15
+    np.divide(t, rate, out=t, where=drop)
+    t[~drop] = math.inf
+    i = int(np.argmin(t))
+    best_t = float(t[i])
     if not math.isfinite(best_t):
         raise NoExit("no constraint tightens along this direction")
-    return origin + best_t * direction, best_t, best_id
+    return origin + best_t * direction, best_t, i + 1
 
 
 def ray_exit_point(g: Graph, z, x) -> np.ndarray:
@@ -399,15 +388,13 @@ def clip_to_region(g: Graph, y, anchor=None) -> np.ndarray:
     if anchor is None:
         anchor = x_star(g)
     anchor = np.asarray(anchor, dtype=float)
-    w = uniform_weights(g.k)
-    lam = 0.0
-    for _, ind, full, _ in _blocks(g):
-        sy = ind @ y - full @ w
-        bad = sy < 0
-        if not np.any(bad):
-            continue
-        sa = (ind @ anchor - full @ w)[bad]
-        lam = max(lam, float(np.max(-sy[bad] / (sa - sy[bad]))))
+    sy = all_slacks(g, y)
+    bad = sy < 0
+    gap = all_slacks(g, anchor)
+    gap -= sy
+    np.negative(sy, out=sy)
+    np.divide(sy, gap, out=sy, where=bad)
+    lam = float(np.max(sy, where=bad, initial=0.0))
     if lam == 0.0:
         return y
     return (1.0 - lam) * y + lam * anchor

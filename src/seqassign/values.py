@@ -25,6 +25,7 @@ can be reproduced bit-exactly from the previous layer.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -222,6 +223,15 @@ def peak_bytes(m: int, n_max: int) -> int:
     return required_bytes(m, n_max) + 8 * (2 * m + 4) * layer_size(n_max, m)
 
 
+def _empty_layers(m: int, n_max: int, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One uninitialised buffer for layers 0..n_max and its views, one per
+    layer.  Sharing one buffer keeps freed working arrays from fragmenting
+    between stored layers."""
+    sizes = [layer_size(t, m) for t in range(n_max + 1)]
+    buf = np.empty(sum(sizes), dtype=dtype)
+    return buf, np.split(buf, np.cumsum(sizes)[:-1])
+
+
 def compute_table(
     g: Graph, n_max: int, weights=None, memory_budget: int = DEFAULT_BUDGET
 ) -> ValueTable:
@@ -230,10 +240,7 @@ def compute_table(
     need = peak_bytes(g.m, n_max)
     if need > memory_budget:
         raise MemoryBudgetExceeded(need, memory_budget)
-    # one buffer for all layers, so that freed working arrays are not
-    # fragmented between stored layers
-    sizes = [layer_size(t, g.m) for t in range(n_max + 1)]
-    layers = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    _, layers = _empty_layers(g.m, n_max, float)
     layers[0][0] = 1.0
     tables = _binom_tables(g.m, n_max)
     for t in range(1, n_max + 1):
@@ -332,6 +339,12 @@ def slice_max(t: ValueTable, n: int, spec: SliceSpec):
     faces have L >= A*sqrt(n); kind III: the minimum such L lies strictly in
     (-A*sqrt(n), A*sqrt(n)).
     """
+    return slice_maxima(t, n, [spec])[0]
+
+
+def slice_maxima(t: ValueTable, n: int, specs) -> list:
+    """slice_max of layer n for each spec, unranking the layer and computing
+    its face minima once for all of them."""
     if not 0 <= n <= t.n_max:
         raise LayerOutOfRange(f"layer {n} not in 0..{t.n_max}")
     g = t.graph
@@ -339,23 +352,26 @@ def slice_max(t: ValueTable, n: int, spec: SliceSpec):
     if not faces:
         raise EmptyOrFullSubset("graph has no proper subset with a full-degree vertex")
     cfgs = compositions(n, g.m)
-    L = face_values(g, faces, n, cfgs)
-    lmin = L.min(axis=1)
-    cut = spec.amplitude * np.sqrt(n)
-    if spec.kind == "I":
-        members = lmin <= -cut
-    elif spec.kind == "II":
-        members = lmin >= cut
-    else:
-        members = (lmin > -cut) & (lmin < cut)
-    if not np.any(members):
-        return None
+    lmin = face_values(g, faces, n, cfgs).min(axis=1)
     vals = t.layers[n]
-    idx = np.flatnonzero(members)
-    best = float(vals[idx].max())
-    ties = idx[vals[idx] == best]
-    winner = min(map(tuple, cfgs[ties]))
-    return np.array(winner, dtype=np.int64), best
+    out = []
+    for spec in specs:
+        cut = spec.amplitude * np.sqrt(n)
+        if spec.kind == "I":
+            members = lmin <= -cut
+        elif spec.kind == "II":
+            members = lmin >= cut
+        else:
+            members = (lmin > -cut) & (lmin < cut)
+        if not np.any(members):
+            out.append(None)
+            continue
+        idx = np.flatnonzero(members)
+        best = float(vals[idx].max())
+        ties = idx[vals[idx] == best]
+        winner = min(map(tuple, cfgs[ties]))
+        out.append((np.array(winner, dtype=np.int64), best))
+    return out
 
 
 # --- exact rational side oracle ---------------------------------------------
@@ -416,28 +432,26 @@ def save_table(t: ValueTable, path) -> None:
 
 
 def load_table(path, g: Graph) -> ValueTable:
+    head = 4 + struct.calcsize("<IQIII")
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            header = fh.read(head)
+            if len(header) < head or header[:4] != _MAGIC:
+                raise FormatMismatch("bad magic or truncated header")
+            version, ghash, k, m, n_max = struct.unpack("<IQIII", header[4:])
+            if version != _VERSION:
+                raise FormatMismatch(f"unsupported format version {version}")
+            if ghash != graph_hash(g) or k != g.k or m != g.m:
+                raise GraphHashMismatch("cache was built for a different graph")
+            need = head + 8 * k + required_bytes(m, n_max)
+            size = os.fstat(fh.fileno()).st_size
+            if size != need:
+                raise FormatMismatch(f"expected {need} bytes, file has {size}")
+            # the payload is read straight into the layers' one buffer
+            weights = np.empty(k, dtype="<f8")
+            buf, layers = _empty_layers(m, n_max, "<f8")
+            if fh.readinto(weights) != weights.nbytes or fh.readinto(buf) != buf.nbytes:
+                raise FormatMismatch("file shrank while it was read")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    head = 4 + struct.calcsize("<IQIII")
-    if len(data) < head or data[:4] != _MAGIC:
-        raise FormatMismatch("bad magic or truncated header")
-    version, ghash, k, m, n_max = struct.unpack("<IQIII", data[4:head])
-    if version != _VERSION:
-        raise FormatMismatch(f"unsupported format version {version}")
-    if ghash != graph_hash(g) or k != g.k or m != g.m:
-        raise GraphHashMismatch("cache was built for a different graph")
-    need = head + 8 * k + required_bytes(m, n_max)
-    if len(data) != need:
-        raise FormatMismatch(f"expected {need} bytes, file has {len(data)}")
-    off = head
-    weights = np.frombuffer(data, dtype="<f8", count=k, offset=off).copy()
-    off += 8 * k
-    layers = []
-    for t in range(n_max + 1):
-        size = layer_size(t, m)
-        layers.append(np.frombuffer(data, dtype="<f8", count=size, offset=off).copy())
-        off += 8 * size
     return ValueTable(graph=g, n_max=n_max, weights=weights, layers=layers)

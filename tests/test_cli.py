@@ -251,6 +251,24 @@ def test_phase_rejects_wrong_edge_count(tmp_path, capsys):
     assert "3-edge" in err
 
 
+def test_phase_rejects_edge_count_before_building_a_table(tmp_path, capsys, monkeypatch):
+    import seqassign.cli as cli
+    from seqassign.graph import complete_graph
+
+    built = []
+    monkeypatch.setattr(cli, "compute_table", lambda *a, **kw: built.append(a))
+    path = tmp_path / "k4.txt"
+    path.write_text(format_graph_text(complete_graph(4)))
+    cache = tmp_path / "k4.cache"
+    code, out, err = run(
+        ["phase", "--graph", str(path), "--n", "60", "--cache", str(cache)], capsys
+    )
+    assert code == 2
+    assert "3-edge" in err
+    assert out == ""
+    assert built == [] and not cache.exists()
+
+
 def test_window_json_format(p4_file, tmp_path, capsys):
     out_path = tmp_path / "win.json"
     code, _, _ = run(

@@ -26,7 +26,9 @@ from seqassign.graph import (
     complete_graph,
     cycle_graph,
     full_degree_count,
+    path_graph,
     proper_subsets,
+    star_graph,
     subset_members,
     subset_size,
 )
@@ -325,7 +327,7 @@ def test_clip_to_region(p4):
 
 
 def test_multi_block_enumeration_agrees_with_flow():
-    # 21 edges spans several enumeration blocks (block size 2^16)
+    # 21 edges: 2^21 - 2 constraints, the largest enumeration in the suite
     from seqassign.graph import complete_graph
 
     k7 = complete_graph(7)
@@ -353,10 +355,76 @@ def test_geometry_on_removed_edge_subgraph(k4):
     assert kernel_defects(g5, kernel, xs) < 1e-9
 
 
-def test_all_slacks_matches_scalar(p4):
+@pytest.mark.parametrize(
+    "g, weights",
+    [
+        (path_graph(4), None),
+        (cycle_graph(5), None),
+        (star_graph(4), None),
+        (complete_graph(4), None),
+        (build_graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)]), None),
+        (complete_graph(5), None),
+        (complete_graph(4), [0.1, 0.2, 0.3, 0.4]),
+    ],
+    ids=["P4", "C5", "S4", "K4", "triangle-tail", "K5", "K4-weighted"],
+)
+def test_all_slacks_matches_scalar(g, weights):
     from seqassign.geometry import slack
 
-    x = np.array([0.3, 0.3, 0.4])
-    vec = all_slacks(p4, x)
-    for F in range(1, 7):
-        assert vec[F - 1] == pytest.approx(slack(p4, F, x), abs=1e-15)
+    x = np.random.default_rng(g.m).dirichlet(np.ones(g.m))
+    vec = all_slacks(g, x, weights)
+    assert vec.shape == ((1 << g.m) - 2,)
+    for F in range(1, (1 << g.m) - 1):
+        assert vec[F - 1] == pytest.approx(slack(g, F, x, weights), abs=1e-15)
+
+
+def test_min_slack_and_ray_exit_match_scalar_loop():
+    # first minimising subset in bitmask order, from a loop over slack()
+    from seqassign.geometry import ray_exit, slack
+
+    k5 = complete_graph(5)
+    xs = x_star(k5)
+    subsets = range(1, (1 << k5.m) - 1)
+    for x in np.random.default_rng(73).dirichlet(np.ones(k5.m), size=6):
+        slacks = [slack(k5, F, x) for F in subsets]
+        val, sub = min_slack(k5, x)
+        assert sub == subsets[slacks.index(min(slacks))]
+        assert val == pytest.approx(min(slacks), abs=1e-15)
+
+        d = x - xs
+        times = []
+        for F in subsets:
+            rate = -sum(d[e] for e in subset_members(F, k5.m))
+            times.append(slack(k5, F, xs) / rate if rate > 1e-15 else math.inf)
+        y, t, face = ray_exit(k5, xs, d)
+        assert face == subsets[times.index(min(times))]
+        assert t == pytest.approx(min(times), abs=1e-14)
+        assert np.allclose(y, xs + min(times) * d, atol=1e-14, rtol=0)
+
+
+def test_subset_cap_raises_before_enumerating():
+    import tracemalloc
+
+    from seqassign.errors import SubsetCapExceeded
+    from seqassign.geometry import ray_exit
+
+    g = path_graph(26)
+    assert g.m == 25
+    x = np.full(g.m, 1 / g.m)
+    d = np.zeros(g.m)
+    d[:2] = 0.01, -0.01
+    calls = [
+        lambda: boundary_distance(g, x),
+        lambda: ray_exit(g, x, d),
+        lambda: clip_to_region(g, x),
+        lambda: min_slack(g, x),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(SubsetCapExceeded):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # an array of 2^25 entries would be 256 MiB
