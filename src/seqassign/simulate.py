@@ -6,7 +6,10 @@ reached after exactly n steps.  Run i of an estimate uses the child stream
 SeedSequence(master_seed, spawn_key=(i,)), so results are reproducible and
 independent of execution order.  Vertex draws consume exactly one uniform
 variate per step (inverse-CDF), which lets the batched fast path for
-deterministic table strategies reproduce the serial path bit-for-bit.
+deterministic strategies (table play and greedy) reproduce the serial path
+bit-for-bit: `_child_uniforms` computes those streams for a whole chunk of
+runs at once, with NumPy's SeedSequence, PCG64 and `random()` re-done in
+uint64 array arithmetic.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllegalStrategyMove
-from .geometry import check_weights, face_values
+from .errors import DomainError, IllegalStrategyMove
+from .geometry import TOL, check_weights, face_values, uniform_weights
 from .graph import Graph
-from .strategies import FORFEIT, Stage1Steer, Strategy, TableStrategy
+from .strategies import FORFEIT, GreedyLargest, Stage1Steer, Strategy, TableStrategy
 from .values import (
     ValueTable,
     _binom_tables,
@@ -101,6 +104,122 @@ def child_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
+def _check_seed(master_seed) -> int:
+    """A master seed as a Python int, with SeedSequence's own errors for a
+    negative seed or a non-integer one."""
+    if not isinstance(master_seed, (int, np.integer)):
+        raise TypeError(f"seed must be a non-negative integer, not {master_seed!r}")
+    if master_seed < 0:
+        raise ValueError("expected non-negative integer")
+    return int(master_seed)
+
+
+# --- vectorised child streams ----------------------------------------------------
+#
+# Constants of numpy.random.SeedSequence (pool of four 32-bit words) and of
+# PCG64 (128-bit LCG, XSL-RR output).  Every word lives in a uint64 array, so
+# 32-bit products never overflow and 64-bit ones wrap silently; a numpy
+# scalar would warn on the wrap, hence the one-element arrays below.
+
+_U32 = np.uint64(0xFFFFFFFF)
+_SHIFT_16, _SHIFT_32 = np.uint64(16), np.uint64(32)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_PCG_LO_0, _PCG_LO_1 = _PCG_LO & _U32, _PCG_LO >> _SHIFT_32
+
+
+def _hashmix(value, hc: int, mult: int):
+    """SeedSequence's hashmix of uint32 words held in uint64; `hc` is the
+    running hash constant (a Python int), returned advanced."""
+    value = value ^ np.uint64(hc)
+    hc = hc * mult & 0xFFFFFFFF
+    value = value * np.uint64(hc) & _U32
+    return value ^ value >> _SHIFT_16, hc
+
+
+def _mix(x, y):
+    result = (x * _MIX_L - y * _MIX_R) & _U32
+    return result ^ result >> _SHIFT_16
+
+
+def _seed_state(master_seed: int, spawn_words: list) -> list:
+    """SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64)
+    as four uint64 arrays, one entry per run; spawn_words holds the uint32
+    words of the runs' indices, least significant first."""
+    n_words = max(1, (master_seed.bit_length() + 31) // 32)
+    seed_words = [master_seed >> 32 * j & 0xFFFFFFFF for j in range(n_words)]
+    # with a spawn key the seed is zero-padded to the pool size
+    seed_words += [0] * (4 - n_words)
+    entropy = [np.array([w], dtype=np.uint64) for w in seed_words] + spawn_words
+    hc = _INIT_A
+    pool = []
+    for word in entropy[:4]:
+        word, hc = _hashmix(word, hc, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, hc = _hashmix(pool[src], hc, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[4:]:
+        for dst in range(4):
+            word, hc = _hashmix(extra, hc, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    hc = _INIT_B
+    out = []
+    for i in range(8):
+        word, hc = _hashmix(pool[i % 4], hc, _MULT_B)
+        out.append(word)
+    # little-endian pairs of 32-bit words
+    return [out[2 * j] | out[2 * j + 1] << _SHIFT_32 for j in range(4)]
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    lo = lo + add_lo
+    return hi + add_hi + (lo < add_lo), lo
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * multiplier + inc mod 2**128, on (hi, lo)
+    uint64 word arrays; the high half of lo * multiplier comes from 32-bit
+    limbs."""
+    a0, a1 = lo & _U32, lo >> _SHIFT_32
+    p00, p01 = a0 * _PCG_LO_0, a0 * _PCG_LO_1
+    p10, p11 = a1 * _PCG_LO_0, a1 * _PCG_LO_1
+    mid = (p00 >> _SHIFT_32) + (p01 & _U32) + (p10 & _U32)
+    mulhi = p11 + (p01 >> _SHIFT_32) + (p10 >> _SHIFT_32) + (mid >> _SHIFT_32)
+    return _add128(mulhi + hi * _PCG_LO + lo * _PCG_HI, lo * _PCG_LO, inc_hi, inc_lo)
+
+
+def _child_uniforms(master_seed: int, lo: int, hi: int, total: int) -> np.ndarray:
+    """The (hi - lo, total) array whose row i - lo equals
+    child_rng(master_seed, i).random(total) bit for bit, for run indices
+    lo <= i < hi < 2**64."""
+    runs = []
+    # a spawn index below 2**32 is one uint32 word, a larger one two
+    for a, b, n_words in ((lo, min(hi, 1 << 32), 1), (max(lo, 1 << 32), hi, 2)):
+        if a < b:
+            idx = np.arange(a, b, dtype=np.uint64)
+            runs.append(_seed_state(master_seed, [idx & _U32, idx >> _SHIFT_32][:n_words]))
+    s0, s1, s2, s3 = (np.concatenate([state[j] for state in runs]) for j in range(4))
+    # PCG64 seeding: inc = (initseq << 1) | 1; state = inc + initstate; one step
+    inc_hi = s2 << np.uint64(1) | s3 >> np.uint64(63)
+    inc_lo = s3 << np.uint64(1) | np.uint64(1)
+    st_hi, st_lo = _lcg_step(*_add128(inc_hi, inc_lo, s0, s1), inc_hi, inc_lo)
+    out = np.empty((total, hi - lo))
+    for t in range(total):
+        st_hi, st_lo = _lcg_step(st_hi, st_lo, inc_hi, inc_lo)
+        # XSL-RR: rotate hi ^ lo right by the top six bits of the state
+        x = st_hi ^ st_lo
+        rot = st_hi >> np.uint64(58)
+        x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+        # random(): the top 53 bits scaled to [0, 1)
+        np.multiply(x >> np.uint64(11), 2.0**-53, out=out[t])
+    return out.T
+
+
 def _draw_vertex(rng, cum_weights: np.ndarray) -> int:
     return int(np.searchsorted(cum_weights, rng.random(), side="right")) + 1
 
@@ -119,7 +238,7 @@ def play(
     truncated game never counts as won."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    w = check_weights(g, weights)
+    w = _vertex_law(g, strategy, weights)
     cum_w = np.cumsum(w)
     state = check_config(g, config).copy()
     total = int(state.sum())
@@ -193,49 +312,67 @@ def estimate(
     weights=None,
 ) -> Estimate:
     """Win-probability estimate with a Wilson 95% interval.  Table strategies
-    take a vectorized path that reproduces the serial loop bit-for-bit."""
+    and greedy take a batched path that reproduces the serial loop
+    bit-for-bit."""
     if runs < 1:
         raise ValueError("need at least one run")
+    master_seed = _check_seed(master_seed)
+    w = _vertex_law(g, strategy, weights)
     table = strategy.table if isinstance(strategy, TableStrategy) else None
     config = check_config(g, config, None if table is None else table.n_max)
     if table is not None:
-        successes = _estimate_table_batch(g, table, config, runs, master_seed, weights)
+        successes = _estimate_batch(config, runs, master_seed, w, _table_player(g, table, config))
+    elif isinstance(strategy, GreedyLargest):
+        successes = _estimate_batch(config, runs, master_seed, w, _greedy_player(g, config))
     else:
         successes = 0
         for i in range(runs):
-            result = play(g, config, strategy, child_rng(master_seed, i), weights)
+            result = play(g, config, strategy, child_rng(master_seed, i), w)
             successes += int(result.won)
     lo, hi = wilson_interval(successes, runs)
     return Estimate(runs=runs, successes=successes, p_hat=successes / runs, ci_lo=lo, ci_hi=hi)
 
 
-def _estimate_table_batch(
-    g: Graph,
-    table: ValueTable,
-    config,
-    runs: int,
-    master_seed: int,
-    weights=None,
-    chunk: int = 1 << 14,
-) -> int:
+def _vertex_law(g: Graph, strategy: Strategy, weights) -> np.ndarray:
+    """The checked vertex weights; steering strategies build their kernels
+    under the uniform law, so they refuse any other."""
     w = check_weights(g, weights)
+    if strategy.uniform_law_only and np.abs(w - uniform_weights(g.k)).max() > TOL:
+        raise DomainError(f"strategy {strategy.name!r} steers under the uniform vertex law only")
+    return w
+
+
+_CHUNK = 1 << 14
+
+
+def _estimate_batch(start, runs: int, master_seed: int, w, player) -> int:
+    """Successes of a deterministic strategy: chunks of runs draw their
+    vertices from `_child_uniforms`, and `player(verts)` plays a chunk from
+    its (total, runs) vertex array and counts the wins."""
     cum_w = np.cumsum(w)
-    start = np.asarray(config, dtype=np.int64)
     total = int(start.sum())
+    vertex_dtype = np.min_scalar_type(len(w))  # one byte per draw up to 255 vertices
+    successes = 0
+    for lo in range(0, runs, _CHUNK):
+        hi = min(lo + _CHUNK, runs)
+        draws = _child_uniforms(master_seed, lo, hi, total)
+        verts = np.searchsorted(cum_w, draws.T, side="right").astype(vertex_dtype) + 1
+        successes += player(verts)
+    return successes
+
+
+def _table_player(g: Graph, table: ValueTable, start):
+    """Chunk player for table-optimal play: each run carries the rank and the
+    bar positions of its state, and moves to the child of largest value."""
     m = g.m
+    total = int(start.sum())
     tables = _binom_tables(m, total)
-    # each run carries the rank and the bar positions of its state
     start_bars = np.cumsum(start[:-1]) + np.arange(m - 1)
     start_rank = rank_config(start)
     bar_index = np.arange(m - 1)[:, None]
-    successes = 0
-    for lo in range(0, runs, chunk):
-        hi = min(lo + chunk, runs)
-        r = hi - lo
-        draws = np.empty((r, total))
-        for i in range(r):
-            draws[i] = child_rng(master_seed, lo + i).random(total)
-        verts = np.searchsorted(cum_w, draws, side="right").astype(np.int16) + 1
+
+    def play_chunk(verts) -> int:
+        r = verts.shape[1]
         ranks = np.full(r, start_rank, dtype=np.int64)
         bars = np.repeat(start_bars[:, None], r, axis=1)
         alive = np.ones(r, dtype=bool)
@@ -245,7 +382,7 @@ def _estimate_table_batch(
             prev = table.layers[total - t - 1]
             for e, ok, ranks_e in _children(ranks.copy(), bars, total - t, tables):
                 live[e], child[e] = ok, ranks_e
-            v_now = verts[:, t]
+            v_now = verts[t]
             best_val = np.full(r, -1.0)
             best_edge = np.full(r, FORFEIT, dtype=np.int64)
             for v in range(1, g.k + 1):
@@ -266,8 +403,34 @@ def _estimate_table_batch(
             edge = best_edge[rows]
             ranks[rows] = child[edge, rows]
             bars[:, rows] -= bar_index >= edge  # row j holds p_{j+1}
-        successes += int(alive.sum())
-    return successes
+        return int(alive.sum())
+
+    return play_chunk
+
+
+def _greedy_player(g: Graph, start):
+    """Chunk player for greedy play: the first largest positive count among
+    the drawn vertex's edges in incidence order, as `_legal_move` picks it."""
+    # row v lists vertex v's edges, padded with edge m, whose count stays 0
+    incidence = np.full((g.k + 1, max(map(len, g.incidence))), g.m, dtype=np.int64)
+    for v, edges in enumerate(g.incidence, start=1):
+        incidence[v, : len(edges)] = edges
+
+    def play_chunk(verts) -> int:
+        counts = np.zeros((g.m + 1, verts.shape[1]), dtype=np.int64)
+        counts[: g.m] = start[:, None]
+        runs = np.arange(verts.shape[1])  # the runs still playing
+        for row in verts:
+            cand = incidence[row[runs]]
+            vals = counts[cand, runs[:, None]]
+            pick = vals.argmax(axis=1)
+            at = np.arange(len(runs))
+            ok = vals[at, pick] > 0
+            runs = runs[ok]
+            counts[cand[at[ok], pick[ok]], runs] -= 1
+        return len(runs)
+
+    return play_chunk
 
 
 @dataclass
@@ -297,6 +460,8 @@ def deviation_tail(
     largest-remainder rounding of n1*z.  A game that forfeits before the
     target time is measured at its frozen final state (never an exact hit,
     since that state has a larger total than the target)."""
+    master_seed = _check_seed(master_seed)
+    w = _vertex_law(g, strategy, weights)
     z = np.asarray(z, dtype=float)
     target = round_to_config(n1, z)
     total = int(np.asarray(config).sum())
@@ -304,9 +469,7 @@ def deviation_tail(
     devs = np.empty(runs)
     hits = 0
     for i in range(runs):
-        result = play(
-            g, config, strategy, child_rng(master_seed, i), weights, steps_limit=steps
-        )
+        result = play(g, config, strategy, child_rng(master_seed, i), w, steps_limit=steps)
         gap = result.final - target
         devs[i] = float(np.linalg.norm(gap))
         if result.forfeit_step is None:

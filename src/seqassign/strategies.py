@@ -43,6 +43,8 @@ FORFEIT = LOSS
 
 class Strategy:
     name = "strategy"
+    # steering kernels realize their targets under the uniform vertex law only
+    uniform_law_only = False
 
     def reset(self, graph: Graph, config, total: int) -> None:
         pass
@@ -249,6 +251,7 @@ class Stage1Steer(Strategy):
     """
 
     name = "stage1"
+    uniform_law_only = True
 
     def __init__(self, g: Graph, z, x0=None, eps0: float | None = None):
         self.g = g
@@ -289,6 +292,7 @@ class Stage2Steer(Strategy):
     the current normalized state; inside the radius play the target's kernel."""
 
     name = "stage2"
+    uniform_law_only = True
 
     def __init__(self, g: Graph, z, d0: float | None = None):
         self.g = g
@@ -353,6 +357,7 @@ class SteerKTarget(Strategy):
     """
 
     name = "steer-k"
+    uniform_law_only = True
 
     def __init__(self, g: Graph, plan: SteerPlan):
         self.g = g
@@ -405,6 +410,7 @@ class OutwardSteer(Strategy):
     a fixed boundary distance; afterwards play drift-neutral kernels."""
 
     name = "outward"
+    uniform_law_only = True
 
     def __init__(
         self,

@@ -462,6 +462,20 @@ def test_a_star_values():
         a_star(0, 2)
 
 
+@pytest.mark.parametrize("strategy", ["optimal", "greedy", "uniform", "steer:xstar:5"])
+def test_simulate_rejects_negative_seed(p4_file, capsys, strategy):
+    code, out, err = run(
+        [
+            "simulate", "--graph", p4_file, "--config", "5,5,5",
+            "--strategy", strategy, "--runs", "10", "--seed", "-1",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected non-negative integer\n"
+
+
 @pytest.mark.parametrize(
     "config, strategy",
     [("10,-1,3", "optimal"), ("5,-1,5", "greedy"), ("5,-1,5", "uniform")],

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from seqassign.errors import IllegalStrategyMove, LayerOutOfRange, NegativeEntry
+from seqassign import simulate
+from seqassign.errors import DomainError, IllegalStrategyMove, LayerOutOfRange, NegativeEntry
 from seqassign.geometry import face_scale, x_star
 from seqassign.simulate import (
     TraceSpec,
+    _child_uniforms,
     child_rng,
     deviation_tail,
     estimate,
@@ -18,11 +20,14 @@ from seqassign.simulate import (
 from seqassign.strategies import (
     FORFEIT,
     GreedyLargest,
+    OutwardSteer,
     Stage1Steer,
+    Stage2Steer,
     Strategy,
     TableStrategy,
     UniformIncident,
     SteerExact,
+    SteerKTarget,
     SteerPlan,
 )
 from seqassign.values import compute_table, round_to_config, value_at
@@ -104,7 +109,10 @@ def test_reproducibility(p4):
     assert c.successes == d.successes
 
 
-def test_batch_matches_serial(p4):
+W_P4 = np.array([0.1, 0.2, 0.3, 0.4])
+
+
+def test_batch_matches_serial(p4, c4, k4, k13):
     table = compute_table(p4, 24)
     cfg = round_to_config(24, x_star(p4))
     serial = sum(
@@ -113,6 +121,103 @@ def test_batch_matches_serial(p4):
     )
     batch = estimate(p4, cfg, TableStrategy(table), 300, 123).successes
     assert serial == batch
+    # both batched players, on every graph family and under a non-uniform law
+    cases = [
+        (p4, 24, None, 123),
+        (c4, 16, None, 5),
+        (k4, 12, None, 6),
+        (k13, 15, None, 7),
+        (p4, 20, W_P4, 8),
+    ]
+    for g, n, weights, seed in cases:
+        table = compute_table(g, n, weights=weights)
+        cfg = round_to_config(n, x_star(g))
+        for strategy in (TableStrategy(table), GreedyLargest()):
+            serial = sum(
+                int(play(g, cfg, strategy, child_rng(seed, i), weights).won)
+                for i in range(300)
+            )
+            batch = estimate(g, cfg, strategy, 300, seed, weights).successes
+            assert serial == batch, (g.edges, strategy.name, weights)
+    # greedy forfeits at the first draw of vertex 3 or 4
+    serial = sum(
+        int(play(p4, [6, 0, 0], GreedyLargest(), child_rng(9, i)).won) for i in range(300)
+    )
+    assert serial == estimate(p4, [6, 0, 0], GreedyLargest(), 300, 9).successes
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96 + 1, 2**128 - 1, 2**200 + 12345]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_child_uniforms_match_numpy(seed):
+    # a spawn index of 2**32 or more is two uint32 words; a seed of more than
+    # four words takes SeedSequence's extra mixing loop
+    for lo, hi in [(0, 100), (2**32 - 50, 2**32 + 50)]:
+        for total in (0, 1, 60):
+            want = np.stack([child_rng(seed, i).random(total) for i in range(lo, hi)])
+            got = _child_uniforms(seed, lo, hi, total)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (seed, lo, total)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the seed was checked")
+
+
+@pytest.mark.parametrize(
+    "bad, error", [(-1, ValueError), (1.5, TypeError), ("3", TypeError), ([1, 2], TypeError)]
+)
+def test_bad_seed_rejected_before_any_work(p4, monkeypatch, bad, error):
+    table = compute_table(p4, 6)
+    for name in ("play", "_table_player", "_greedy_player", "_child_uniforms"):
+        monkeypatch.setattr(simulate, name, _no_work)
+    for strategy in (TableStrategy(table), GreedyLargest(), UniformIncident()):
+        with pytest.raises(error) as info:
+            estimate(p4, [2, 2, 2], strategy, 10, bad)
+        if error is ValueError:
+            assert str(info.value) == "expected non-negative integer"
+    xs = x_star(p4)
+    with pytest.raises(error):
+        deviation_tail(p4, [2, 2, 2], GreedyLargest(), xs, 2, [0, 1], 10, bad)
+
+
+def _steering_strategies(p4):
+    xs = x_star(p4)
+    return [
+        Stage1Steer(p4, xs),
+        Stage2Steer(p4, xs),
+        SteerExact(p4, SteerPlan(z=xs, n1=20)),
+        SteerKTarget(p4, SteerPlan(z=np.array([0.25, 0.375, 0.375]), n1=24)),
+        OutwardSteer(p4),
+    ]
+
+
+def test_play_rejects_steering_under_weights(p4):
+    cfg = round_to_config(60, x_star(p4))
+    for strategy in _steering_strategies(p4):
+        with pytest.raises(DomainError, match="uniform vertex law"):
+            play(p4, cfg, strategy, child_rng(1, 0), W_P4, steps_limit=5)
+        # an explicit uniform law is the default law
+        result = play(p4, cfg, strategy, child_rng(1, 0), np.full(4, 0.25), steps_limit=5)
+        assert result.steps_played == 5
+
+
+def test_estimate_rejects_steering_under_weights(p4):
+    cfg = round_to_config(60, x_star(p4))
+    for strategy in _steering_strategies(p4):
+        with pytest.raises(DomainError, match="uniform vertex law"):
+            estimate(p4, cfg, strategy, 3, 1, W_P4)
+    # greedy accepts any law
+    assert estimate(p4, cfg, GreedyLargest(), 3, 1, W_P4).runs == 3
+
+
+def test_deviation_tail_rejects_steering_under_weights(p4):
+    xs = x_star(p4)
+    cfg = round_to_config(60, xs)
+    for strategy in _steering_strategies(p4):
+        with pytest.raises(DomainError, match="uniform vertex law"):
+            deviation_tail(p4, cfg, strategy, xs, 24, [0, 1], 2, 1, W_P4)
 
 
 def test_optimal_strategy_consistency(p4, p4_table):
