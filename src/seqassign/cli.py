@@ -42,6 +42,7 @@ from .strategies import (
 from .values import (
     argmax_config,
     compute_table,
+    downset_table,
     load_table,
     round_to_config,
     save_table,
@@ -163,9 +164,17 @@ def _table_for(g: Graph, n: int, args):
     return compute_table(g, n, weights)
 
 
-def parse_strategy(spec: str, g: Graph, total: int, args):
+def _box_for(g: Graph, config, args):
+    """The values a game from config reads: the down-set of config, or the
+    full table when --cache names one."""
+    if args.cache:
+        return _table_for(g, sum(config), args)
+    return downset_table(g, config, _load_weights(g, args.weights))
+
+
+def parse_strategy(spec: str, g: Graph, config, args):
     if spec == "optimal":
-        return optimal_strategy(_table_for(g, total, args))
+        return optimal_strategy(_box_for(g, config, args))
     if getattr(args, "cache", None):
         raise DomainError(f"strategy {spec!r} reads no value table; drop --cache")
     if spec in ("uniform", "greedy"):
@@ -219,7 +228,7 @@ def _cmd_value(args) -> int:
         if args.config is None:
             raise DomainError("value at needs --config")
         config = [int(v) for v in args.config.split(",")]
-        table = _table_for(g, sum(config), args)
+        table = _box_for(g, config, args)
         _emit_report(args.out, {"config": config, "p": value_at(table, config)})
         return 0
     if args.n is None:
@@ -334,7 +343,7 @@ def _cmd_simulate(args) -> int:
     config = [int(v) for v in args.config.split(",")]
     if args.q0 is not None and not args.strategy.startswith(("steer:", "steer-k:")):
         raise DomainError(f"strategy {args.strategy!r} does not use --q0")
-    strategy = parse_strategy(args.strategy, g, sum(config), args)
+    strategy = parse_strategy(args.strategy, g, config, args)
     weights = _load_weights(g, args.weights)
     est = estimate(g, config, strategy, args.runs, args.seed, weights)
     _emit_report(args.out, est.to_json(g, config, args.strategy, args.seed))

@@ -44,10 +44,6 @@ class EmptyOrFullSubset(SeqAssignError):
     pass
 
 
-class DegenerateRay(SeqAssignError):
-    pass
-
-
 class NoExit(SeqAssignError):
     pass
 

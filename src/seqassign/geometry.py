@@ -26,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    DegenerateRay,
     EmptyOrFullSubset,
     NoExit,
     OutsideSimplex,
@@ -327,15 +326,6 @@ def face_values(g: Graph, faces, n, v) -> np.ndarray:
     return out
 
 
-def L_value(g: Graph, subset: int, n: int, v) -> float:
-    """Signed, rescaled count-space distance to one constraint hyperplane:
-    (a+b) * (sum of v over the subset - n * d(F)/k)."""
-    f = subset_size(subset)
-    if subset <= 0 or f == 0 or f >= g.m:
-        raise EmptyOrFullSubset(f"subset {subset:#x} must be proper and non-empty")
-    return float(face_values(g, [subset], n, np.asarray(v, dtype=float))[0])
-
-
 def boundary_distance(g: Graph, x) -> float:
     """Distance from x to the region boundary within the simplex hyperplane
     (uniform vertex law): min over proper subsets of (a+b) * slack.  Negative
@@ -368,17 +358,6 @@ def ray_exit(g: Graph, origin, direction) -> tuple[np.ndarray, float, int]:
     if not math.isfinite(best_t):
         raise NoExit("no constraint tightens along this direction")
     return origin + best_t * direction, best_t, i + 1
-
-
-def ray_exit_point(g: Graph, z, x) -> np.ndarray:
-    """Boundary point where the ray from an interior z through x leaves the
-    region: z + t(x-z) at the smallest t > 0 with zero minimum slack."""
-    z = np.asarray(z, dtype=float)
-    x = check_simplex(g, x)
-    if np.allclose(z, x, atol=1e-15, rtol=0.0):
-        raise DegenerateRay("ray target equals the interior anchor")
-    y, _, _ = ray_exit(g, z, x - z)
-    return y
 
 
 def clip_to_region(g: Graph, y, anchor=None) -> np.ndarray:

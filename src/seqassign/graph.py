@@ -120,24 +120,6 @@ def full_degree_count(g: Graph, subset: int, weights=None):
     )
 
 
-def subset_degree(g: Graph, subset: int, v: int) -> int:
-    """Degree of v in the subgraph induced by the edge subset."""
-    return bin(g.vertex_mask(v) & subset).count("1")
-
-
-def remove_edges(g: Graph, subset: int) -> tuple[Graph, dict[int, int]]:
-    """Graph on the same vertex set with the subset's edges deleted.
-
-    Returns (new_graph, index_map) where index_map sends each retained old
-    edge index to its new index.  Raises if the result is disconnected or
-    has fewer than two edges.
-    """
-    kept = [i for i in range(g.m) if not subset & (1 << i)]
-    index_map = {old: new for new, old in enumerate(kept)}
-    new_graph = build_graph(g.k, [g.edges[i] for i in kept])
-    return new_graph, index_map
-
-
 def proper_subsets(g: Graph) -> Iterator[int]:
     """All 2^|E|-2 proper non-empty edge subsets, ascending bitmask order."""
     if g.m > SUBSET_CAP:

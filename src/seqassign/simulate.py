@@ -24,13 +24,12 @@ from .geometry import TOL, check_weights, face_values, uniform_weights
 from .graph import Graph
 from .strategies import FORFEIT, GreedyLargest, Stage1Steer, Strategy, TableStrategy
 from .values import (
+    DownSetTable,
     ValueTable,
-    _binom_tables,
-    _children,
     active_faces,
     check_config,
+    downset_from_table,
     graph_hash,
-    rank_config,
     round_to_config,
     value_at,
 )
@@ -221,7 +220,8 @@ def _child_uniforms(master_seed: int, lo: int, hi: int, total: int) -> np.ndarra
 
 
 def _draw_vertex(rng, cum_weights: np.ndarray) -> int:
-    return int(np.searchsorted(cum_weights, rng.random(), side="right")) + 1
+    # the last cumulative weight may round below 1; the top of [0, 1) is vertex k
+    return int(np.searchsorted(cum_weights[:-1], rng.random(), side="right")) + 1
 
 
 def play(
@@ -318,10 +318,12 @@ def estimate(
         raise ValueError("need at least one run")
     master_seed = _check_seed(master_seed)
     w = _vertex_law(g, strategy, weights)
-    table = strategy.table if isinstance(strategy, TableStrategy) else None
-    config = check_config(g, config, None if table is None else table.n_max)
-    if table is not None:
-        successes = _estimate_batch(config, runs, master_seed, w, _table_player(g, table, config))
+    config = check_config(g, config)
+    if isinstance(strategy, TableStrategy):
+        box = strategy.table
+        if isinstance(box, ValueTable):
+            box = downset_from_table(box, config)
+        successes = _estimate_batch(config, runs, master_seed, w, _box_player(box, config))
     elif isinstance(strategy, GreedyLargest):
         successes = _estimate_batch(config, runs, master_seed, w, _greedy_player(g, config))
     else:
@@ -348,7 +350,7 @@ _CHUNK = 1 << 14
 def _estimate_batch(start, runs: int, master_seed: int, w, player) -> int:
     """Successes of a deterministic strategy: chunks of runs draw their
     vertices from `_child_uniforms`, and `player(verts)` plays a chunk from
-    its (total, runs) vertex array and counts the wins."""
+    its (total, runs) array of 0-based vertices and counts the wins."""
     cum_w = np.cumsum(w)
     total = int(start.sum())
     vertex_dtype = np.min_scalar_type(len(w))  # one byte per draw up to 255 vertices
@@ -356,54 +358,24 @@ def _estimate_batch(start, runs: int, master_seed: int, w, player) -> int:
     for lo in range(0, runs, _CHUNK):
         hi = min(lo + _CHUNK, runs)
         draws = _child_uniforms(master_seed, lo, hi, total)
-        verts = np.searchsorted(cum_w, draws.T, side="right").astype(vertex_dtype) + 1
+        verts = np.searchsorted(cum_w[:-1], draws.T, side="right").astype(vertex_dtype)
         successes += player(verts)
     return successes
 
 
-def _table_player(g: Graph, table: ValueTable, start):
-    """Chunk player for table-optimal play: each run carries the rank and the
-    bar positions of its state, and moves to the child of largest value."""
-    m = g.m
-    total = int(start.sum())
-    tables = _binom_tables(m, total)
-    start_bars = np.cumsum(start[:-1]) + np.arange(m - 1)
-    start_rank = rank_config(start)
-    bar_index = np.arange(m - 1)[:, None]
+def _box_player(box: DownSetTable, start):
+    """Chunk player for table-optimal play: each run carries the index of
+    its state in the box, one gather from the stored policy per step, and
+    is won when it ends at the empty config."""
+    k = np.int64(box.graph.k)  # int64 positions index without a per-step conversion
+    nxt = box.nxt.ravel()
+    first = box.index(start)
 
     def play_chunk(verts) -> int:
-        r = verts.shape[1]
-        ranks = np.full(r, start_rank, dtype=np.int64)
-        bars = np.repeat(start_bars[:, None], r, axis=1)
-        alive = np.ones(r, dtype=bool)
-        child = np.empty((m, r), dtype=np.int64)
-        live = np.empty((m, r), dtype=bool)
-        for t in range(total):
-            prev = table.layers[total - t - 1]
-            for e, ok, ranks_e in _children(ranks.copy(), bars, total - t, tables):
-                live[e], child[e] = ok, ranks_e
-            v_now = verts[t]
-            best_val = np.full(r, -1.0)
-            best_edge = np.full(r, FORFEIT, dtype=np.int64)
-            for v in range(1, g.k + 1):
-                sel = alive & (v_now == v)
-                if not np.any(sel):
-                    continue
-                for e in g.incidence[v - 1]:
-                    idx = np.flatnonzero(sel & live[e])
-                    if len(idx) == 0:
-                        continue
-                    vals = prev[child[e, idx]]
-                    better = vals > best_val[idx]
-                    best_val[idx[better]] = vals[better]
-                    best_edge[idx[better]] = e
-            moved = alive & (best_edge != FORFEIT)
-            alive &= moved
-            rows = np.flatnonzero(moved)
-            edge = best_edge[rows]
-            ranks[rows] = child[edge, rows]
-            bars[:, rows] -= bar_index >= edge  # row j holds p_{j+1}
-        return int(alive.sum())
+        idx = np.full(verts.shape[1], first, dtype=np.int64)
+        for row in verts:
+            idx = nxt[idx * k + row]
+        return int(np.count_nonzero(idx == 0))
 
     return play_chunk
 
@@ -411,9 +383,9 @@ def _table_player(g: Graph, table: ValueTable, start):
 def _greedy_player(g: Graph, start):
     """Chunk player for greedy play: the first largest positive count among
     the drawn vertex's edges in incidence order, as `_legal_move` picks it."""
-    # row v lists vertex v's edges, padded with edge m, whose count stays 0
-    incidence = np.full((g.k + 1, max(map(len, g.incidence))), g.m, dtype=np.int64)
-    for v, edges in enumerate(g.incidence, start=1):
+    # row v - 1 lists vertex v's edges, padded with edge m, whose count stays 0
+    incidence = np.full((g.k, max(map(len, g.incidence))), g.m, dtype=np.int64)
+    for v, edges in enumerate(g.incidence):
         incidence[v, : len(edges)] = edges
 
     def play_chunk(verts) -> int:

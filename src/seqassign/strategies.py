@@ -36,7 +36,7 @@ from .geometry import (
     RegionKind,
 )
 from .graph import Graph
-from .values import LOSS, ValueTable, optimal_move, round_to_config
+from .values import LOSS, DownSetTable, ValueTable, optimal_move, round_to_config
 
 FORFEIT = LOSS
 
@@ -57,11 +57,12 @@ class Strategy:
 
 
 class TableStrategy(Strategy):
-    """Deterministic argmax play from a precomputed value table."""
+    """Deterministic argmax play from a precomputed value table: a full one,
+    or the down-set of the configs it will play from."""
 
     name = "optimal"
 
-    def __init__(self, table: ValueTable):
+    def __init__(self, table: ValueTable | DownSetTable):
         self.table = table
 
     def choose(self, state, remaining, vertex, rng) -> int:
@@ -92,7 +93,7 @@ class GreedyLargest(Strategy):
         self._graph = graph
 
 
-def optimal_strategy(table: ValueTable) -> Strategy:
+def optimal_strategy(table: ValueTable | DownSetTable) -> Strategy:
     return TableStrategy(table)
 
 

@@ -21,6 +21,11 @@ Layer t is computed from layer t-1 by the recursion
 with an empty max contributing 0 (a drawn vertex with no positive incident
 edge loses the game).  Accumulation is in vertex order, so the stored values
 can be reproduced bit-exactly from the previous layer.
+
+A query about one start config reads only the configs at or below it.
+DownSetTable evaluates just that box, under mixed-radix indices, by the same
+recursion and accumulation order, and stores the optimal next state of every
+(state, vertex) pair for the batched simulator.
 """
 
 from __future__ import annotations
@@ -279,14 +284,19 @@ def check_config(g: Graph, cfg, n_max: int | None = None) -> np.ndarray:
     return cfg
 
 
-def value_at(t: ValueTable, cfg) -> float:
+def value_at(t: ValueTable | DownSetTable, cfg) -> float:
+    if isinstance(t, DownSetTable):
+        return t.value_at(cfg)
     cfg = check_config(t.graph, cfg, t.n_max)
     return float(t.layers[int(cfg.sum())][rank_config(cfg)])
 
 
-def optimal_move(t: ValueTable, cfg, v: int) -> int:
-    """Best edge for the drawn vertex (ties to the lowest edge index), or
-    LOSS when no incident edge has positive capacity."""
+def optimal_move(t: ValueTable | DownSetTable, cfg, v: int) -> int:
+    """Best edge for the drawn vertex (the first in incidence order among
+    those of largest value), or LOSS when no incident edge has positive
+    capacity."""
+    if isinstance(t, DownSetTable):
+        return t.optimal_move(cfg, v)
     cfg = check_config(t.graph, cfg, t.n_max)
     total = int(cfg.sum())
     if total < 1:
@@ -321,14 +331,6 @@ def argmax_config(t: ValueTable, n: int) -> tuple[np.ndarray, float]:
 def active_faces(g: Graph) -> list[int]:
     """Proper subsets with at least one fully-inside vertex (0 < d(F) < k)."""
     return [F for F in proper_subsets(g) if full_degree_count(g, F) > 0]
-
-
-def layer_face_values(t: ValueTable, n: int, faces=None) -> np.ndarray:
-    """(N, n_faces) matrix of face functional values over a layer."""
-    g = t.graph
-    if faces is None:
-        faces = active_faces(g)
-    return face_values(g, faces, n, compositions(n, g.m))
 
 
 def slice_max(t: ValueTable, n: int, spec: SliceSpec):
@@ -372,6 +374,153 @@ def slice_maxima(t: ValueTable, n: int, specs) -> list:
         winner = min(map(tuple, cfgs[ties]))
         out.append((np.array(winner, dtype=np.int64), best))
     return out
+
+
+# --- the down-set of one config ---------------------------------------------
+
+_BOX_CHUNK = 1 << 16  # box states evaluated per vectorised step
+
+
+@dataclass
+class DownSetTable:
+    """Exact values and the optimal policy on the box {c : 0 <= c <= top},
+    which holds every state a game started at top can reach.
+
+    A config c has the mixed-radix index sum_e c_e * stride[e] (the last
+    edge varies fastest), so decrementing edge e lowers the index by
+    stride[e].  values[i] is the win probability of state i, bit for bit the
+    full table's.  nxt[i, v - 1] is the state optimal play moves to when
+    vertex v is drawn at state i: the child through the first incident edge,
+    in incidence order, of largest value, or the sink row `dead` when no
+    incident edge is positive.  The sink row maps to itself.
+    """
+
+    graph: Graph
+    top: np.ndarray
+    weights: np.ndarray
+    stride: np.ndarray
+    values: np.ndarray
+    nxt: np.ndarray
+
+    @property
+    def dead(self) -> int:
+        return len(self.values)
+
+    def index(self, cfg) -> int:
+        cfg = check_config(self.graph, cfg)
+        if np.any(cfg > self.top):
+            raise LayerOutOfRange(
+                f"config {cfg.tolist()} is outside the box under {self.top.tolist()}"
+            )
+        return int(cfg @ self.stride)
+
+    def value_at(self, cfg) -> float:
+        return float(self.values[self.index(cfg)])
+
+    def optimal_move(self, cfg, v: int) -> int:
+        """The edge nxt moves along, or LOSS.  Two edges positive at one
+        state have different strides, so the index step names the edge."""
+        i = self.index(cfg)
+        if i == 0:
+            raise LayerOutOfRange("no move from the empty config")
+        step = i - int(self.nxt[i, v - 1])
+        for e in self.graph.incidence[v - 1]:
+            if cfg[e] > 0 and self.stride[e] == step:
+                return e
+        return LOSS
+
+
+def downset_bytes(k: int, m: int, top) -> int:
+    """Peak memory of a DownSetTable build: per state its value (8 bytes)
+    and its nxt row (4k bytes), plus the sink row; the states of two
+    consecutive totals with their temporaries, at most six int64 arrays the
+    size of a total (and no total holds more states than the box has lines
+    along its longest edge); and the working arrays of one chunk of states,
+    at most 4m + 8 int64/float64 arrays of _BOX_CHUNK entries."""
+    states = 1
+    for c in top:
+        states *= int(c) + 1
+    widest = states // (max(int(c) for c in top) + 1)
+    return (8 + 4 * k) * (states + 1) + 48 * widest + 8 * (4 * m + 8) * min(states, _BOX_CHUNK)
+
+
+def downset_table(
+    g: Graph, top, weights=None, memory_budget: int = DEFAULT_BUDGET
+) -> DownSetTable:
+    """Exact values and the optimal policy for every config at or below top,
+    evaluated in order of total with compute_table's accumulation."""
+    return _build_box(g, check_config(g, top), check_weights(g, weights), memory_budget)
+
+
+def downset_from_table(
+    t: ValueTable, top, memory_budget: int = DEFAULT_BUDGET
+) -> DownSetTable:
+    """The box under top with its values read from a full table, and the
+    optimal policy derived from them."""
+    top = check_config(t.graph, top, t.n_max)
+    return _build_box(t.graph, top, t.weights, memory_budget, t.layers)
+
+
+def _build_box(g: Graph, top, w, memory_budget: int, layers=None) -> DownSetTable:
+    need = downset_bytes(g.k, g.m, top)
+    if need > memory_budget:
+        raise MemoryBudgetExceeded(need, memory_budget)
+    radix = top + 1
+    stride = np.ones(g.m, dtype=np.int64)
+    stride[:-1] = np.cumprod(radix[:0:-1])[::-1]
+    size = int(radix.prod())
+    values = np.empty(size)
+    values[0] = 1.0
+    nxt = np.empty((size + 1, g.k), dtype=np.int32)
+    nxt[0] = nxt[size] = size
+    tables = None if layers is None else _binom_tables(g.m, int(top.sum()))
+    layer = np.zeros(1, dtype=np.int64)  # the states of total 0
+    for t in range(1, int(top.sum()) + 1):
+        # each state of total t once, from the state one count short on its
+        # last positive edge e: a state whose counts after e are all zero
+        layer = np.concatenate([
+            layer[(layer % stride[e] == 0) & (layer // stride[e] % radix[e] < top[e])] + stride[e]
+            for e in range(g.m)
+        ])
+        layer.sort()  # ascending indices keep the gathers below local
+        for lo in range(0, len(layer), _BOX_CHUNK):
+            idx = layer[lo : lo + _BOX_CHUNK]
+            counts = idx // stride[:, None] % radix[:, None]
+            if layers is not None:
+                values[idx] = layers[t][_ranks(counts, tables)]
+            _fill_box(g, w, idx, counts, stride, values, nxt, layers is None)
+    return DownSetTable(graph=g, top=top, weights=w, stride=stride, values=values, nxt=nxt)
+
+
+def _ranks(counts: np.ndarray, tables) -> np.ndarray:
+    """Ranks in their layer of the configs in the columns of counts."""
+    bars = np.cumsum(counts[:-1], axis=0)
+    bars += np.arange(len(bars))[:, None]  # row j holds p_{j+1}
+    return sum(tables[j][bars[j]] for j in range(len(bars)))
+
+
+def _fill_box(g: Graph, w, idx, counts, stride, values, nxt, evaluate: bool) -> None:
+    """nxt rows of the box states idx, all of one total, whose children are
+    done; with evaluate, their values too, accumulated as in _next_layer."""
+    # where n_e = 0 the child index may fall outside the box; it is masked
+    cand = np.take(values, idx - stride[:, None], mode="clip")
+    cand[counts == 0] = -1.0
+    rows = np.empty((len(idx), g.k), dtype=nxt.dtype)
+    acc = np.zeros(len(idx))
+    for v, edges in enumerate(g.incidence):
+        best = cand[edges[0]]
+        step = np.full(len(idx), stride[edges[0]])
+        for e in edges[1:]:
+            better = cand[e] > best  # strict: ties keep the earlier edge
+            best = np.where(better, cand[e], best)
+            step[better] = stride[e]
+        dead = best < 0.0
+        rows[:, v] = np.where(dead, len(values), idx - step)
+        if evaluate:
+            acc += w[v] * np.where(dead, 0.0, best)
+    nxt[idx] = rows
+    if evaluate:
+        values[idx] = acc
 
 
 # --- exact rational side oracle ---------------------------------------------

@@ -11,7 +11,8 @@ from seqassign.experiments import (
     a_star,
 )
 from seqassign.errors import DomainError
-from seqassign.graph import cycle_graph, format_graph_text, path_graph
+from seqassign.graph import complete_graph, cycle_graph, format_graph_text, path_graph
+from seqassign.values import compute_table, value_at
 
 
 @pytest.fixture()
@@ -90,6 +91,31 @@ def test_value_at_and_argmax(p4_file, capsys):
     assert code == 0
     report = json.loads(out)
     assert sum(report["config"]) == 20
+
+
+def test_value_at_reads_the_down_set(tmp_path, capsys):
+    # a full table to total 60 needs 1.78 GB and exits 3; the box under the
+    # config holds 1.77M states
+    path = tmp_path / "k4.txt"
+    path.write_text(format_graph_text(complete_graph(4)))
+    argv = ["value", "at", "--graph", str(path), "--config"]
+    code, out, _ = run(argv + ["10,10,10,10,10,10"], capsys)
+    assert code == 0
+    assert 0.0 < json.loads(out)["p"] < 1.0
+    code, out, _ = run(argv + ["5,5,5,5,5,5"], capsys)
+    assert code == 0
+    assert json.loads(out)["p"] == value_at(compute_table(complete_graph(4), 30), [5] * 6)
+
+
+def test_value_at_rejects_a_config_outside_the_box(p4_file, capsys, monkeypatch):
+    import seqassign.cli as cli
+
+    real = cli.downset_table
+    monkeypatch.setattr(cli, "downset_table", lambda g, top, w: real(g, [1, 1, 1], w))
+    code, out, err = run(["value", "at", "--graph", p4_file, "--config", "1,2,1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "outside the box" in err
 
 
 def test_value_table_cache_roundtrip(p4_file, tmp_path, capsys):
@@ -208,6 +234,21 @@ def test_simulate_json_record(p4_file, capsys):
     assert record["runs"] == 200
     assert 0 <= record["successes"] <= 200
     assert record["strategy"] == "greedy"
+
+
+def test_simulate_optimal_same_with_and_without_cache(p4_file, tmp_path, capsys):
+    argv = [
+        "simulate", "--graph", p4_file, "--config", "14,9,13",
+        "--strategy", "optimal", "--runs", "3000", "--seed", "4",
+    ]
+    code, plain, _ = run(argv, capsys)
+    assert code == 0
+    cache = str(tmp_path / "t.tbl")
+    code, cached, _ = run(argv + ["--cache", cache], capsys)
+    assert code == 0
+    assert cached == plain
+    code, reread, _ = run(argv + ["--cache", cache], capsys)
+    assert reread == plain
 
 
 def test_simulate_steer_strategy_spec(p4_file, capsys):

@@ -15,9 +15,6 @@ from seqassign.graph import (
     full_degree_count,
     parse_graph_text,
     proper_subsets,
-    remove_edges,
-    subset_degree,
-    subset_members,
     subset_size,
 )
 
@@ -73,7 +70,7 @@ def test_full_degree_weighted(p4):
 
 def test_degree_sum_identity(k4):
     for F in proper_subsets(k4):
-        total = sum(subset_degree(k4, F, v) for v in range(1, k4.k + 1))
+        total = sum(bin(k4.vertex_mask(v) & F).count("1") for v in range(1, k4.k + 1))
         assert total == 2 * subset_size(F)
 
 
@@ -85,35 +82,6 @@ def test_full_degree_monotone(k4):
             assert full_degree_count(k4, F) <= full_degree_count(k4, bigger)
     assert full_degree_count(k4, 0) == 0
     assert full_degree_count(k4, k4.full_mask()) == k4.k
-
-
-def test_remove_edges_triangle(triangle):
-    g2, index_map = remove_edges(triangle, 0b100)
-    assert g2.edges == ((1, 2), (2, 3))
-    assert index_map == {0: 0, 1: 1}
-
-
-def test_remove_edges_identity(p4):
-    g2, index_map = remove_edges(p4, 0)
-    assert g2.edges == p4.edges
-    assert index_map == {0: 0, 1: 1, 2: 2}
-
-
-def test_remove_edges_bridge_disconnects(p4):
-    with pytest.raises(DisconnectedGraph):
-        remove_edges(p4, 0b010)
-
-
-def test_remove_edges_roundtrip(k4):
-    # removing two edges and re-adding them reproduces the same edge set
-    H = 0b000101
-    g2, index_map = remove_edges(k4, H)
-    rebuilt = build_graph(
-        k4.k, list(g2.edges) + [k4.edges[i] for i in subset_members(H, k4.m)]
-    )
-    assert sorted(rebuilt.edges) == sorted(k4.edges)
-    for old, new in index_map.items():
-        assert g2.edges[new] == k4.edges[old]
 
 
 def test_proper_subsets_counts(p4, triangle):

@@ -30,7 +30,8 @@ from seqassign.strategies import (
     SteerKTarget,
     SteerPlan,
 )
-from seqassign.values import compute_table, round_to_config, value_at
+from seqassign.graph import path_graph
+from seqassign.values import compute_table, downset_table, round_to_config, value_at
 
 
 class FirstPositive(Strategy):
@@ -132,7 +133,8 @@ def test_batch_matches_serial(p4, c4, k4, k13):
     for g, n, weights, seed in cases:
         table = compute_table(g, n, weights=weights)
         cfg = round_to_config(n, x_star(g))
-        for strategy in (TableStrategy(table), GreedyLargest()):
+        box = downset_table(g, cfg, weights)
+        for strategy in (TableStrategy(table), TableStrategy(box), GreedyLargest()):
             serial = sum(
                 int(play(g, cfg, strategy, child_rng(seed, i), weights).won)
                 for i in range(300)
@@ -144,6 +146,33 @@ def test_batch_matches_serial(p4, c4, k4, k13):
         int(play(p4, [6, 0, 0], GreedyLargest(), child_rng(9, i)).won) for i in range(300)
     )
     assert serial == estimate(p4, [6, 0, 0], GreedyLargest(), 300, 9).successes
+
+
+TOP_UNIFORM = 1.0 - 2.0**-53  # the largest value random() returns
+
+
+class TopOfUnitInterval:
+    """A generator stub whose every uniform is TOP_UNIFORM."""
+
+    def random(self):
+        return TOP_UNIFORM
+
+
+def test_top_uniform_draws_the_last_vertex(monkeypatch):
+    # uniform weights on 7 vertices add up to 0.9999999999999998, below the
+    # largest uniform; that draw is vertex 7, the one edge 5 serves
+    g = path_graph(7)
+    assert np.cumsum(np.full(7, 1 / 7))[-1] < TOP_UNIFORM
+    def top_uniforms(seed, lo, hi, total):
+        return np.full((hi - lo, total), TOP_UNIFORM)
+
+    monkeypatch.setattr(simulate, "_child_uniforms", top_uniforms)
+    for cfg, won in (([0, 0, 0, 0, 0, 3], True), ([1, 0, 0, 0, 0, 2], False)):
+        for strategy in (GreedyLargest(), TableStrategy(downset_table(g, cfg))):
+            result = play(g, cfg, strategy, TopOfUnitInterval())
+            assert result.won is won
+            assert result.steps_played == (3 if won else 2)
+            assert estimate(g, cfg, strategy, 5, 1).successes == (5 if won else 0)
 
 
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96 + 1, 2**128 - 1, 2**200 + 12345]
@@ -170,7 +199,7 @@ def _no_work(*args, **kwargs):
 )
 def test_bad_seed_rejected_before_any_work(p4, monkeypatch, bad, error):
     table = compute_table(p4, 6)
-    for name in ("play", "_table_player", "_greedy_player", "_child_uniforms"):
+    for name in ("play", "_box_player", "downset_from_table", "_greedy_player", "_child_uniforms"):
         monkeypatch.setattr(simulate, name, _no_work)
     for strategy in (TableStrategy(table), GreedyLargest(), UniformIncident()):
         with pytest.raises(error) as info:

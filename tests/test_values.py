@@ -16,7 +16,7 @@ from seqassign.errors import (
     MemoryBudgetExceeded,
     NegativeEntry,
 )
-from seqassign.geometry import x_star
+from seqassign.geometry import face_values, x_star
 import seqassign
 from seqassign.graph import (
     build_graph,
@@ -26,6 +26,7 @@ from seqassign.graph import (
     star_graph,
 )
 from seqassign.values import (
+    DEFAULT_BUDGET,
     LOSS,
     SliceSpec,
     _bars,
@@ -36,9 +37,11 @@ from seqassign.values import (
     argmax_config,
     compositions,
     compute_table,
+    downset_bytes,
+    downset_from_table,
+    downset_table,
     exact_value,
     graph_hash,
-    layer_face_values,
     layer_size,
     load_table,
     optimal_move,
@@ -276,24 +279,25 @@ def test_memory_budget_one_byte_short(k4):
     assert compute_table(k4, 20, memory_budget=need).n_max == 20
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-def test_peak_bytes_bounds_rss_growth():
-    # the peak RSS growth of a table build in a fresh process stays within
-    # the estimate the memory guard checks.  The child reads its peak RSS
-    # from VmHWM, not ru_maxrss: ru_maxrss survives fork and exec, so a
-    # child of a large test process would start at the parent's peak.
+def rss_growth(build: str) -> tuple[int, int]:
+    """Peak RSS growth of `build` in a fresh process, and the estimate the
+    memory guard checks, which `build` leaves in `need`.  The child reads
+    its peak RSS from VmHWM, not ru_maxrss: ru_maxrss survives fork and
+    exec, so a child of a large test process would start at the parent's
+    peak."""
     code = (
         "from seqassign.graph import complete_graph\n"
-        "from seqassign.values import compute_table, peak_bytes\n"
+        "from seqassign.values import *\n"
         "def hwm():\n"
         "    with open('/proc/self/status') as fh:\n"
         "        line = next(x for x in fh if x.startswith('VmHWM:'))\n"
         "    return int(line.split()[1]) * 1024\n"
         "g = complete_graph(4)\n"
         "compute_table(g, 3)\n"
+        "downset_table(g, (1,) * 6)\n"
         "before = hwm()\n"
-        "compute_table(g, 30)\n"
-        "print(hwm() - before, peak_bytes(g.m, 30))\n"
+        f"{build}\n"
+        "print(hwm() - before, need)\n"
     )
     src = str(Path(seqassign.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -302,7 +306,15 @@ def test_peak_bytes_bounds_rss_growth():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    growth, estimate = map(int, out.stdout.split())
+    growth, need = map(int, out.stdout.split())
+    return growth, need
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_peak_bytes_bounds_rss_growth():
+    # the peak RSS growth of a table build stays within the estimate the
+    # memory guard checks
+    growth, estimate = rss_growth("compute_table(g, 30); need = peak_bytes(g.m, 30)")
     assert 0 < growth <= estimate
 
 
@@ -392,7 +404,7 @@ def test_slice_predicate_recheck(p4, p4_table):
     assert hit is not None
     cfg, _ = hit
     faces = active_faces(p4)
-    L = layer_face_values(p4_table, 100, faces)
+    L = face_values(p4, faces, 100, compositions(100, 3))
     row = L[rank_config(cfg)]
     assert row.min() <= -2.0 * math.sqrt(100)
 
@@ -401,7 +413,7 @@ def test_slices_partition_layer(p4, p4_table):
     n, amp = 60, 1.5
     counts = 0
     for kind in ("I", "II", "III"):
-        L = layer_face_values(p4_table, n)
+        L = face_values(p4, active_faces(p4), n, compositions(n, 3))
         lmin = L.min(axis=1)
         cut = amp * math.sqrt(n)
         if kind == "I":
@@ -411,6 +423,104 @@ def test_slices_partition_layer(p4, p4_table):
         else:
             counts += int(((lmin > -cut) & (lmin < cut)).sum())
     assert counts == layer_size(n, 3)
+
+
+# --- the down-set table ------------------------------------------------------------
+
+
+def box_configs(top):
+    """The configs at or below top in index order (last edge fastest)."""
+    return itertools.product(*(range(c + 1) for c in top))
+
+
+@pytest.mark.parametrize(
+    "g, top, weights",
+    [
+        (path_graph(4), (9, 6, 8), None),
+        (cycle_graph(4), (4, 3, 5, 4), None),
+        (complete_graph(4), (3, 2, 3, 1, 2, 3), None),
+        (star_graph(3), (6, 4, 7), None),
+        (path_graph(4), (7, 5, 8), [0.1, 0.2, 0.3, 0.4]),
+    ],
+    ids=["P4", "C4", "K4", "K13", "P4-weighted"],
+)
+def test_downset_matches_full_table(g, top, weights):
+    box = downset_table(g, top, weights)
+    full = compute_table(g, sum(top), weights)
+    want = np.array([value_at(full, c) for c in box_configs(top)])
+    assert np.array_equal(box.values, want)
+    gathered = downset_from_table(full, top)
+    assert np.array_equal(gathered.values, want)
+    assert np.array_equal(gathered.nxt, box.nxt)
+    # the empty config and the sink have no move; the sink maps to itself
+    assert np.all(box.nxt[0] == box.dead) and np.all(box.nxt[box.dead] == box.dead)
+
+
+def test_downset_matches_exact_values(p4, c4):
+    for g, top in ((p4, (4, 3, 5)), (c4, (3, 3, 3, 3))):
+        box = downset_table(g, top)
+        memo = {}
+        for cfg in box_configs(top):
+            assert box.value_at(cfg) == pytest.approx(
+                float(exact_value(g, cfg, _memo=memo)), abs=1e-14
+            )
+
+
+def test_downset_optimal_move_matches_table(k4, p4):
+    # K4 under the uniform law has many ties between edges
+    for g, top in ((k4, (2, 1, 2, 1, 2, 1)), (p4, (5, 3, 4))):
+        box = downset_table(g, top)
+        full = compute_table(g, sum(top))
+        for cfg in box_configs(top):
+            if not any(cfg):
+                continue
+            i = box.index(cfg)
+            for v in range(1, g.k + 1):
+                e = box.optimal_move(cfg, v)
+                assert e == optimal_move(full, cfg, v) == optimal_move(box, cfg, v)
+                want = box.dead if e == LOSS else i - box.stride[e]
+                assert box.nxt[i, v - 1] == want
+
+
+def test_downset_rejects_configs_outside_the_box(p4):
+    box = downset_table(p4, (3, 2, 3))
+    assert value_at(box, (3, 2, 3)) == box.value_at((3, 2, 3))
+    with pytest.raises(LayerOutOfRange):
+        box.value_at((0, 3, 0))
+    with pytest.raises(LayerOutOfRange):
+        optimal_move(box, (4, 0, 0), 1)
+    with pytest.raises(NegativeEntry):
+        downset_table(p4, (3, -1, 3))
+    with pytest.raises(LayerOutOfRange):
+        downset_from_table(compute_table(p4, 7), (3, 2, 3))
+
+
+def test_downset_budget_one_byte_short(k4):
+    top = (3, 2, 3, 1, 2, 3)
+    need = downset_bytes(k4.k, k4.m, top)
+    with pytest.raises(MemoryBudgetExceeded) as exc:
+        downset_table(k4, top, memory_budget=need - 1)
+    assert exc.value.required_bytes == need
+    assert downset_table(k4, top, memory_budget=need).value_at(top) > 0.0
+    with pytest.raises(MemoryBudgetExceeded):
+        downset_from_table(compute_table(k4, 14), top, memory_budget=need - 1)
+
+
+def test_default_budget_keeps_box_indices_in_int32():
+    # nxt stores int32 state indices, and batched play gathers at int32
+    # positions state * k + v.  A state costs 8 + 4k bytes, so the budget
+    # admits fewer than 2**28 / k states: far below 2**31 positions
+    for k, m in ((3, 2), (4, 3), (4, 6), (25, 24)):
+        assert downset_bytes(k, m, (2**28 // k,) + (0,) * (m - 1)) > DEFAULT_BUDGET
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_downset_bytes_bounds_rss_growth():
+    top = (7, 8, 6, 9, 7, 8)
+    growth, estimate = rss_growth(
+        f"downset_table(g, {top}); need = downset_bytes(g.k, g.m, {top})"
+    )
+    assert 0 < growth <= estimate
 
 
 # --- persistence ----------------------------------------------------------------
