@@ -321,6 +321,8 @@ def estimate(
     config = check_config(g, config)
     if isinstance(strategy, TableStrategy):
         box = strategy.table
+        if graph_hash(box.graph) != graph_hash(g) or not np.array_equal(box.weights, w):
+            raise DomainError("the value table was built for another graph or vertex law")
         if isinstance(box, ValueTable):
             box = downset_from_table(box, config)
         successes = _estimate_batch(config, runs, master_seed, w, _box_player(box, config))

@@ -449,19 +449,8 @@ def downset_table(
 ) -> DownSetTable:
     """Exact values and the optimal policy for every config at or below top,
     evaluated in order of total with compute_table's accumulation."""
-    return _build_box(g, check_config(g, top), check_weights(g, weights), memory_budget)
-
-
-def downset_from_table(
-    t: ValueTable, top, memory_budget: int = DEFAULT_BUDGET
-) -> DownSetTable:
-    """The box under top with its values read from a full table, and the
-    optimal policy derived from them."""
-    top = check_config(t.graph, top, t.n_max)
-    return _build_box(t.graph, top, t.weights, memory_budget, t.layers)
-
-
-def _build_box(g: Graph, top, w, memory_budget: int, layers=None) -> DownSetTable:
+    top = check_config(g, top)
+    w = check_weights(g, weights)
     need = downset_bytes(g.k, g.m, top)
     if need > memory_budget:
         raise MemoryBudgetExceeded(need, memory_budget)
@@ -473,11 +462,10 @@ def _build_box(g: Graph, top, w, memory_budget: int, layers=None) -> DownSetTabl
     values[0] = 1.0
     nxt = np.empty((size + 1, g.k), dtype=np.int32)
     nxt[0] = nxt[size] = size
-    tables = None if layers is None else _binom_tables(g.m, int(top.sum()))
     layer = np.zeros(1, dtype=np.int64)  # the states of total 0
-    for t in range(1, int(top.sum()) + 1):
-        # each state of total t once, from the state one count short on its
-        # last positive edge e: a state whose counts after e are all zero
+    for _ in range(int(top.sum())):
+        # each state of the next total once, from the state one count short
+        # on its last positive edge e: a state whose counts after e are all zero
         layer = np.concatenate([
             layer[(layer % stride[e] == 0) & (layer // stride[e] % radix[e] < top[e])] + stride[e]
             for e in range(g.m)
@@ -485,23 +473,22 @@ def _build_box(g: Graph, top, w, memory_budget: int, layers=None) -> DownSetTabl
         layer.sort()  # ascending indices keep the gathers below local
         for lo in range(0, len(layer), _BOX_CHUNK):
             idx = layer[lo : lo + _BOX_CHUNK]
-            counts = idx // stride[:, None] % radix[:, None]
-            if layers is not None:
-                values[idx] = layers[t][_ranks(counts, tables)]
-            _fill_box(g, w, idx, counts, stride, values, nxt, layers is None)
+            _fill_box(g, w, idx, idx // stride[:, None] % radix[:, None], stride, values, nxt)
     return DownSetTable(graph=g, top=top, weights=w, stride=stride, values=values, nxt=nxt)
 
 
-def _ranks(counts: np.ndarray, tables) -> np.ndarray:
-    """Ranks in their layer of the configs in the columns of counts."""
-    bars = np.cumsum(counts[:-1], axis=0)
-    bars += np.arange(len(bars))[:, None]  # row j holds p_{j+1}
-    return sum(tables[j][bars[j]] for j in range(len(bars)))
+def downset_from_table(
+    t: ValueTable, top, memory_budget: int = DEFAULT_BUDGET
+) -> DownSetTable:
+    """The box under a config the full table covers, for its graph and
+    vertex law; its values equal the table's bit for bit."""
+    check_config(t.graph, top, t.n_max)
+    return downset_table(t.graph, top, t.weights, memory_budget)
 
 
-def _fill_box(g: Graph, w, idx, counts, stride, values, nxt, evaluate: bool) -> None:
-    """nxt rows of the box states idx, all of one total, whose children are
-    done; with evaluate, their values too, accumulated as in _next_layer."""
+def _fill_box(g: Graph, w, idx, counts, stride, values, nxt) -> None:
+    """Values and nxt rows of the box states idx, all of one total, whose
+    children are done; values accumulate as in _next_layer."""
     # where n_e = 0 the child index may fall outside the box; it is masked
     cand = np.take(values, idx - stride[:, None], mode="clip")
     cand[counts == 0] = -1.0
@@ -516,11 +503,9 @@ def _fill_box(g: Graph, w, idx, counts, stride, values, nxt, evaluate: bool) -> 
             step[better] = stride[e]
         dead = best < 0.0
         rows[:, v] = np.where(dead, len(values), idx - step)
-        if evaluate:
-            acc += w[v] * np.where(dead, 0.0, best)
+        acc += w[v] * np.where(dead, 0.0, best)
     nxt[idx] = rows
-    if evaluate:
-        values[idx] = acc
+    values[idx] = acc
 
 
 # --- exact rational side oracle ---------------------------------------------

@@ -12,7 +12,14 @@ from seqassign.experiments import (
 )
 from seqassign.errors import DomainError
 from seqassign.graph import complete_graph, cycle_graph, format_graph_text, path_graph
-from seqassign.values import compute_table, value_at
+from seqassign.values import (
+    DEFAULT_BUDGET,
+    ValueTable,
+    compute_table,
+    downset_bytes,
+    peak_bytes,
+    value_at,
+)
 
 
 @pytest.fixture()
@@ -249,6 +256,32 @@ def test_simulate_optimal_same_with_and_without_cache(p4_file, tmp_path, capsys)
     assert cached == plain
     code, reread, _ = run(argv + ["--cache", cache], capsys)
     assert reread == plain
+
+
+def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsys, monkeypatch):
+    # on the two-edge path the full table to total 14,593 fits the budget but
+    # the box under (7297, 7296) does not; optimal play walks the box, so
+    # --cache does not help
+    import seqassign.cli as cli
+
+    assert peak_bytes(2, 14593) <= DEFAULT_BUDGET < downset_bytes(3, 2, [7297, 7296])
+    path = tmp_path / "p3.txt"
+    path.write_text(format_graph_text(path_graph(3)))
+    # a stand-in for the 0.85 GB table: the box is built from its graph and law
+    monkeypatch.setattr(
+        cli, "compute_table", lambda g, n, w: ValueTable(g, n, cli.check_weights(g, w), [])
+    )
+    monkeypatch.setattr(cli, "save_table", lambda t, p: None)
+    code, out, err = run(
+        [
+            "simulate", "--graph", str(path), "--config", "7297,7296",
+            "--strategy", "optimal", "--runs", "10", "--cache", str(tmp_path / "t.tbl"),
+        ],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
 
 
 def test_simulate_steer_strategy_spec(p4_file, capsys):

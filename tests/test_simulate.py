@@ -30,7 +30,7 @@ from seqassign.strategies import (
     SteerKTarget,
     SteerPlan,
 )
-from seqassign.graph import path_graph
+from seqassign.graph import path_graph, star_graph
 from seqassign.values import compute_table, downset_table, round_to_config, value_at
 
 
@@ -414,4 +414,17 @@ def test_estimate_rejects_config_beyond_table(p4):
     table = compute_table(p4, 5)
     with pytest.raises(LayerOutOfRange):
         estimate(p4, [2, 2, 2], TableStrategy(table), 10, 1)
+
+
+def test_estimate_rejects_a_table_of_another_graph_or_law(p4):
+    cfg = [2, 2, 2]
+    for table in (compute_table(p4, 6, W_P4), downset_table(p4, cfg, W_P4)):
+        with pytest.raises(DomainError):
+            estimate(p4, cfg, TableStrategy(table), 10, 1)  # drawn under the uniform law
+        assert estimate(p4, cfg, TableStrategy(table), 10, 1, W_P4).runs == 10
+    # the star has P4's vertex and edge counts, so the config and law fit it
+    star = star_graph(3)
+    for table in (compute_table(star, 6), downset_table(star, cfg)):
+        with pytest.raises(DomainError):
+            estimate(p4, cfg, TableStrategy(table), 10, 1)
 
