@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geometry import RegionKind, classify_point, min_slack
+from .geometry import RegionKind, classify_point
 from .graph import Graph, path_graph
 from .simulate import TraceSpec, child_rng, deviation_tail, play, trace_diagnostics
 from .strategies import SteerExact, SteerKTarget, SteerPlan, Stage1Steer
@@ -112,7 +112,7 @@ def transition_scan(g: Graph, x, n_list, weights=None, table: ValueTable | None 
     if table is None:
         table = compute_table(g, max(n_list), weights)
     region = classify_point(g, x, weights)
-    deficit = -min_slack(g, x, weights)[0]
+    deficit = -region.slack
     rows = []
     ps = []
     for n in n_list:

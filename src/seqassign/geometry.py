@@ -9,10 +9,13 @@ linear constraint
 
 with uniform vertex weight 1/k by default.  A point is interior-reachable when
 all slacks are positive, on the region boundary when the minimum slack is zero,
-and inaccessible when some slack is negative.  Membership can be certified
-independently by a max-flow computation on a small auxiliary network, which
-also produces a per-vertex randomized move kernel realizing the point as a
-mean displacement.
+and inaccessible when some slack is negative.  The region queries search a
+Hall-type family of at most |E| + 2^k of these constraints (the single edges
+and the edge sets incident to a vertex set), which decides them for points
+with non-negative entries; `all_slacks` keeps the full enumeration.
+Membership can be certified independently by a max-flow computation on a
+small auxiliary network, which also produces a per-vertex randomized move
+kernel realizing the point as a mean displacement.
 """
 
 from __future__ import annotations
@@ -153,13 +156,174 @@ def _full_weight(g: Graph, w: tuple) -> np.ndarray:
     return d
 
 
+# The vertex-set family's arrays stay below this many bytes, as the fold's do
+# at the 24-edge cap.
+FAMILY_BYTES = 1 << 29
+
+
+@dataclass(frozen=True, eq=False)
+class _Constraints:
+    """The edge subsets a region query minimises over, in ascending bitmask
+    order, with the full-degree weight d of each (added in vertex order).
+
+    Either every proper non-empty subset (`masks is None`; sums from the
+    doubling fold), or the vertex-set (Hall) family: the single edges and
+    the sets E(S) != E of edges incident to a vertex set S.  For x >= 0 the
+    least slack over the family is the least over all subsets, and the
+    first subset in bitmask order to attain it is in the family: the
+    non-full edges of a subset can be dropped without raising its slack.
+    """
+
+    d: np.ndarray
+    masks: tuple[int, ...] | None = None
+    rows: np.ndarray | None = None  # (c, m) bool membership
+    idx: np.ndarray | None = None  # (L, c) member edges ascending, padded with m
+    # the E(S) rows, led by the empty set, for boundary_distance
+    cover_masks: tuple[int, ...] | None = None
+    uncover: np.ndarray | None = None  # (s, m) bool: edge not in the row
+    cover_x: np.ndarray | None = None  # (s, m) 1.0 where the edge is in the row
+    cover_d: np.ndarray | None = None
+    cover_size: np.ndarray | None = None
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.masks is None
+
+    def mask(self, i: int) -> int:
+        return i + 1 if self.masks is None else self.masks[i]
+
+    def sums(self, v: np.ndarray) -> np.ndarray:
+        """The sum of v over each constraint's edges, added up in increasing
+        edge order (the fold's order), in a new array."""
+        if self.masks is None:
+            return _subset_sums(v)[1:-1]
+        # a reduce along the outer axis adds row by row, i.e. in edge order;
+        # the padding index m reads an appended 0.0
+        return np.add.reduce(np.concatenate((v, _PAD))[self.idx], axis=0)
+
+
+_PAD = np.zeros(1)
+
+
+def _family_bytes(k: int, m: int) -> int:
+    """Bound on the bytes of a vertex-set family: the 2^k masks of the build
+    and the sort's copies, and per candidate its arrays, its mask and the
+    per-call gathers and boundary-distance temporaries."""
+    words = -(-m // 64)
+    candidates = min((1 << k) - 1 + m, (1 << m) - 2)
+    return max((24 * words) << k, (80 * m + 64) * candidates)
+
+
+@lru_cache(maxsize=4)
+def _constraints(g: Graph, w: tuple, exhaustive: bool = False) -> _Constraints:
+    """The constraints of graph g under law w: the vertex-set family when
+    k <= 24 and its arrays fit FAMILY_BYTES, else (or when `exhaustive`)
+    every proper subset when m <= 24.  Raises SubsetCapExceeded, before
+    allocating, when neither fits."""
+    if not exhaustive and g.k <= SUBSET_CAP and _family_bytes(g.k, g.m) <= FAMILY_BYTES:
+        return _vertex_set_family(g, w)
+    if g.m > SUBSET_CAP:
+        raise SubsetCapExceeded(
+            f"|V|={g.k}, |E|={g.m}: the region constraints exceed the enumeration cap "
+            f"{SUBSET_CAP} or {FAMILY_BYTES} bytes"
+        )
+    return _Constraints(d=_full_weight(g, w)[1:-1])
+
+
+def _vertex_set_family(g: Graph, w: tuple) -> _Constraints:
+    k, m = g.k, g.m
+    nw = -(-m // 64)  # 64-bit words per mask, most significant first
+    word = [nw - 1 - e // 64 for e in range(m)]
+    shift = np.array([e % 64 for e in range(m)], dtype=np.uint64)
+    one = np.zeros((m, nw), dtype=np.uint64)
+    one[np.arange(m), word] = np.uint64(1) << shift
+    # E(S) for every vertex set S, by doubling over the vertices
+    es = np.zeros((1 << k, nw), dtype=np.uint64)
+    h = 1
+    for inc in g.incidence:
+        np.bitwise_or(es[:h], np.bitwise_or.reduce(one[list(inc)]), out=es[h : 2 * h])
+        h *= 2
+    cand = np.concatenate([es[1:], one])
+    del es
+    cand = cand[(cand != np.bitwise_or.reduce(one)).any(axis=1)]  # E itself is no constraint
+    words = np.unique(cand, axis=0)  # rows sorted word by word: ascending masks
+    del cand
+    rows = (words[:, word] >> shift & np.uint64(1)).astype(bool)
+    masks = tuple(words[:, 0].tolist()) if nw == 1 else tuple(
+        _mask(np.nonzero(row)[0].tolist()) for row in rows
+    )
+    del words
+    d = np.zeros(len(rows))
+    full = np.empty((len(rows), k), dtype=bool)
+    incident = np.zeros((k, m), dtype=bool)
+    for v, inc in enumerate(g.incidence):
+        full[:, v] = rows[:, inc].all(axis=1)
+        d += np.where(full[:, v], w[v], 0.0)  # vertex order, as in _full_weight
+        incident[v, list(inc)] = True
+    size = rows.sum(axis=1)
+    idx = np.where(rows, np.arange(m), m)
+    idx.sort(axis=1)
+    idx = np.ascontiguousarray(idx[:, : size.max()].T)
+    # E(S) rows: each edge has an endpoint whose edges all lie in the row
+    star = ((full @ incident) | ~rows).all(axis=1)
+    cover = np.concatenate([np.zeros((1, m), dtype=bool), rows[star]])
+    c = _Constraints(
+        d=d,
+        masks=masks,
+        rows=rows,
+        idx=idx,
+        cover_masks=(0,) + tuple(masks[i] for i in np.nonzero(star)[0].tolist()),
+        uncover=~cover,
+        cover_x=cover.astype(float),
+        cover_d=np.concatenate([[0.0], d[star]]),
+        cover_size=cover.sum(axis=1),
+    )
+    for a in (c.d, c.rows, c.idx, c.uncover, c.cover_x, c.cover_d, c.cover_size):
+        a.flags.writeable = False  # shared through the cache
+    return c
+
+
+def _mask(edges) -> int:
+    out = 0
+    for e in edges:
+        out |= 1 << e
+    return out
+
+
+@lru_cache(maxsize=16)
+def _uniform_law(k: int) -> tuple:
+    return tuple(uniform_weights(k).tolist())
+
+
+def _law(g: Graph, weights) -> tuple:
+    if weights is None:
+        return _uniform_law(g.k)
+    return tuple(check_weights(g, weights).tolist())
+
+
 def slack(g: Graph, subset: int, x, weights=None) -> float:
-    """Margin of one constraint: sum of x over the subset minus the full-degree weight."""
+    """Margin of one constraint: sum of x over the subset minus the full-degree
+    weight, each added up in the fold's order."""
     x = np.asarray(x, dtype=float)
-    w = check_weights(g, weights)
-    s = sum(x[e] for e in subset_members(subset, g.m))
-    d = sum(w[v - 1] for v in range(1, g.k + 1) if g.vertex_mask(v) & ~subset == 0)
-    return float(s - d)
+    return _fold_slack(g, subset, x.tolist(), check_weights(g, weights).tolist())
+
+
+@lru_cache(maxsize=16)
+def _vertex_masks(g: Graph) -> tuple[int, ...]:
+    return tuple(g.vertex_mask(v) for v in range(1, g.k + 1))
+
+
+def _fold_slack(g: Graph, subset: int, x: list, w) -> float:
+    """slack() on Python floats: the edges in increasing order, then the
+    full-degree weights in vertex order, each sum started at 0."""
+    s = 0.0
+    for e in subset_members(subset, g.m):
+        s += x[e]
+    d = 0.0
+    for vm, wv in zip(_vertex_masks(g), w):
+        if vm & ~subset == 0:
+            d += wv
+    return s - d
 
 
 def all_slacks(g: Graph, x, weights=None) -> np.ndarray:
@@ -171,17 +335,59 @@ def all_slacks(g: Graph, x, weights=None) -> np.ndarray:
 
 
 def min_slack(g: Graph, x, weights=None) -> tuple[float, int]:
-    """Minimum slack and the first subset attaining it."""
-    s = all_slacks(g, x, weights)
-    i = int(np.argmin(s))
-    return float(s[i]), i + 1
+    """Minimum slack over all proper subsets and the first subset (in bitmask
+    order) attaining it, found on the vertex-set family."""
+    w = _law(g, weights)
+    c = _constraints(g, w)
+    x = np.asarray(x, dtype=float)
+    s = c.sums(x)
+    s -= c.d
+    i = s.argmin()
+    if not s[i] > 0 and not c.exhaustive and x[x.argmin()] < 0:
+        return _signed_min_slack(g, c, w, x)
+    return float(s[i]), c.mask(i)
+
+
+def _signed_min_slack(g: Graph, c: _Constraints, w: tuple, x: np.ndarray) -> tuple[float, int]:
+    """min_slack for an x with negative entries (set N).  Dropping a
+    non-negative edge outside E(S) cannot lower a slack, so every subset
+    reduces to C + T with C empty, a single edge or an E(S), and T inside
+    N; for fixed C the slack is least at the largest proper T.  Ties are
+    broken toward the first subset by dropping negative edges, highest
+    first, while the slack stays at the minimum."""
+    neg = x < 0
+    base = np.concatenate([np.zeros((1, g.m), dtype=bool), c.rows])
+    ext = base | neg
+    full = ext.all(axis=1)
+    r, e = np.nonzero(neg & ~base[full])  # a full row gives up one negative edge
+    drop = ext[full][r]
+    drop[np.arange(len(r)), e] = False
+    rows = np.concatenate([ext[~full], drop])
+    s = np.zeros(len(rows))
+    for j in range(g.m):
+        s += np.where(rows[:, j], x[j], 0.0)  # edge order, as in the fold
+    d = np.zeros(len(rows))
+    for v, inc in enumerate(g.incidence):
+        d += np.where(rows[:, inc].all(axis=1), w[v], 0.0)
+    s -= d
+    best = float(s.min())
+    xl, negative = x.tolist(), np.nonzero(neg)[0].tolist()[::-1]
+    firsts = []
+    for mask in {_mask(np.nonzero(row)[0].tolist()) for row in rows[s == best]}:
+        for j in negative:
+            smaller = mask & ~(1 << j)
+            if smaller != mask and smaller and _fold_slack(g, smaller, xl, w) == best:
+                mask = smaller
+        firsts.append(mask)
+    return best, min(firsts)
 
 
 def classify_point(g: Graph, x, weights=None) -> RegionClass:
-    """Classify a simplex point by exhaustive constraint enumeration.
+    """Classify a simplex point by its minimum slack.
 
     Raises OutsideSimplex for points off the simplex (tolerance 1e-9) and
-    SubsetCapExceeded when |E| > 24.
+    SubsetCapExceeded when neither the vertex sets nor the edge subsets of
+    g can be enumerated.
     """
     x = check_simplex(g, x)
     val, sub = min_slack(g, x, weights)
@@ -326,50 +532,137 @@ def face_values(g: Graph, faces, n, v) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _face_scales(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """By subset size f = 0..m: the scale a+b = sqrt(m / (f*(m-f))) and a
+    penalty, 0 for proper sizes; at f = 0 and f = m the scale is 0 and the
+    penalty +inf, so scale*v + penalty rules those sizes out."""
+    f = np.arange(1, m)
+    scale = np.zeros(m + 1)
+    scale[1:m] = np.sqrt(m / (f * (m - f)))
+    pen = np.zeros(m + 1)
+    pen[[0, m]] = np.inf
+    scale.flags.writeable = pen.flags.writeable = False
+    return scale, pen
+
+
+@lru_cache(maxsize=4)
+def _subset_sizes(m: int) -> np.ndarray:
+    """|F| for every proper mask F, ascending."""
+    sizes = _subset_sums(np.ones(m, dtype=np.uint8))[1:-1]
+    sizes.flags.writeable = False
+    return sizes
+
+
 def boundary_distance(g: Graph, x) -> float:
     """Distance from x to the region boundary within the simplex hyperplane
     (uniform vertex law): min over proper subsets of (a+b) * slack.  Negative
     for points outside the closed region (signed violation depth)."""
     x = check_simplex(g, x)
-    s = all_slacks(g, x)
-    f = np.arange(1, g.m)
-    scale = np.sqrt(g.m / (f * (g.m - f)))  # scale[|F| - 1]
-    sizes = _subset_sums(np.ones(g.m, dtype=np.uint8))[1:-1]
-    sizes -= 1
-    s *= scale[sizes]
-    return float(s.min())
+    c = _constraints(g, _uniform_law(g.k))
+    # the fold when its 2^m sums are no more than the vertex-set scan's entries
+    if c.exhaustive or (g.m <= SUBSET_CAP and 1 << g.m <= c.uncover.size):
+        s = all_slacks(g, x)
+        s *= _face_scales(g.m)[0][_subset_sizes(g.m)]
+        return float(s.min())
+    return _vertex_set_distance(g, c, x)
+
+
+def _vertex_set_distance(g: Graph, c: _Constraints, x: np.ndarray) -> float:
+    """boundary_distance on the vertex sets.  A subset F whose fully covered
+    vertex set is D contains E(D), and d(F) = w(D) <= d(E(D)); so for each
+    size f the best F is E(D) plus the f - |E(D)| smallest other entries.
+    One pass scores E(D) plus each prefix of the other edges in ascending
+    x; the near-best subsets are then re-summed in the fold's order."""
+    scale, pen = _face_scales(g.m)
+    order = x.argsort(kind="stable")
+    off = c.uncover[:, order]
+    base = c.cover_x @ x
+    base -= c.cover_d  # x(E(D)) - d(E(D))
+    val = np.cumsum(off * x[order], axis=1)  # column p: the added edges up to order[p]
+    val += base[:, None]
+    size = np.cumsum(off, axis=1)
+    size += c.cover_size[:, None]
+    val *= scale[size]
+    val += pen[size]
+    base *= scale[c.cover_size]  # E(D) itself
+    base += pen[c.cover_size]
+    near = min(val.flat[val.argmin()], base[base.argmin()]) + 1e-12
+    faces = {c.cover_masks[r] for r in np.nonzero(base <= near)[0].tolist()}
+    rs, ps = np.nonzero((val <= near) & off)
+    if len(rs):
+        order = order.tolist()
+        for r, p in zip(rs.tolist(), ps.tolist()):
+            faces.add(c.cover_masks[r] | _mask(order[: p + 1]))
+    xl, w = x.tolist(), _uniform_law(g.k)
+    return min(float(scale[subset_size(F)]) * _fold_slack(g, F, xl, w) for F in faces)
 
 
 def ray_exit(g: Graph, origin, direction) -> tuple[np.ndarray, float, int]:
     """First point along origin + t*direction (t > 0) where some slack hits 0.
 
     Requires all slacks of origin to be positive.  Returns (point, t, subset).
-    Raises NoExit when no slack decreases along the direction.
+    Raises NoExit when no slack decreases along the direction.  From an
+    interior origin the exit lies in the region, where the vertex-set family
+    finds it; from any other origin every proper subset is tried.
     """
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    t = all_slacks(g, origin)
-    rate = _subset_sums(-direction)[1:-1]  # how fast each slack drops
+    law = _uniform_law(g.k)
+    c = _constraints(g, law)
+    t = c.sums(origin)
+    t -= c.d
+    if not t[t.argmin()] > 0 and not c.exhaustive:
+        return _ray_exit(_constraints(g, law, exhaustive=True), origin, direction)
+    y, best_t, i = _ray_exit(c, origin, direction, t)
+    # y is a region point, so its entries are >= 0 up to rounding.  A tight
+    # constraint C plus edges where y is zero is tight as well; when such a
+    # set can lie outside the family, let the fold's rounding pick among them
+    if not c.exhaustive and g.m <= SUBSET_CAP and y[y.argmin()] <= 1e-12:
+        zero = np.abs(y) <= 1e-12
+        tight = c.rows[t <= best_t + 1e-12 * max(1.0, best_t)]
+        if zero.sum() > 1 or (zero & ~tight).any():
+            return _ray_exit(_constraints(g, law, exhaustive=True), origin, direction)
+    return y, best_t, i
+
+
+def _ray_exit(c: _Constraints, origin, direction, t=None):
+    """ray_exit over the constraints c; t holds the origin's slacks when
+    given, and is overwritten with the exit times."""
+    if t is None:
+        t = c.sums(origin)
+        t -= c.d
+    rate = c.sums(-direction)  # how fast each slack drops
     drop = rate > 1e-15
     np.divide(t, rate, out=t, where=drop)
     t[~drop] = math.inf
-    i = int(np.argmin(t))
+    i = t.argmin()
     best_t = float(t[i])
     if not math.isfinite(best_t):
         raise NoExit("no constraint tightens along this direction")
-    return origin + best_t * direction, best_t, i + 1
+    return origin + best_t * direction, best_t, c.mask(i)
 
 
 def clip_to_region(g: Graph, y, anchor=None) -> np.ndarray:
     """Nearest region point along the segment toward an interior anchor:
-    moves y just far enough that its minimum slack reaches 0."""
+    moves y just far enough that its minimum slack reaches 0.  The segment
+    enters the region at a point of it, where the vertex-set family binds;
+    an anchor that is not interior makes it try every proper subset."""
     y = np.asarray(y, dtype=float)
     if anchor is None:
         anchor = x_star(g)
     anchor = np.asarray(anchor, dtype=float)
-    sy = all_slacks(g, y)
+    law = _uniform_law(g.k)
+    c = _constraints(g, law)
+    gap = c.sums(anchor)
+    gap -= c.d
+    if not gap[gap.argmin()] > 0 and not c.exhaustive:
+        c = _constraints(g, law, exhaustive=True)
+        gap = c.sums(anchor)
+        gap -= c.d
+    sy = c.sums(y)
+    sy -= c.d
     bad = sy < 0
-    gap = all_slacks(g, anchor)
     gap -= sy
     np.negative(sy, out=sy)
     np.divide(sy, gap, out=sy, where=bad)

@@ -3,7 +3,8 @@
 Vertices are labelled 1..k.  Edges are stored in construction order and all
 edge-indexed vectors elsewhere in the package use this order.  Edge subsets
 are plain int bitmasks over edge indices; exhaustive subset enumeration is
-capped at |E| <= 24.
+capped at |E| <= 24, and the region geometry's vertex-set enumeration at
+k <= 24 (SUBSET_CAP).
 """
 
 from __future__ import annotations

@@ -24,12 +24,14 @@ from .geometry import TOL, check_weights, face_values, uniform_weights
 from .graph import Graph
 from .strategies import FORFEIT, GreedyLargest, Stage1Steer, Strategy, TableStrategy
 from .values import (
+    DEFAULT_BUDGET,
     DownSetTable,
     ValueTable,
     active_faces,
     check_config,
     downset_from_table,
     graph_hash,
+    required_bytes,
     round_to_config,
     value_at,
 )
@@ -324,7 +326,9 @@ def estimate(
         if graph_hash(box.graph) != graph_hash(g) or not np.array_equal(box.weights, w):
             raise DomainError("the value table was built for another graph or vertex law")
         if isinstance(box, ValueTable):
-            box = downset_from_table(box, config)
+            # the table stays held while its box is built: one budget for both
+            held = required_bytes(box.graph.m, box.n_max)
+            box = downset_from_table(box, config, max(DEFAULT_BUDGET - held, 0))
         successes = _estimate_batch(config, runs, master_seed, w, _box_player(box, config))
     elif isinstance(strategy, GreedyLargest):
         successes = _estimate_batch(config, runs, master_seed, w, _greedy_player(g, config))

@@ -18,6 +18,7 @@ from seqassign.values import (
     compute_table,
     downset_bytes,
     peak_bytes,
+    required_bytes,
     value_at,
 )
 
@@ -43,6 +44,15 @@ def test_region_classify(p4_file, capsys):
     report = json.loads(out)
     assert report["class"] == "Inaccessible"
     assert report["subset"] == [0]
+
+
+def test_region_classify_k8(tmp_path, capsys):
+    # 28 edges: more than the 24-edge subset cap, but only 8 vertices
+    path = tmp_path / "k8.txt"
+    path.write_text(format_graph_text(complete_graph(8)))
+    code, out, _ = run(["region", "classify", "--graph", str(path), "--point", "xstar"], capsys)
+    assert code == 0
+    assert json.loads(out)["class"] == "InteriorReachable"
 
 
 def test_region_flow(p4_file, capsys):
@@ -275,6 +285,35 @@ def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsy
     code, out, err = run(
         [
             "simulate", "--graph", str(path), "--config", "7297,7296",
+            "--strategy", "optimal", "--runs", "10", "--cache", str(tmp_path / "t.tbl"),
+        ],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
+def test_simulate_cache_exits_3_when_table_and_box_together_are_over_budget(
+    tmp_path, capsys, monkeypatch
+):
+    # the full table to total 12,000 and the box under (6000, 6000) each fit
+    # the budget, but the table stays held while the box is built
+    import seqassign.cli as cli
+
+    n, top = 12000, [6000, 6000]
+    assert peak_bytes(2, n) <= DEFAULT_BUDGET and downset_bytes(3, 2, top) <= DEFAULT_BUDGET
+    assert required_bytes(2, n) + downset_bytes(3, 2, top) > DEFAULT_BUDGET
+    path = tmp_path / "p3.txt"
+    path.write_text(format_graph_text(path_graph(3)))
+    # a stand-in for the 0.58 GB table: the box is built from its graph and law
+    monkeypatch.setattr(
+        cli, "compute_table", lambda g, n, w: ValueTable(g, n, cli.check_weights(g, w), [])
+    )
+    monkeypatch.setattr(cli, "save_table", lambda t, p: None)
+    code, out, err = run(
+        [
+            "simulate", "--graph", str(path), "--config", "6000,6000",
             "--strategy", "optimal", "--runs", "10", "--cache", str(tmp_path / "t.tbl"),
         ],
         capsys,

@@ -6,6 +6,10 @@ import pytest
 from seqassign.errors import EmptyOrFullSubset, NoExit, OutsideSimplex
 from seqassign.geometry import (
     RegionKind,
+    _constraints,
+    _law,
+    _subset_sums,
+    _vertex_set_distance,
     all_slacks,
     boundary_distance,
     classify_point,
@@ -421,3 +425,206 @@ def test_subset_cap_raises_before_enumerating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # an array of 2^25 entries would be 256 MiB
+
+
+# --- the vertex-set family against the edge-subset fold ---------------------
+#
+# The region queries minimise over the single edges and the sets E(S) of
+# edges incident to a vertex set S.  The oracles below are the fold over all
+# 2^m - 2 edge subsets, as the package computed them before the family.
+
+
+def fold_min_slack(g, x, weights=None):
+    s = all_slacks(g, x, weights)
+    i = int(np.argmin(s))
+    return float(s[i]), i + 1
+
+
+def fold_ray_exit(g, origin, direction):
+    t = all_slacks(g, origin)
+    rate = _subset_sums(-np.asarray(direction, dtype=float))[1:-1]
+    drop = rate > 1e-15
+    np.divide(t, rate, out=t, where=drop)
+    t[~drop] = math.inf
+    i = int(np.argmin(t))
+    if not math.isfinite(t[i]):
+        return None
+    return origin + float(t[i]) * direction, float(t[i]), i + 1
+
+
+def fold_clip(g, y):
+    anchor = x_star(g)
+    sy = all_slacks(g, y)
+    bad = sy < 0
+    gap = all_slacks(g, anchor) - sy
+    lam = float(np.max(np.divide(-sy, gap, out=np.zeros_like(sy), where=bad), initial=0.0))
+    return y if lam == 0.0 else (1.0 - lam) * y + lam * anchor
+
+
+def fold_distance(g, x):
+    f = np.arange(1, g.m)
+    scale = np.sqrt(g.m / (f * (g.m - f)))
+    sizes = np.array([subset_size(F) for F in range(1, (1 << g.m) - 1)])
+    return float((all_slacks(g, x) * scale[sizes - 1]).min())
+
+
+def oracle_points(g, seed):
+    """x*, Dirichlet points, points with exact zeros and exact ties, and
+    points with negative entries of several sizes (all summing to 1)."""
+    rng = np.random.default_rng(seed)
+    pts = [x_star(g)] + list(rng.dirichlet(np.ones(g.m), 60))
+    for _ in range(30):
+        x = rng.dirichlet(np.ones(g.m))
+        x[rng.random(g.m) < 0.4] = 0.0
+        if x.sum() > 0:
+            pts.append(x / x.sum())
+            pts.append(np.where(x == 0, -0.0, x / x.sum()))  # the fold's sums are never -0.0
+    for _ in range(30):
+        x = rng.integers(0, 4, g.m).astype(float)
+        if x.sum() > 0:
+            pts.append(x / x.sum())
+    for size in (1e-20, 1e-17, 1e-12, 1e-9, 0.05, 0.3):
+        for _ in range(8):
+            x = rng.dirichlet(np.ones(g.m))
+            neg = rng.choice(g.m, size=rng.integers(1, 3), replace=False)
+            x[neg] = -size * rng.random(len(neg))
+            rest = np.ones(g.m, dtype=bool)
+            rest[neg] = False
+            x[rest] *= (1.0 - x[neg].sum()) / x[rest].sum()
+            pts.append(x)
+    return pts
+
+
+ORACLE_GRAPHS = [
+    (path_graph(4), None),
+    (cycle_graph(4), None),
+    (cycle_graph(5), None),
+    (star_graph(4), None),
+    (complete_graph(4), None),
+    (complete_graph(5), None),
+    (complete_graph(6), None),
+    (build_graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)]), None),
+    (complete_graph(4), [0.1, 0.2, 0.3, 0.4]),
+]
+ORACLE_IDS = ["P4", "C4", "C5", "S4", "K4", "K5", "K6", "triangle-tail", "K4-weighted"]
+
+
+@pytest.mark.parametrize("g, weights", ORACLE_GRAPHS, ids=ORACLE_IDS)
+def test_family_min_slack_matches_fold(g, weights):
+    assert not _constraints(g, _law(g, weights)).exhaustive
+    for x in oracle_points(g, g.m):
+        got, want = min_slack(g, x, weights), fold_min_slack(g, x, weights)
+        assert got[1] == want[1], x
+        assert got[0] == want[0] and math.copysign(1, got[0]) == math.copysign(1, want[0]), x
+
+
+@pytest.mark.parametrize("g, weights", ORACLE_GRAPHS[:-1], ids=ORACLE_IDS[:-1])
+def test_family_ray_exit_and_clip_match_fold(g, weights):
+    xs = x_star(g)
+    for x in oracle_points(g, g.m + 1):
+        want = fold_ray_exit(g, xs, x - xs)
+        if want is None:
+            with pytest.raises(NoExit):
+                ray_exit(g, xs, x - xs)
+        else:
+            y, t, face = ray_exit(g, xs, x - xs)
+            assert np.array_equal(y, want[0]) and t == want[1] and face == want[2], x
+        assert np.array_equal(clip_to_region(g, x), fold_clip(g, x)), x
+
+
+@pytest.mark.parametrize("g, weights", ORACLE_GRAPHS[:-1], ids=ORACLE_IDS[:-1])
+def test_family_boundary_distance_matches_fold(g, weights):
+    c = _constraints(g, _law(g, None))
+    for x in oracle_points(g, g.m + 2):
+        if x.min() < -1e-9:
+            continue
+        want = fold_distance(g, x)
+        assert abs(boundary_distance(g, x) - want) <= 2.2e-16, x
+        got = _vertex_set_distance(g, c, x)  # the family path, whatever the size
+        if g.m == 3:
+            assert got == want, x
+        assert abs(got - want) <= 2.2e-16, x
+
+
+def test_family_sizes():
+    # m singles plus the distinct E(S) != E: far fewer than 2^m - 2
+    assert len(_constraints(complete_graph(5), _law(complete_graph(5), None)).masks) == 35
+    assert len(_constraints(complete_graph(6), _law(complete_graph(6), None)).masks) == 71
+    p4 = path_graph(4)
+    assert _constraints(p4, _law(p4, None)).masks == tuple(range(1, 7))
+
+
+def test_ray_exit_from_a_non_interior_origin_tries_every_subset(c4, simplex_sampler):
+    # from outside the region the first exit is not a region point, so the
+    # family does not decide it; ray_exit then falls back to the fold
+    rng = np.random.default_rng(81)
+    outside = [x for x in simplex_sampler(c4.m, 400, 82) if min_slack(c4, x)[0] <= 0]
+    assert len(outside) > 20
+    for origin in outside[:40]:
+        d = rng.normal(size=c4.m)
+        d -= d.mean()
+        want = fold_ray_exit(c4, origin, d)
+        if want is None:
+            continue
+        y, t, face = ray_exit(c4, origin, d)
+        assert np.array_equal(y, want[0]) and t == want[1] and face == want[2]
+
+
+def test_k8_classify_agrees_with_flow():
+    # 28 edges: past the edge-subset cap, but 8 vertices give 274 constraints
+    k8 = complete_graph(8)
+    assert k8.m == 28
+    xs = x_star(k8)
+    assert classify_point(k8, xs).kind is RegionKind.INTERIOR_REACHABLE
+    assert boundary_distance(k8, xs) > 0
+    rng = np.random.default_rng(88)
+    kinds = set()
+    for x in [xs] + list(rng.dirichlet(np.ones(k8.m), 60)):
+        r = classify_point(k8, x)
+        _, kernel = membership_flow(k8, x)
+        assert (r.kind is not RegionKind.INACCESSIBLE) == (kernel is not None)
+        assert (boundary_distance(k8, x) >= 0) == (r.slack >= 0)
+        kinds.add(r.kind)
+    assert kinds == {RegionKind.INTERIOR_REACHABLE, RegionKind.INACCESSIBLE}
+
+
+def test_k8_ray_exit_needs_an_interior_origin():
+    from seqassign.errors import SubsetCapExceeded
+
+    k8 = complete_graph(8)
+    xs = x_star(k8)
+    x = np.random.default_rng(89).dirichlet(np.ones(k8.m))
+    y, t, face = ray_exit(k8, xs, x - xs)
+    assert t > 0 and abs(min_slack(k8, y)[0]) < 1e-12
+    assert np.array_equal(clip_to_region(k8, x), x) == (min_slack(k8, x)[0] >= 0)
+    with pytest.raises(SubsetCapExceeded):  # the fold would need 2^28 subsets
+        ray_exit(k8, y, x - xs)
+
+
+def test_family_over_the_byte_ceiling_raises_before_allocating():
+    import tracemalloc
+
+    from seqassign.errors import SubsetCapExceeded
+    from seqassign.geometry import FAMILY_BYTES, _family_bytes
+
+    g = complete_graph(20)  # 2^20 vertex sets of up to 189 edges, 190 edges
+    assert g.k <= 24 and _family_bytes(g.k, g.m) > FAMILY_BYTES
+    x = np.full(g.m, 1 / g.m)
+    tracemalloc.start()
+    try:
+        for call in (min_slack, boundary_distance, clip_to_region):
+            with pytest.raises(SubsetCapExceeded):
+                call(g, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sparse_graph_past_the_family_ceiling_uses_the_fold():
+    # the cycle on 20 vertices has 20 edges: its vertex-set family would be
+    # larger than the 2^20 edge subsets, so the fold serves it
+    g = cycle_graph(20)
+    assert _constraints(g, _law(g, None)).exhaustive
+    x = x_star(g)
+    assert min_slack(g, x) == fold_min_slack(g, x)

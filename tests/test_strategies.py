@@ -310,6 +310,30 @@ def test_steer_k_boundary_tail_decreasing_in_q(p4):
     assert curve.tail[-1] < curve.tail[0]
 
 
+def test_steer_k_shifted_phase_confines(c4, monkeypatch):
+    # a long shifted phase strays past radius d0 from the shifted line; the
+    # move then comes from the kernel of the boundary exit of the ray from w
+    import seqassign.strategies as strategies
+
+    z = np.array([0.125, 0.125, 0.375, 0.375])
+    s = SteerKTarget(c4, SteerPlan(z=z, n1=400))
+    exits = []
+
+    def spy(g, origin, direction, fallback=None):
+        y = real(g, origin, direction, fallback)
+        if origin is s.w:
+            exits.append(y)
+        return y
+
+    real = strategies._exit_point
+    monkeypatch.setattr(strategies, "_exit_point", spy)
+    result = play(c4, round_to_config(1600, x_star(c4)), s, child_rng(5, 4))
+    assert result.steps_played > 1200 and s.phase == "shifted"
+    assert len(exits) >= 5
+    for y in exits:
+        assert abs(min_slack(c4, y)[0]) < 1e-12
+
+
 def test_steering_on_four_edge_graph(c4):
     # nothing in the stage machinery is specific to three-edge graphs
     xs = x_star(c4)
