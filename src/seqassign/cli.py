@@ -98,6 +98,11 @@ def _point(g: Graph, spec: str) -> np.ndarray:
     return _parse_floats(spec)
 
 
+def _require_positive(what: str, values) -> None:
+    if any(v <= 0 for v in values):
+        raise DomainError(f"{what} must be positive")
+
+
 def _emit(out: str | None, fmt: str, columns, rows, summary=None) -> None:
     if fmt == "csv":
         lines = [",".join(columns)]
@@ -143,10 +148,6 @@ def _emit_report(out: str | None, report: dict) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _graph_arg(args) -> Graph:
-    return load_graph(args.graph)
 
 
 def _table_for(g: Graph, n: int, args):
@@ -196,7 +197,7 @@ def parse_strategy(spec: str, g: Graph, config, args):
 
 
 def _cmd_region(args) -> int:
-    g = _graph_arg(args)
+    g = load_graph(args.graph)
     x = _point(g, args.point)
     weights = _load_weights(g, args.weights)
     if args.mode == "classify":
@@ -216,7 +217,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_value(args) -> int:
-    g = _graph_arg(args)
+    g = load_graph(args.graph)
     if args.mode == "table":
         if args.n is None or not args.cache:
             raise DomainError("value table needs --n and --cache")
@@ -254,8 +255,8 @@ def _verify_rows(path: str, fmt: str, table, col: int, make_config) -> None:
 
 
 def _cmd_phase(args) -> int:
-    g = _graph_arg(args)
-    exp.ExperimentConfig(graph_path=args.graph, n=args.n, out=args.out, format=args.format)
+    g = load_graph(args.graph)
+    _require_positive("n", [args.n])
     exp.check_phase_graph(g)
     table = _table_for(g, args.n, args)
     rows, summary = exp.phase_diagram(g, args.n, table=table)
@@ -273,12 +274,10 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    g = _graph_arg(args)
+    g = load_graph(args.graph)
     x = _point(g, args.point)
     n_list = _parse_ints(args.n_list)
-    exp.ExperimentConfig(
-        graph_path=args.graph, n_list=n_list, out=args.out, format=args.format
-    )
+    _require_positive("n-list entries", n_list)
     table = _table_for(g, max(n_list), args)
     rows, summary = exp.transition_scan(
         g, x, n_list, weights=_load_weights(g, args.weights), table=table
@@ -299,12 +298,11 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    g = _graph_arg(args)
+    g = load_graph(args.graph)
     n_list = _parse_ints(args.n_list)
     a_grid = _parse_float_grid(args.a_grid)
-    exp.ExperimentConfig(
-        graph_path=args.graph, n_list=n_list, a_grid=a_grid, out=args.out, format=args.format
-    )
+    _require_positive("n-list entries", n_list)
+    _require_positive("A-grid entries", a_grid)
     table = _table_for(g, max(n_list), args)
     rows, summary = exp.window_collapse(g, n_list, a_grid, table=table)
     _emit(args.out, args.format, exp.WINDOW_COLUMNS, rows, summary)
@@ -312,11 +310,9 @@ def _cmd_window(args) -> int:
 
 
 def _cmd_steer(args) -> int:
-    g = _graph_arg(args)
-    exp.ExperimentConfig(
-        graph_path=args.graph, n=args.n, runs=args.runs, seed=args.seed,
-        out=args.out, format=args.format,
-    )
+    g = load_graph(args.graph)
+    _require_positive("n", [args.n])
+    _require_positive("runs", [args.runs])
     z = _point(g, args.target)
     start = (
         np.array([int(v) for v in args.config.split(",")])
@@ -339,7 +335,7 @@ def _cmd_steer(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    g = _graph_arg(args)
+    g = load_graph(args.graph)
     config = [int(v) for v in args.config.split(",")]
     if args.q0 is not None and not args.strategy.startswith(("steer:", "steer-k:")):
         raise DomainError(f"strategy {args.strategy!r} does not use --q0")

@@ -14,7 +14,6 @@ summary dict.  Column sets are fixed:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,33 +34,6 @@ from .values import (
 )
 
 
-@dataclass
-class ExperimentConfig:
-    """CLI-level experiment parameters; counts must be positive and grids
-    non-empty."""
-
-    graph_path: str | None = None
-    n: int | None = None
-    n_list: list[int] = field(default_factory=list)
-    a_grid: list[float] = field(default_factory=list)
-    runs: int = 1000
-    seed: int = 0
-    out: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.n is not None and self.n < 1:
-            raise DomainError("n must be positive")
-        if any(n < 1 for n in self.n_list):
-            raise DomainError("n-list entries must be positive")
-        if any(a <= 0 for a in self.a_grid):
-            raise DomainError("A-grid entries must be positive")
-        if self.runs < 1:
-            raise DomainError("runs must be positive")
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"unknown format {self.format!r}")
-
-
 PHASE_COLUMNS = ["m", "l", "p"]
 SCAN_COLUMNS = ["n", "p", "log_p", "decay_bound"]
 CONJECTURE_COLUMNS = ["n", "j", "partial_sum", "target", "gap", "gap_symmetric"]
@@ -74,8 +46,9 @@ def check_phase_graph(g: Graph) -> None:
         raise DomainError(f"phase grid needs a 3-edge graph, got |E|={g.m}")
 
 
-def phase_diagram(g: Graph, n: int, weights=None, table: ValueTable | None = None):
-    """Full win-probability grid over a three-edge graph's layer n.
+def phase_diagram(g: Graph, n: int, table: ValueTable | None = None):
+    """Full win-probability grid over a three-edge graph's layer n, read from
+    `table` (built under the uniform law when not given).
 
     Rows are (m, l, p) with m the first and l the last edge count, the middle
     edge holding n-m-l.  Returns (rows, summary) where the summary carries the
@@ -83,7 +56,7 @@ def phase_diagram(g: Graph, n: int, weights=None, table: ValueTable | None = Non
     """
     check_phase_graph(g)
     if table is None:
-        table = compute_table(g, n, weights)
+        table = compute_table(g, n)
     cfgs = compositions(n, 3)
     vals = table.layers[n]
     rows = [(int(c[0]), int(c[2]), float(v)) for c, v in zip(cfgs, vals)]
@@ -186,12 +159,15 @@ def conjecture_scan(k: int, n_list, table: ValueTable | None = None):
     return rows, {"k": k, "targets": targets[1 : k - 1]}
 
 
-def window_collapse(g: Graph, n_list, a_grid, weights=None, table: ValueTable | None = None):
+def window_collapse(g: Graph, n_list, a_grid, table: ValueTable | None = None):
     """Slice maxima of the three critical-window classes per (n, A), with the
-    Gaussian reference exp(-A^2/8); empty slices are marked."""
+    Gaussian reference exp(-A^2/8); empty slices are marked.  The slice faces
+    use the uniform law's d(F)/k, so a table under another law is refused."""
     n_list = sorted(n_list)
     if table is None:
-        table = compute_table(g, max(n_list), weights)
+        table = compute_table(g, max(n_list))
+    if np.any(table.weights != table.weights[0]):
+        raise DomainError("window slices need a table under the uniform vertex law")
     specs = [SliceSpec(amplitude=a, kind=kind) for a in a_grid for kind in ("I", "II", "III")]
     rows = []
     for n in n_list:
@@ -205,11 +181,11 @@ def window_collapse(g: Graph, n_list, a_grid, weights=None, table: ValueTable | 
 
 
 def calibrate_q0(
-    g: Graph, z, n1: int, start_config, runs: int = 200, seed: int = 0, q0_start: int = 2
+    g: Graph, z, n1: int, start_config, runs: int = 200, seed: int = 0
 ) -> int:
-    """Double q0 until the measured steering deviation tail at q0/4 drops to
-    1/2 on a calibration run."""
-    q0 = q0_start
+    """Double q0 from 2 until the measured steering deviation tail at q0/4
+    drops to 1/2 on a calibration run."""
+    q0 = 2
     while q0 <= 4096:
         plan = SteerPlan(z=z, n1=n1, q0=q0)
         curve = deviation_tail(
@@ -227,19 +203,16 @@ def steering_report(
     start_config,
     runs: int,
     seed: int,
-    q_grid=None,
     kind: str = "exact",
-    trace_runs: int = 3,
 ) -> dict:
-    """Exact-hit frequency, deviation tail, and trace diagnostics for one
-    steering plan from one start config."""
+    """Exact-hit frequency, deviation tail at q = 0..20, and stage-1 drift
+    diagnostics of three traced runs for one steering plan from one start
+    config."""
     start_config = np.asarray(start_config, dtype=np.int64)
-    if q_grid is None:
-        q_grid = list(range(0, 21))
     make = SteerKTarget if kind == "k" else SteerExact
     strategy = make(g, plan)
     curve = deviation_tail(
-        g, start_config, strategy, plan.z, plan.n1, q_grid, runs, seed
+        g, start_config, strategy, plan.z, plan.n1, range(21), runs, seed
     )
     total = int(start_config.sum())
     x0 = start_config / total
@@ -248,7 +221,7 @@ def steering_report(
     mean_s_inc = []
     if float(np.linalg.norm(gap)) > 0 and kind == "exact":
         u = gap / np.linalg.norm(gap)
-        for i in range(trace_runs):
+        for i in range(3):
             stage1_run = Stage1Steer(g, plan.z, x0=x0)
             result = play(
                 g,

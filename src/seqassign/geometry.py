@@ -28,12 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    EmptyOrFullSubset,
-    NoExit,
-    OutsideSimplex,
-    SubsetCapExceeded,
-)
+from .errors import NoExit, OutsideSimplex, SubsetCapExceeded
 from .graph import SUBSET_CAP, Graph, full_degree_count, subset_members, subset_size
 
 TOL = 1e-9
@@ -64,33 +59,16 @@ class RegionClass:
 
 
 @dataclass(frozen=True)
-class FaceFunctional:
-    """Unit-norm, zero-sum linear functional attached to a proper edge subset.
-
-    Coefficient a on subset edges, -b off it, with a*|F| = b*|E\\F| and
-    a^2*|F| + b^2*|E\\F| = 1; the scale a+b equals sqrt(|E|/(|F|*|E\\F|)).
-    """
-
-    subset: int
-    a: float
-    b: float
-
-    @property
-    def scale(self) -> float:
-        return self.a + self.b
-
-
-@dataclass(frozen=True)
 class MoveKernel:
-    """Per-vertex edge distributions whose mean displacement is `target`.
+    """Per-vertex edge distributions whose mean displacement is the point
+    they were built for.
 
     q[v-1, e] is the probability of choosing edge e when vertex v is drawn;
     rows sum to 1, entries vanish off the vertex's incident edges, and
-    weights @ q equals target.
+    weights @ q equals that point.
     """
 
     q: np.ndarray
-    target: np.ndarray
     weights: np.ndarray
 
 
@@ -104,7 +82,8 @@ def check_weights(g: Graph, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (g.k,):
         raise OutsideSimplex(f"expected {g.k} vertex weights, got shape {w.shape}")
-    if np.any(w <= 0) or abs(w.sum() - 1.0) > TOL:
+    # a NaN or infinite entry makes the sum NaN or infinite, which fails `<=`
+    if np.any(w <= 0) or not abs(w.sum() - 1.0) <= TOL:
         raise OutsideSimplex("vertex weights must be positive and sum to 1")
     return w
 
@@ -115,7 +94,8 @@ def check_simplex(g: Graph, x) -> np.ndarray:
         raise OutsideSimplex(f"expected {g.m} entries, got shape {x.shape}")
     if np.any(x < -TOL):
         raise OutsideSimplex(f"negative entry {x.min()}")
-    if abs(x.sum() - 1.0) > TOL:
+    # a NaN or infinite entry makes the sum NaN or infinite, which fails `<=`
+    if not abs(x.sum() - 1.0) <= TOL:
         raise OutsideSimplex(f"entries sum to {x.sum()}, not 1")
     return x
 
@@ -200,6 +180,12 @@ class _Constraints:
         # a reduce along the outer axis adds row by row, i.e. in edge order;
         # the padding index m reads an appended 0.0
         return np.add.reduce(np.concatenate((v, _PAD))[self.idx], axis=0)
+
+    def slacks(self, v: np.ndarray) -> np.ndarray:
+        """Each constraint's slack at v, in a new array."""
+        s = self.sums(v)
+        s -= self.d
+        return s
 
 
 _PAD = np.zeros(1)
@@ -340,8 +326,7 @@ def min_slack(g: Graph, x, weights=None) -> tuple[float, int]:
     w = _law(g, weights)
     c = _constraints(g, w)
     x = np.asarray(x, dtype=float)
-    s = c.sums(x)
-    s -= c.d
+    s = c.slacks(x)
     i = s.argmin()
     if not s[i] > 0 and not c.exhaustive and x[x.argmin()] < 0:
         return _signed_min_slack(g, c, w, x)
@@ -483,7 +468,7 @@ def membership_flow(g: Graph, x, weights=None) -> tuple[float, MoveKernel | None
     q = np.zeros((k, m))
     for (v, e), arc in mid_arcs.items():
         q[v - 1, e] = net.flow_on(arc) / w[v - 1]
-    return value, MoveKernel(q=q, target=x.copy(), weights=w)
+    return value, MoveKernel(q=q, weights=w)
 
 
 # --- canonical interior point and face functionals --------------------------
@@ -496,14 +481,6 @@ def x_star(g: Graph) -> np.ndarray:
     for e, (u, v) in enumerate(g.edges):
         out[e] = (1.0 / g.degree(u) + 1.0 / g.degree(v)) / g.k
     return out
-
-
-def face_functional(g: Graph, subset: int) -> FaceFunctional:
-    f = subset_size(subset)
-    if subset <= 0 or f == 0 or f >= g.m or subset >= (1 << g.m) - 1:
-        raise EmptyOrFullSubset(f"subset {subset:#x} must be proper and non-empty")
-    s = 1.0 / math.sqrt(f * (g.m - f) * g.m)
-    return FaceFunctional(subset=subset, a=(g.m - f) * s, b=f * s)
 
 
 def face_scale(m: int, f: int) -> float:
@@ -608,12 +585,7 @@ def ray_exit(g: Graph, origin, direction) -> tuple[np.ndarray, float, int]:
     """
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    law = _uniform_law(g.k)
-    c = _constraints(g, law)
-    t = c.sums(origin)
-    t -= c.d
-    if not t[t.argmin()] > 0 and not c.exhaustive:
-        return _ray_exit(_constraints(g, law, exhaustive=True), origin, direction)
+    c, t = _interior_or_fold(g, origin)
     y, best_t, i = _ray_exit(c, origin, direction, t)
     # y is a region point, so its entries are >= 0 up to rounding.  A tight
     # constraint C plus edges where y is zero is tight as well; when such a
@@ -622,16 +594,26 @@ def ray_exit(g: Graph, origin, direction) -> tuple[np.ndarray, float, int]:
         zero = np.abs(y) <= 1e-12
         tight = c.rows[t <= best_t + 1e-12 * max(1.0, best_t)]
         if zero.sum() > 1 or (zero & ~tight).any():
-            return _ray_exit(_constraints(g, law, exhaustive=True), origin, direction)
+            fold = _constraints(g, _uniform_law(g.k), exhaustive=True)
+            return _ray_exit(fold, origin, direction, fold.slacks(origin))
     return y, best_t, i
 
 
-def _ray_exit(c: _Constraints, origin, direction, t=None):
-    """ray_exit over the constraints c; t holds the origin's slacks when
-    given, and is overwritten with the exit times."""
-    if t is None:
-        t = c.sums(origin)
-        t -= c.d
+def _interior_or_fold(g: Graph, v: np.ndarray) -> tuple[_Constraints, np.ndarray]:
+    """The constraints to search from v under the uniform law, with v's
+    slacks on them: the vertex-set family when v is interior to it, else
+    every proper subset."""
+    c = _constraints(g, _uniform_law(g.k))
+    s = c.slacks(v)
+    if not s[s.argmin()] > 0 and not c.exhaustive:
+        c = _constraints(g, _uniform_law(g.k), exhaustive=True)
+        s = c.slacks(v)
+    return c, s
+
+
+def _ray_exit(c: _Constraints, origin, direction, t: np.ndarray):
+    """ray_exit over the constraints c from an origin whose slacks are t;
+    t is overwritten with the exit times."""
     rate = c.sums(-direction)  # how fast each slack drops
     drop = rate > 1e-15
     np.divide(t, rate, out=t, where=drop)
@@ -652,16 +634,8 @@ def clip_to_region(g: Graph, y, anchor=None) -> np.ndarray:
     if anchor is None:
         anchor = x_star(g)
     anchor = np.asarray(anchor, dtype=float)
-    law = _uniform_law(g.k)
-    c = _constraints(g, law)
-    gap = c.sums(anchor)
-    gap -= c.d
-    if not gap[gap.argmin()] > 0 and not c.exhaustive:
-        c = _constraints(g, law, exhaustive=True)
-        gap = c.sums(anchor)
-        gap -= c.d
-    sy = c.sums(y)
-    sy -= c.d
+    c, gap = _interior_or_fold(g, anchor)
+    sy = c.slacks(y)
     bad = sy < 0
     gap -= sy
     np.negative(sy, out=sy)

@@ -438,6 +438,8 @@ def deviation_tail(
     largest-remainder rounding of n1*z.  A game that forfeits before the
     target time is measured at its frozen final state (never an exact hit,
     since that state has a larger total than the target)."""
+    if runs < 1:
+        raise ValueError("need at least one run")
     master_seed = _check_seed(master_seed)
     w = _vertex_law(g, strategy, weights)
     z = np.asarray(z, dtype=float)
@@ -469,8 +471,6 @@ def deviation_tail(
 class Diagnostics:
     steps: int
     s_increments: np.ndarray | None
-    dev_increments: np.ndarray | None
-    z_increments: np.ndarray | None
     positive_drift_steps: list[int]
     p_increment_mean: float | None
 
@@ -491,7 +491,6 @@ def trace_diagnostics(
     result: GameResult,
     table: ValueTable | None = None,
     stage1: Stage1Steer | None = None,
-    drift_tol: float = 1e-12,
 ) -> Diagnostics:
     """Per-step increments of the recorded supermartingale quantities.
 
@@ -502,22 +501,12 @@ def trace_diagnostics(
     trace = result.trace
     if trace is None:
         raise ValueError("result carries no trace")
-    start = replay_states(result)[0] if result.steps_played else result.final
-    total = int(start.sum())
-    spec = trace.spec
-
-    def diffs(arr, base):
-        if arr is None:
-            return None
-        return np.diff(arr, prepend=base)
-
-    s_base = dev_base = z_base = 0.0
-    if spec is not None and spec.z is not None:
-        dev_base = float(np.linalg.norm(start - total * spec.z))
-        if spec.u is not None:
-            s_base = float((start - total * spec.z) @ spec.u)
-    if spec is not None and spec.record_faces:
-        z_base = face_values(g, active_faces(g), total, start).min()
+    s_increments = None
+    if trace.s_values is not None:  # recorded only with a target z and a direction u
+        start = replay_states(result)[0] if result.steps_played else result.final
+        spec = trace.spec
+        s_base = float((start - int(start.sum()) * spec.z) @ spec.u)
+        s_increments = np.diff(trace.s_values, prepend=s_base)
 
     positive: list[int] = []
     if stage1 is not None and stage1.u is not None:
@@ -541,7 +530,7 @@ def trace_diagnostics(
             if kernel is None:
                 continue
             mean = kernel.weights @ kernel.q
-            if float((mean - z) @ u) < -drift_tol:
+            if float((mean - z) @ u) < -1e-12:
                 positive.append(t)
 
     p_mean = None
@@ -552,9 +541,7 @@ def trace_diagnostics(
 
     return Diagnostics(
         steps=result.steps_played,
-        s_increments=diffs(trace.s_values, s_base),
-        dev_increments=diffs(trace.dev, dev_base),
-        z_increments=diffs(trace.z_values, z_base),
+        s_increments=s_increments,
         positive_drift_steps=positive,
         p_increment_mean=p_mean,
     )

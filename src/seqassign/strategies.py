@@ -212,14 +212,13 @@ class SteerPlan:
     """Target point, target total, and stage thresholds for steering play.
 
     d0 defaults to sqrt(2) + 4/delta + 1 where delta is the boundary distance
-    of the target; eps0 (the stage-1 switch radius) defaults to delta/8; the
-    finishing window is M*q0 steps with M = ceil(1/min target entry).
+    of the target; the stage-1 switch radius eps0 is delta/8; the finishing
+    window is M*q0 steps with M = ceil(1/min target entry).
     """
 
     z: np.ndarray
     n1: int
     d0: float | None = None
-    eps0: float | None = None
     q0: int = 8
     M: int | None = None
     target_config: np.ndarray = field(init=False)
@@ -235,9 +234,8 @@ class SteerPlan:
         if delta <= 0:
             raise DomainError("steering target must be interior")
         d0 = _confinement_radius(delta, self.d0)
-        eps0 = self.eps0 if self.eps0 is not None else delta / 8.0
         M = self.M if self.M is not None else math.ceil(1.0 / float(self.z.min()))
-        return d0, eps0, M
+        return d0, delta / 8.0, M
 
 
 # --- stage strategies -----------------------------------------------------------
@@ -407,24 +405,17 @@ class SteerKTarget(Strategy):
 
 class OutwardSteer(Strategy):
     """Doubling cascade away from the boundary: target points 1.5x further
-    from the starting ray's exit each leg, until the normalized state clears
-    a fixed boundary distance; afterwards play drift-neutral kernels."""
+    from the starting ray's exit each leg (a leg ends once the state is within
+    a quarter of that distance of its target), until the normalized state
+    clears half the boundary distance of x*; afterwards play drift-neutral
+    kernels."""
 
     name = "outward"
     uniform_law_only = True
 
-    def __init__(
-        self,
-        g: Graph,
-        clearance: float | None = None,
-        leg_eps: float = 0.25,
-        amplitude: float | None = None,
-    ):
+    def __init__(self, g: Graph, amplitude: float | None = None):
         self.g = g
-        self.clearance = (
-            clearance if clearance is not None else 0.5 * boundary_distance(g, x_star(g))
-        )
-        self.leg_eps = leg_eps
+        self.clearance = 0.5 * boundary_distance(g, x_star(g))
         self.amplitude = amplitude
 
     def reset(self, graph, config, total):
@@ -461,7 +452,7 @@ class OutwardSteer(Strategy):
             y = clip_to_region(self.g, x)
         else:
             # legs share the ray direction; advancing only moves the milestone
-            if np.linalg.norm(x - self._target()) < self.leg_eps * (1.5 ** (self.leg + 1)) * self.d:
+            if np.linalg.norm(x - self._target()) < 0.25 * (1.5 ** (self.leg + 1)) * self.d:
                 self.leg += 1
             y = _exit_point(self.g, x, self.u, fallback=x)
         return _steer_move(self.g, y, None, state, vertex, rng)

@@ -82,6 +82,25 @@ def test_region_flow_outside_simplex_is_error(p4_file, capsys):
     assert "error" in err
 
 
+def test_non_finite_input_is_outside_simplex(p4_file, tmp_path, capsys):
+    point = ["--graph", p4_file, "--point", "nan,0.5,0.5"]
+    code, out, _ = run(["region", "classify"] + point, capsys)
+    assert code == 0
+    assert json.loads(out)["class"] == "OutsideSimplex"
+    code, _, err = run(["region", "flow"] + point, capsys)
+    assert code == 2
+    assert "error" in err
+    weights = tmp_path / "w.txt"
+    weights.write_text("nan 0.5 0.25 0.25\n")
+    code, out, err = run(
+        ["value", "at", "--graph", p4_file, "--config", "1,1,1", "--weights", str(weights)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_subset_cap_resource_exit_code(tmp_path, capsys):
     path = tmp_path / "c25.txt"
     path.write_text(format_graph_text(cycle_graph(25)))

@@ -1,0 +1,146 @@
+"""Byte identity of the CLI: each command runs in-process through `cli.main`
+in a fresh directory, and the sha256 of its exit code, stdout, stderr and
+every file it writes must equal the digest recorded when the battery was
+written.  A refactor that moves any output byte fails here.
+
+Left out on purpose: `steer` and `region flow`, whose float bytes go through
+BLAS/LAPACK (see test_pinned.py), and `scan` at an inaccessible point, which
+calls `np.polyfit`.
+
+A failure shows the new digest; after an intended output change, paste it
+into DIGESTS.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from seqassign.cli import main
+from seqassign.graph import complete_graph, format_graph_text, path_graph
+
+P4 = "p4.txt"
+K4 = "k4.txt"
+K5 = "k5.txt"
+WEIGHTS = "w.txt"
+
+# name -> (argv, files the command writes)
+COMMANDS = {
+    "value_at_box": (["value", "at", "--graph", P4, "--config", "10,8,12"], []),
+    "value_table": (["value", "table", "--graph", P4, "--n", "30", "--cache", "t.tbl"], ["t.tbl"]),
+    "value_at_cache": (
+        ["value", "at", "--graph", P4, "--config", "10,8,12", "--cache", "c.tbl"],
+        ["c.tbl"],
+    ),
+    "value_argmax": (["value", "argmax", "--graph", P4, "--n", "40"], []),
+    "phase_csv": (
+        ["phase", "--graph", P4, "--n", "30", "--out", "ph.csv", "--verify"],
+        ["ph.csv"],
+    ),
+    "phase_json": (
+        ["phase", "--graph", P4, "--n", "30", "--format", "json", "--out", "ph.json", "--verify"],
+        ["ph.json"],
+    ),
+    "scan_interior": (
+        ["scan", "--graph", P4, "--point", "xstar", "--n-list", "10:40:10", "--verify",
+         "--out", "scan.csv"],
+        ["scan.csv"],
+    ),
+    "window": (
+        ["window", "--graph", P4, "--n-list", "16,32", "--a-grid", "0.5:2:0.5"],
+        [],
+    ),
+    "conjecture": (["conjecture", "--k", "4", "--n-list", "8,12", "--format", "json"], []),
+    "simulate_optimal": (
+        ["simulate", "--graph", P4, "--config", "23,15,22", "--strategy", "optimal",
+         "--runs", "400", "--seed", "3"],
+        [],
+    ),
+    "simulate_greedy": (
+        ["simulate", "--graph", P4, "--config", "23,15,22", "--strategy", "greedy",
+         "--runs", "200", "--seed", "3"],
+        [],
+    ),
+    "simulate_uniform": (
+        ["simulate", "--graph", P4, "--config", "23,15,22", "--strategy", "uniform",
+         "--runs", "200", "--seed", "4"],
+        [],
+    ),
+    "simulate_optimal_weights": (
+        ["simulate", "--graph", P4, "--config", "7,6,7", "--strategy", "optimal",
+         "--runs", "400", "--seed", "1", "--weights", WEIGHTS],
+        [],
+    ),
+    "classify_p4": (["region", "classify", "--graph", P4, "--point", "0.2,0.3,0.5"], []),
+    "classify_k4": (
+        ["region", "classify", "--graph", K4, "--point", "0.3,0.1,0.1,0.2,0.2,0.1"],
+        [],
+    ),
+    "classify_k5": (
+        ["region", "classify", "--graph", K5, "--point",
+         "0.2,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.05,0.05"],
+        [],
+    ),
+    "exit2_phase_edge_count": (["phase", "--graph", K4, "--n", "10"], []),
+    "exit2_steer_runs": (
+        ["steer", "--graph", P4, "--n", "40", "--n1", "10", "--runs", "0"],
+        [],
+    ),
+    "exit2_window_a_grid": (
+        ["window", "--graph", P4, "--n-list", "16", "--a-grid", "0,1"],
+        [],
+    ),
+}
+
+DIGESTS = {
+    "classify_k4": "48161155a5d109d51d016e855471f2736dcd47279f94a582c4bb4bfe1bf23aeb",
+    "classify_k5": "4ff8a58f44a4dbde51fb4e80497a86dc1b1009c3b570103816ebbdbf8d755ed8",
+    "classify_p4": "1fdac1a106b7490a3befa7269ca67e71a051b60011f56e1d8951c1641b86e07f",
+    "conjecture": "d74e55a5247cba7cf05849384c2247e57a3869f6ddc9a7d6d87986254b87e916",
+    "exit2_phase_edge_count": "19e9d95b24b5fe05f23b425a98ebdb9a071a2a7a08c1a4cba5dd4bea0b3746ac",
+    "exit2_steer_runs": "08a0bc222e02488a894f843288db256bcae0625ce935d38c4e709aa3f10d49f0",
+    "exit2_window_a_grid": "76aa877f6f8028ca644210a3967a29fd53ac895400c597b6b521f71656d9f03f",
+    "phase_csv": "0060e98d37ac6f77daed74397a90be848feeabb3ce49d9f1e54612f3dbd8afe0",
+    "phase_json": "77eaa0ef61bac486f2275274ad800b3502ba09762bba0575fa036b7fa636b871",
+    "scan_interior": "65d8689622e3920517ae5d0c4aa09cfcdd391273f9ae70f713f567ab43038be1",
+    "simulate_greedy": "8f5815ff1d7315fec46d3aa7e64b5c56c163041d03377ddf64ad5aff79c29a0b",
+    "simulate_optimal": "95922762b7199421cd1c7446ea8062aca3d3d31cb84f910e56c6a87ad9beebdf",
+    "simulate_optimal_weights": "a31c3463f669c60802b83a807b4c7aeaa85d2b39c12e62f01f6a0212a71f3cb2",
+    "simulate_uniform": "c37ec0a54891ac005e0befd13de0410ce04a1bb54c237edd0d8c701048d90815",
+    "value_argmax": "8136285efcead0b89013963e10336f27a7f7cd3cb2259a9059276b6ab947fd0c",
+    "value_at_box": "da58a8a902203681138bffe9672948e603ad70524aea5cb27f5c658e5aada681",
+    "value_at_cache": "279ef369b988312fef4dcca0476ba40026e5bf2aada4060a04f288e213465f66",
+    "value_table": "4117929eb930776b8d0b8292eee6885145cf92818b611e6e34d8be064c74cd9e",
+    "window": "e44dbd679fcc52428a15de8f7c045e72b1ea130ab4aa7b8b2d3c5d2b24063ec7",
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("battery")
+    (path / P4).write_text(format_graph_text(path_graph(4)))
+    (path / K4).write_text(format_graph_text(complete_graph(4)))
+    (path / K5).write_text(format_graph_text(complete_graph(5)))
+    (path / WEIGHTS).write_text("0.1 0.2 0.3 0.4\n")
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_bytes(name, workdir, capsys, monkeypatch):
+    argv, written = COMMANDS[name]
+    monkeypatch.chdir(workdir)
+    for f in written:
+        if os.path.exists(f):
+            os.remove(f)
+    code = main(argv)
+    out = capsys.readouterr()
+    h = hashlib.sha256()
+    h.update(f"{code}\n".encode())
+    h.update(out.out.encode())
+    h.update(b"\0")
+    h.update(out.err.encode())
+    for f in written:
+        h.update(b"\0")
+        with open(f, "rb") as fh:
+            h.update(fh.read())
+    assert h.hexdigest() == DIGESTS[name]

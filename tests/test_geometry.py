@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqassign.errors import EmptyOrFullSubset, NoExit, OutsideSimplex
+from seqassign.errors import NoExit, OutsideSimplex
 from seqassign.geometry import (
     RegionKind,
     _constraints,
@@ -14,7 +14,6 @@ from seqassign.geometry import (
     boundary_distance,
     classify_point,
     clip_to_region,
-    face_functional,
     face_scale,
     face_values,
     kappa,
@@ -103,6 +102,17 @@ def test_classify_rejects_off_simplex(p4):
         classify_point(p4, [0.5, 0.6, 0.2])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_outside_simplex(p4, bad):
+    # NaN passes both `x < -tol` and `|sum - 1| > tol` as False
+    with pytest.raises(OutsideSimplex):
+        classify_point(p4, [bad, 0.5, 0.5])
+    with pytest.raises(OutsideSimplex):
+        membership_flow(p4, [bad, 0.5, 0.5])
+    with pytest.raises(OutsideSimplex):
+        classify_point(p4, x_star(p4), [bad, 0.25, 0.25, 0.25])
+
+
 def test_classify_weighted_vertex_law(p4):
     # skew the vertex law so that x* for the uniform law becomes inaccessible
     w = [0.7, 0.1, 0.1, 0.1]
@@ -186,38 +196,10 @@ def test_closure_consistency(p4):
 # --- face functionals --------------------------------------------------------
 
 
-def test_face_functional_values(p4):
-    ff = face_functional(p4, 0b001)
-    assert ff.a == pytest.approx(2 / math.sqrt(6))
-    assert ff.b == pytest.approx(1 / math.sqrt(6))
-    assert ff.scale == pytest.approx(SQ32)
-    ff2 = face_functional(p4, 0b011)
-    assert ff2.a == pytest.approx(1 / math.sqrt(6))
-    assert ff2.b == pytest.approx(2 / math.sqrt(6))
-    assert ff2.scale == pytest.approx(SQ32)
-
-
-def test_face_functional_four_edges(c4):
-    ff = face_functional(c4, 0b0011)
-    assert ff.a == pytest.approx(0.5)
-    assert ff.b == pytest.approx(0.5)
-    assert ff.scale == pytest.approx(1.0)
-
-
-def test_face_functional_invariants(c4, k4):
-    for g in (c4, k4):
-        for F in range(1, (1 << g.m) - 1):
-            ff = face_functional(g, F)
-            f = subset_size(F)
-            assert ff.a * f == pytest.approx(ff.b * (g.m - f), abs=1e-12)
-            assert ff.a**2 * f + ff.b**2 * (g.m - f) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_face_functional_rejects(p4):
-    with pytest.raises(EmptyOrFullSubset):
-        face_functional(p4, 0)
-    with pytest.raises(EmptyOrFullSubset):
-        face_functional(p4, p4.full_mask())
+def test_face_scale_values(p4, c4):
+    assert face_scale(p4.m, 1) == pytest.approx(SQ32)
+    assert face_scale(p4.m, 2) == pytest.approx(SQ32)
+    assert face_scale(c4.m, 2) == pytest.approx(1.0)
 
 
 def test_kappa_values(p4, c4):

@@ -211,6 +211,22 @@ def test_bad_seed_rejected_before_any_work(p4, monkeypatch, bad, error):
         deviation_tail(p4, [2, 2, 2], GreedyLargest(), xs, 2, [0, 1], 10, bad)
 
 
+@pytest.mark.parametrize("runs", [0, -1])
+def test_no_runs_rejected_before_any_play(p4, monkeypatch, runs):
+    from seqassign.experiments import steering_report
+
+    monkeypatch.setattr(simulate, "play", _no_play)
+    xs = x_star(p4)
+    with pytest.raises(ValueError, match="need at least one run"):
+        deviation_tail(p4, [2, 2, 2], GreedyLargest(), xs, 2, [0, 1], runs, 1)
+    with pytest.raises(ValueError, match="need at least one run"):
+        steering_report(p4, SteerPlan(z=xs, n1=20), round_to_config(60, xs), runs, 1)
+
+
+def _no_play(*args, **kwargs):
+    raise AssertionError("a game was played")
+
+
 def _steering_strategies(p4):
     xs = x_star(p4)
     return [

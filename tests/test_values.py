@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from seqassign.errors import (
+    DomainError,
     FormatMismatch,
     GraphHashMismatch,
     LayerOutOfRange,
@@ -367,6 +368,17 @@ def test_conjecture_gap_at_large_n(p4_table):
     rows, summary = conjecture_scan(4, [200], table=p4_table)
     for n, j, s, target, gap, gap_sym in rows:
         assert gap_sym <= 1.0 / math.sqrt(n)
+
+
+def test_window_refuses_a_weighted_table(p4):
+    from seqassign.experiments import window_collapse
+
+    # the slice faces use the uniform law's d(F)/k
+    table = compute_table(p4, 16, [0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(DomainError, match="uniform vertex law"):
+        window_collapse(p4, [16], [1.0], table=table)
+    rows, _ = window_collapse(p4, [16], [1.0], table=compute_table(p4, 16, [0.25] * 4))
+    assert len(rows) == 3
 
 
 def test_phase_decay_outside_rectangle(p4_table):
