@@ -21,7 +21,6 @@ kernel realizing the point as a mean displacement.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -388,56 +387,88 @@ def classify_point(g: Graph, x, weights=None) -> RegionClass:
 # --- max-flow membership ----------------------------------------------------
 
 
-class _FlowNetwork:
-    """Edmonds-Karp max flow with paired residual arcs, deterministic order."""
+@lru_cache(maxsize=16)
+def _flow_template(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple]:
+    """The membership network of g, built once per graph: for each node the
+    arcs leaving it, each arc's head, and the (vertex, edge, arc) of every
+    vertex -> edge arc.  Nodes are the source 0, vertices 1..k, edge nodes
+    k+1..k+m and the sink k+m+1.  Arcs are added in a fixed order (source
+    arcs by vertex, vertex -> edge arcs by vertex then incidence, edge ->
+    sink arcs by edge), each followed by its residual twin, so arc i's twin
+    is i ^ 1."""
+    k, m = g.k, g.m
+    adj: list[list[int]] = [[] for _ in range(k + m + 2)]
+    to: list[int] = []
 
-    def __init__(self, n_nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
-
-    def add_arc(self, u: int, v: int, cap: float) -> int:
-        i = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[u].append(i)
-        self.to.append(u)
-        self.cap.append(0.0)
-        self.adj[v].append(i + 1)
+    def add_arc(u: int, v: int) -> int:
+        i = len(to)
+        to.extend((v, u))
+        adj[u].append(i)
+        adj[v].append(i + 1)
         return i
 
-    def max_flow(self, s: int, t: int) -> float:
-        total = 0.0
-        n = len(self.adj)
-        while True:
-            prev_arc = [-1] * n
-            prev_arc[s] = -2
-            queue = deque([s])
-            while queue and prev_arc[t] == -1:
-                u = queue.popleft()
-                for i in self.adj[u]:
-                    v = self.to[i]
-                    if prev_arc[v] == -1 and self.cap[i] > _FLOW_EPS:
-                        prev_arc[v] = i
-                        queue.append(v)
-            if prev_arc[t] == -1:
-                return total
-            push = math.inf
-            v = t
-            while v != s:
-                i = prev_arc[v]
-                push = min(push, self.cap[i])
-                v = self.to[i ^ 1]
-            v = t
-            while v != s:
-                i = prev_arc[v]
-                self.cap[i] -= push
-                self.cap[i ^ 1] += push
-                v = self.to[i ^ 1]
-            total += push
+    for v in range(1, k + 1):
+        add_arc(0, v)
+    mid = tuple(
+        (v, e, add_arc(v, k + 1 + e)) for v in range(1, k + 1) for e in g.incidence[v - 1]
+    )
+    for e in range(m):
+        add_arc(k + 1 + e, k + m + 1)
+    return tuple(map(tuple, adj)), tuple(to), mid
 
-    def flow_on(self, arc: int) -> float:
-        return self.cap[arc ^ 1]
+
+def flow_rows(g: Graph, x, w=None) -> tuple[float, list[list[float]] | None]:
+    """membership_flow without its input checks, on Python floats.
+
+    x holds the edge entries and w the vertex weights (the uniform law when
+    None), as sequences of floats.  Returns the max flow value and, when it
+    is 1 within TOL, the kernel as k Python rows of m entries; else None.
+    Edmonds-Karp: breadth-first augmenting paths over the fixed arc order,
+    arcs with residual capacity above 1e-12 only.
+    """
+    if w is None:
+        w = _uniform_law(g.k)
+    adj, to, mid = _flow_template(g)
+    k, nmid = g.k, len(mid)
+    cap = [0.0] * len(to)
+    cap[0 : 2 * k : 2] = w
+    cap[2 * k : 2 * (k + nmid) : 2] = [2.0] * nmid
+    cap[2 * (k + nmid) :: 2] = x
+    s, t = 0, len(adj) - 1
+    total = 0.0
+    while True:
+        prev = [-1] * len(adj)
+        prev[s] = -2
+        queue = [s]
+        for u in queue:  # the loop also visits the nodes appended below
+            if prev[t] != -1:
+                break
+            for i in adj[u]:
+                v = to[i]
+                if prev[v] == -1 and cap[i] > _FLOW_EPS:
+                    prev[v] = i
+                    queue.append(v)
+        if prev[t] == -1:
+            break
+        push = math.inf
+        v = t
+        while v != s:
+            i = prev[v]
+            push = min(push, cap[i])
+            v = to[i ^ 1]
+        v = t
+        while v != s:
+            i = prev[v]
+            cap[i] -= push
+            cap[i ^ 1] += push
+            v = to[i ^ 1]
+        total += push
+    if abs(total - 1.0) > TOL:
+        return total, None
+    rows = [[0.0] * g.m for _ in range(k)]
+    for v, e, arc in mid:
+        rows[v - 1][e] = cap[arc ^ 1] / w[v - 1]
+    return total, rows
 
 
 def membership_flow(g: Graph, x, weights=None) -> tuple[float, MoveKernel | None]:
@@ -451,24 +482,10 @@ def membership_flow(g: Graph, x, weights=None) -> tuple[float, MoveKernel | None
     """
     x = check_simplex(g, x)
     w = check_weights(g, weights)
-    k, m = g.k, g.m
-    s, t = 0, k + m + 1
-    net = _FlowNetwork(k + m + 2)
-    for v in range(1, k + 1):
-        net.add_arc(s, v, float(w[v - 1]))
-    mid_arcs: dict[tuple[int, int], int] = {}
-    for v in range(1, k + 1):
-        for e in g.incidence[v - 1]:
-            mid_arcs[(v, e)] = net.add_arc(v, k + 1 + e, 2.0)
-    for e in range(m):
-        net.add_arc(k + 1 + e, t, float(x[e]))
-    value = net.max_flow(s, t)
-    if abs(value - 1.0) > TOL:
+    value, rows = flow_rows(g, x.tolist(), w.tolist())
+    if rows is None:
         return value, None
-    q = np.zeros((k, m))
-    for (v, e), arc in mid_arcs.items():
-        q[v - 1, e] = net.flow_on(arc) / w[v - 1]
-    return value, MoveKernel(q=q, weights=w)
+    return value, MoveKernel(q=np.array(rows), weights=w)
 
 
 # --- canonical interior point and face functionals --------------------------

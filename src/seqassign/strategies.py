@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NoExit, StepTooLarge
+from .errors import DomainError, NoExit, OutsideSimplex, StepTooLarge
 from .geometry import (
     MoveKernel,
     all_slacks,
@@ -29,7 +29,7 @@ from .geometry import (
     check_simplex,
     classify_point,
     clip_to_region,
-    membership_flow,
+    flow_rows,
     min_slack,
     ray_exit,
     x_star,
@@ -109,27 +109,38 @@ def baseline_strategy(kind: str) -> Strategy:
 
 
 class _KernelSampler:
-    def __init__(self, kernel: MoveKernel):
-        self.kernel = kernel
-        self.cums = np.cumsum(kernel.q, axis=1)
+    """Draws an edge from the kernel row of the drawn vertex: the first edge
+    whose running sum of the row, added left to right, exceeds one uniform.
+    Rows may sum a few ulps below 1, or up to 1e-9 below when the flow value
+    is short of 1 by that much; a uniform at or above the row's sum goes to
+    the row's last edge of positive probability, which is incident."""
+
+    def __init__(self, rows: list[list[float]]):
+        self.rows = rows
 
     def sample(self, vertex: int, rng) -> int:
-        row = self.cums[vertex - 1]
-        e = int(np.searchsorted(row, rng.random(), side="right"))
-        return min(e, len(row) - 1)
+        row = self.rows[vertex - 1]
+        u = rng.random()
+        acc = 0.0
+        for e, p in enumerate(row):
+            acc += p
+            if u < acc:
+                return e
+        return max(e for e, p in enumerate(row) if p > 0)
 
 
 def _kernel_for(g: Graph, point: np.ndarray) -> _KernelSampler:
     """Flow kernel of a region point, clipping numerically stray inputs."""
     point = np.maximum(point, 0.0)
     point = point / point.sum()
-    value, kernel = membership_flow(g, point)
-    if kernel is None:
-        clipped = clip_to_region(g, point)
-        value, kernel = membership_flow(g, clipped)
-        if kernel is None:
-            _, kernel = membership_flow(g, x_star(g))
-    return _KernelSampler(kernel)
+    if not np.isfinite(point).all():
+        raise OutsideSimplex(f"entries sum to {point.sum()}, not 1")
+    _, rows = flow_rows(g, point.tolist())
+    if rows is None:
+        _, rows = flow_rows(g, check_simplex(g, clip_to_region(g, point)).tolist())
+        if rows is None:
+            _, rows = flow_rows(g, x_star(g).tolist())
+    return _KernelSampler(rows)
 
 
 def _legal_move(g: Graph, state, vertex: int, excess=None) -> int:
@@ -225,6 +236,9 @@ class SteerPlan:
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
+        # before rounding, which warns on a NaN or infinite entry
+        if not np.isfinite(self.z).all():
+            raise OutsideSimplex(f"entries sum to {self.z.sum()}, not 1")
         if self.n1 < 1:
             raise DomainError("target total must be positive")
         self.target_config = round_to_config(self.n1, self.z)

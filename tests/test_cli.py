@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -99,6 +100,18 @@ def test_non_finite_input_is_outside_simplex(p4_file, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def test_steer_non_finite_target_is_quiet_error(p4_file, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            ["steer", "--graph", p4_file, "--n", "40", "--n1", "10", "--target", "nan,0.5,0.5"],
+            capsys,
+        )
+    assert code == 2
+    assert out == ""
+    assert err == "error: entries sum to nan, not 1\n"
 
 
 def test_subset_cap_resource_exit_code(tmp_path, capsys):

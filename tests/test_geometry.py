@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -170,6 +171,128 @@ def test_kernel_soundness_random(p4, c4, simplex_sampler):
                 assert kernel_defects(g, kernel, x) < 1e-9
                 checked += 1
         assert checked > 50
+
+
+class ReferenceFlowNetwork:
+    """Edmonds-Karp max flow with paired residual arcs, built arc by arc: the
+    reference that `membership_flow`'s cached network must match bit for bit."""
+
+    def __init__(self, n_nodes):
+        self.adj = [[] for _ in range(n_nodes)]
+        self.to = []
+        self.cap = []
+
+    def add_arc(self, u, v, cap):
+        i = len(self.to)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[u].append(i)
+        self.to.append(u)
+        self.cap.append(0.0)
+        self.adj[v].append(i + 1)
+        return i
+
+    def max_flow(self, s, t):
+        total = 0.0
+        n = len(self.adj)
+        while True:
+            prev_arc = [-1] * n
+            prev_arc[s] = -2
+            queue = deque([s])
+            while queue and prev_arc[t] == -1:
+                u = queue.popleft()
+                for i in self.adj[u]:
+                    v = self.to[i]
+                    if prev_arc[v] == -1 and self.cap[i] > 1e-12:
+                        prev_arc[v] = i
+                        queue.append(v)
+            if prev_arc[t] == -1:
+                return total
+            push = math.inf
+            v = t
+            while v != s:
+                i = prev_arc[v]
+                push = min(push, self.cap[i])
+                v = self.to[i ^ 1]
+            v = t
+            while v != s:
+                i = prev_arc[v]
+                self.cap[i] -= push
+                self.cap[i ^ 1] += push
+                v = self.to[i ^ 1]
+            total += push
+
+
+def reference_flow(g, x, weights=None):
+    """(value, q or None) of the membership network: source -> vertex at p_v,
+    vertex -> incident edge at 2, edge -> sink at x_e."""
+    w = uniform_weights(g.k) if weights is None else np.asarray(weights, dtype=float)
+    k, m = g.k, g.m
+    net = ReferenceFlowNetwork(k + m + 2)
+    for v in range(1, k + 1):
+        net.add_arc(0, v, float(w[v - 1]))
+    mid = {}
+    for v in range(1, k + 1):
+        for e in g.incidence[v - 1]:
+            mid[(v, e)] = net.add_arc(v, k + 1 + e, 2.0)
+    for e in range(m):
+        net.add_arc(k + 1 + e, k + m + 1, float(x[e]))
+    value = net.max_flow(0, k + m + 1)
+    if abs(value - 1.0) > 1e-9:
+        return value, None
+    q = np.zeros((k, m))
+    for (v, e), arc in mid.items():
+        q[v - 1, e] = net.cap[arc ^ 1] / w[v - 1]
+    return value, q
+
+
+def flow_points(g, weights, seed):
+    """Dirichlet points (inside and outside the region), their midpoints with
+    the mean of the uniform incident-edge kernel under the law, and the
+    boundary points where rays from x* through them exit the region."""
+    w = uniform_weights(g.k) if weights is None else np.asarray(weights)
+    center = np.zeros(g.m)
+    for v, inc in enumerate(g.incidence):
+        center[list(inc)] += w[v] / len(inc)
+    xs = x_star(g)
+    dirichlet = list(np.random.default_rng(seed).dirichlet(np.ones(g.m), 40))
+    pts = [center] + dirichlet + [0.5 * center + 0.5 * x for x in dirichlet[:20]]
+    for x in dirichlet[:20]:
+        try:
+            pts.append(ray_exit(g, xs, x - xs)[0])
+        except NoExit:
+            pass
+    return pts
+
+
+FLOW_GRAPHS = {
+    "P4": path_graph(4),
+    "C4": cycle_graph(4),
+    "K4": complete_graph(4),
+    "K5": complete_graph(5),
+    "S4": star_graph(4),
+    "triangle-tail": build_graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)]),
+}
+SKEWED = {4: [0.1, 0.2, 0.3, 0.4], 5: [0.1, 0.15, 0.2, 0.25, 0.3]}
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+@pytest.mark.parametrize("name", list(FLOW_GRAPHS))
+def test_membership_flow_matches_reference(name, skewed):
+    g = FLOW_GRAPHS[name]
+    weights = SKEWED[g.k] if skewed else None
+    inside = outside = 0
+    for x in flow_points(g, weights, g.m):
+        value, kernel = membership_flow(g, x, weights)
+        want_value, want_q = reference_flow(g, x, weights)
+        assert value == want_value, x
+        if want_q is None:
+            assert kernel is None, x
+            outside += 1
+        else:
+            assert np.array_equal(kernel.q, want_q), x
+            inside += 1
+    assert inside and outside
 
 
 def test_region_convexity(p4, simplex_sampler):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqassign.errors import DomainError, StepTooLarge
+from seqassign.errors import DomainError, OutsideSimplex, StepTooLarge
 from seqassign.geometry import (
     boundary_distance,
     classify_point,
@@ -13,6 +13,7 @@ from seqassign.geometry import (
     x_star,
     RegionKind,
 )
+from seqassign.graph import build_graph, complete_graph, cycle_graph, path_graph, star_graph
 from seqassign.simulate import child_rng, deviation_tail, play
 from seqassign.strategies import (
     FORFEIT,
@@ -24,6 +25,8 @@ from seqassign.strategies import (
     SteerKTarget,
     SteerPlan,
     UniformIncident,
+    _KernelSampler,
+    _steer_move,
     baseline_strategy,
     exact_step_mean,
     ode_trajectory,
@@ -165,9 +168,7 @@ def test_stage1_kernel_frequencies_chi_square(p4):
     s.reset(p4, round_to_config(500, x0), 500)
     y = s.current_exit(x0)
     _, kernel = membership_flow(p4, y)
-    from seqassign.strategies import _KernelSampler
-
-    sampler = _KernelSampler(kernel)
+    sampler = _KernelSampler(kernel.q.tolist())
     rng = np.random.default_rng(17)
     n = 100_000
     for v in range(1, 5):
@@ -177,6 +178,73 @@ def test_stage1_kernel_frequencies_chi_square(p4):
         stat, df = chi_square(counts, kernel.q[v - 1], n // 4)
         if df > 0:
             assert stat < CHI2_999[df]
+
+
+class FixedUniform:
+    """Generator stub whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+SAMPLER_GRAPHS = {
+    "P4": path_graph(4),
+    "C4": cycle_graph(4),
+    "K4": complete_graph(4),
+    "K5": complete_graph(5),
+    "S4": star_graph(4),
+    "triangle-tail": build_graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLER_GRAPHS))
+def test_kernel_sampler_matches_cumsum_search(name):
+    g = SAMPLER_GRAPHS[name]
+    rng = np.random.default_rng(g.m)
+    kernels = []
+    for x in rng.dirichlet(np.ones(g.m), 15):
+        for y in (0.5 * x + 0.5 * x_star(g), clip_to_region(g, x)):
+            _, kernel = membership_flow(g, y)
+            if kernel is not None:
+                kernels.append(kernel)
+    assert len(kernels) > 15
+    for kernel in kernels:
+        sampler = _KernelSampler(kernel.q.tolist())
+        for v in range(1, g.k + 1):
+            cums = np.cumsum(kernel.q, axis=1)[v - 1]
+            us = np.concatenate(
+                [[0.0], cums, np.nextafter(cums, -1.0), np.nextafter(cums, 2.0), rng.random(20)]
+            )
+            for u in us[(us >= 0.0) & (us < cums[-1])].tolist():
+                want = int(np.searchsorted(cums, u, side="right"))
+                assert sampler.sample(v, FixedUniform(u)) == want, (kernel.q, v, u)
+            last = int(np.flatnonzero(kernel.q[v - 1] > 0)[-1])
+            for u in (cums[-1], 1 - 2**-53):
+                if u >= cums[-1]:
+                    assert sampler.sample(v, FixedUniform(u)) == last
+
+
+def test_kernel_sampler_overflow_stays_on_the_row(k4):
+    # rows often sum a few ulps below 1; a uniform above the sum must not
+    # fall through to the last edge {3, 4}, which vertices 1 and 2 lack
+    top = 1 - 2**-53
+    state = np.full(k4.m, 3)
+    for x in np.random.default_rng(4).dirichlet(np.ones(k4.m), 200):
+        _, kernel = membership_flow(k4, x)
+        if kernel is None:
+            continue
+        sampler = _KernelSampler(kernel.q.tolist())
+        for v in (1, 2):
+            if np.cumsum(kernel.q[v - 1])[-1] < 1:
+                e = sampler.sample(v, FixedUniform(top))
+                assert e == np.flatnonzero(kernel.q[v - 1] > 0)[-1]
+                assert e in k4.incidence[v - 1]
+                assert _steer_move(k4, None, sampler, state, v, FixedUniform(top)) == e
+                return
+    pytest.fail("no K4 kernel row sums below 1")
 
 
 # --- stage 2 -------------------------------------------------------------------
@@ -229,6 +297,13 @@ def test_steer_plan_rejects_small_d0(p4):
     plan = SteerPlan(z=x_star(p4), n1=50, d0=2.0)
     with pytest.raises(DomainError):
         SteerExact(p4, plan)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_steer_plan_rejects_non_finite_target(bad):
+    # rejected before rounding, which would warn (an error under this suite)
+    with pytest.raises(OutsideSimplex):
+        SteerPlan(z=[bad, 0.5, 0.5], n1=10)
 
 
 def test_steer_exact_trivial_hit(p4):
