@@ -198,23 +198,6 @@ def _confinement_radius(delta: float, d0: float | None = None) -> float:
     return d0
 
 
-def exact_step_mean(g: Graph, kernel: MoveKernel, state) -> np.ndarray:
-    """Exact one-step expectation of the normalized state under a kernel,
-    summed over every (vertex, edge) outcome."""
-    state = np.asarray(state, dtype=float)
-    n = state.sum()
-    acc = np.zeros(g.m)
-    for v in range(1, g.k + 1):
-        for e in range(g.m):
-            q = kernel.q[v - 1, e]
-            if q == 0.0:
-                continue
-            child = state.copy()
-            child[e] -= 1.0
-            acc += kernel.weights[v - 1] * q * child
-    return acc / (n - 1.0)
-
-
 # --- steering plans ------------------------------------------------------------
 
 

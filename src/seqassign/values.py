@@ -6,21 +6,30 @@ total t form one layer, stored as a dense float64 array indexed by the rank
     rank(n) = sum_{i=1}^{m-1} C(p_i, i),   p_i = i - 1 + n_1 + ... + n_i,
 
 the standard combinatorial-number-system (colex) rank of the bar positions of
-the composition.  Decrementing edge e (0-based) lowers every p_i with i > e
-by one, so the child's rank in layer t-1 is
+the composition.  p_1 varies fastest, so the ranks with one (p_2, ..., p_{m-1})
+form a contiguous row of length p_2 along which p_1 runs from 0; a layer has
+C(t+m-2, m-2) rows, and only they are unranked.
+
+Decrementing edge e (0-based) lowers every p_i with i > e by one, so the
+child's rank in layer t-1 is
 
     rank(n - 1^e) = rank(n) - sum_{i>e} C(p_i - 1, i - 1),
 
-and decrementing the last coordinate preserves the rank.  Child lookups are
-therefore rank arithmetic on the bar positions; no child config is built.
+an offset that is constant along a row (for e = 0 it is the row's offset
+for e = 1, plus one), and decrementing the last coordinate preserves the
+rank.  The map keeps the colex order, and adding 1^e undoes it, so the
+configs with n_e > 0, in rank order, have as children all of layer t-1 in
+rank order.  Edge e's candidates are therefore layer t-1 scattered into the
+positions with n_e > 0: no child rank and no child config is built.
 
 Layer t is computed from layer t-1 by the recursion
 
     p(n) = sum_v p_v * max_{e ~ v, n_e > 0} p(n - 1^e)
 
 with an empty max contributing 0 (a drawn vertex with no positive incident
-edge loses the game).  Accumulation is in vertex order, so the stored values
-can be reproduced bit-exactly from the previous layer.
+edge loses the game).  Every value is >= 0.0, so an empty edge may enter the
+max as 0.0.  Accumulation is in vertex order, so the stored values can be
+reproduced bit-exactly from the previous layer.
 
 A query about one start config reads only the configs at or below it.
 DownSetTable evaluates just that box, under mixed-radix indices, by the same
@@ -33,7 +42,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -75,25 +83,6 @@ def rank_config(cfg) -> int:
     return r
 
 
-def unrank_config(r: int, total: int, m: int) -> tuple[int, ...]:
-    ps = []
-    rem = r
-    for i in range(m - 1, 0, -1):
-        c = i - 1
-        while comb(c + 1, i) <= rem:
-            c += 1
-        rem -= comb(c, i)
-        ps.append(c)
-    ps.reverse()
-    cfg = []
-    prev = -1
-    for i, p in enumerate(ps, start=1):
-        cfg.append(p - prev - 1)
-        prev = p
-    cfg.append(total - sum(cfg))
-    return tuple(cfg)
-
-
 @lru_cache(maxsize=32)
 def _binom_tables(m: int, max_total: int) -> tuple[np.ndarray, ...]:
     """tables[i-1][x] = C(x, i) for i = 1..m-1, x = 0..max_total+m."""
@@ -117,32 +106,51 @@ def _bars(ranks: np.ndarray, m: int, tables) -> np.ndarray:
     return bars
 
 
-def _children(ranks: np.ndarray, bars: np.ndarray, total: int, tables):
-    """Child ranks, edge by edge from the last edge down.
+def _layer_bars(total: int, m: int) -> np.ndarray:
+    """The (m-1, N) bar positions of every rank of layer total.
 
-    Yields (e, live, child) where live marks the configs with n_e > 0 and
-    child holds the rank in layer total-1 of the config with edge e
-    decremented (meaningless where not live).  Decrementing edge e lowers
-    every bar p_i with i > e by one, so the child rank is
-    rank - sum_{i>e} C(p_i - 1, i - 1), built up one term per edge.  child
-    is the ranks array itself, updated in place: use it before the next
-    edge is yielded, and do not expect ranks to survive the loop.
+    In rank order the rows' q_i = p_{i+1} - 1 are the bars of layer total
+    with m-1 edges, so the rows come from that smaller layer and are
+    repeated along their lengths p_2, while p_1 runs from 0 along each row.
+    For m = 2 the layer is one row.
     """
-    m = len(bars) + 1
-    child = ranks
+    n = layer_size(total, m)
+    if m < 3:
+        return np.arange(n).reshape(m - 1, n)
+    rows = _layer_bars(total, m - 1)
+    rows += 1
+    lengths = rows[0]
+    bars = np.empty((m - 1, n), dtype=np.int64)
+    for i in range(1, m - 1):
+        bars[i] = np.repeat(rows[i - 1], lengths)
+    bars[0] = np.arange(n)
+    bars[0] -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return bars
+
+
+def _live(total: int, m: int):
+    """Yield (e, live) for each edge, where live marks the configs of layer
+    total with a positive count on edge e.  Along a row (see _layer_bars)
+    edge 0's count p_1 is 0 only at the start, edge 1's count p_2 - p_1 - 1
+    only at the end, and every other edge's count is constant."""
+    n = layer_size(total, m)
+    rows = _layer_bars(total, m - 1) + 1 if m > 2 else np.array([[n]])
+    lengths = rows[0]
+    ends = np.cumsum(lengths)
+    for e, cut in ((0, ends - lengths), (1, ends - 1)):
+        live = np.ones(n, dtype=bool)
+        live[cut] = False
+        yield e, live
     upper = total + m - 1
-    for e in range(m - 1, -1, -1):
-        lower = bars[e - 1] if e else -1
-        yield e, upper - lower > 1, child
-        if e:
-            child -= tables[e - 2][lower - 1] if e > 1 else 1
-            upper = lower
+    for e in range(m - 1, 1, -1):
+        yield e, np.repeat(upper - rows[e - 2] > 1, lengths)
+        upper = rows[e - 2]
 
 
-def _unrank(ranks: np.ndarray, total: int, m: int) -> np.ndarray:
-    """The configs of the given ranks in layer total, as an (N, m) array."""
-    bars = _bars(ranks, m, _binom_tables(m, total))
-    cfgs = np.empty((len(ranks), m), dtype=np.int64)
+def _configs(bars: np.ndarray, total: int) -> np.ndarray:
+    """The configs of the given bar positions in layer total, as (N, m)."""
+    m = len(bars) + 1
+    cfgs = np.empty((bars.shape[1], m), dtype=np.int64)
     lower = -1
     for e in range(m):
         upper = bars[e] if e < m - 1 else total + m - 1
@@ -151,10 +159,15 @@ def _unrank(ranks: np.ndarray, total: int, m: int) -> np.ndarray:
     return cfgs
 
 
+def _unrank(ranks: np.ndarray, total: int, m: int) -> np.ndarray:
+    """The configs of the given ranks in layer total, as an (N, m) array."""
+    return _configs(_bars(ranks, m, _binom_tables(m, total)), total)
+
+
 def compositions(total: int, m: int) -> np.ndarray:
     """All configs of the given total as an (N, m) int64 array, row r having
     rank r."""
-    return _unrank(np.arange(layer_size(total, m)), total, m)
+    return _configs(_layer_bars(total, m), total)
 
 
 def round_to_config(total: int, x) -> np.ndarray:
@@ -223,8 +236,10 @@ def required_bytes(m: int, n_max: int) -> int:
 
 def peak_bytes(m: int, n_max: int) -> int:
     """Peak memory of compute_table: the stored layers plus the working
-    arrays of the largest layer, at most 2m + 4 int64/float64 arrays of its
-    size (bars, candidates, child ranks and temporaries)."""
+    arrays of the largest layer, bounded by 2m + 4 float64 arrays of its
+    size.  They are the m candidate rows and the accumulator, one bool
+    n_e > 0 mask at a time with its np.repeat temporary, and the int64 bars
+    of the layer's rows, which has (m-1)/(t+m-1) of the layer's size."""
     return required_bytes(m, n_max) + 8 * (2 * m + 4) * layer_size(n_max, m)
 
 
@@ -247,28 +262,29 @@ def compute_table(
         raise MemoryBudgetExceeded(need, memory_budget)
     _, layers = _empty_layers(g.m, n_max, float)
     layers[0][0] = 1.0
-    tables = _binom_tables(g.m, n_max)
     for t in range(1, n_max + 1):
-        _next_layer(g, w, t, layers[t - 1], tables, layers[t])
+        _next_layer(g, w, t, layers[t - 1], layers[t])
     return ValueTable(graph=g, n_max=n_max, weights=w, layers=layers)
 
 
-def _next_layer(
-    g: Graph, w: np.ndarray, t: int, prev: np.ndarray, tables, out: np.ndarray
-) -> None:
+def _next_layer(g: Graph, w: np.ndarray, t: int, prev: np.ndarray, out: np.ndarray) -> None:
     """Write layer t, computed from layer t-1, to out."""
-    ranks = np.arange(len(out))
-    bars = _bars(ranks, g.m, tables)
-    cand = np.empty((g.m, len(out)))
-    for e, live, child in _children(ranks, bars, t, tables):
-        # where n_e = 0 the child rank may fall outside prev; it is masked
-        np.take(prev, child, out=cand[e], mode="clip")
-        cand[e][~live] = -1.0
-    del ranks, bars, child  # peak_bytes counts them only up to here
+    # configs with n_e = 0 get the candidate 0.0, the value of a loss
+    cand = np.zeros((g.m, len(out)))
+    for e, live in _live(t, g.m):
+        # decrementing edge e keeps the rank order of the configs with
+        # n_e > 0, and their children are all of layer t-1
+        cand[e][live] = prev
+    # every value is >= 0.0, so the max over a vertex's edges is the max
+    # over its positive edges, or 0.0 when there is none
+    acc = np.empty(len(out))
     out[:] = 0.0
-    for v in range(1, g.k + 1):
-        vm = cand[list(g.incidence[v - 1])].max(axis=0)
-        out += w[v - 1] * np.where(vm < 0.0, 0.0, vm)
+    for v, edges in enumerate(g.incidence):
+        np.copyto(acc, cand[edges[0]])
+        for e in edges[1:]:
+            np.maximum(acc, cand[e], out=acc)
+        acc *= w[v]
+        out += acc
 
 
 def check_config(g: Graph, cfg, n_max: int | None = None) -> np.ndarray:
@@ -506,46 +522,6 @@ def _fill_box(g: Graph, w, idx, counts, stride, values, nxt) -> None:
         acc += w[v] * np.where(dead, 0.0, best)
     nxt[idx] = rows
     values[idx] = acc
-
-
-# --- exact rational side oracle ---------------------------------------------
-
-
-def exact_value(g: Graph, cfg, weights=None, _memo=None) -> Fraction:
-    """Memoized exact-rational evaluation of the optimality recursion.
-
-    Intended for small totals (<= 12); the 64-bit table is the production
-    path.  Uniform weights only unless a Fraction weight list is supplied.
-    """
-    if weights is None:
-        weights = [Fraction(1, g.k)] * g.k
-    cfg = tuple(int(c) for c in cfg)
-    if _memo is None:
-        _memo = {}
-    return _exact(g, cfg, tuple(weights), _memo)
-
-
-def _exact(g: Graph, cfg, weights, memo) -> Fraction:
-    if sum(cfg) == 0:
-        return Fraction(1)
-    hit = memo.get(cfg)
-    if hit is not None:
-        return hit
-    total = Fraction(0)
-    for v in range(1, g.k + 1):
-        best = Fraction(0)
-        found = False
-        for e in g.incidence[v - 1]:
-            if cfg[e] > 0:
-                child = list(cfg)
-                child[e] -= 1
-                val = _exact(g, tuple(child), weights, memo)
-                if not found or val > best:
-                    best = val
-                    found = True
-        total += weights[v - 1] * (best if found else Fraction(0))
-    memo[cfg] = total
-    return total
 
 
 # --- persistence ------------------------------------------------------------

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,81 @@ def brute_force(g, cfg, weights=None):
                     best = val
         total += weights[v - 1] * (0.0 if best < 0 else best)
     return total
+
+
+def exact_value(g, cfg, weights=None, _memo=None) -> Fraction:
+    """Memoized exact-rational evaluation of the optimality recursion.
+
+    Intended for small totals (<= 12).  Uniform weights only unless a
+    Fraction weight list is supplied.
+    """
+    if weights is None:
+        weights = [Fraction(1, g.k)] * g.k
+    cfg = tuple(int(c) for c in cfg)
+    if _memo is None:
+        _memo = {}
+    return _exact(g, cfg, tuple(weights), _memo)
+
+
+def _exact(g, cfg, weights, memo) -> Fraction:
+    if sum(cfg) == 0:
+        return Fraction(1)
+    hit = memo.get(cfg)
+    if hit is not None:
+        return hit
+    total = Fraction(0)
+    for v in range(1, g.k + 1):
+        best = Fraction(0)
+        found = False
+        for e in g.incidence[v - 1]:
+            if cfg[e] > 0:
+                child = list(cfg)
+                child[e] -= 1
+                val = _exact(g, tuple(child), weights, memo)
+                if not found or val > best:
+                    best = val
+                    found = True
+        total += weights[v - 1] * (best if found else Fraction(0))
+    memo[cfg] = total
+    return total
+
+
+def unrank_config(r: int, total: int, m: int) -> tuple[int, ...]:
+    """Scalar inverse of values.rank_config: the config of rank r in layer
+    total, one bar at a time from the top down."""
+    ps = []
+    rem = r
+    for i in range(m - 1, 0, -1):
+        c = i - 1
+        while comb(c + 1, i) <= rem:
+            c += 1
+        rem -= comb(c, i)
+        ps.append(c)
+    ps.reverse()
+    cfg = []
+    prev = -1
+    for i, p in enumerate(ps, start=1):
+        cfg.append(p - prev - 1)
+        prev = p
+    cfg.append(total - sum(cfg))
+    return tuple(cfg)
+
+
+def exact_step_mean(g, kernel, state) -> np.ndarray:
+    """Exact one-step expectation of the normalized state under a kernel,
+    summed over every (vertex, edge) outcome."""
+    state = np.asarray(state, dtype=float)
+    n = state.sum()
+    acc = np.zeros(g.m)
+    for v in range(1, g.k + 1):
+        for e in range(g.m):
+            q = kernel.q[v - 1, e]
+            if q == 0.0:
+                continue
+            child = state.copy()
+            child[e] -= 1.0
+            acc += kernel.weights[v - 1] * q * child
+    return acc / (n - 1.0)
 
 
 @pytest.fixture(scope="session")

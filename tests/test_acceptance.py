@@ -32,7 +32,6 @@ from seqassign.strategies import (
     SteerExact,
     SteerPlan,
     TableStrategy,
-    exact_step_mean,
     ode_trajectory,
 )
 from seqassign.values import (
@@ -45,11 +44,10 @@ from seqassign.values import (
     required_bytes,
     round_to_config,
     slice_max,
-    unrank_config,
     value_at,
 )
 
-from conftest import brute_force
+from conftest import brute_force, exact_step_mean, unrank_config
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -3,9 +3,9 @@ in a fresh directory, and the sha256 of its exit code, stdout, stderr and
 every file it writes must equal the digest recorded when the battery was
 written.  A refactor that moves any output byte fails here.
 
-Left out on purpose: `steer` and `region flow`, whose float bytes go through
-BLAS/LAPACK (see test_pinned.py), and `scan` at an inaccessible point, which
-calls `np.polyfit`.
+Left out on purpose: `steer`, whose float bytes go through BLAS/LAPACK (see
+test_pinned.py), and `scan` at an inaccessible point, which calls
+`np.polyfit`.
 
 A failure shows the new digest; after an intended output change, paste it
 into DIGESTS.
@@ -81,6 +81,17 @@ COMMANDS = {
          "0.2,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.05,0.05"],
         [],
     ),
+    "flow_k4_xstar": (["region", "flow", "--graph", K4, "--point", "xstar"], []),
+    "flow_k4_outside": (
+        ["region", "flow", "--graph", K4, "--point", "0.6,0.08,0.08,0.08,0.08,0.08"],
+        [],
+    ),
+    "flow_k5_xstar": (["region", "flow", "--graph", K5, "--point", "xstar"], []),
+    "flow_k5_outside": (
+        ["region", "flow", "--graph", K5, "--point",
+         "0.4,0.3,0.05,0.05,0.05,0.05,0.05,0.05,0,0"],
+        [],
+    ),
     "exit2_phase_edge_count": (["phase", "--graph", K4, "--n", "10"], []),
     "exit2_steer_runs": (
         ["steer", "--graph", P4, "--n", "40", "--n1", "10", "--runs", "0"],
@@ -100,6 +111,10 @@ DIGESTS = {
     "exit2_phase_edge_count": "19e9d95b24b5fe05f23b425a98ebdb9a071a2a7a08c1a4cba5dd4bea0b3746ac",
     "exit2_steer_runs": "08a0bc222e02488a894f843288db256bcae0625ce935d38c4e709aa3f10d49f0",
     "exit2_window_a_grid": "76aa877f6f8028ca644210a3967a29fd53ac895400c597b6b521f71656d9f03f",
+    "flow_k4_outside": "0706bf9a79121d7f66fe578aea14ccb443ccc29061fb7092bb9627f6fd3521e1",
+    "flow_k4_xstar": "5f4b91e458955b3dcfabd6355a2d799802acf8b4edaf0f5eb9c3e532e0551cf8",
+    "flow_k5_outside": "480092587eae719977bb6f7d243c16d711744651bfbd37f908d1e8aa6a4ca839",
+    "flow_k5_xstar": "2556a32610519b05cc93e7dc02ff08573275fc4eea94030bdca4f6b57b29f72e",
     "phase_csv": "0060e98d37ac6f77daed74397a90be848feeabb3ce49d9f1e54612f3dbd8afe0",
     "phase_json": "77eaa0ef61bac486f2275274ad800b3502ba09762bba0575fa036b7fa636b871",
     "scan_interior": "65d8689622e3920517ae5d0c4aa09cfcdd391273f9ae70f713f567ab43038be1",

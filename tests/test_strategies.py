@@ -28,11 +28,12 @@ from seqassign.strategies import (
     _KernelSampler,
     _steer_move,
     baseline_strategy,
-    exact_step_mean,
     ode_trajectory,
     optimal_strategy,
 )
 from seqassign.values import compute_table, round_to_config
+
+from conftest import exact_step_mean
 
 # 99.9% chi-square quantiles by degrees of freedom
 CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515}

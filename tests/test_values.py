@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -32,7 +33,9 @@ from seqassign.values import (
     SliceSpec,
     _bars,
     _binom_tables,
-    _children,
+    _configs,
+    _layer_bars,
+    _live,
     _next_layer,
     active_faces,
     argmax_config,
@@ -41,7 +44,6 @@ from seqassign.values import (
     downset_bytes,
     downset_from_table,
     downset_table,
-    exact_value,
     graph_hash,
     layer_size,
     load_table,
@@ -51,9 +53,10 @@ from seqassign.values import (
     round_to_config,
     save_table,
     slice_max,
-    unrank_config,
     value_at,
 )
+
+from conftest import exact_value, unrank_config
 
 
 # --- ranking ------------------------------------------------------------------
@@ -90,23 +93,36 @@ def test_compositions_unrank_edges(m):
 
 
 def test_child_rank_shift_matches_scalar():
-    # rank - sum_{i>e} C(p_i - 1, i - 1) is the rank of the config with edge
-    # e decremented, for every edge
+    # decrementing edge e maps the configs with n_e > 0, in rank order, onto
+    # the ranks 0, 1, 2, ... of the layer below, for every edge
     total = 7
     for m in range(2, 7):
-        tables = _binom_tables(m, total)
-        ranks = np.arange(layer_size(total, m))
-        cfgs = [unrank_config(r, total, m) for r in ranks]
+        cfgs = [unrank_config(r, total, m) for r in range(layer_size(total, m))]
         edges = []
-        for e, live, child in _children(ranks.copy(), _bars(ranks, m, tables), total, tables):
+        for e, live in _live(total, m):
             edges.append(e)
-            for r, cfg in enumerate(cfgs):
-                assert live[r] == (cfg[e] > 0)
+            assert live.tolist() == [cfg[e] > 0 for cfg in cfgs]
+            children = []
+            for cfg in cfgs:
                 if cfg[e] > 0:
                     dec = list(cfg)
                     dec[e] -= 1
-                    assert child[r] == rank_config(dec)
+                    children.append(rank_config(dec))
+            assert children == list(range(layer_size(total - 1, m)))
         assert sorted(edges) == list(range(m))
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_layer_bars_match_unrank(m):
+    # the rows repeated along their lengths give every rank's bars, from the
+    # one-config layer t = 0 up; for m = 2 a layer is a single row
+    tables = _binom_tables(m, 12)
+    for total in range(13):
+        bars = _bars(np.arange(layer_size(total, m)), m, tables)
+        assert np.array_equal(_layer_bars(total, m), bars)
+        cfgs = _configs(bars, total)
+        for e, live in _live(total, m):
+            assert np.array_equal(live, cfgs[:, e] > 0)
 
 
 def test_round_to_config(p4):
@@ -194,6 +210,37 @@ def test_weighted_table_matches_fraction_oracle(p4):
         )
 
 
+# sha256 of layers 0..n in order, as little-endian float64: the digests
+# BENCH_4.json records for these tables
+LAYER_SHA256 = {
+    "P4-200": (path_graph(4), 200, None,
+               "d4c84ca2ce9b5cbc18af12deec965c158cc515d970fdc68caf8b34b8d3c641ed"),
+    "P4-310": (path_graph(4), 310, None,
+               "16b6506e9827dfbda5c5afc63838ccdb0571889791db965f08c4fffb92e88bc2"),
+    "K4-30": (complete_graph(4), 30, None,
+              "f5362c35c4b9871f520a1450c5e3a6921bb4701fc5aac2df6e07d6cde262dcc4"),
+    "K5-9": (complete_graph(5), 9, None,
+             "9aaf575726f7b6972fc287ef2ddc1337899425c4437665ceb1ed77f87cd2a0d0"),
+    "C5-30": (cycle_graph(5), 30, None,
+              "61ef3aa27b078ae98b51c0444143aa198564e03c29149f4f8df9c07d9e3f531c"),
+    "S4-20": (star_graph(4), 20, None,
+              "acadb68d151e67eac6145ef831ea563bcff3e87791805b784ee437bb377664f7"),
+    "P3-80": (path_graph(3), 80, None,
+              "874c64e0fe61e80c0fe78c1786efb170b7b61a11a23ddad9a0dd5b38e0052016"),
+    "P4-120-weighted": (path_graph(4), 120, [0.1, 0.2, 0.3, 0.4],
+                        "3173cb27d48e1194220a4ada71e2cec6830f80b6ad4e02f8c70bdef4a4cad844"),
+}
+
+
+@pytest.mark.parametrize("name", list(LAYER_SHA256))
+def test_layer_hashes_pinned(name):
+    g, n_max, weights, digest = LAYER_SHA256[name]
+    h = hashlib.sha256()
+    for layer in compute_table(g, n_max, weights).layers:
+        h.update(np.asarray(layer, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_martingale_identity_small(p4, p4_table):
     # stored values reproduce the recursion from the previous layer bit-exactly
     w = p4_table.weights
@@ -215,10 +262,9 @@ def test_martingale_identity_small(p4, p4_table):
 
 
 def test_layer_independence(p4, p4_table):
-    tables = _binom_tables(3, 200)
     for t in (5, 60, 137):
         rebuilt = np.empty(layer_size(t, 3))
-        _next_layer(p4, p4_table.weights, t, p4_table.layers[t - 1], tables, rebuilt)
+        _next_layer(p4, p4_table.weights, t, p4_table.layers[t - 1], rebuilt)
         assert np.array_equal(rebuilt, p4_table.layers[t])
 
 
