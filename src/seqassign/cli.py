@@ -6,8 +6,9 @@ conjecture, window, steer, simulate.  Exit codes: 0 success, 2 input error,
 
 CSV files carry one fixed, documented header row per subcommand; JSON output
 is a single object with "columns" and "rows" (tabular commands) or a report
-object (steer, simulate, region, value).  Floats are written with repr, so
-reruns with identical inputs produce byte-identical files.
+object (steer, simulate, region, value).  Tables are written column by
+column, floats with repr, bools as 1/0 and ints with str, so reruns with
+identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -103,14 +104,17 @@ def _require_positive(what: str, values) -> None:
         raise DomainError(f"{what} must be positive")
 
 
-def _emit(out: str | None, fmt: str, columns, rows, summary=None) -> None:
+def _emit(out: str | None, fmt: str, names, columns, summary=None) -> None:
+    """Write a table given column by column, one sequence per name.  Each
+    column is formatted once, by its type: float -> repr, bool -> 1/0,
+    int (or str) -> str.  numpy scalars become Python scalars first."""
+    columns = [np.asarray(col) for col in columns]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        cells = [_cells(col) for col in columns]
+        text = "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
     else:
-        payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
+        rows = [list(row) for row in zip(*(col.tolist() for col in columns))]
+        payload = {"columns": list(names), "rows": rows}
         if summary is not None:
             payload["summary"] = summary
         text = json.dumps(payload, sort_keys=True, default=_json_default) + "\n"
@@ -123,12 +127,11 @@ def _emit(out: str | None, fmt: str, columns, rows, summary=None) -> None:
         sys.stdout.write(json.dumps(summary, sort_keys=True, default=_json_default) + "\n")
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    return str(v)
+def _cells(col: np.ndarray) -> list[str]:
+    values = col.tolist()
+    if col.dtype.kind == "b":
+        return ["1" if v else "0" for v in values]
+    return list(map(float.__repr__ if col.dtype.kind == "f" else str, values))
 
 
 def _json_default(v):
@@ -241,27 +244,37 @@ def _cmd_value(args) -> int:
 
 
 def _verify_rows(path: str, fmt: str, table, col: int, make_config) -> None:
-    """Spot re-verification: re-read every 100th row and compare bit-exact."""
+    """Spot re-verification of a written table: re-read the file at `path`
+    and compare every 100th row (rows 0, 100, 200, ...) bit-exactly with the
+    table.  Column `col` holds the value; `make_config(row)` gives the config
+    it belongs to.  Only the sampled rows are split.  Raises SeqAssignError
+    on the first mismatch."""
     with open(path, "r", encoding="utf-8") as fh:
         if fmt == "csv":
-            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+            rows = [line.split(",") for line in fh.read().splitlines()[1::100]]
         else:
-            rows = json.load(fh)["rows"]
-    for row in rows[::100]:
+            rows = json.load(fh)["rows"][::100]
+    for row in rows:
         emitted = float(row[col])
         expected = value_at(table, make_config(row))
         if emitted != expected:
             raise SeqAssignError(f"verification mismatch on row {row}")
 
 
+def _check_verify(args) -> None:
+    if args.verify and not args.out:
+        raise DomainError("--verify needs --out")
+
+
 def _cmd_phase(args) -> int:
+    _check_verify(args)
     g = load_graph(args.graph)
     _require_positive("n", [args.n])
     exp.check_phase_graph(g)
     table = _table_for(g, args.n, args)
-    rows, summary = exp.phase_diagram(g, args.n, table=table)
-    _emit(args.out, args.format, exp.PHASE_COLUMNS, rows, summary)
-    if args.verify and args.out:
+    columns, summary = exp.phase_diagram(g, args.n, table=table)
+    _emit(args.out, args.format, exp.PHASE_COLUMNS, columns, summary)
+    if args.verify:
         n = args.n
         _verify_rows(
             args.out,
@@ -274,6 +287,7 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    _check_verify(args)
     g = load_graph(args.graph)
     x = _point(g, args.point)
     n_list = _parse_ints(args.n_list)
@@ -282,8 +296,8 @@ def _cmd_scan(args) -> int:
     rows, summary = exp.transition_scan(
         g, x, n_list, weights=_load_weights(g, args.weights), table=table
     )
-    _emit(args.out, args.format, exp.SCAN_COLUMNS, rows, summary)
-    if args.verify and args.out:
+    _emit(args.out, args.format, exp.SCAN_COLUMNS, zip(*rows), summary)
+    if args.verify:
         _verify_rows(
             args.out, args.format, table, 1, lambda row: round_to_config(int(row[0]), x)
         )
@@ -293,7 +307,7 @@ def _cmd_scan(args) -> int:
 def _cmd_conjecture(args) -> int:
     n_list = _parse_ints(args.n_list)
     rows, summary = exp.conjecture_scan(args.k, n_list)
-    _emit(args.out, args.format, exp.CONJECTURE_COLUMNS, rows, summary)
+    _emit(args.out, args.format, exp.CONJECTURE_COLUMNS, zip(*rows), summary)
     return 0
 
 
@@ -305,7 +319,7 @@ def _cmd_window(args) -> int:
     _require_positive("A-grid entries", a_grid)
     table = _table_for(g, max(n_list), args)
     rows, summary = exp.window_collapse(g, n_list, a_grid, table=table)
-    _emit(args.out, args.format, exp.WINDOW_COLUMNS, rows, summary)
+    _emit(args.out, args.format, exp.WINDOW_COLUMNS, zip(*rows), summary)
     return 0
 
 
@@ -380,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="full probability grid for a 3-edge graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--verify", action="store_true", help="re-read 1%% of rows")
+    p.add_argument("--verify", action="store_true", help="re-read 1%% of --out's rows")
     _add_common(p, weights=True, cache=True)
     p.set_defaults(func=_cmd_phase)
 
@@ -388,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--n-list", required=True, help="comma list or lo:hi:step")
-    p.add_argument("--verify", action="store_true")
+    p.add_argument("--verify", action="store_true", help="re-read 1%% of --out's rows")
     _add_common(p, weights=True, cache=True)
     p.set_defaults(func=_cmd_scan)
 

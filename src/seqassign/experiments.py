@@ -1,8 +1,8 @@
 """Experiment drivers: phase diagram, decay/convergence scans, critical-window
 curves, the path-graph argmax scan, and steering reports.
 
-Each driver returns plain rows (for CSV/JSON emission by the CLI) plus a
-summary dict.  Column sets are fixed:
+Each driver returns its table plus a summary dict: the phase grid as three
+columns, the other tables as plain rows.  Column sets are fixed:
 
     phase:      m, l, p
     scan:       n, p, log_p, decay_bound
@@ -50,16 +50,16 @@ def phase_diagram(g: Graph, n: int, table: ValueTable | None = None):
     """Full win-probability grid over a three-edge graph's layer n, read from
     `table` (built under the uniform law when not given).
 
-    Rows are (m, l, p) with m the first and l the last edge count, the middle
-    edge holding n-m-l.  Returns (rows, summary) where the summary carries the
-    grid maximum and its location.
+    Returns (columns, summary).  The columns are the arrays (m, l, p) in rank
+    order, m the first and l the last edge count, the middle edge holding
+    n-m-l; p is a copy of the layer.  The summary carries the grid maximum and
+    its location.
     """
     check_phase_graph(g)
     if table is None:
         table = compute_table(g, n)
     cfgs = compositions(n, 3)
-    vals = table.layers[n]
-    rows = [(int(c[0]), int(c[2]), float(v)) for c, v in zip(cfgs, vals)]
+    columns = (cfgs[:, 0], cfgs[:, 2], table.layers[n].copy())
     best_cfg, best = argmax_config(table, n)
     summary = {
         "n": n,
@@ -68,7 +68,7 @@ def phase_diagram(g: Graph, n: int, table: ValueTable | None = None):
         "argmax_m": int(best_cfg[0]),
         "argmax_l": int(best_cfg[2]),
     }
-    return rows, summary
+    return columns, summary
 
 
 def transition_scan(g: Graph, x, n_list, weights=None, table: ValueTable | None = None):

@@ -1,9 +1,10 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
-from seqassign.cli import main
+from seqassign.cli import _emit, _verify_rows, main
 from seqassign.experiments import (
     CONJECTURE_COLUMNS,
     PHASE_COLUMNS,
@@ -11,7 +12,7 @@ from seqassign.experiments import (
     WINDOW_COLUMNS,
     a_star,
 )
-from seqassign.errors import DomainError
+from seqassign.errors import DomainError, SeqAssignError
 from seqassign.graph import complete_graph, cycle_graph, format_graph_text, path_graph
 from seqassign.values import (
     DEFAULT_BUDGET,
@@ -496,6 +497,85 @@ def test_phase_verify_against_cache(p4_file, tmp_path, capsys):
         capsys,
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phase", "--n", "30", "--verify"],
+        ["scan", "--point", "xstar", "--n-list", "10:40:10", "--verify"],
+    ],
+    ids=["phase", "scan"],
+)
+def test_verify_without_out_is_rejected_before_building_a_table(
+    argv, p4_file, capsys, monkeypatch
+):
+    import seqassign.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "compute_table", lambda *a, **kw: built.append(a))
+    code, out, err = run([argv[0], "--graph", p4_file, *argv[1:]], capsys)
+    assert code == 2
+    assert "--verify needs --out" in err
+    assert out == ""
+    assert built == []
+
+
+def _bump_last_digit(text: str) -> str:
+    """The float text with the last digit of its mantissa changed, to the
+    first digit that gives another double (2**-30 is 9.313225746154785e-10,
+    and so is ...786e-10)."""
+    mantissa, e, exponent = text.partition("e")
+    for step in range(1, 10):
+        digit = str((int(mantissa[-1]) + step) % 10)
+        bumped = mantissa[:-1] + digit + e + exponent
+        if float(bumped) != float(text):
+            return bumped
+    raise AssertionError(f"no one-digit change moves {text}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("row, caught", [(0, True), (100, True), (1, False)])
+def test_verify_checks_every_100th_row(fmt, row, caught, p4_file, tmp_path, capsys):
+    n = 30
+    out_path = tmp_path / f"grid.{fmt}"
+    code, _, _ = run(
+        ["phase", "--graph", p4_file, "--n", str(n), "--format", fmt, "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 0
+    if fmt == "csv":
+        lines = out_path.read_text().splitlines()
+        m, l, p = lines[1 + row].split(",")
+        lines[1 + row] = ",".join([m, l, _bump_last_digit(p)])
+        out_path.write_text("\n".join(lines) + "\n")
+    else:
+        payload = json.loads(out_path.read_text())
+        payload["rows"][row][2] = float(_bump_last_digit(repr(payload["rows"][row][2])))
+        out_path.write_text(json.dumps(payload))
+    table = compute_table(path_graph(4), n)
+
+    def verify():
+        _verify_rows(
+            str(out_path), fmt, table, 2,
+            lambda r: (int(r[0]), n - int(r[0]) - int(r[1]), int(r[1])),
+        )
+
+    if caught:
+        with pytest.raises(SeqAssignError, match="verification mismatch"):
+            verify()
+    else:
+        verify()
+
+
+def test_emit_writes_numpy_scalars_as_python_scalars(tmp_path):
+    columns = [[np.float64(0.5)], [np.int64(3)], [np.bool_(True)]]
+    _emit(str(tmp_path / "t.csv"), "csv", ["a", "b", "c"], columns)
+    assert (tmp_path / "t.csv").read_text() == "a,b,c\n0.5,3,1\n"
+    _emit(str(tmp_path / "t.json"), "json", ["a", "b", "c"], columns)
+    assert (tmp_path / "t.json").read_text() == (
+        '{"columns": ["a", "b", "c"], "rows": [[0.5, 3, true]]}\n'
+    )
 
 
 def test_scan_weighted_law(p4_file, tmp_path, capsys):

@@ -41,6 +41,16 @@ COMMANDS = {
         ["phase", "--graph", P4, "--n", "30", "--format", "json", "--out", "ph.json", "--verify"],
         ["ph.json"],
     ),
+    # the benchmark's grid: 48,516 rows, many written in exponent form
+    "phase_csv_310": (
+        ["phase", "--graph", P4, "--n", "310", "--out", "ph310.csv", "--verify"],
+        ["ph310.csv"],
+    ),
+    "phase_json_310": (
+        ["phase", "--graph", P4, "--n", "310", "--format", "json", "--out", "ph310.json",
+         "--verify"],
+        ["ph310.json"],
+    ),
     "scan_interior": (
         ["scan", "--graph", P4, "--point", "xstar", "--n-list", "10:40:10", "--verify",
          "--out", "scan.csv"],
@@ -93,6 +103,7 @@ COMMANDS = {
         [],
     ),
     "exit2_phase_edge_count": (["phase", "--graph", K4, "--n", "10"], []),
+    "exit2_phase_verify_without_out": (["phase", "--graph", P4, "--n", "30", "--verify"], []),
     "exit2_steer_runs": (
         ["steer", "--graph", P4, "--n", "40", "--n1", "10", "--runs", "0"],
         [],
@@ -109,6 +120,7 @@ DIGESTS = {
     "classify_p4": "1fdac1a106b7490a3befa7269ca67e71a051b60011f56e1d8951c1641b86e07f",
     "conjecture": "d74e55a5247cba7cf05849384c2247e57a3869f6ddc9a7d6d87986254b87e916",
     "exit2_phase_edge_count": "19e9d95b24b5fe05f23b425a98ebdb9a071a2a7a08c1a4cba5dd4bea0b3746ac",
+    "exit2_phase_verify_without_out": "ef8fcdd9cc5f620172f41266eae4982a976e0dbb8c747899eba1a6a10f2e8f63",
     "exit2_steer_runs": "08a0bc222e02488a894f843288db256bcae0625ce935d38c4e709aa3f10d49f0",
     "exit2_window_a_grid": "76aa877f6f8028ca644210a3967a29fd53ac895400c597b6b521f71656d9f03f",
     "flow_k4_outside": "0706bf9a79121d7f66fe578aea14ccb443ccc29061fb7092bb9627f6fd3521e1",
@@ -116,7 +128,9 @@ DIGESTS = {
     "flow_k5_outside": "480092587eae719977bb6f7d243c16d711744651bfbd37f908d1e8aa6a4ca839",
     "flow_k5_xstar": "2556a32610519b05cc93e7dc02ff08573275fc4eea94030bdca4f6b57b29f72e",
     "phase_csv": "0060e98d37ac6f77daed74397a90be848feeabb3ce49d9f1e54612f3dbd8afe0",
+    "phase_csv_310": "790421a767fa1717cd23649663242952868159be6bd7fa564c36cd644042bb79",
     "phase_json": "77eaa0ef61bac486f2275274ad800b3502ba09762bba0575fa036b7fa636b871",
+    "phase_json_310": "2eb4fbe852e183d149b34609fbeac06d0e7fe0d3a8da0b2bd4b2d769ca89aab0",
     "scan_interior": "65d8689622e3920517ae5d0c4aa09cfcdd391273f9ae70f713f567ab43038be1",
     "simulate_greedy": "8f5815ff1d7315fec46d3aa7e64b5c56c163041d03377ddf64ad5aff79c29a0b",
     "simulate_optimal": "95922762b7199421cd1c7446ea8062aca3d3d31cb84f910e56c6a87ad9beebdf",
