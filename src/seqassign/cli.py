@@ -53,6 +53,7 @@ from .values import (
 DEFAULT_SEED = 0
 DEFAULT_RUNS = 1000
 DEFAULT_Q0 = 8
+REPORT = ("json",)  # the --format of a command that writes one JSON report
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -69,6 +70,7 @@ def _parse_ints(text: str) -> list[int]:
             lo, hi, step = parts
         else:
             raise DomainError(f"bad range {text!r}")
+        _require_positive("range step", [step])
         return list(range(lo, hi + 1, step))
     return [int(v) for v in text.split(",")]
 
@@ -76,6 +78,7 @@ def _parse_ints(text: str) -> list[int]:
 def _parse_float_grid(text: str) -> list[float]:
     if ":" in text:
         lo, hi, step = (float(v) for v in text.split(":"))
+        _require_positive("range step", [step])
         grid = []
         v = lo
         while v <= hi + 1e-12:
@@ -306,6 +309,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     n_list = _parse_ints(args.n_list)
+    _require_positive("n-list entries", n_list)
     rows, summary = exp.conjecture_scan(args.k, n_list)
     _emit(args.out, args.format, exp.CONJECTURE_COLUMNS, zip(*rows), summary)
     return 0
@@ -333,6 +337,10 @@ def _cmd_steer(args) -> int:
         if args.config
         else round_to_config(args.n, x_star(g))
     )
+    if start.sum() != args.n:
+        raise DomainError(f"--config totals {start.sum()}, not --n {args.n}")
+    if args.n1 >= args.n:
+        raise DomainError(f"--n1 {args.n1} must be below the start total {args.n}")
     if args.calibrate:
         if args.q0 is not None:
             raise DomainError("--q0 has no effect with --calibrate")
@@ -360,9 +368,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _add_common(p, weights=False, cache=False, runs=False):
+def _add_common(p, weights=False, cache=False, runs=False, formats=("csv", "json")):
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--format", choices=formats, default=formats[0])
     if weights:
         p.add_argument("--weights", default=None, help="vertex-weight file (k floats)")
     if cache:
@@ -380,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["classify", "flow"])
     p.add_argument("--graph", required=True)
     p.add_argument("--point", required=True, help="comma floats or 'xstar'")
-    _add_common(p, weights=True)
+    _add_common(p, weights=True, formats=REPORT)
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("value", help="value table operations")
@@ -388,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--config", default=None, help="comma ints (for 'at')")
-    _add_common(p, weights=True, cache=True)
+    _add_common(p, weights=True, cache=True, formats=REPORT)
     p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("phase", help="full probability grid for a 3-edge graph")
@@ -428,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["exact", "k"], default="exact")
     p.add_argument("--q0", type=int, default=None)
     p.add_argument("--calibrate", action="store_true")
-    _add_common(p, runs=True)
+    _add_common(p, runs=True, formats=REPORT)
     p.set_defaults(func=_cmd_steer)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate for a strategy")
@@ -436,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--q0", type=int, default=None)
-    _add_common(p, weights=True, cache=True, runs=True)
+    _add_common(p, weights=True, cache=True, runs=True, formats=REPORT)
     p.set_defaults(func=_cmd_simulate)
 
     return ap

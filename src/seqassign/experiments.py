@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import RegionKind, classify_point
 from .graph import Graph, path_graph
-from .simulate import TraceSpec, child_rng, deviation_tail, play, trace_diagnostics
+from .simulate import child_rng, deviation_tail, play, trace_diagnostics
 from .strategies import SteerExact, SteerKTarget, SteerPlan, Stage1Steer
 from .values import (
     SliceSpec,
@@ -216,24 +216,18 @@ def steering_report(
     )
     total = int(start_config.sum())
     x0 = start_config / total
-    gap = x0 - plan.z
     flags = 0
     mean_s_inc = []
-    if float(np.linalg.norm(gap)) > 0 and kind == "exact":
-        u = gap / np.linalg.norm(gap)
+    # a start at the target has no drift direction to diagnose
+    if kind == "exact" and np.any(x0 != plan.z):
+        stage1 = Stage1Steer(g, plan.z, x0=x0)
         for i in range(3):
-            stage1_run = Stage1Steer(g, plan.z, x0=x0)
             result = play(
-                g,
-                start_config,
-                stage1_run,
-                child_rng(seed + 1, i),
-                steps_limit=total // 2,
-                trace_spec=TraceSpec(z=plan.z, u=u),
+                g, start_config, stage1, child_rng(seed + 1, i), steps_limit=total // 2, trace=True
             )
-            diag = trace_diagnostics(g, result, stage1=stage1_run)
+            diag = trace_diagnostics(g, result, stage1=stage1)
             flags += len(diag.positive_drift_steps)
-            if diag.s_increments is not None and len(diag.s_increments):
+            if len(diag.s_increments):
                 mean_s_inc.append(float(np.mean(diag.s_increments)))
     return {
         "kind": kind,

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IllegalStrategyMove
-from .geometry import TOL, check_weights, face_values, uniform_weights
+from .geometry import TOL, check_weights, membership_flow, uniform_weights
 from .graph import Graph
 from .strategies import FORFEIT, GreedyLargest, Stage1Steer, Strategy, TableStrategy
 from .values import (
     DEFAULT_BUDGET,
     DownSetTable,
     ValueTable,
-    active_faces,
     check_config,
     downset_from_table,
     graph_hash,
@@ -40,23 +39,12 @@ _WILSON_Z = 1.959963984540054
 
 
 @dataclass
-class TraceSpec:
-    """What to record per step: deviation/S need a declared target (and ray
-    direction for S); face functionals are recorded when record_faces is set."""
-
-    z: np.ndarray | None = None
-    u: np.ndarray | None = None
-    record_faces: bool = False
-
-
-@dataclass
 class Trace:
+    """The drawn vertex and the decremented edge of every step played; the
+    states they pass through come from `replay_states`."""
+
     vertices: np.ndarray
     edges: np.ndarray
-    dev: np.ndarray | None = None
-    s_values: np.ndarray | None = None
-    z_values: np.ndarray | None = None
-    spec: TraceSpec | None = None
 
 
 @dataclass
@@ -233,11 +221,12 @@ def play(
     rng,
     weights=None,
     steps_limit: int | None = None,
-    trace_spec: TraceSpec | None = None,
+    trace: bool = False,
 ) -> GameResult:
     """Play one game.  `rng` is a numpy Generator or an int seed.  With
     `steps_limit` the game stops early (useful for mid-game snapshots); a
-    truncated game never counts as won."""
+    truncated game never counts as won.  With `trace` the result carries the
+    drawn vertices and the played edges."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     w = _vertex_law(g, strategy, weights)
@@ -247,14 +236,9 @@ def play(
     steps = total if steps_limit is None else min(total, steps_limit)
     strategy.reset(g, state.copy(), total)
 
-    record = trace_spec is not None
-    if record:
+    if trace:
         verts = np.zeros(steps, dtype=np.int64)
         edges = np.zeros(steps, dtype=np.int64)
-        dev = np.zeros(steps) if trace_spec.z is not None else None
-        s_vals = np.zeros(steps) if trace_spec.u is not None else None
-        z_vals = np.zeros(steps) if trace_spec.record_faces else None
-        faces = active_faces(g) if trace_spec.record_faces else None
 
     forfeit_step = None
     t = 0
@@ -272,36 +256,17 @@ def play(
             raise IllegalStrategyMove(
                 f"{strategy.name} chose edge {e} for vertex {v} at state {state.tolist()}"
             )
+        if trace:
+            verts[t], edges[t] = v, e
         state[e] -= 1
         t += 1
-        if record:
-            verts[t - 1], edges[t - 1] = v, e
-            rem = total - t
-            if dev is not None:
-                dev[t - 1] = float(np.linalg.norm(state - rem * trace_spec.z))
-            if s_vals is not None:
-                s_vals[t - 1] = float((state - rem * trace_spec.z) @ trace_spec.u)
-            if z_vals is not None:
-                z_vals[t - 1] = face_values(g, faces, rem, state).min()
 
-    steps_played = t
-    won = forfeit_step is None and steps_played == total
-    trace = None
-    if record:
-        trace = Trace(
-            vertices=verts[:steps_played],
-            edges=edges[:steps_played],
-            dev=None if dev is None else dev[:steps_played],
-            s_values=None if s_vals is None else s_vals[:steps_played],
-            z_values=None if z_vals is None else z_vals[:steps_played],
-            spec=trace_spec,
-        )
     return GameResult(
-        won=won,
-        steps_played=steps_played,
+        won=forfeit_step is None and t == total,
+        steps_played=t,
         forfeit_step=forfeit_step,
         final=state,
-        trace=trace,
+        trace=Trace(vertices=verts[:t], edges=edges[:t]) if trace else None,
     )
 
 
@@ -492,50 +457,36 @@ def trace_diagnostics(
     table: ValueTable | None = None,
     stage1: Stage1Steer | None = None,
 ) -> Diagnostics:
-    """Per-step increments of the recorded supermartingale quantities.
+    """Per-step increments of the supermartingale quantities along a traced
+    game, from the states that `replay_states` rebuilds.
 
-    With a stage-1 strategy the exact conditional mean increment of S at each
-    visited state is recomputed from the prescribed kernel (one-step
-    summation); steps where it is positive are flagged.  With a table the
-    increments of the optimal-value process along the trace are averaged."""
-    trace = result.trace
-    if trace is None:
+    With a stage-1 strategy (reset by the game) the increments of
+    S = (N - r*z) @ u along its target z and direction u are returned, and
+    the exact conditional mean increment of S at each visited state is
+    recomputed from the prescribed kernel (one-step summation); steps where
+    it is positive are flagged.  With a table the increments of the
+    optimal-value process along the trace are averaged."""
+    if result.trace is None:
         raise ValueError("result carries no trace")
+    states = replay_states(result)
+    n = int(states[0].sum())
     s_increments = None
-    if trace.s_values is not None:  # recorded only with a target z and a direction u
-        start = replay_states(result)[0] if result.steps_played else result.final
-        spec = trace.spec
-        s_base = float((start - int(start.sum()) * spec.z) @ spec.u)
-        s_increments = np.diff(trace.s_values, prepend=s_base)
-
     positive: list[int] = []
     if stage1 is not None and stage1.u is not None:
-        from .geometry import membership_flow
-
-        states = replay_states(result)
         z, u = stage1.z, stage1.u
-        done = False
-        for t in range(result.steps_played):
-            state = states[t]
-            rem = int(state.sum())
-            if rem <= 1:
+        s_increments = np.diff([float((st - (n - t) * z) @ u) for t, st in enumerate(states)])
+        # the stage ends for good once the state comes within eps0 of z
+        for t, state in enumerate(states[:-1]):
+            rem = n - t
+            if rem <= 1 or float(np.linalg.norm(state / rem - z)) <= stage1.eps0:
                 break
-            x = state / rem
-            if float(np.linalg.norm(x - z)) <= stage1.eps0:
-                done = True
-            if done:
-                continue
-            y = stage1.current_exit(x)
+            y = stage1.current_exit(state / rem)
             _, kernel = membership_flow(g, np.maximum(y, 0.0) / max(y.sum(), 1e-300))
-            if kernel is None:
-                continue
-            mean = kernel.weights @ kernel.q
-            if float((mean - z) @ u) < -1e-12:
+            if kernel is not None and float((kernel.weights @ kernel.q - z) @ u) < -1e-12:
                 positive.append(t)
 
     p_mean = None
     if table is not None:
-        states = replay_states(result)
         p_vals = np.array([value_at(table, s) for s in states])
         p_mean = float(np.diff(p_vals).mean()) if len(p_vals) > 1 else 0.0
 

@@ -1,5 +1,5 @@
 """Playable strategies: table-optimal play, baselines, randomized steering
-toward target points, the outward cascade, and the controlled-ODE integrator.
+toward target points, the outward drift, and the controlled-ODE integrator.
 
 A strategy is an object with `reset(graph, config, total)` called once per
 game and `choose(state, remaining, vertex, rng) -> edge index` called once per
@@ -187,6 +187,20 @@ def _steer_move(g: Graph, point, default, state, vertex: int, rng, excess=None) 
     return _legal_move(g, state, vertex, excess)
 
 
+def _confine_move(
+    g: Graph, center, d0: float, kernel, r: int, state, vertex: int, rng, excess=None
+) -> int:
+    """One confinement move about the line r*center: when the counts (the
+    state, or its excess over a target when given) lie d0 or further from
+    it, play the kernel of the boundary exit of the ray from center through
+    counts/r, else `kernel`, the center's own; then as `_steer_move`."""
+    counts = np.asarray(state if excess is None else excess, float)
+    y = None
+    if np.linalg.norm(counts - r * center) >= d0:
+        y = _exit_point(g, center, counts / r - center)
+    return _steer_move(g, y, kernel, state, vertex, rng, excess)
+
+
 def _confinement_radius(delta: float, d0: float | None = None) -> float:
     """Stage-2 radius for a target at boundary distance delta: d0 when given,
     else sqrt(2) + 4/delta + 1; never below sqrt(2) + 4/delta."""
@@ -299,37 +313,27 @@ class Stage2Steer(Strategy):
         self.d0 = _confinement_radius(delta, d0)
         self._z_kernel = _kernel_for(g, self.z)
 
-    def exit_for(self, x: np.ndarray) -> np.ndarray | None:
-        direction = x - self.z
-        if np.linalg.norm(direction) < 1e-14:
-            return None
-        return _exit_point(self.g, self.z, direction)
-
     def choose(self, state, remaining, vertex, rng) -> int:
-        dev = np.asarray(state, float) - remaining * self.z
-        y = None
-        if np.linalg.norm(dev) >= self.d0:
-            y = self.exit_for(np.asarray(state, float) / remaining)
-        return _steer_move(self.g, y, self._z_kernel, state, vertex, rng)
+        return _confine_move(self.g, self.z, self.d0, self._z_kernel, remaining, state, vertex, rng)
 
 
-class SteerExact(Stage2Steer):
+class SteerExact(Strategy):
     """Three-stage steering toward an integer target config at a target total:
     ray drift, confinement, then a greedy finishing window that removes the
     componentwise excess (largest excess first, only edges above target).
 
-    The confinement stage is inherited from Stage2Steer and shares the
-    target kernel of the drift stage, a Stage1Steer, so the target is
-    classified, measured and given a kernel once."""
+    The drift stage is a Stage1Steer; the confinement moves share its target
+    kernel, so the target is classified, measured and given a kernel once."""
 
     name = "steer"
+    uniform_law_only = True
 
     def __init__(self, g: Graph, plan: SteerPlan):
         self.plan = plan
-        self.d0, self.eps0, self.M = plan.resolved(g)
-        self._stage1 = Stage1Steer(g, plan.z, eps0=self.eps0)
-        self.g, self.z, self._z_kernel = g, self._stage1.z, self._stage1._z_kernel
-        self.finish_cut = plan.n1 + self.M * plan.q0
+        self.d0, eps0, M = plan.resolved(g)
+        self._stage1 = Stage1Steer(g, plan.z, eps0=eps0)
+        self.g = g
+        self.finish_cut = plan.n1 + M * plan.q0
 
     def reset(self, graph, config, total):
         self._stage1.reset(graph, config, total)
@@ -339,9 +343,12 @@ class SteerExact(Stage2Steer):
         if remaining <= self.finish_cut:
             excess = np.asarray(state) - self.target
             return _legal_move(self.g, state, vertex, excess=excess)
-        if not self._stage1.done:
-            return self._stage1.choose(state, remaining, vertex, rng)
-        return super().choose(state, remaining, vertex, rng)
+        stage1 = self._stage1
+        if not stage1.done:
+            return stage1.choose(state, remaining, vertex, rng)
+        return _confine_move(
+            self.g, stage1.z, self.d0, stage1._z_kernel, remaining, state, vertex, rng
+        )
 
 
 class SteerKTarget(Strategy):
@@ -360,13 +367,12 @@ class SteerKTarget(Strategy):
         self.plan = plan
         if min_slack(g, plan.z)[0] < -1e-9:
             raise DomainError("target must lie in the closed region")
-        self.q0 = plan.q0
 
     def reset(self, graph, config, total):
         x0 = np.asarray(config, float) / total
         self.x_mid = 0.5 * x0 + 0.5 * self.plan.z
         self._approach = SteerExact(
-            self.g, SteerPlan(z=self.x_mid, n1=2 * self.plan.n1, q0=self.q0)
+            self.g, SteerPlan(z=self.x_mid, n1=2 * self.plan.n1, q0=self.plan.q0)
         )
         self._approach.reset(graph, config, total)
         self.target = self.plan.target_config
@@ -391,21 +397,20 @@ class SteerKTarget(Strategy):
             self._enter_shifted(state, remaining)
         m_shift = remaining - self.plan.n1
         excess = np.asarray(state) - self.target
-        if m_shift <= self.M * self.q0:
+        if m_shift <= self.M * self.plan.q0:
             return _legal_move(self.g, state, vertex, excess=excess)
-        shifted = excess.astype(float)
-        y = None
-        if np.linalg.norm(shifted - m_shift * self.w) >= self.d0:
-            y = _exit_point(self.g, self.w, shifted / m_shift - self.w)
-        return _steer_move(self.g, y, self._w_kernel, state, vertex, rng, excess)
+        return _confine_move(
+            self.g, self.w, self.d0, self._w_kernel, m_shift, state, vertex, rng, excess
+        )
 
 
 class OutwardSteer(Strategy):
-    """Doubling cascade away from the boundary: target points 1.5x further
-    from the starting ray's exit each leg (a leg ends once the state is within
-    a quarter of that distance of its target), until the normalized state
-    clears half the boundary distance of x*; afterwards play drift-neutral
-    kernels."""
+    """Drift away from the boundary.  Until the normalized state clears half
+    the boundary distance of x*, play the kernel of the boundary exit ahead
+    of the state along one fixed direction: from the start toward the point
+    where the ray from x* through the start leaves the region.  The drift
+    then points away from that boundary.  Once clear (`reached_step` records
+    the step), play the kernel of the state itself, which is drift neutral."""
 
     name = "outward"
     uniform_law_only = True
@@ -431,14 +436,11 @@ class OutwardSteer(Strategy):
             return
         anchor = x_star(self.g)
         y, _, _ = ray_exit(self.g, anchor, x0 - anchor)
-        self.y = y
-        self.d = max(float(np.linalg.norm(x0 - y)), 1e-12)
         gap = y - x0
+        if np.linalg.norm(gap) <= 1e-12:
+            # a start on the boundary is its own exit; the ray points the same way
+            gap = x0 - anchor
         self.u = gap / np.linalg.norm(gap)
-        self.leg = 0
-
-    def _target(self) -> np.ndarray:
-        return self.y + (1.5 ** (self.leg + 1)) * (-self.d) * self.u
 
     def choose(self, state, remaining, vertex, rng) -> int:
         self.step += 1
@@ -448,9 +450,6 @@ class OutwardSteer(Strategy):
         if self.reached_step is not None:
             y = clip_to_region(self.g, x)
         else:
-            # legs share the ray direction; advancing only moves the milestone
-            if np.linalg.norm(x - self._target()) < 0.25 * (1.5 ** (self.leg + 1)) * self.d:
-                self.leg += 1
             y = _exit_point(self.g, x, self.u, fallback=x)
         return _steer_move(self.g, y, None, state, vertex, rng)
 

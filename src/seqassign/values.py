@@ -42,7 +42,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -81,29 +80,6 @@ def rank_config(cfg) -> int:
         p += cfg[i - 1] + 1
         r += comb(p, i)
     return r
-
-
-@lru_cache(maxsize=32)
-def _binom_tables(m: int, max_total: int) -> tuple[np.ndarray, ...]:
-    """tables[i-1][x] = C(x, i) for i = 1..m-1, x = 0..max_total+m."""
-    xs = range(max_total + m + 1)
-    return tuple(
-        np.array([comb(x, i) for x in xs], dtype=np.int64) for i in range(1, m)
-    )
-
-
-def _bars(ranks: np.ndarray, m: int, tables) -> np.ndarray:
-    """Vectorized unrank: the (m-1, N) bar positions p_1..p_{m-1} of the
-    given ranks, one searchsorted per coordinate from the top down."""
-    bars = np.empty((m - 1, len(ranks)), dtype=np.int64)
-    rem = ranks.copy()
-    for i in range(m - 1, 0, -1):
-        col = tables[i - 1]
-        p = bars[i - 1]
-        p[:] = np.searchsorted(col, rem, side="right")
-        p -= 1
-        rem -= col[p]
-    return bars
 
 
 def _layer_bars(total: int, m: int) -> np.ndarray:
@@ -160,8 +136,15 @@ def _configs(bars: np.ndarray, total: int) -> np.ndarray:
 
 
 def _unrank(ranks: np.ndarray, total: int, m: int) -> np.ndarray:
-    """The configs of the given ranks in layer total, as an (N, m) array."""
-    return _configs(_bars(ranks, m, _binom_tables(m, total)), total)
+    """The configs of the given ranks in layer total, as an (N, m) array:
+    each rank falls in one row (see _layer_bars), found among the rows'
+    cumulative lengths, and its offset in that row is p_1."""
+    if m == 2:
+        return _configs(ranks[None], total)
+    rows = _layer_bars(total, m - 1) + 1
+    ends = np.cumsum(rows[0])
+    j = np.searchsorted(ends, ranks, side="right")
+    return _configs(np.vstack([ranks - ends[j] + rows[0, j], rows[:, j]]), total)
 
 
 def compositions(total: int, m: int) -> np.ndarray:

@@ -19,7 +19,6 @@ from seqassign.geometry import (
 )
 from seqassign.graph import subset_size
 from seqassign.simulate import (
-    TraceSpec,
     child_rng,
     deviation_tail,
     estimate,
@@ -259,14 +258,13 @@ def test_criterion_08_drift_and_supermartingale(p4, c4):
     xs = x_star(p4)
     x0 = np.array([0.30, 0.34, 0.36])
     cfg = round_to_config(400, x0)
-    u = (cfg / 400 - xs) / np.linalg.norm(cfg / 400 - xs)
     flags = 0
     sampled = 0
     for i in range(5):
         s1 = Stage1Steer(p4, xs, x0=x0)
         result = play(
             p4, cfg, s1, child_rng(809, i),
-            steps_limit=200, trace_spec=TraceSpec(z=xs, u=u),
+            steps_limit=200, trace=True,
         )
         diag = trace_diagnostics(p4, result, stage1=s1)
         flags += len(diag.positive_drift_steps)

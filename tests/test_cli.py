@@ -741,6 +741,66 @@ def test_unused_flags_are_rejected(p4_file, tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "classify", "--graph", "G", "--point", "xstar"],
+        ["value", "argmax", "--graph", "G", "--n", "10"],
+        ["steer", "--graph", "G", "--n", "40", "--n1", "10", "--runs", "2"],
+        ["simulate", "--graph", "G", "--config", "5,3,4", "--strategy", "greedy", "--runs", "5"],
+    ],
+)
+def test_report_commands_write_json_only(p4_file, capsys, argv):
+    argv = [p4_file if a == "G" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--format", "csv"])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # --config must start from --n
+        (["steer", "--n", "5", "--n1", "2", "--config", "120,136,144"], "--config"),
+        # the target total must lie below the start total
+        (["steer", "--n", "40", "--n1", "50"], "--n1"),
+        (["steer", "--n", "40", "--n1", "40"], "--n1"),
+        (["conjecture", "--k", "4", "--n-list", "0,10"], "n-list"),
+        (["conjecture", "--k", "4", "--n-list", "0:8:4"], "n-list"),
+    ],
+)
+def test_impossible_totals_are_rejected(p4_file, capsys, argv, message):
+    if argv[0] == "steer":
+        argv = argv + ["--graph", p4_file, "--runs", "2"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "flag, grid",
+    [
+        ("--a-grid", "0.5:2:0"),
+        ("--a-grid", "0.5:2:-1"),
+        ("--n-list", "40:10:-5"),
+        ("--n-list", "10:40:-5"),
+        ("--n-list", "10:40:0"),
+    ],
+)
+def test_range_step_must_be_positive(p4_file, capsys, flag, grid):
+    argv = ["window", "--graph", p4_file, "--n-list", "16", "--a-grid", "1"]
+    argv[argv.index(flag) + 1] = grid
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "range step" in err
+
+
+@pytest.mark.parametrize(
     "strategy", ["steer:xstar:24", "steer-k:0.25,0.375,0.375:24", "outward:1.0"]
 )
 def test_simulate_steering_rejects_weights(p4_file, tmp_path, capsys, strategy):

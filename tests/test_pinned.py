@@ -15,10 +15,18 @@ import pytest
 from seqassign.experiments import steering_report, window_collapse
 from seqassign.geometry import x_star
 from seqassign.simulate import estimate
-from seqassign.strategies import GreedyLargest, OutwardSteer, SteerKTarget, SteerPlan
+from seqassign.strategies import (
+    GreedyLargest,
+    OutwardSteer,
+    Stage2Steer,
+    SteerExact,
+    SteerKTarget,
+    SteerPlan,
+)
 from seqassign.values import round_to_config
 
 BOUNDARY_TARGET = np.array([0.25, 0.375, 0.375])
+K4_TARGET = np.array([0.3, 0.1, 0.1, 0.2, 0.2, 0.1])
 
 
 def tail_counts(report):
@@ -68,6 +76,42 @@ def test_estimate_successes_pinned(p4):
     steer_k = SteerKTarget(p4, SteerPlan(z=BOUNDARY_TARGET, n1=24))
     assert estimate(p4, round_to_config(120, xs), steer_k, 20, 12).successes == 2
     assert estimate(p4, [23, 15, 22], GreedyLargest(), 500, 13).successes == 96
+
+
+def test_confinement_successes_pinned(p4, k4):
+    # from (60, 10, 30) the deviation from the target line exceeds d0, so
+    # the confinement stage plays exit-point kernels
+    assert estimate(p4, [60, 10, 30], Stage2Steer(p4, x_star(p4)), 40, 5).successes == 1
+    exact = SteerExact(k4, SteerPlan(z=x_star(k4), n1=12))
+    assert estimate(k4, [60, 24, 24, 30, 30, 12], exact, 10, 7).successes == 3
+    # q0 = 2 leaves room for the shifted confinement phase before the window
+    steer_k = SteerKTarget(k4, SteerPlan(z=K4_TARGET, n1=12, q0=2))
+    assert estimate(k4, [10] * 6, steer_k, 20, 8).successes == 10
+
+
+def test_outward_drift_successes_pinned(k4):
+    start = np.array([20, 8, 8, 10, 10, 4])
+    outward = OutwardSteer(k4, amplitude=0.3)
+    outward.reset(k4, start, 60)
+    assert outward.reached_step is None  # the drift branch runs
+    assert estimate(k4, start, outward, 30, 9).successes == 10
+
+
+@pytest.mark.parametrize(
+    "seed, hits, tail",
+    [
+        (3, 4, [4, 4] + [0] * 19),
+        (4, 3, [5, 5] + [0] * 19),
+    ],
+)
+def test_k4_steering_report_pinned(k4, seed, hits, tail):
+    plan = SteerPlan(z=x_star(k4), n1=12)
+    report = steering_report(k4, plan, [60, 24, 24, 30, 30, 12], 8, seed)
+    assert report["hits"] == hits
+    assert report["target_config"] == [2] * 6
+    assert tail_counts(report) == tail
+    assert report["stage1_positive_drift_flags"] == 0
+    assert len(report["stage1_mean_s_increment"]) == 3
 
 
 def test_window_slices_pinned(p4):

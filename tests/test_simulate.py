@@ -5,9 +5,8 @@ import pytest
 
 from seqassign import simulate
 from seqassign.errors import DomainError, IllegalStrategyMove, LayerOutOfRange, NegativeEntry
-from seqassign.geometry import face_scale, x_star
+from seqassign.geometry import face_scale, face_values, x_star
 from seqassign.simulate import (
-    TraceSpec,
     _child_uniforms,
     child_rng,
     deviation_tail,
@@ -31,7 +30,13 @@ from seqassign.strategies import (
     SteerPlan,
 )
 from seqassign.graph import path_graph, star_graph
-from seqassign.values import compute_table, downset_table, round_to_config, value_at
+from seqassign.values import (
+    active_faces,
+    compute_table,
+    downset_table,
+    round_to_config,
+    value_at,
+)
 
 
 class FirstPositive(Strategy):
@@ -325,22 +330,17 @@ def test_tail_reproducible(p4):
 
 
 def test_trace_lengths_and_replay(p4):
-    xs = x_star(p4)
-    u = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
-    spec = TraceSpec(z=xs, u=u, record_faces=True)
-    result = play(p4, [10, 8, 10], FirstPositive(), 3, trace_spec=spec)
+    result = play(p4, [10, 8, 10], FirstPositive(), 3, trace=True)
     n = result.steps_played
     assert len(result.trace.vertices) == n
     assert len(result.trace.edges) == n
-    assert len(result.trace.dev) == n
     states = replay_states(result)
     assert np.array_equal(states[-1], result.final)
     assert states[0].sum() == 28
-    # recorded deviation matches the replayed states
-    for t in range(n):
-        rem = 28 - (t + 1)
-        expect = np.linalg.norm(states[t + 1] - rem * xs)
-        assert result.trace.dev[t] == pytest.approx(expect, abs=1e-12)
+    # each recorded edge is incident to its drawn vertex and was decremented
+    for t, (v, e) in enumerate(zip(result.trace.vertices, result.trace.edges)):
+        assert e in p4.incidence[v - 1]
+        assert np.array_equal(states[t] - states[t + 1], np.eye(3, dtype=int)[e])
 
 
 def test_optimal_value_process_is_martingale_empirically(p4):
@@ -349,8 +349,7 @@ def test_optimal_value_process_is_martingale_empirically(p4):
     incs = []
     for i in range(150):
         result = play(
-            p4, cfg, TableStrategy(table), child_rng(31, i),
-            trace_spec=TraceSpec(),
+            p4, cfg, TableStrategy(table), child_rng(31, i), trace=True
         )
         states = replay_states(result)
         ps = [value_at(table, s) for s in states]
@@ -366,11 +365,12 @@ def test_optimal_value_process_is_martingale_empirically(p4):
 def test_face_increment_bound(p4):
     # per-step moves shift each face functional by at most 2 * max scale
     max_scale = max(face_scale(3, f) for f in (1, 2))
-    result = play(
-        p4, [20, 14, 20], GreedyLargest(), 7,
-        trace_spec=TraceSpec(record_faces=True),
-    )
-    dz = np.abs(np.diff(result.trace.z_values))
+    result = play(p4, [20, 14, 20], GreedyLargest(), 7, trace=True)
+    faces = active_faces(p4)
+    states = replay_states(result)
+    total = int(states[0].sum())
+    z_values = [face_values(p4, faces, total - t, st).min() for t, st in enumerate(states)]
+    dz = np.abs(np.diff(z_values[1:]))
     assert dz.max() <= 2 * max_scale + 1e-9
 
 
@@ -378,12 +378,11 @@ def test_stage1_diagnostics_clean_in_regime(p4):
     xs = x_star(p4)
     x0 = np.array([0.30, 0.34, 0.36])
     cfg = round_to_config(400, x0)
-    u = (cfg / 400 - xs) / np.linalg.norm(cfg / 400 - xs)
     for i in range(3):
         s1 = Stage1Steer(p4, xs, x0=x0)
         result = play(
             p4, cfg, s1, child_rng(57, i),
-            steps_limit=200, trace_spec=TraceSpec(z=xs, u=u),
+            steps_limit=200, trace=True,
         )
         diag = trace_diagnostics(p4, result, stage1=s1)
         assert diag.positive_drift_steps == []
@@ -404,7 +403,7 @@ def test_diagnostics_with_table(p4):
     table = compute_table(p4, 30)
     cfg = round_to_config(30, x_star(p4))
     result = play(
-        p4, cfg, TableStrategy(table), child_rng(3, 0), trace_spec=TraceSpec()
+        p4, cfg, TableStrategy(table), child_rng(3, 0), trace=True
     )
     diag = trace_diagnostics(p4, result, table=table)
     assert diag.p_increment_mean is not None

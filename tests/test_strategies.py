@@ -26,6 +26,7 @@ from seqassign.strategies import (
     SteerPlan,
     UniformIncident,
     _KernelSampler,
+    _exit_point,
     _steer_move,
     baseline_strategy,
     ode_trajectory,
@@ -257,10 +258,10 @@ def test_stage2_requires_radius(p4):
 
 
 def test_stage2_exit_example(p4):
-    s = Stage2Steer(p4, x_star(p4))
-    y = s.exit_for(np.array([0.35, 0.275, 0.375]))
+    # the confinement exit: the ray from the target through the state
+    xs = x_star(p4)
+    y = _exit_point(p4, xs, np.array([0.35, 0.275, 0.375]) - xs)
     assert np.allclose(y, [0.25, 0.375, 0.375], atol=1e-12)
-    assert s.exit_for(x_star(p4)) is None  # degenerate ray
 
 
 def test_stage2_inside_radius_plays_target_kernel(p4):
@@ -437,7 +438,7 @@ def test_calibrate_q0_terminates(p4):
     assert curve.tail[0] <= 0.5
 
 
-# --- outward cascade ----------------------------------------------------------------
+# --- outward drift ------------------------------------------------------------------
 
 
 def test_outward_immediate_stop(p4):
@@ -447,18 +448,19 @@ def test_outward_immediate_stop(p4):
     assert ow.reached_step == 0
 
 
-def test_outward_target_sequence_norms(p4):
-    y0 = np.array([0.25, 0.375, 0.375])
-    xs = x_star(p4)
-    x0 = y0 + 0.3 * (xs - y0)
-    ow = OutwardSteer(p4)
-    ow.reset(p4, round_to_config(4000, x0), 4000)
-    d = ow.d
-    for leg in range(3):
-        ow.leg = leg
-        assert np.linalg.norm(ow._target() - ow.y) == pytest.approx(
-            1.5 ** (leg + 1) * d
-        )
+def test_outward_boundary_start(p4):
+    # (2, 3, 3)/8 lies on the boundary, so the ray from x* through it exits at
+    # the start itself; the drift direction is then x0 - x*, with no 0/0
+    start = np.array([2, 3, 3])
+    x0 = start / 8
+    assert min_slack(p4, x0)[0] == 0.0
+    ow = OutwardSteer(p4, amplitude=0.0)
+    ow.reset(p4, start, 8)
+    assert ow.reached_step is None
+    gap = x0 - x_star(p4)
+    assert np.allclose(ow.u, gap / np.linalg.norm(gap), atol=1e-15)
+    # the suite turns a RuntimeWarning into an error, so a 0/0 would fail here
+    assert play(p4, start, ow, 3).steps_played > 0
 
 
 def test_outward_amplitude_check(p4):

@@ -31,12 +31,11 @@ from seqassign.values import (
     DEFAULT_BUDGET,
     LOSS,
     SliceSpec,
-    _bars,
-    _binom_tables,
     _configs,
     _layer_bars,
     _live,
     _next_layer,
+    _unrank,
     active_faces,
     argmax_config,
     compositions,
@@ -115,12 +114,16 @@ def test_child_rank_shift_matches_scalar():
 @pytest.mark.parametrize("m", range(2, 9))
 def test_layer_bars_match_unrank(m):
     # the rows repeated along their lengths give every rank's bars, from the
-    # one-config layer t = 0 up; for m = 2 a layer is a single row
-    tables = _binom_tables(m, 12)
+    # one-config layer t = 0 up; for m = 2 a layer is a single row.  _unrank
+    # finds the same configs for any ranks, in any order
     for total in range(13):
-        bars = _bars(np.arange(layer_size(total, m)), m, tables)
-        assert np.array_equal(_layer_bars(total, m), bars)
-        cfgs = _configs(bars, total)
+        n = layer_size(total, m)
+        ranks = np.arange(n)[:: 1 + n // 300][::-1]
+        expect = np.array([unrank_config(int(r), total, m) for r in ranks]).reshape(-1, m)
+        cfgs = _configs(_layer_bars(total, m), total)
+        assert np.array_equal(cfgs[ranks], expect)
+        assert np.array_equal(_unrank(ranks, total, m), expect)
+        assert np.array_equal(_unrank(np.arange(n), total, m), cfgs)
         for e, live in _live(total, m):
             assert np.array_equal(live, cfgs[:, e] > 0)
 
