@@ -71,7 +71,7 @@ def _parse_ints(text: str) -> list[int]:
         else:
             raise DomainError(f"bad range {text!r}")
         _require_positive("range step", [step])
-        return list(range(lo, hi + 1, step))
+        return _nonempty(text, list(range(lo, hi + 1, step)))
     return [int(v) for v in text.split(",")]
 
 
@@ -84,8 +84,14 @@ def _parse_float_grid(text: str) -> list[float]:
         while v <= hi + 1e-12:
             grid.append(round(v, 12))
             v += step
-        return grid
+        return _nonempty(text, grid)
     return [float(v) for v in text.split(",")]
+
+
+def _nonempty(text: str, values: list) -> list:
+    if not values:
+        raise DomainError(f"range {text!r} has no values")
+    return values
 
 
 def _load_weights(g: Graph, path: str | None):
@@ -171,30 +177,19 @@ def _table_for(g: Graph, n: int, args):
     return compute_table(g, n, weights)
 
 
-def _box_for(g: Graph, config, args):
-    """The values a game from config reads: the down-set of config, or the
-    full table when --cache names one."""
-    if args.cache:
-        return _table_for(g, sum(config), args)
-    return downset_table(g, config, _load_weights(g, args.weights))
-
-
 def parse_strategy(spec: str, g: Graph, config, args):
     if spec == "optimal":
-        return optimal_strategy(_box_for(g, config, args))
-    if getattr(args, "cache", None):
-        raise DomainError(f"strategy {spec!r} reads no value table; drop --cache")
+        # the values a game from config reads: the down-set of config
+        return optimal_strategy(downset_table(g, config, _load_weights(g, args.weights)))
     if spec in ("uniform", "greedy"):
         return baseline_strategy(spec)
-    if spec.startswith(("steer:", "steer-k:", "outward:")) and getattr(args, "weights", None):
+    if spec.startswith(("steer:", "steer-k:", "outward:")) and args.weights:
         # the steering kernels realize their targets under the uniform law only
         raise DomainError(f"strategy {spec!r} does not support --weights")
     if spec.startswith("steer:") or spec.startswith("steer-k:"):
         kind, zspec, n1 = spec.split(":")
-        q0 = getattr(args, "q0", None)
-        plan = SteerPlan(
-            z=_point(g, zspec), n1=int(n1), q0=DEFAULT_Q0 if q0 is None else q0
-        )
+        q0 = DEFAULT_Q0 if args.q0 is None else args.q0
+        plan = SteerPlan(z=_point(g, zspec), n1=int(n1), q0=q0)
         return SteerExact(g, plan) if kind == "steer" else SteerKTarget(g, plan)
     if spec.startswith("outward:"):
         amplitude = float(spec.split(":")[1])
@@ -235,7 +230,10 @@ def _cmd_value(args) -> int:
         if args.config is None:
             raise DomainError("value at needs --config")
         config = [int(v) for v in args.config.split(",")]
-        table = _box_for(g, config, args)
+        if args.cache:
+            table = _table_for(g, sum(config), args)
+        else:
+            table = downset_table(g, config, _load_weights(g, args.weights))
         _emit_report(args.out, {"config": config, "p": value_at(table, config)})
         return 0
     if args.n is None:
@@ -275,7 +273,7 @@ def _cmd_phase(args) -> int:
     _require_positive("n", [args.n])
     exp.check_phase_graph(g)
     table = _table_for(g, args.n, args)
-    columns, summary = exp.phase_diagram(g, args.n, table=table)
+    columns, summary = exp.phase_diagram(g, args.n, table)
     _emit(args.out, args.format, exp.PHASE_COLUMNS, columns, summary)
     if args.verify:
         n = args.n
@@ -297,7 +295,7 @@ def _cmd_scan(args) -> int:
     _require_positive("n-list entries", n_list)
     table = _table_for(g, max(n_list), args)
     rows, summary = exp.transition_scan(
-        g, x, n_list, weights=_load_weights(g, args.weights), table=table
+        g, x, n_list, table, weights=_load_weights(g, args.weights)
     )
     _emit(args.out, args.format, exp.SCAN_COLUMNS, zip(*rows), summary)
     if args.verify:
@@ -444,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--q0", type=int, default=None)
-    _add_common(p, weights=True, cache=True, runs=True, formats=REPORT)
+    _add_common(p, weights=True, runs=True, formats=REPORT)
     p.set_defaults(func=_cmd_simulate)
 
     return ap

@@ -46,9 +46,9 @@ def check_phase_graph(g: Graph) -> None:
         raise DomainError(f"phase grid needs a 3-edge graph, got |E|={g.m}")
 
 
-def phase_diagram(g: Graph, n: int, table: ValueTable | None = None):
+def phase_diagram(g: Graph, n: int, table: ValueTable):
     """Full win-probability grid over a three-edge graph's layer n, read from
-    `table` (built under the uniform law when not given).
+    `table`.
 
     Returns (columns, summary).  The columns are the arrays (m, l, p) in rank
     order, m the first and l the last edge count, the middle edge holding
@@ -56,8 +56,6 @@ def phase_diagram(g: Graph, n: int, table: ValueTable | None = None):
     its location.
     """
     check_phase_graph(g)
-    if table is None:
-        table = compute_table(g, n)
     cfgs = compositions(n, 3)
     columns = (cfgs[:, 0], cfgs[:, 2], table.layers[n].copy())
     best_cfg, best = argmax_config(table, n)
@@ -71,8 +69,9 @@ def phase_diagram(g: Graph, n: int, table: ValueTable | None = None):
     return columns, summary
 
 
-def transition_scan(g: Graph, x, n_list, weights=None, table: ValueTable | None = None):
-    """Win probability along configs tracking a fixed simplex point.
+def transition_scan(g: Graph, x, n_list, table: ValueTable, weights=None):
+    """Win probability along configs tracking a fixed simplex point, read
+    from `table`; `weights` is the vertex law the point is classified under.
 
     For inaccessible points the rows carry the concentration bound
     exp(-n*eps^2/4) with eps the worst face deficit, and the summary fits the
@@ -82,8 +81,6 @@ def transition_scan(g: Graph, x, n_list, weights=None, table: ValueTable | None 
     """
     x = np.asarray(x, dtype=float)
     n_list = sorted(n_list)
-    if table is None:
-        table = compute_table(g, max(n_list), weights)
     region = classify_point(g, x, weights)
     deficit = -region.slack
     rows = []
@@ -220,7 +217,7 @@ def steering_report(
     mean_s_inc = []
     # a start at the target has no drift direction to diagnose
     if kind == "exact" and np.any(x0 != plan.z):
-        stage1 = Stage1Steer(g, plan.z, x0=x0)
+        stage1 = Stage1Steer(g, plan.z)
         for i in range(3):
             result = play(
                 g, start_config, stage1, child_rng(seed + 1, i), steps_limit=total // 2, trace=True

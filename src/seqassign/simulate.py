@@ -32,7 +32,6 @@ from .values import (
     graph_hash,
     required_bytes,
     round_to_config,
-    value_at,
 )
 
 _WILSON_Z = 1.959963984540054
@@ -434,10 +433,8 @@ def deviation_tail(
 
 @dataclass
 class Diagnostics:
-    steps: int
     s_increments: np.ndarray | None
     positive_drift_steps: list[int]
-    p_increment_mean: float | None
 
 
 def replay_states(result: GameResult) -> np.ndarray:
@@ -451,28 +448,23 @@ def replay_states(result: GameResult) -> np.ndarray:
     return states
 
 
-def trace_diagnostics(
-    g: Graph,
-    result: GameResult,
-    table: ValueTable | None = None,
-    stage1: Stage1Steer | None = None,
-) -> Diagnostics:
-    """Per-step increments of the supermartingale quantities along a traced
+def trace_diagnostics(g: Graph, result: GameResult, stage1: Stage1Steer) -> Diagnostics:
+    """Per-step increments of the stage-1 supermartingale along a traced
     game, from the states that `replay_states` rebuilds.
 
-    With a stage-1 strategy (reset by the game) the increments of
-    S = (N - r*z) @ u along its target z and direction u are returned, and
-    the exact conditional mean increment of S at each visited state is
-    recomputed from the prescribed kernel (one-step summation); steps where
-    it is positive are flagged.  With a table the increments of the
-    optimal-value process along the trace are averaged."""
+    With the stage-1 strategy that played the game (reset by it), the
+    increments of S = (N - r*z) @ u along its target z and direction u are
+    returned, and the exact conditional mean increment of S at each visited
+    state is recomputed from the prescribed kernel (one-step summation);
+    steps where it is positive are flagged.  A start at the target has no
+    direction, so no increments."""
     if result.trace is None:
         raise ValueError("result carries no trace")
     states = replay_states(result)
     n = int(states[0].sum())
     s_increments = None
     positive: list[int] = []
-    if stage1 is not None and stage1.u is not None:
+    if stage1.u is not None:
         z, u = stage1.z, stage1.u
         s_increments = np.diff([float((st - (n - t) * z) @ u) for t, st in enumerate(states)])
         # the stage ends for good once the state comes within eps0 of z
@@ -484,15 +476,4 @@ def trace_diagnostics(
             _, kernel = membership_flow(g, np.maximum(y, 0.0) / max(y.sum(), 1e-300))
             if kernel is not None and float((kernel.weights @ kernel.q - z) @ u) < -1e-12:
                 positive.append(t)
-
-    p_mean = None
-    if table is not None:
-        p_vals = np.array([value_at(table, s) for s in states])
-        p_mean = float(np.diff(p_vals).mean()) if len(p_vals) > 1 else 0.0
-
-    return Diagnostics(
-        steps=result.steps_played,
-        s_increments=s_increments,
-        positive_drift_steps=positive,
-        p_increment_mean=p_mean,
-    )
+    return Diagnostics(s_increments=s_increments, positive_drift_steps=positive)

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError, NoExit, OutsideSimplex, StepTooLarge
 from .geometry import (
-    MoveKernel,
     all_slacks,
     boundary_distance,
     check_simplex,
@@ -98,9 +97,9 @@ def optimal_strategy(table: ValueTable | DownSetTable) -> Strategy:
 
 
 def baseline_strategy(kind: str) -> Strategy:
-    if kind == "UniformIncident" or kind == "uniform":
+    if kind == "uniform":
         return UniformIncident()
-    if kind == "GreedyLargest" or kind == "greedy":
+    if kind == "greedy":
         return GreedyLargest()
     raise DomainError(f"unknown baseline {kind!r}")
 
@@ -201,15 +200,13 @@ def _confine_move(
     return _steer_move(g, y, kernel, state, vertex, rng, excess)
 
 
-def _confinement_radius(delta: float, d0: float | None = None) -> float:
-    """Stage-2 radius for a target at boundary distance delta: d0 when given,
-    else sqrt(2) + 4/delta + 1; never below sqrt(2) + 4/delta."""
-    floor = math.sqrt(2) + 4.0 / delta
-    if d0 is None:
-        return floor + 1.0
-    if d0 < floor:
-        raise DomainError(f"d0={d0} below the confinement requirement")
-    return d0
+def _confinement(point: np.ndarray, delta: float) -> tuple[float, int]:
+    """Confinement radius sqrt(2) + 4/delta + 1 about a target at boundary
+    distance delta, and the finishing-window factor M = ceil(1/p) for p the
+    target's smallest positive entry (an edge with share 0 needs no
+    finishing steps)."""
+    d0 = math.sqrt(2) + 4.0 / delta + 1.0
+    return d0, math.ceil(1.0 / float(point[point > 0].min()))
 
 
 # --- steering plans ------------------------------------------------------------
@@ -217,18 +214,16 @@ def _confinement_radius(delta: float, d0: float | None = None) -> float:
 
 @dataclass
 class SteerPlan:
-    """Target point, target total, and stage thresholds for steering play.
+    """Target point, target total, and finishing-window unit for steering play.
 
-    d0 defaults to sqrt(2) + 4/delta + 1 where delta is the boundary distance
-    of the target; the stage-1 switch radius eps0 is delta/8; the finishing
-    window is M*q0 steps with M = ceil(1/min target entry).
+    With delta the boundary distance of the target, the confinement radius
+    d0 is sqrt(2) + 4/delta + 1, the stage-1 switch radius eps0 is delta/8,
+    and the finishing window is M*q0 steps with M = ceil(1/min target entry).
     """
 
     z: np.ndarray
     n1: int
-    d0: float | None = None
     q0: int = 8
-    M: int | None = None
     target_config: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -244,8 +239,7 @@ class SteerPlan:
         delta = boundary_distance(g, self.z)
         if delta <= 0:
             raise DomainError("steering target must be interior")
-        d0 = _confinement_radius(delta, self.d0)
-        M = self.M if self.M is not None else math.ceil(1.0 / float(self.z.min()))
+        d0, M = _confinement(self.z, delta)
         return d0, delta / 8.0, M
 
 
@@ -263,17 +257,16 @@ class Stage1Steer(Strategy):
     name = "stage1"
     uniform_law_only = True
 
-    def __init__(self, g: Graph, z, x0=None, eps0: float | None = None):
+    def __init__(self, g: Graph, z, eps0: float | None = None):
         self.g = g
         self.z = check_simplex(g, z)
         if classify_point(g, self.z).kind is not RegionKind.INTERIOR_REACHABLE:
             raise DomainError("stage-1 target must be interior")
-        self._x0 = None if x0 is None else check_simplex(g, x0)
         self._eps0 = eps0
         self._z_kernel = _kernel_for(g, self.z)
 
     def reset(self, graph, config, total):
-        x0 = self._x0 if self._x0 is not None else np.asarray(config, float) / total
+        x0 = np.asarray(config, float) / total
         if self._eps0 is not None:
             self.eps0 = self._eps0
         else:
@@ -294,27 +287,6 @@ class Stage1Steer(Strategy):
             self.done = True
         y = None if self.done else self.current_exit(x)
         return _steer_move(self.g, y, self._z_kernel, state, vertex, rng)
-
-
-class Stage2Steer(Strategy):
-    """Confinement stage: outside radius d0 of the shrinking target line,
-    play the kernel of the boundary exit of the ray from the target through
-    the current normalized state; inside the radius play the target's kernel."""
-
-    name = "stage2"
-    uniform_law_only = True
-
-    def __init__(self, g: Graph, z, d0: float | None = None):
-        self.g = g
-        self.z = check_simplex(g, z)
-        delta = boundary_distance(g, self.z)
-        if delta <= 0:
-            raise DomainError("stage-2 target must be interior")
-        self.d0 = _confinement_radius(delta, d0)
-        self._z_kernel = _kernel_for(g, self.z)
-
-    def choose(self, state, remaining, vertex, rng) -> int:
-        return _confine_move(self.g, self.z, self.d0, self._z_kernel, remaining, state, vertex, rng)
 
 
 class SteerExact(Strategy):
@@ -385,8 +357,7 @@ class SteerKTarget(Strategy):
         if min_slack(self.g, w)[0] <= 0:
             w = clip_to_region(self.g, 0.5 * w + 0.5 * x_star(self.g))
         self.w = w
-        self.d0 = _confinement_radius(max(boundary_distance(self.g, w), 1e-6))
-        self.M = math.ceil(1.0 / float(w.min()))
+        self.d0, self.M = _confinement(w, max(boundary_distance(self.g, w), 1e-6))
         self._w_kernel = _kernel_for(self.g, w)
         self.phase = "shifted"
 

@@ -261,7 +261,7 @@ def test_criterion_08_drift_and_supermartingale(p4, c4):
     flags = 0
     sampled = 0
     for i in range(5):
-        s1 = Stage1Steer(p4, xs, x0=x0)
+        s1 = Stage1Steer(p4, xs)
         result = play(
             p4, cfg, s1, child_rng(809, i),
             steps_limit=200, trace=True,

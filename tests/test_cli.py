@@ -16,11 +16,9 @@ from seqassign.errors import DomainError, SeqAssignError
 from seqassign.graph import complete_graph, cycle_graph, format_graph_text, path_graph
 from seqassign.values import (
     DEFAULT_BUDGET,
-    ValueTable,
     compute_table,
     downset_bytes,
     peak_bytes,
-    required_bytes,
     value_at,
 )
 
@@ -286,68 +284,16 @@ def test_simulate_json_record(p4_file, capsys):
     assert record["strategy"] == "greedy"
 
 
-def test_simulate_optimal_same_with_and_without_cache(p4_file, tmp_path, capsys):
-    argv = [
-        "simulate", "--graph", p4_file, "--config", "14,9,13",
-        "--strategy", "optimal", "--runs", "3000", "--seed", "4",
-    ]
-    code, plain, _ = run(argv, capsys)
-    assert code == 0
-    cache = str(tmp_path / "t.tbl")
-    code, cached, _ = run(argv + ["--cache", cache], capsys)
-    assert code == 0
-    assert cached == plain
-    code, reread, _ = run(argv + ["--cache", cache], capsys)
-    assert reread == plain
-
-
-def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsys, monkeypatch):
+def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsys):
     # on the two-edge path the full table to total 14,593 fits the budget but
-    # the box under (7297, 7296) does not; optimal play walks the box, so
-    # --cache does not help
-    import seqassign.cli as cli
-
+    # the box under (7297, 7296) does not; optimal play walks the box
     assert peak_bytes(2, 14593) <= DEFAULT_BUDGET < downset_bytes(3, 2, [7297, 7296])
     path = tmp_path / "p3.txt"
     path.write_text(format_graph_text(path_graph(3)))
-    # a stand-in for the 0.85 GB table: the box is built from its graph and law
-    monkeypatch.setattr(
-        cli, "compute_table", lambda g, n, w: ValueTable(g, n, cli.check_weights(g, w), [])
-    )
-    monkeypatch.setattr(cli, "save_table", lambda t, p: None)
     code, out, err = run(
         [
             "simulate", "--graph", str(path), "--config", "7297,7296",
-            "--strategy", "optimal", "--runs", "10", "--cache", str(tmp_path / "t.tbl"),
-        ],
-        capsys,
-    )
-    assert code == 3
-    assert out == ""
-    assert "budget" in err
-
-
-def test_simulate_cache_exits_3_when_table_and_box_together_are_over_budget(
-    tmp_path, capsys, monkeypatch
-):
-    # the full table to total 12,000 and the box under (6000, 6000) each fit
-    # the budget, but the table stays held while the box is built
-    import seqassign.cli as cli
-
-    n, top = 12000, [6000, 6000]
-    assert peak_bytes(2, n) <= DEFAULT_BUDGET and downset_bytes(3, 2, top) <= DEFAULT_BUDGET
-    assert required_bytes(2, n) + downset_bytes(3, 2, top) > DEFAULT_BUDGET
-    path = tmp_path / "p3.txt"
-    path.write_text(format_graph_text(path_graph(3)))
-    # a stand-in for the 0.58 GB table: the box is built from its graph and law
-    monkeypatch.setattr(
-        cli, "compute_table", lambda g, n, w: ValueTable(g, n, cli.check_weights(g, w), [])
-    )
-    monkeypatch.setattr(cli, "save_table", lambda t, p: None)
-    code, out, err = run(
-        [
-            "simulate", "--graph", str(path), "--config", "6000,6000",
-            "--strategy", "optimal", "--runs", "10", "--cache", str(tmp_path / "t.tbl"),
+            "--strategy", "optimal", "--runs", "10",
         ],
         capsys,
     )
@@ -727,6 +673,11 @@ def test_simulate_rejects_negative_entry(p4_file, capsys, config, strategy):
         ["region", "classify", "--graph", "G", "--point", "xstar", "--cache", "C"],
         ["steer", "--graph", "G", "--n", "120", "--n1", "24", "--cache", "C"],
         ["conjecture", "--k", "3", "--n-list", "12", "--cache", "C"],
+        # optimal play reads only the box under the config, never a full table
+        [
+            "simulate", "--graph", "G", "--config", "5,3,4", "--strategy", "optimal",
+            "--runs", "5", "--cache", "C",
+        ],
     ],
 )
 def test_unused_flags_are_rejected(p4_file, tmp_path, capsys, argv):
@@ -801,6 +752,40 @@ def test_range_step_must_be_positive(p4_file, capsys, flag, grid):
 
 
 @pytest.mark.parametrize(
+    "argv, grid",
+    [
+        (["window", "--graph", "G", "--n-list", "16", "--a-grid", "R"], "2:1:0.5"),
+        (["window", "--graph", "G", "--n-list", "R", "--a-grid", "1"], "40:10:5"),
+        (["scan", "--graph", "G", "--point", "xstar", "--n-list", "R"], "40:10:5"),
+        (["conjecture", "--k", "4", "--n-list", "R"], "40:10:5"),
+    ],
+    ids=["window-a-grid", "window-n-list", "scan", "conjecture"],
+)
+def test_empty_range_is_rejected(p4_file, capsys, argv, grid):
+    subst = {"G": p4_file, "R": grid}
+    code, out, err = run([subst.get(a, a) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: range {grid!r} has no values\n"
+
+
+def test_steer_k_with_a_zero_share_in_the_shifted_target(tmp_path, capsys):
+    # the shifted target is clipped onto the face x_e = 0 of one edge
+    path = tmp_path / "c4.txt"
+    path.write_text(format_graph_text(cycle_graph(4)))
+    code, out, err = run(
+        [
+            "simulate", "--graph", str(path), "--config", "12,10,8,2",
+            "--strategy", "steer-k:0.25,0.1,0.15,0.5:8", "--runs", "20", "--seed", "0",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["runs"] == 20
+
+
+@pytest.mark.parametrize(
     "strategy", ["steer:xstar:24", "steer-k:0.25,0.375,0.375:24", "outward:1.0"]
 )
 def test_simulate_steering_rejects_weights(p4_file, tmp_path, capsys, strategy):
@@ -816,22 +801,6 @@ def test_simulate_steering_rejects_weights(p4_file, tmp_path, capsys, strategy):
     assert code == 2
     assert out == ""
     assert "--weights" in err
-
-
-@pytest.mark.parametrize("strategy", ["greedy", "steer:xstar:24"])
-def test_simulate_cache_needs_table_strategy(p4_file, tmp_path, capsys, strategy):
-    cache = tmp_path / "t.tbl"
-    code, out, err = run(
-        [
-            "simulate", "--graph", p4_file, "--config", "45,30,45",
-            "--strategy", strategy, "--runs", "5", "--cache", str(cache),
-        ],
-        capsys,
-    )
-    assert code == 2
-    assert out == ""
-    assert "--cache" in err
-    assert not cache.exists()
 
 
 def test_memory_error_exit_code(p4_file, capsys, monkeypatch):

@@ -18,7 +18,6 @@ from seqassign.simulate import estimate
 from seqassign.strategies import (
     GreedyLargest,
     OutwardSteer,
-    Stage2Steer,
     SteerExact,
     SteerKTarget,
     SteerPlan,
@@ -78,10 +77,11 @@ def test_estimate_successes_pinned(p4):
     assert estimate(p4, [23, 15, 22], GreedyLargest(), 500, 13).successes == 96
 
 
-def test_confinement_successes_pinned(p4, k4):
-    # from (60, 10, 30) the deviation from the target line exceeds d0, so
-    # the confinement stage plays exit-point kernels
-    assert estimate(p4, [60, 10, 30], Stage2Steer(p4, x_star(p4)), 40, 5).successes == 1
+def test_confinement_successes_pinned(c4, k4):
+    # the long shifted phase strays past d0 from the shifted target line, so
+    # the confinement moves play exit-point kernels
+    steer_c4 = SteerKTarget(c4, SteerPlan(z=(0.125, 0.125, 0.375, 0.375), n1=400))
+    assert estimate(c4, round_to_config(1600, x_star(c4)), steer_c4, 8, 5).successes == 2
     exact = SteerExact(k4, SteerPlan(z=x_star(k4), n1=12))
     assert estimate(k4, [60, 24, 24, 30, 30, 12], exact, 10, 7).successes == 3
     # q0 = 2 leaves room for the shifted confinement phase before the window

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from seqassign import simulate
-from seqassign.errors import DomainError, IllegalStrategyMove, LayerOutOfRange, NegativeEntry
-from seqassign.geometry import face_scale, face_values, x_star
+from seqassign.errors import (
+    DomainError,
+    IllegalStrategyMove,
+    LayerOutOfRange,
+    MemoryBudgetExceeded,
+    NegativeEntry,
+)
+from seqassign.geometry import check_weights, face_scale, face_values, x_star
 from seqassign.simulate import (
     _child_uniforms,
     child_rng,
@@ -21,7 +27,6 @@ from seqassign.strategies import (
     GreedyLargest,
     OutwardSteer,
     Stage1Steer,
-    Stage2Steer,
     Strategy,
     TableStrategy,
     UniformIncident,
@@ -31,9 +36,14 @@ from seqassign.strategies import (
 )
 from seqassign.graph import path_graph, star_graph
 from seqassign.values import (
+    DEFAULT_BUDGET,
+    ValueTable,
     active_faces,
     compute_table,
+    downset_bytes,
     downset_table,
+    peak_bytes,
+    required_bytes,
     round_to_config,
     value_at,
 )
@@ -236,7 +246,6 @@ def _steering_strategies(p4):
     xs = x_star(p4)
     return [
         Stage1Steer(p4, xs),
-        Stage2Steer(p4, xs),
         SteerExact(p4, SteerPlan(z=xs, n1=20)),
         SteerKTarget(p4, SteerPlan(z=np.array([0.25, 0.375, 0.375]), n1=24)),
         OutwardSteer(p4),
@@ -379,7 +388,7 @@ def test_stage1_diagnostics_clean_in_regime(p4):
     x0 = np.array([0.30, 0.34, 0.36])
     cfg = round_to_config(400, x0)
     for i in range(3):
-        s1 = Stage1Steer(p4, xs, x0=x0)
+        s1 = Stage1Steer(p4, xs)
         result = play(
             p4, cfg, s1, child_rng(57, i),
             steps_limit=200, trace=True,
@@ -399,21 +408,10 @@ def test_weighted_law_end_to_end(p4):
     assert abs(est.p_hat - p) <= 4 * math.sqrt(p * (1 - p) / 40000)
 
 
-def test_diagnostics_with_table(p4):
-    table = compute_table(p4, 30)
-    cfg = round_to_config(30, x_star(p4))
-    result = play(
-        p4, cfg, TableStrategy(table), child_rng(3, 0), trace=True
-    )
-    diag = trace_diagnostics(p4, result, table=table)
-    assert diag.p_increment_mean is not None
-    assert diag.steps == result.steps_played
-
-
 def test_diagnostics_requires_trace(p4):
     result = play(p4, [1, 0, 0], FirstPositive(), 1)
     with pytest.raises(ValueError):
-        trace_diagnostics(p4, result)
+        trace_diagnostics(p4, result, Stage1Steer(p4, x_star(p4)))
 
 
 def test_play_and_estimate_reject_negative_entry(p4):
@@ -429,6 +427,19 @@ def test_estimate_rejects_config_beyond_table(p4):
     table = compute_table(p4, 5)
     with pytest.raises(LayerOutOfRange):
         estimate(p4, [2, 2, 2], TableStrategy(table), 10, 1)
+
+
+def test_estimate_holds_table_and_box_in_one_budget():
+    # the full table to total 12,000 and the box under (6000, 6000) each fit
+    # the budget, but the table stays held while the box is built
+    p3 = path_graph(3)
+    n, top = 12000, [6000, 6000]
+    assert peak_bytes(2, n) <= DEFAULT_BUDGET and downset_bytes(3, 2, top) <= DEFAULT_BUDGET
+    assert required_bytes(2, n) + downset_bytes(3, 2, top) > DEFAULT_BUDGET
+    # a stand-in for the 0.58 GB table: the box is built from its graph and law
+    table = ValueTable(p3, n, check_weights(p3, None), [])
+    with pytest.raises(MemoryBudgetExceeded, match="budget"):
+        estimate(p3, top, TableStrategy(table), 10, 1)
 
 
 def test_estimate_rejects_a_table_of_another_graph_or_law(p4):

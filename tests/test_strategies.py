@@ -20,7 +20,6 @@ from seqassign.strategies import (
     GreedyLargest,
     OutwardSteer,
     Stage1Steer,
-    Stage2Steer,
     SteerExact,
     SteerKTarget,
     SteerPlan,
@@ -75,10 +74,11 @@ def test_uniform_even_split(p4):
 
 
 def test_baseline_factory():
-    assert baseline_strategy("GreedyLargest").name == "greedy"
+    assert baseline_strategy("greedy").name == "greedy"
     assert baseline_strategy("uniform").name == "uniform"
-    with pytest.raises(DomainError):
-        baseline_strategy("nope")
+    for name in ("nope", "GreedyLargest", "UniformIncident"):
+        with pytest.raises(DomainError):
+            baseline_strategy(name)
 
 
 def test_optimal_strategy_examples(p4):
@@ -95,7 +95,7 @@ def test_optimal_strategy_examples(p4):
 
 def test_stage1_immediate_done(p4):
     xs = x_star(p4)
-    s = Stage1Steer(p4, xs, x0=xs)
+    s = Stage1Steer(p4, xs)
     s.reset(p4, round_to_config(80, xs), 80)
     assert s.done
 
@@ -108,7 +108,7 @@ def test_stage1_rejects_boundary_target(p4):
 def test_stage1_exit_is_positive_multiple_of_u(p4):
     xs = x_star(p4)
     x0 = np.array([0.31, 0.33, 0.36])
-    s = Stage1Steer(p4, xs, x0=x0)
+    s = Stage1Steer(p4, xs)
     s.reset(p4, round_to_config(200, x0), 200)
     for x in (x0, 0.5 * x0 + 0.5 * xs + np.array([0.001, -0.001, 0.0])):
         y = s.current_exit(x)
@@ -122,7 +122,7 @@ def test_stage1_forced_kernel_state(p4):
     # at the boundary state itself the prescription is the forced kernel
     xs = x_star(p4)
     x = np.array([0.5, 0.25, 0.25])
-    s = Stage1Steer(p4, xs, x0=x)
+    s = Stage1Steer(p4, xs)
     s.reset(p4, round_to_config(400, x), 400)
     y = s.current_exit(x)
     assert np.allclose(y, x, atol=1e-12)
@@ -136,7 +136,7 @@ def test_stage1_supermartingale_exact(p4):
     states in the stage's operating regime."""
     xs = x_star(p4)
     x0 = np.array([0.30, 0.34, 0.36])
-    s = Stage1Steer(p4, xs, x0=x0)
+    s = Stage1Steer(p4, xs)
     cfg = round_to_config(300, x0)
     s.reset(p4, cfg, 300)
     rng = np.random.default_rng(9)
@@ -166,7 +166,7 @@ def test_stage1_supermartingale_exact(p4):
 def test_stage1_kernel_frequencies_chi_square(p4):
     xs = x_star(p4)
     x0 = np.array([0.31, 0.30, 0.39])
-    s = Stage1Steer(p4, xs, x0=x0)
+    s = Stage1Steer(p4, xs)
     s.reset(p4, round_to_config(500, x0), 500)
     y = s.current_exit(x0)
     _, kernel = membership_flow(p4, y)
@@ -252,11 +252,6 @@ def test_kernel_sampler_overflow_stays_on_the_row(k4):
 # --- stage 2 -------------------------------------------------------------------
 
 
-def test_stage2_requires_radius(p4):
-    with pytest.raises(DomainError):
-        Stage2Steer(p4, x_star(p4), d0=1.0)
-
-
 def test_stage2_exit_example(p4):
     # the confinement exit: the ray from the target through the state
     xs = x_star(p4)
@@ -265,8 +260,10 @@ def test_stage2_exit_example(p4):
 
 
 def test_stage2_inside_radius_plays_target_kernel(p4):
+    # a start at the target ends stage 1 at reset, and 200 remaining steps
+    # lie above the finishing window (50 + 4 * 8), so confinement plays
     xs = x_star(p4)
-    s = Stage2Steer(p4, xs)
+    s = SteerExact(p4, SteerPlan(z=xs, n1=50))
     cfg = round_to_config(200, xs)
     s.reset(p4, cfg, 200)
     _, kernel = membership_flow(p4, xs)
@@ -293,12 +290,6 @@ def test_steer_plan_defaults(p4):
     assert eps0 == pytest.approx(delta / 8)
     assert M == 4
     assert list(plan.target_config) == [19, 12, 19]
-
-
-def test_steer_plan_rejects_small_d0(p4):
-    plan = SteerPlan(z=x_star(p4), n1=50, d0=2.0)
-    with pytest.raises(DomainError):
-        SteerExact(p4, plan)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -365,7 +356,7 @@ def test_steer_k_boundary_target_hits(p4):
     # boundary target with a zero entry: edges at target are never replayed
     zb = np.array([0.5, 0.0, 0.5])
     assert classify_point(p4, zb).kind is RegionKind.BOUNDARY_K
-    plan = SteerPlan(z=zb, n1=24, M=4)
+    plan = SteerPlan(z=zb, n1=24)
     xs = x_star(p4)
     curve = deviation_tail(
         p4, round_to_config(280, xs), SteerKTarget(p4, plan), zb, 24,
@@ -377,7 +368,7 @@ def test_steer_k_boundary_target_hits(p4):
 
 def test_steer_k_boundary_tail_decreasing_in_q(p4):
     zb = np.array([0.25, 0.375, 0.375])
-    plan = SteerPlan(z=zb, n1=30, M=4)
+    plan = SteerPlan(z=zb, n1=30)
     xs = x_star(p4)
     curve = deviation_tail(
         p4, round_to_config(240, xs), SteerKTarget(p4, plan), zb, 30,
@@ -409,6 +400,16 @@ def test_steer_k_shifted_phase_confines(c4, monkeypatch):
     assert len(exits) >= 5
     for y in exits:
         assert abs(min_slack(c4, y)[0]) < 1e-12
+
+
+def test_steer_k_shifted_target_with_a_zero_share(c4):
+    # the shifted target is clipped onto the boundary, where an edge can sit
+    # at share 0; it needs no finishing steps, so M comes from the smallest
+    # positive share
+    s = SteerKTarget(c4, SteerPlan(z=(0.25, 0.1, 0.15, 0.5), n1=8))
+    play(c4, [12, 10, 8, 2], s, child_rng(0, 2))
+    assert s.phase == "shifted" and s.w[3] == 0.0
+    assert s.M == math.ceil(1.0 / s.w[:3].min())
 
 
 def test_steering_on_four_edge_graph(c4):
