@@ -19,7 +19,6 @@ from .values import (
     value_at,
     optimal_move,
     argmax_config,
-    slice_max,
     save_table,
     load_table,
 )

@@ -94,7 +94,7 @@ def _nonempty(text: str, values: list) -> list:
     return values
 
 
-def _load_weights(g: Graph, path: str | None):
+def _load_weights(path: str | None):
     if path is None:
         return None
     with open(path, "r", encoding="utf-8") as fh:
@@ -163,7 +163,7 @@ def _emit_report(out: str | None, report: dict) -> None:
 
 
 def _table_for(g: Graph, n: int, args):
-    weights = _load_weights(g, getattr(args, "weights", None))
+    weights = _load_weights(getattr(args, "weights", None))
     cache = getattr(args, "cache", None)
     if cache:
         want = check_weights(g, weights)
@@ -180,7 +180,7 @@ def _table_for(g: Graph, n: int, args):
 def parse_strategy(spec: str, g: Graph, config, args):
     if spec == "optimal":
         # the values a game from config reads: the down-set of config
-        return optimal_strategy(downset_table(g, config, _load_weights(g, args.weights)))
+        return optimal_strategy(downset_table(g, config, _load_weights(args.weights)))
     if spec in ("uniform", "greedy"):
         return baseline_strategy(spec)
     if spec.startswith(("steer:", "steer-k:", "outward:")) and args.weights:
@@ -200,7 +200,7 @@ def parse_strategy(spec: str, g: Graph, config, args):
 def _cmd_region(args) -> int:
     g = load_graph(args.graph)
     x = _point(g, args.point)
-    weights = _load_weights(g, args.weights)
+    weights = _load_weights(args.weights)
     if args.mode == "classify":
         try:
             report = classify_point(g, x, weights).to_json(g.m)
@@ -222,7 +222,7 @@ def _cmd_value(args) -> int:
     if args.mode == "table":
         if args.n is None or not args.cache:
             raise DomainError("value table needs --n and --cache")
-        table = compute_table(g, args.n, _load_weights(g, args.weights))
+        table = compute_table(g, args.n, _load_weights(args.weights))
         save_table(table, args.cache)
         _emit_report(args.out, {"n_max": args.n, "cache": args.cache, "graph_hash": table.hash})
         return 0
@@ -233,7 +233,7 @@ def _cmd_value(args) -> int:
         if args.cache:
             table = _table_for(g, sum(config), args)
         else:
-            table = downset_table(g, config, _load_weights(g, args.weights))
+            table = downset_table(g, config, _load_weights(args.weights))
         _emit_report(args.out, {"config": config, "p": value_at(table, config)})
         return 0
     if args.n is None:
@@ -294,9 +294,7 @@ def _cmd_scan(args) -> int:
     n_list = _parse_ints(args.n_list)
     _require_positive("n-list entries", n_list)
     table = _table_for(g, max(n_list), args)
-    rows, summary = exp.transition_scan(
-        g, x, n_list, table, weights=_load_weights(g, args.weights)
-    )
+    rows, summary = exp.transition_scan(g, x, n_list, table, weights=_load_weights(args.weights))
     _emit(args.out, args.format, exp.SCAN_COLUMNS, zip(*rows), summary)
     if args.verify:
         _verify_rows(
@@ -306,9 +304,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    n_list = _parse_ints(args.n_list)
-    _require_positive("n-list entries", n_list)
-    rows, summary = exp.conjecture_scan(args.k, n_list)
+    rows, summary = exp.conjecture_scan(args.k, _parse_ints(args.n_list))
     _emit(args.out, args.format, exp.CONJECTURE_COLUMNS, zip(*rows), summary)
     return 0
 
@@ -320,7 +316,7 @@ def _cmd_window(args) -> int:
     _require_positive("n-list entries", n_list)
     _require_positive("A-grid entries", a_grid)
     table = _table_for(g, max(n_list), args)
-    rows, summary = exp.window_collapse(g, n_list, a_grid, table=table)
+    rows, summary = exp.window_collapse(g, n_list, a_grid, table)
     _emit(args.out, args.format, exp.WINDOW_COLUMNS, zip(*rows), summary)
     return 0
 
@@ -360,7 +356,7 @@ def _cmd_simulate(args) -> int:
     if args.q0 is not None and not args.strategy.startswith(("steer:", "steer-k:")):
         raise DomainError(f"strategy {args.strategy!r} does not use --q0")
     strategy = parse_strategy(args.strategy, g, config, args)
-    weights = _load_weights(g, args.weights)
+    weights = _load_weights(args.weights)
     est = estimate(g, config, strategy, args.runs, args.seed, weights)
     _emit_report(args.out, est.to_json(g, config, args.strategy, args.seed))
     return 0

@@ -40,10 +40,6 @@ class OutsideSimplex(SeqAssignError):
     pass
 
 
-class EmptyOrFullSubset(SeqAssignError):
-    pass
-
-
 class NoExit(SeqAssignError):
     pass
 

@@ -23,7 +23,6 @@ from .graph import Graph, path_graph
 from .simulate import child_rng, deviation_tail, play, trace_diagnostics
 from .strategies import SteerExact, SteerKTarget, SteerPlan, Stage1Steer
 from .values import (
-    SliceSpec,
     ValueTable,
     argmax_config,
     compositions,
@@ -134,14 +133,15 @@ def a_star(j: int, k: int) -> float:
     return value
 
 
-def conjecture_scan(k: int, n_list, table: ValueTable | None = None):
+def conjecture_scan(k: int, n_list):
     """Partial sums of the layer-argmax config on a path graph against the
     conjectured limits.  gap_symmetric takes the better of the config and its
     reversal (both maximize, by the path symmetry)."""
-    g = path_graph(k)
     n_list = sorted(n_list)
-    if table is None:
-        table = compute_table(g, max(n_list))
+    if any(n <= 0 for n in n_list):
+        raise DomainError("n-list entries must be positive")
+    g = path_graph(k)
+    table = compute_table(g, max(n_list))
     targets = [a_star(j, k) for j in range(k)]
     rows = []
     for n in n_list:
@@ -156,24 +156,20 @@ def conjecture_scan(k: int, n_list, table: ValueTable | None = None):
     return rows, {"k": k, "targets": targets[1 : k - 1]}
 
 
-def window_collapse(g: Graph, n_list, a_grid, table: ValueTable | None = None):
-    """Slice maxima of the three critical-window classes per (n, A), with the
-    Gaussian reference exp(-A^2/8); empty slices are marked.  The slice faces
-    use the uniform law's d(F)/k, so a table under another law is refused."""
+def window_collapse(g: Graph, n_list, a_grid, table: ValueTable):
+    """Slice maxima of the three critical-window classes per (n, A), read
+    from `table`, with the Gaussian reference exp(-A^2/8); empty slices are
+    marked.  The slice faces use the uniform law's d(F)/k, so a table under
+    another law is refused."""
     n_list = sorted(n_list)
-    if table is None:
-        table = compute_table(g, max(n_list))
     if np.any(table.weights != table.weights[0]):
         raise DomainError("window slices need a table under the uniform vertex law")
-    specs = [SliceSpec(amplitude=a, kind=kind) for a in a_grid for kind in ("I", "II", "III")]
     rows = []
     for n in n_list:
-        for spec, hit in zip(specs, slice_maxima(table, n, specs)):
-            a, kind = spec.amplitude, spec.kind
-            if hit is None:
-                rows.append((n, a, kind, math.nan, True, math.exp(-a * a / 8)))
-            else:
-                rows.append((n, a, kind, hit[1], False, math.exp(-a * a / 8)))
+        for a, maxima in zip(a_grid, slice_maxima(table, n, a_grid)):
+            for kind, p in zip(("I", "II", "III"), maxima):
+                empty = p is None
+                rows.append((n, a, kind, math.nan if empty else p, empty, math.exp(-a * a / 8)))
     return rows, {"n_list": list(n_list), "a_grid": list(a_grid)}
 
 

@@ -602,7 +602,11 @@ def ray_exit(g: Graph, origin, direction) -> tuple[np.ndarray, float, int]:
     """
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    c, t = _interior_or_fold(g, origin)
+    c = _constraints(g, _uniform_law(g.k))
+    t = c.slacks(origin)
+    if not t[t.argmin()] > 0 and not c.exhaustive:
+        c = _constraints(g, _uniform_law(g.k), exhaustive=True)
+        t = c.slacks(origin)
     y, best_t, i = _ray_exit(c, origin, direction, t)
     # y is a region point, so its entries are >= 0 up to rounding.  A tight
     # constraint C plus edges where y is zero is tight as well; when such a
@@ -614,18 +618,6 @@ def ray_exit(g: Graph, origin, direction) -> tuple[np.ndarray, float, int]:
             fold = _constraints(g, _uniform_law(g.k), exhaustive=True)
             return _ray_exit(fold, origin, direction, fold.slacks(origin))
     return y, best_t, i
-
-
-def _interior_or_fold(g: Graph, v: np.ndarray) -> tuple[_Constraints, np.ndarray]:
-    """The constraints to search from v under the uniform law, with v's
-    slacks on them: the vertex-set family when v is interior to it, else
-    every proper subset."""
-    c = _constraints(g, _uniform_law(g.k))
-    s = c.slacks(v)
-    if not s[s.argmin()] > 0 and not c.exhaustive:
-        c = _constraints(g, _uniform_law(g.k), exhaustive=True)
-        s = c.slacks(v)
-    return c, s
 
 
 def _ray_exit(c: _Constraints, origin, direction, t: np.ndarray):
@@ -642,16 +634,14 @@ def _ray_exit(c: _Constraints, origin, direction, t: np.ndarray):
     return origin + best_t * direction, best_t, c.mask(i)
 
 
-def clip_to_region(g: Graph, y, anchor=None) -> np.ndarray:
-    """Nearest region point along the segment toward an interior anchor:
-    moves y just far enough that its minimum slack reaches 0.  The segment
-    enters the region at a point of it, where the vertex-set family binds;
-    an anchor that is not interior makes it try every proper subset."""
+def clip_to_region(g: Graph, y) -> np.ndarray:
+    """Nearest region point along the segment toward x*: moves y just far
+    enough that its minimum slack reaches 0.  x* is interior, so the segment
+    enters the region at a point of it, where the vertex-set family binds."""
     y = np.asarray(y, dtype=float)
-    if anchor is None:
-        anchor = x_star(g)
-    anchor = np.asarray(anchor, dtype=float)
-    c, gap = _interior_or_fold(g, anchor)
+    anchor = x_star(g)
+    c = _constraints(g, _uniform_law(g.k))
+    gap = c.slacks(anchor)
     sy = c.slacks(y)
     bad = sy < 0
     gap -= sy

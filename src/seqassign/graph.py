@@ -106,19 +106,9 @@ def _check_connected(k: int, edges) -> None:
         raise DisconnectedGraph(f"vertices {missing} unreachable from vertex 1")
 
 
-def full_degree_count(g: Graph, subset: int, weights=None):
-    """Number of vertices whose every incident edge lies in the subset.
-
-    With `weights` given (one probability per vertex), returns the total
-    weight of those vertices instead of their count.
-    """
-    if weights is None:
-        return sum(
-            1 for v in range(1, g.k + 1) if g.vertex_mask(v) & ~subset == 0
-        )
-    return float(
-        sum(weights[v - 1] for v in range(1, g.k + 1) if g.vertex_mask(v) & ~subset == 0)
-    )
+def full_degree_count(g: Graph, subset: int) -> int:
+    """Number of vertices whose every incident edge lies in the subset."""
+    return sum(1 for v in range(1, g.k + 1) if g.vertex_mask(v) & ~subset == 0)
 
 
 def proper_subsets(g: Graph) -> Iterator[int]:

@@ -28,7 +28,7 @@ from .values import (
     DownSetTable,
     ValueTable,
     check_config,
-    downset_from_table,
+    downset_table,
     graph_hash,
     required_bytes,
     round_to_config,
@@ -233,7 +233,8 @@ def play(
     state = check_config(g, config).copy()
     total = int(state.sum())
     steps = total if steps_limit is None else min(total, steps_limit)
-    strategy.reset(g, state.copy(), total)
+    if total:  # the empty config is won before any move
+        strategy.reset(g, state.copy(), total)
 
     if trace:
         verts = np.zeros(steps, dtype=np.int64)
@@ -291,8 +292,9 @@ def estimate(
             raise DomainError("the value table was built for another graph or vertex law")
         if isinstance(box, ValueTable):
             # the table stays held while its box is built: one budget for both
-            held = required_bytes(box.graph.m, box.n_max)
-            box = downset_from_table(box, config, max(DEFAULT_BUDGET - held, 0))
+            check_config(g, config, box.n_max)
+            held = required_bytes(g.m, box.n_max)
+            box = downset_table(g, config, w, max(DEFAULT_BUDGET - held, 0))
         successes = _estimate_batch(config, runs, master_seed, w, _box_player(box, config))
     elif isinstance(strategy, GreedyLargest):
         successes = _estimate_batch(config, runs, master_seed, w, _greedy_player(g, config))

@@ -47,7 +47,6 @@ from math import comb
 import numpy as np
 
 from .errors import (
-    EmptyOrFullSubset,
     FormatMismatch,
     GraphHashMismatch,
     IoFailure,
@@ -186,20 +185,6 @@ def graph_hash(g: Graph) -> int:
 # --- the value table --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SliceSpec:
-    """Critical-window slice selector: amplitude and kind I, II or III."""
-
-    amplitude: float
-    kind: str
-
-    def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
-        if self.kind not in ("I", "II", "III"):
-            raise ValueError(f"unknown slice kind {self.kind!r}")
-
-
 @dataclass
 class ValueTable:
     graph: Graph
@@ -239,6 +224,8 @@ def compute_table(
     g: Graph, n_max: int, weights=None, memory_budget: int = DEFAULT_BUDGET
 ) -> ValueTable:
     """Exact win probabilities for every config of total <= n_max."""
+    if n_max < 0:
+        raise LayerOutOfRange(f"n_max {n_max} is negative")
     w = check_weights(g, weights)
     need = peak_bytes(g.m, n_max)
     if need > memory_budget:
@@ -332,46 +319,29 @@ def active_faces(g: Graph) -> list[int]:
     return [F for F in proper_subsets(g) if full_degree_count(g, F) > 0]
 
 
-def slice_max(t: ValueTable, n: int, spec: SliceSpec):
-    """Max-value config within a critical-window slice of layer n, or None
-    when the slice is empty (a distinguished result, not a failure).
+def slice_maxima(t: ValueTable, n: int, amplitudes) -> list[tuple]:
+    """The largest value of layer n in each critical-window slice: one
+    (I, II, III) tuple per amplitude A, with None for an empty slice (a
+    distinguished result, not a failure).  The layer is unranked and its
+    face minima computed once for all amplitudes.
 
-    Kind I: some face with 0 < d(F) < k has L <= -A*sqrt(n); kind II: all such
-    faces have L >= A*sqrt(n); kind III: the minimum such L lies strictly in
-    (-A*sqrt(n), A*sqrt(n)).
+    With L the least face value over the faces with 0 < d(F) < k: kind I
+    has L <= -A*sqrt(n), kind II has L >= A*sqrt(n), and kind III has L
+    strictly between.  A connected graph with two or more edges has such a
+    face: the edges of a vertex that does not touch every edge.
     """
-    return slice_maxima(t, n, [spec])[0]
-
-
-def slice_maxima(t: ValueTable, n: int, specs) -> list:
-    """slice_max of layer n for each spec, unranking the layer and computing
-    its face minima once for all of them."""
     if not 0 <= n <= t.n_max:
         raise LayerOutOfRange(f"layer {n} not in 0..{t.n_max}")
+    if any(a <= 0 for a in amplitudes):
+        raise ValueError("amplitude must be positive")
     g = t.graph
-    faces = active_faces(g)
-    if not faces:
-        raise EmptyOrFullSubset("graph has no proper subset with a full-degree vertex")
-    cfgs = compositions(n, g.m)
-    lmin = face_values(g, faces, n, cfgs).min(axis=1)
+    lmin = face_values(g, active_faces(g), n, compositions(n, g.m)).min(axis=1)
     vals = t.layers[n]
     out = []
-    for spec in specs:
-        cut = spec.amplitude * np.sqrt(n)
-        if spec.kind == "I":
-            members = lmin <= -cut
-        elif spec.kind == "II":
-            members = lmin >= cut
-        else:
-            members = (lmin > -cut) & (lmin < cut)
-        if not np.any(members):
-            out.append(None)
-            continue
-        idx = np.flatnonzero(members)
-        best = float(vals[idx].max())
-        ties = idx[vals[idx] == best]
-        winner = min(map(tuple, cfgs[ties]))
-        out.append((np.array(winner, dtype=np.int64), best))
+    for a in amplitudes:
+        cut = a * np.sqrt(n)
+        kinds = (lmin <= -cut, lmin >= cut, (lmin > -cut) & (lmin < cut))
+        out.append(tuple(float(vals[s].max()) if s.any() else None for s in kinds))
     return out
 
 
@@ -474,15 +444,6 @@ def downset_table(
             idx = layer[lo : lo + _BOX_CHUNK]
             _fill_box(g, w, idx, idx // stride[:, None] % radix[:, None], stride, values, nxt)
     return DownSetTable(graph=g, top=top, weights=w, stride=stride, values=values, nxt=nxt)
-
-
-def downset_from_table(
-    t: ValueTable, top, memory_budget: int = DEFAULT_BUDGET
-) -> DownSetTable:
-    """The box under a config the full table covers, for its graph and
-    vertex law; its values equal the table's bit for bit."""
-    check_config(t.graph, top, t.n_max)
-    return downset_table(t.graph, top, t.weights, memory_budget)
 
 
 def _fill_box(g: Graph, w, idx, counts, stride, values, nxt) -> None:

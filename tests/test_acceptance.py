@@ -34,7 +34,6 @@ from seqassign.strategies import (
     ode_trajectory,
 )
 from seqassign.values import (
-    SliceSpec,
     argmax_config,
     compositions,
     compute_table,
@@ -42,7 +41,7 @@ from seqassign.values import (
     rank_config,
     required_bytes,
     round_to_config,
-    slice_max,
+    slice_maxima,
     value_at,
 )
 
@@ -284,16 +283,13 @@ def test_criterion_09_window_collapse(p4):
     a_grid = [0.5 * i for i in range(1, 9)]
 
     def b1_curve(n):
-        vals = []
-        for a in a_grid:
-            hit = slice_max(table, n, SliceSpec(amplitude=a, kind="I"))
-            vals.append(0.0 if hit is None else hit[1])
+        vals = [0.0 if hit is None else hit for hit, _, _ in slice_maxima(table, n, a_grid)]
         return np.array(vals)
 
     c64, c256 = b1_curve(64), b1_curve(256)
     sup_gap = float(np.abs(c64 - c256).max())
-    hit4 = slice_max(table, 256, SliceSpec(amplitude=4.0, kind="I"))
-    max_at_4 = 0.0 if hit4 is None else hit4[1]
+    hit4 = slice_maxima(table, 256, [4.0])[0][0]
+    max_at_4 = 0.0 if hit4 is None else hit4
     ok = sup_gap <= 0.05 and max_at_4 <= math.exp(-2.0) + 0.1
     report(
         9,

@@ -141,6 +141,18 @@ def test_value_at_and_argmax(p4_file, capsys):
     assert sum(report["config"]) == 20
 
 
+@pytest.mark.parametrize("mode", ["argmax", "table"])
+def test_value_negative_n_is_an_input_error(p4_file, tmp_path, capsys, mode):
+    cache = tmp_path / "t.tbl"
+    code, out, err = run(
+        ["value", mode, "--graph", p4_file, "--n", "-1", "--cache", str(cache)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "n_max -1" in err
+    assert not cache.exists()
+
+
 def test_value_at_reads_the_down_set(tmp_path, capsys):
     # a full table to total 60 needs 1.78 GB and exits 3; the box under the
     # config holds 1.77M states

@@ -62,12 +62,6 @@ def test_full_degree_count_examples(p4):
     assert full_degree_count(p4, p4.full_mask()) == p4.k
 
 
-def test_full_degree_weighted(p4):
-    w = [0.4, 0.3, 0.2, 0.1]
-    assert full_degree_count(p4, 0b001, w) == pytest.approx(0.4)
-    assert full_degree_count(p4, 0b111, w) == pytest.approx(1.0)
-
-
 def test_degree_sum_identity(k4):
     for F in proper_subsets(k4):
         total = sum(bin(k4.vertex_mask(v) & F).count("1") for v in range(1, k4.k + 1))

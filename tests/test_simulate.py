@@ -81,6 +81,21 @@ def test_zero_config_wins_immediately(p4):
     assert result.won and result.steps_played == 0 and result.forfeit_step is None
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda g: SteerExact(g, SteerPlan(z=x_star(g), n1=1)),
+        lambda g: SteerKTarget(g, SteerPlan(z=x_star(g), n1=1)),
+        lambda g: OutwardSteer(g, 0.5),
+    ],
+    ids=["steer", "steer-k", "outward"],
+)
+def test_steering_wins_the_empty_config(p4, make):
+    # the game is won before any move, so the strategy is never reset
+    est = estimate(p4, [0, 0, 0], make(p4), 3, 0)
+    assert est.successes == est.runs == 3
+
+
 def test_single_unit_game_matches_first_draw(p4):
     # (1,0,0): the game is won iff the first drawn vertex is 1 or 2
     for seed in range(40):
@@ -214,7 +229,7 @@ def _no_work(*args, **kwargs):
 )
 def test_bad_seed_rejected_before_any_work(p4, monkeypatch, bad, error):
     table = compute_table(p4, 6)
-    for name in ("play", "_box_player", "downset_from_table", "_greedy_player", "_child_uniforms"):
+    for name in ("play", "_box_player", "downset_table", "_greedy_player", "_child_uniforms"):
         monkeypatch.setattr(simulate, name, _no_work)
     for strategy in (TableStrategy(table), GreedyLargest(), UniformIncident()):
         with pytest.raises(error) as info:

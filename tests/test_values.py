@@ -27,10 +27,11 @@ from seqassign.graph import (
     path_graph,
     star_graph,
 )
+from seqassign.simulate import estimate
+from seqassign.strategies import TableStrategy
 from seqassign.values import (
     DEFAULT_BUDGET,
     LOSS,
-    SliceSpec,
     _configs,
     _layer_bars,
     _live,
@@ -41,7 +42,6 @@ from seqassign.values import (
     compositions,
     compute_table,
     downset_bytes,
-    downset_from_table,
     downset_table,
     graph_hash,
     layer_size,
@@ -51,7 +51,7 @@ from seqassign.values import (
     rank_config,
     round_to_config,
     save_table,
-    slice_max,
+    slice_maxima,
     value_at,
 )
 
@@ -157,6 +157,11 @@ def test_values_in_unit_interval(p4_table):
         assert layer.min() >= 0.0
         assert layer.max() <= 1.0
     assert p4_table.layers[0][0] == 1.0
+
+
+def test_negative_n_max_is_out_of_range(p4):
+    with pytest.raises(LayerOutOfRange):
+        compute_table(p4, -1)
 
 
 def test_value_at_errors(p4_table):
@@ -411,12 +416,21 @@ def test_single_unit_layer_values(p4, triangle, p4_table):
     assert np.allclose(tri.layers[1], 2 / 3)
 
 
-def test_conjecture_gap_at_large_n(p4_table):
+def test_conjecture_gap_at_large_n():
     from seqassign.experiments import conjecture_scan
 
-    rows, summary = conjecture_scan(4, [200], table=p4_table)
+    rows, summary = conjecture_scan(4, [200])
     for n, j, s, target, gap, gap_sym in rows:
         assert gap_sym <= 1.0 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("n_list", [[0], [10, 0], [-5]])
+def test_conjecture_rejects_totals_below_one(n_list):
+    from seqassign.experiments import conjecture_scan
+
+    # a total of 0 divided the partial sums by zero
+    with pytest.raises(DomainError, match="n-list"):
+        conjecture_scan(4, n_list)
 
 
 def test_window_refuses_a_weighted_table(p4):
@@ -450,24 +464,21 @@ def test_interior_convergence_diffs(p4, p4_table):
 
 def test_slice_empty(p4_table):
     # slice II demands every face 8 sigma inside; impossible at tiny totals
-    assert slice_max(p4_table, 4, SliceSpec(amplitude=8.0, kind="II")) is None
+    assert slice_maxima(p4_table, 4, [8.0])[0][1] is None
 
 
 def test_slice_subset_of_layer(p4_table):
     full = argmax_config(p4_table, 200)[1]
-    hit = slice_max(p4_table, 200, SliceSpec(amplitude=1.0, kind="II"))
+    hit = slice_maxima(p4_table, 200, [1.0])[0][1]
     assert hit is not None
-    assert hit[1] <= full
+    assert hit <= full
 
 
 def test_slice_predicate_recheck(p4, p4_table):
-    hit = slice_max(p4_table, 100, SliceSpec(amplitude=2.0, kind="I"))
-    assert hit is not None
-    cfg, _ = hit
+    hit = slice_maxima(p4_table, 100, [2.0])[0][0]
     faces = active_faces(p4)
-    L = face_values(p4, faces, 100, compositions(100, 3))
-    row = L[rank_config(cfg)]
-    assert row.min() <= -2.0 * math.sqrt(100)
+    lmin = face_values(p4, faces, 100, compositions(100, 3)).min(axis=1)
+    assert hit == p4_table.layers[100][lmin <= -2.0 * math.sqrt(100)].max()
 
 
 def test_slices_partition_layer(p4, p4_table):
@@ -510,9 +521,6 @@ def test_downset_matches_full_table(g, top, weights):
     full = compute_table(g, sum(top), weights)
     want = np.array([value_at(full, c) for c in box_configs(top)])
     assert np.array_equal(box.values, want)
-    gathered = downset_from_table(full, top)
-    assert np.array_equal(gathered.values, want)
-    assert np.array_equal(gathered.nxt, box.nxt)
     # the empty config and the sink have no move; the sink maps to itself
     assert np.all(box.nxt[0] == box.dead) and np.all(box.nxt[box.dead] == box.dead)
 
@@ -553,7 +561,7 @@ def test_downset_rejects_configs_outside_the_box(p4):
     with pytest.raises(NegativeEntry):
         downset_table(p4, (3, -1, 3))
     with pytest.raises(LayerOutOfRange):
-        downset_from_table(compute_table(p4, 7), (3, 2, 3))
+        estimate(p4, (3, 2, 3), TableStrategy(compute_table(p4, 7)), 1, 0)
 
 
 def test_downset_budget_one_byte_short(k4):
@@ -563,8 +571,6 @@ def test_downset_budget_one_byte_short(k4):
         downset_table(k4, top, memory_budget=need - 1)
     assert exc.value.required_bytes == need
     assert downset_table(k4, top, memory_budget=need).value_at(top) > 0.0
-    with pytest.raises(MemoryBudgetExceeded):
-        downset_from_table(compute_table(k4, 14), top, memory_budget=need - 1)
 
 
 def test_default_budget_keeps_box_indices_in_int32():
