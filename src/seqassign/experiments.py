@@ -27,6 +27,7 @@ from .values import (
     argmax_config,
     compositions,
     compute_table,
+    graph_hash,
     round_to_config,
     slice_maxima,
     value_at,
@@ -162,6 +163,8 @@ def window_collapse(g: Graph, n_list, a_grid, table: ValueTable):
     marked.  The slice faces use the uniform law's d(F)/k, so a table under
     another law is refused."""
     n_list = sorted(n_list)
+    if graph_hash(table.graph) != graph_hash(g):
+        raise DomainError("the value table was built for another graph")
     if np.any(table.weights != table.weights[0]):
         raise DomainError("window slices need a table under the uniform vertex law")
     rows = []

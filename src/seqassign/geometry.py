@@ -186,6 +186,15 @@ class _Constraints:
         s -= self.d
         return s
 
+    def row_slacks(self, rows: np.ndarray) -> np.ndarray:
+        """slacks(x) for each row x of an (R, m) array, as an (R, c) array,
+        bit for bit; vertex-set family only.  The gather puts the runs on the
+        innermost axis, so the reduce adds in edge order as `sums` does."""
+        padded = np.concatenate((rows, np.zeros((len(rows), 1))), axis=1).T
+        s = np.add.reduce(padded[self.idx], axis=0)
+        s -= self.d[:, None]
+        return s.T
+
 
 _PAD = np.zeros(1)
 

@@ -9,20 +9,36 @@ variate per step (inverse-CDF), which lets the batched fast path for
 deterministic strategies (table play and greedy) reproduce the serial path
 bit-for-bit: `_child_uniforms` computes those streams for a whole chunk of
 runs at once, with NumPy's SeedSequence, PCG64 and `random()` re-done in
-uint64 array arithmetic.
+uint64 array arithmetic.  SteerExact play draws one kernel uniform more per
+step until its finishing window, at the same step in every run, so its runs
+also play in lockstep, from the same streams read one column at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, IllegalStrategyMove
 from .geometry import TOL, check_weights, membership_flow, uniform_weights
 from .graph import Graph
-from .strategies import FORFEIT, GreedyLargest, Stage1Steer, Strategy, TableStrategy
+from .strategies import (
+    FORFEIT,
+    GreedyLargest,
+    SteerExact,
+    Stage1Steer,
+    Strategy,
+    TableStrategy,
+    _draw_edge,
+    _exit_point,
+    _exit_rows,
+    _flow_kernel,
+    _kernel_for,
+    _legal_move,
+)
 from .values import (
     DEFAULT_BUDGET,
     DownSetTable,
@@ -115,7 +131,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 _PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_PCG_LO_0, _PCG_LO_1 = _PCG_LO & _U32, _PCG_LO >> _SHIFT_32
 
 
 def _hashmix(value, hc: int, mult: int):
@@ -169,22 +184,73 @@ def _add128(hi, lo, add_hi, add_lo):
     return hi + add_hi + (lo < add_lo), lo
 
 
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 step, state * multiplier + inc mod 2**128, on (hi, lo)
-    uint64 word arrays; the high half of lo * multiplier comes from 32-bit
-    limbs."""
+def _mul128(hi, lo, m_hi, m_lo):
+    """(hi, lo) * (m_hi, m_lo) mod 2**128 on uint64 word arrays; the high
+    half of lo * m_lo comes from 32-bit limbs."""
     a0, a1 = lo & _U32, lo >> _SHIFT_32
-    p00, p01 = a0 * _PCG_LO_0, a0 * _PCG_LO_1
-    p10, p11 = a1 * _PCG_LO_0, a1 * _PCG_LO_1
+    b0, b1 = m_lo & _U32, m_lo >> _SHIFT_32
+    p00, p01 = a0 * b0, a0 * b1
+    p10, p11 = a1 * b0, a1 * b1
     mid = (p00 >> _SHIFT_32) + (p01 & _U32) + (p10 & _U32)
     mulhi = p11 + (p01 >> _SHIFT_32) + (p10 >> _SHIFT_32) + (mid >> _SHIFT_32)
-    return _add128(mulhi + hi * _PCG_LO + lo * _PCG_HI, lo * _PCG_LO, inc_hi, inc_lo)
+    return mulhi + hi * m_lo + lo * m_hi, lo * m_lo
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * multiplier + inc mod 2**128."""
+    return _add128(*_mul128(hi, lo, _PCG_HI, _PCG_LO), inc_hi, inc_lo)
+
+
+@lru_cache(maxsize=4)
+def _lcg_jumps(width: int) -> list[np.ndarray]:
+    """Words (a_hi, a_lo, g_hi, g_lo), each a (width, 1) array, such that j + 1
+    PCG64 steps take a state s to s * a[j] + inc * g[j] mod 2**128."""
+    mult = int(_PCG_HI) << 64 | int(_PCG_LO)
+    a, g, power, geometric = [], [], 1, 0
+    for _ in range(width):
+        geometric = (geometric + power) % (1 << 128)
+        power = power * mult % (1 << 128)
+        a.append(power)
+        g.append(geometric)
+    words = [
+        np.array([[v >> shift & 0xFFFFFFFFFFFFFFFF] for v in vals], dtype=np.uint64)
+        for vals in (a, g)
+        for shift in (64, 0)
+    ]
+    for array in words:
+        array.flags.writeable = False  # shared through the cache
+    return words
+
+
+def _random(hi, lo):
+    """Generator.random() from PCG64 states: XSL-RR output, rotating hi ^ lo
+    right by the top six bits of the state, then the top 53 bits scaled to
+    [0, 1)."""
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+    return (x >> np.uint64(11)) * 2.0**-53
 
 
 def _child_uniforms(master_seed: int, lo: int, hi: int, total: int) -> np.ndarray:
     """The (hi - lo, total) array whose row i - lo equals
     child_rng(master_seed, i).random(total) bit for bit, for run indices
     lo <= i < hi < 2**64."""
+    out = np.empty((total, hi - lo))
+    for t, column in zip(range(total), _uniform_columns(master_seed, lo, hi)):
+        out[t] = column
+    return out.T
+
+
+# a block of _uniform_columns: at most _BLOCK draws, at most _WIDTH per run
+_BLOCK, _WIDTH = 1 << 14, 256
+
+
+def _uniform_columns(master_seed: int, lo: int, hi: int):
+    """The draws of runs lo <= i < hi, one column per draw: the j-th column
+    yielded holds each run's j-th `child_rng(master_seed, i).random()`.
+    Up to _BLOCK / 2 runs take blocks of columns, each column's states
+    jumped ahead from the last column of the block before."""
     runs = []
     # a spawn index below 2**32 is one uint32 word, a larger one two
     for a, b, n_words in ((lo, min(hi, 1 << 32), 1), (max(lo, 1 << 32), hi, 2)):
@@ -196,16 +262,17 @@ def _child_uniforms(master_seed: int, lo: int, hi: int, total: int) -> np.ndarra
     inc_hi = s2 << np.uint64(1) | s3 >> np.uint64(63)
     inc_lo = s3 << np.uint64(1) | np.uint64(1)
     st_hi, st_lo = _lcg_step(*_add128(inc_hi, inc_lo, s0, s1), inc_hi, inc_lo)
-    out = np.empty((total, hi - lo))
-    for t in range(total):
-        st_hi, st_lo = _lcg_step(st_hi, st_lo, inc_hi, inc_lo)
-        # XSL-RR: rotate hi ^ lo right by the top six bits of the state
-        x = st_hi ^ st_lo
-        rot = st_hi >> np.uint64(58)
-        x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-        # random(): the top 53 bits scaled to [0, 1)
-        np.multiply(x >> np.uint64(11), 2.0**-53, out=out[t])
-    return out.T
+    width = min(_BLOCK // (hi - lo), _WIDTH)
+    if width < 2:
+        while True:
+            st_hi, st_lo = _lcg_step(st_hi, st_lo, inc_hi, inc_lo)
+            yield _random(st_hi, st_lo)
+    a_hi, a_lo, g_hi, g_lo = _lcg_jumps(width)
+    step = _mul128(inc_hi, inc_lo, g_hi, g_lo)  # inc * g[j], one row per column
+    while True:
+        st_hi, st_lo = _add128(*_mul128(st_hi, st_lo, a_hi, a_lo), *step)
+        yield from _random(st_hi, st_lo)
+        st_hi, st_lo = st_hi[-1], st_lo[-1]
 
 
 def _draw_vertex(rng, cum_weights: np.ndarray) -> int:
@@ -278,8 +345,8 @@ def estimate(
     master_seed: int,
     weights=None,
 ) -> Estimate:
-    """Win-probability estimate with a Wilson 95% interval.  Table strategies
-    and greedy take a batched path that reproduces the serial loop
+    """Win-probability estimate with a Wilson 95% interval.  Table strategies,
+    greedy and SteerExact take batched paths that reproduce the serial loop
     bit-for-bit."""
     if runs < 1:
         raise ValueError("need at least one run")
@@ -298,6 +365,9 @@ def estimate(
         successes = _estimate_batch(config, runs, master_seed, w, _box_player(box, config))
     elif isinstance(strategy, GreedyLargest):
         successes = _estimate_batch(config, runs, master_seed, w, _greedy_player(g, config))
+    elif isinstance(strategy, SteerExact):
+        _, forfeit = _steer_runs(g, config, strategy, runs, master_seed, w, int(config.sum()))
+        successes = runs - int(forfeit.sum())
     else:
         successes = 0
         for i in range(runs):
@@ -335,6 +405,15 @@ def _estimate_batch(start, runs: int, master_seed: int, w, player) -> int:
     return successes
 
 
+def _incidence_rows(g: Graph) -> np.ndarray:
+    """Row v - 1 lists vertex v's edges in incidence order, padded with edge
+    m, a count column that stays 0."""
+    incidence = np.full((g.k, max(map(len, g.incidence))), g.m, dtype=np.int64)
+    for v, edges in enumerate(g.incidence):
+        incidence[v, : len(edges)] = edges
+    return incidence
+
+
 def _box_player(box: DownSetTable, start):
     """Chunk player for table-optimal play: each run carries the index of
     its state in the box, one gather from the stored policy per step, and
@@ -355,10 +434,7 @@ def _box_player(box: DownSetTable, start):
 def _greedy_player(g: Graph, start):
     """Chunk player for greedy play: the first largest positive count among
     the drawn vertex's edges in incidence order, as `_legal_move` picks it."""
-    # row v - 1 lists vertex v's edges, padded with edge m, whose count stays 0
-    incidence = np.full((g.k, max(map(len, g.incidence))), g.m, dtype=np.int64)
-    for v, edges in enumerate(g.incidence):
-        incidence[v, : len(edges)] = edges
+    incidence = _incidence_rows(g)
 
     def play_chunk(verts) -> int:
         counts = np.zeros((g.m + 1, verts.shape[1]), dtype=np.int64)
@@ -375,6 +451,130 @@ def _greedy_player(g: Graph, start):
         return len(runs)
 
     return play_chunk
+
+
+def _steer_runs(g: Graph, start, strategy: SteerExact, runs: int, master_seed: int, w, steps: int):
+    """Final states (runs, m) and forfeit flags of runs 0..runs-1 of a
+    SteerExact game, each stopped after `steps` moves: run i ends as
+    play(g, start, strategy, child_rng(master_seed, i), w, steps) does."""
+    total = int(start.sum())
+    # column m stays 0: the count of the incidence padding
+    state = np.zeros((runs, g.m + 1), dtype=np.int64)
+    state[:, : g.m] = start
+    forfeit = np.zeros(runs, dtype=bool)
+    if total:  # the empty config is won before any move
+        strategy.reset(g, start.copy(), total)
+        play_chunk = _steer_player(g, strategy, np.cumsum(w), total, steps)
+        for lo in range(0, runs, _CHUNK):
+            hi = min(lo + _CHUNK, runs)
+            play_chunk(state[lo:hi], forfeit[lo:hi], _uniform_columns(master_seed, lo, hi))
+    return state[:, : g.m], forfeit
+
+
+def _norms(rows) -> list[float]:
+    """np.linalg.norm of each row of a C-contiguous float array, computed as
+    it computes a vector's: sqrt(x.dot(x)), the dot through BLAS."""
+    return [math.sqrt(row.dot(row)) for row in rows]
+
+
+def _steer_player(g: Graph, strategy: SteerExact, cum_w, total: int, steps: int):
+    """Chunk player for SteerExact play from a reset strategy: the runs of a
+    chunk move in lockstep, one step at a time, from their streams' columns.
+
+    Each step draws one vertex uniform per run, and one kernel uniform more
+    while the remaining total is above the finishing cut; the remaining total
+    is the same for every run, so all read the same column.  Shared and
+    elementwise work is done on (runs, m) arrays; the flows, the draws from
+    their kernel rows and the norms stay per run, so every bit is the serial
+    loop's."""
+    m, stage1, cut = g.m, strategy._stage1, strategy.finish_cut
+    z, eps0, d0 = stage1.z, stage1.eps0, strategy.d0
+    bounds = cum_w[:-1]
+    incidence = _incidence_rows(g)
+    target = np.append(strategy.target, 0)
+    # the target kernel's running row sums, added left to right as _draw_edge does
+    z_rows = np.array(stage1._z_kernel.rows)
+    z_cum = np.cumsum(z_rows, axis=1)
+    z_last = np.array([np.flatnonzero(row > 0).max() for row in z_rows])
+    exits = None if stage1.done else _exit_rows(g, stage1.u)
+
+    def finish_moves(s, v):
+        """_legal_move with the excess over the target, for every run; the
+        target is non-negative, so an edge with positive excess is never
+        empty."""
+        cand = incidence[v]
+        at = np.arange(len(s))
+        counts = s[at[:, None], cand]
+        excess = counts - target[cand]
+        pick = excess.argmax(axis=1)
+        most = counts.argmax(axis=1)
+        fallback = np.where(counts[at, most] > 0, cand[at, most], FORFEIT)
+        return np.where(excess[at, pick] > 0, cand[at, pick], fallback)
+
+    def kernel_moves(s, v, u, r, drift):
+        """Stage 1 for the drifting runs, confinement for the others: a draw
+        from the kernel of the exit point, or of the target when there is
+        none, then the legal fallback for an empty edge."""
+        e = np.empty(len(s), dtype=np.int64)
+        plain = ~drift  # the runs that draw from the target kernel
+        confine = plain.copy()
+        if not confine.all():
+            pos = np.flatnonzero(drift)
+            x = s[pos, :m] / r
+            near = np.array(_norms(x - z)) <= eps0
+            drift[pos[near]] = False  # the stage ends; this move plays the target kernel
+            plain[pos[near]] = True
+            if not near.all():
+                _draw_exit_kernels(g, exits(x[~near]), pos[~near], v, u, e)
+        if confine.any():
+            pos = np.flatnonzero(confine)
+            far = np.array(_norms(s[pos, :m] - r * z)) >= d0
+            for j in pos[far].tolist():
+                y = _exit_point(g, z, s[j, :m].astype(float) / r - z)
+                if y is not None:
+                    plain[j] = False
+                    e[j] = _draw_edge(_kernel_for(g, y).rows[v[j]], u[j])
+        if plain.any():
+            pos = np.flatnonzero(plain)
+            below = u[pos, None] < z_cum[v[pos]]
+            e[pos] = np.where(below.any(axis=1), below.argmax(axis=1), z_last[v[pos]])
+        for j in np.flatnonzero(s[np.arange(len(s)), e] <= 0).tolist():
+            e[j] = _legal_move(g, s[j], int(v[j]) + 1)
+        return e
+
+    def play_chunk(state, forfeit, draws) -> None:
+        live = np.arange(len(state))  # the runs that have not forfeited
+        drifting = np.full(len(state), not stage1.done)
+        for t in range(steps):
+            v = np.searchsorted(bounds, next(draws)[live], side="right")
+            s = state[live]
+            if total - t <= cut:
+                e = finish_moves(s, v)
+            else:
+                drift = drifting[live]
+                e = kernel_moves(s, v, next(draws)[live], total - t, drift)
+                drifting[live] = drift
+            out = e == FORFEIT
+            if out.any():
+                forfeit[live[out]] = True
+                live, e = live[~out], e[~out]
+            state[live, e] -= 1
+
+    return play_chunk
+
+
+def _draw_exit_kernels(g: Graph, y: np.ndarray, pos, v, u, e) -> None:
+    """e[j] for each run j in pos: the draw by uniform u[j] from vertex v[j]'s
+    row of the flow kernel of its exit point, the matching row of y,
+    normalised as _kernel_for does (each row sum taken alone, as NumPy adds
+    up a vector)."""
+    point = np.maximum(y, 0.0)
+    point /= np.array([np.add.reduce(row) for row in point])[:, None]
+    bad = ~np.isfinite(point).all(axis=1)
+    if bad.any():
+        _kernel_for(g, y[bad.argmax()])  # raises OutsideSimplex
+    for j, p, entries in zip(pos.tolist(), point, point.tolist()):
+        e[j] = _draw_edge(_flow_kernel(g, p, entries)[v[j]], u[j])
 
 
 @dataclass
@@ -403,23 +603,31 @@ def deviation_tail(
     the target time, plus the exact-hit rate.  The integer target is the
     largest-remainder rounding of n1*z.  A game that forfeits before the
     target time is measured at its frozen final state (never an exact hit,
-    since that state has a larger total than the target)."""
+    since that state has a larger total than the target).  The target total
+    n1 must lie in 0..n, the start's total; SteerExact runs play in
+    lockstep, as the serial loop would."""
     if runs < 1:
         raise ValueError("need at least one run")
     master_seed = _check_seed(master_seed)
     w = _vertex_law(g, strategy, weights)
     z = np.asarray(z, dtype=float)
+    config = check_config(g, config)
+    total = int(config.sum())
+    if not 0 <= n1 <= total:
+        raise DomainError(f"target total {n1} is outside 0..{total}, the start's total")
     target = round_to_config(n1, z)
-    total = int(np.asarray(config).sum())
     steps = total - n1
-    devs = np.empty(runs)
-    hits = 0
-    for i in range(runs):
-        result = play(g, config, strategy, child_rng(master_seed, i), w, steps_limit=steps)
-        gap = result.final - target
-        devs[i] = float(np.linalg.norm(gap))
-        if result.forfeit_step is None:
-            hits += int(not np.any(gap))
+    if isinstance(strategy, SteerExact):
+        final, forfeit = _steer_runs(g, config, strategy, runs, master_seed, w, steps)
+    else:
+        final = np.empty((runs, g.m), dtype=np.int64)
+        forfeit = np.empty(runs, dtype=bool)
+        for i in range(runs):
+            result = play(g, config, strategy, child_rng(master_seed, i), w, steps_limit=steps)
+            final[i], forfeit[i] = result.final, result.forfeit_step is not None
+    gaps = final - target
+    devs = np.array([float(np.linalg.norm(gap)) for gap in gaps])
+    hits = int(np.count_nonzero(~forfeit & ~gaps.any(axis=1)))
     q = np.asarray(q_grid, dtype=float)
     tail = np.array([(devs > qq).mean() for qq in q])
     return TailCurve(
@@ -469,12 +677,12 @@ def trace_diagnostics(g: Graph, result: GameResult, stage1: Stage1Steer) -> Diag
     if stage1.u is not None:
         z, u = stage1.z, stage1.u
         s_increments = np.diff([float((st - (n - t) * z) @ u) for t, st in enumerate(states)])
+        rem = n - np.arange(len(states) - 1)
+        x = states[:-1] / rem[:, None]
         # the stage ends for good once the state comes within eps0 of z
-        for t, state in enumerate(states[:-1]):
-            rem = n - t
-            if rem <= 1 or float(np.linalg.norm(state / rem - z)) <= stage1.eps0:
-                break
-            y = stage1.current_exit(state / rem)
+        gaps = zip(rem.tolist(), _norms(x - z))
+        stop = next((t for t, (r, d) in enumerate(gaps) if r <= 1 or d <= stage1.eps0), len(x))
+        for t, y in enumerate(_exit_rows(g, u)(x[:stop])):
             _, kernel = membership_flow(g, np.maximum(y, 0.0) / max(y.sum(), 1e-300))
             if kernel is not None and float((kernel.weights @ kernel.q - z) @ u) < -1e-12:
                 positive.append(t)

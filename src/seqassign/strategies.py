@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import DomainError, NoExit, OutsideSimplex, StepTooLarge
 from .geometry import (
+    _constraints,
+    _uniform_law,
     all_slacks,
     boundary_distance,
     check_simplex,
@@ -118,14 +120,17 @@ class _KernelSampler:
         self.rows = rows
 
     def sample(self, vertex: int, rng) -> int:
-        row = self.rows[vertex - 1]
-        u = rng.random()
-        acc = 0.0
-        for e, p in enumerate(row):
-            acc += p
-            if u < acc:
-                return e
-        return max(e for e, p in enumerate(row) if p > 0)
+        return _draw_edge(self.rows[vertex - 1], rng.random())
+
+
+def _draw_edge(row: list[float], u: float) -> int:
+    """The edge of kernel row `row` that the uniform u selects."""
+    acc = 0.0
+    for e, p in enumerate(row):
+        acc += p
+        if u < acc:
+            return e
+    return max(e for e, p in enumerate(row) if p > 0)
 
 
 def _kernel_for(g: Graph, point: np.ndarray) -> _KernelSampler:
@@ -134,12 +139,18 @@ def _kernel_for(g: Graph, point: np.ndarray) -> _KernelSampler:
     point = point / point.sum()
     if not np.isfinite(point).all():
         raise OutsideSimplex(f"entries sum to {point.sum()}, not 1")
-    _, rows = flow_rows(g, point.tolist())
+    return _KernelSampler(_flow_kernel(g, point, point.tolist()))
+
+
+def _flow_kernel(g: Graph, point: np.ndarray, entries: list[float]) -> list[list[float]]:
+    """Kernel rows of a normalised point, given also as Python floats; a point
+    the flow cannot realise is clipped onto the region, then x* stands in."""
+    _, rows = flow_rows(g, entries)
     if rows is None:
         _, rows = flow_rows(g, check_simplex(g, clip_to_region(g, point)).tolist())
         if rows is None:
             _, rows = flow_rows(g, x_star(g).tolist())
-    return _KernelSampler(rows)
+    return rows
 
 
 def _legal_move(g: Graph, state, vertex: int, excess=None) -> int:
@@ -172,6 +183,46 @@ def _exit_point(g: Graph, origin, direction, fallback=None):
     if y is not None and min_slack(g, y)[0] < -1e-12:
         y = clip_to_region(g, y)
     return y
+
+
+def _exit_rows(g: Graph, direction: np.ndarray):
+    """The exit points `_exit_point(g, x, direction, fallback=x)` of the rows
+    x of an (R, m) array, as a function of the rows; every constraint's rate
+    along the shared direction is computed once.  A row is settled on the
+    vertex-set family, where `ray_exit` and `min_slack` would read it, when
+    its origin is interior, its exit time finite, its exit point has no
+    negative entry and no slack below -1e-12, and at most one zero entry,
+    which every tight constraint holds (else ray_exit asks the fold).  Every
+    other row goes to `_exit_point`."""
+    c = _constraints(g, _uniform_law(g.k))
+    if c.exhaustive:
+        return lambda rows: np.array([_exit_point(g, x, direction, fallback=x) for x in rows])
+    rate = c.sums(-direction)
+    drop = rate > 1e-15
+
+    def exits(rows: np.ndarray) -> np.ndarray:
+        t = c.row_slacks(rows)
+        ok = t.min(axis=1) > 0
+        np.divide(t, rate, out=t, where=drop)
+        t[:, ~drop] = math.inf
+        best = t.min(axis=1)
+        ok &= best < math.inf
+        best[~ok] = 0.0
+        y = rows + best[:, None] * direction
+        zero = y <= 1e-12
+        ok &= y.min(axis=1) >= 0
+        ok &= zero.sum(axis=1) <= 1
+        one = np.flatnonzero(ok & zero.any(axis=1))
+        if len(one):
+            tight = t[one] <= (best[one] + 1e-12 * np.maximum(1.0, best[one]))[:, None]
+            outside = ~c.rows[:, zero[one].argmax(axis=1)].T
+            ok[one] = ~(tight & outside).any(axis=1)
+        ok[ok] = c.row_slacks(y[ok]).min(axis=1) >= -1e-12
+        for i in np.flatnonzero(~ok).tolist():
+            y[i] = _exit_point(g, rows[i], direction, fallback=rows[i])
+        return y
+
+    return exits
 
 
 def _steer_move(g: Graph, point, default, state, vertex: int, rng, excess=None) -> int:

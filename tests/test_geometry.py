@@ -623,6 +623,21 @@ def test_family_min_slack_matches_fold(g, weights):
         assert got[0] == want[0] and math.copysign(1, got[0]) == math.copysign(1, want[0]), x
 
 
+@pytest.mark.parametrize("g, weights", ORACLE_GRAPHS, ids=ORACLE_IDS)
+def test_family_row_slacks_match_slacks(g, weights):
+    # the batched slacks of many points carry the bits, signed zeros included,
+    # of the slacks of each point alone
+    c = _constraints(g, _law(g, weights))
+    points = np.array(oracle_points(g, g.m + 3))
+    got = c.row_slacks(points)
+    want = np.array([c.slacks(x) for x in points])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # as do the rows of one point and of none
+    assert np.array_equal(c.row_slacks(points[:1]), want[:1])
+    assert c.row_slacks(points[:0]).shape == (0, len(c.d))
+
+
 @pytest.mark.parametrize("g, weights", ORACLE_GRAPHS[:-1], ids=ORACLE_IDS[:-1])
 def test_family_ray_exit_and_clip_match_fold(g, weights):
     xs = x_star(g)

@@ -220,6 +220,17 @@ def test_child_uniforms_match_numpy(seed):
             assert np.array_equal(got, want), (seed, lo, total)
 
 
+@pytest.mark.parametrize("block, width", [(64, 256), (1 << 14, 7), (1 << 14, 256)])
+def test_child_uniform_blocks_match_numpy(monkeypatch, block, width):
+    # one column per step (more runs than half a block), blocks of 7 columns
+    # that end mid-stream, and blocks longer than the stream
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    monkeypatch.setattr(simulate, "_WIDTH", width)
+    for lo, hi in [(0, 100), (2**32 - 3, 2**32 + 2)]:
+        want = np.stack([child_rng(5, i).random(60) for i in range(lo, hi)])
+        assert np.array_equal(_child_uniforms(5, lo, hi, 60), want)
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("work started before the seed was checked")
 
@@ -348,6 +359,33 @@ def test_tail_reproducible(p4):
     a = deviation_tail(*args)
     b = deviation_tail(*args)
     assert np.array_equal(a.tail, b.tail) and a.hits == b.hits
+
+
+def _no_stream(*args, **kwargs):
+    raise AssertionError("a stream was drawn")
+
+
+@pytest.mark.parametrize("n1", [31, -3])
+def test_deviation_tail_refuses_a_target_total_outside_the_start(p4, monkeypatch, n1):
+    # n1 above the start's total played nothing; below 0 it played every
+    # step and measured against a negative target
+    for name in ("child_rng", "_uniform_columns"):
+        monkeypatch.setattr(simulate, name, _no_stream, raising=False)
+    xs = x_star(p4)
+    for strategy in (SteerExact(p4, SteerPlan(z=xs, n1=10)), GreedyLargest()):
+        with pytest.raises(DomainError, match="outside 0..30"):
+            deviation_tail(p4, [10, 12, 8], strategy, xs, n1, [0, 1], 4, 0)
+
+
+def test_deviation_tail_takes_the_ends_of_the_range(p4):
+    xs = x_star(p4)
+    strategy = SteerExact(p4, SteerPlan(z=xs, n1=10))
+    start = [10, 12, 8]
+    # n1 = total plays nothing; the start is off the target (11, 8, 11)
+    assert deviation_tail(p4, start, strategy, xs, 30, [0], 4, 0).tail[0] == 1.0
+    # n1 = 0 plays every step, and a hit is a won game
+    wins = sum(play(p4, start, strategy, child_rng(0, i)).won for i in range(4))
+    assert deviation_tail(p4, start, strategy, xs, 0, [0], 4, 0).hits == wins
 
 
 # --- traces and diagnostics ------------------------------------------------------

@@ -26,6 +26,7 @@ from seqassign.strategies import (
     UniformIncident,
     _KernelSampler,
     _exit_point,
+    _exit_rows,
     _steer_move,
     baseline_strategy,
     ode_trajectory,
@@ -116,6 +117,49 @@ def test_stage1_exit_is_positive_multiple_of_u(p4):
         scale = gap @ s.u
         assert scale > 0
         assert np.allclose(gap, scale * s.u, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path_graph(4),
+        cycle_graph(4),
+        complete_graph(4),
+        star_graph(4),
+        complete_graph(5),
+        build_graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)]),
+    ],
+    ids=["P4", "C4", "K4", "S4", "K5", "triangle-tail"],
+)
+def test_exit_rows_match_exit_point(g):
+    # the batched stage-1 exits of many origins along one direction carry the
+    # bits of _exit_point's: interior origins, origins with zero or negative
+    # entries, origins outside the region, and rays from x* toward points
+    # with zeros and ties, whose exits can have zero entries
+    rng = np.random.default_rng(g.m)
+    xs = x_star(g)
+    points = list(rng.dirichlet(np.ones(g.m), 40))
+    for x in rng.dirichlet(np.ones(g.m), 200):
+        x[rng.random(g.m) < 0.5] = 0.0
+        if x.sum() > 0:
+            points.append(x / x.sum())
+    for x in rng.integers(0, 4, (200, g.m)).astype(float):
+        if x.sum() > 0:
+            points.append(x / x.sum())
+    for x in rng.dirichlet(np.ones(g.m), 10):
+        x[rng.integers(g.m)] = -1e-13
+        points.append(x / x.sum())
+    points = np.array(points)
+    origins = np.concatenate([points, 0.5 * points + 0.5 * xs])
+    for u in points[:10] - xs:
+        want = np.array([_exit_point(g, x, u, fallback=x) for x in origins])
+        assert np.array_equal(_exit_rows(g, u)(origins), want)
+    # on K5 and the triangle with a tail, some of these exits are the fold's
+    # and some are clipped back onto the region
+    for target in points:
+        rows = xs + np.outer([0.0, 0.25], target - xs)
+        want = np.array([_exit_point(g, x, target - xs, fallback=x) for x in rows])
+        assert np.array_equal(_exit_rows(g, target - xs)(rows), want)
 
 
 def test_stage1_forced_kernel_state(p4):

@@ -444,6 +444,14 @@ def test_window_refuses_a_weighted_table(p4):
     assert len(rows) == 3
 
 
+def test_window_refuses_a_table_of_another_graph(p4, k4):
+    from seqassign.experiments import window_collapse
+
+    # the rows would be the table's graph's, not the game's
+    with pytest.raises(DomainError, match="another graph"):
+        window_collapse(k4, [16], [1.0], compute_table(p4, 16))
+
+
 def test_phase_decay_outside_rectangle(p4_table):
     # far outside the critical rectangle the win probability is near zero
     assert value_at(p4_table, [30, 110, 60]) < 1e-3   # m/n = 0.15 < 1/4
