@@ -601,6 +601,10 @@ def _vertex_set_distance(g: Graph, c: _Constraints, x: np.ndarray) -> float:
     return min(float(scale[subset_size(F)]) * _fold_slack(g, F, xl, w) for F in faces)
 
 
+# an exit entry at or below this may make ray_exit ask the fold
+_ZERO = 1e-12
+
+
 def ray_exit(g: Graph, origin, direction) -> tuple[np.ndarray, float, int]:
     """First point along origin + t*direction (t > 0) where some slack hits 0.
 
@@ -620,8 +624,8 @@ def ray_exit(g: Graph, origin, direction) -> tuple[np.ndarray, float, int]:
     # y is a region point, so its entries are >= 0 up to rounding.  A tight
     # constraint C plus edges where y is zero is tight as well; when such a
     # set can lie outside the family, let the fold's rounding pick among them
-    if not c.exhaustive and g.m <= SUBSET_CAP and y[y.argmin()] <= 1e-12:
-        zero = np.abs(y) <= 1e-12
+    if not c.exhaustive and g.m <= SUBSET_CAP and y[y.argmin()] <= _ZERO:
+        zero = np.abs(y) <= _ZERO
         tight = c.rows[t <= best_t + 1e-12 * max(1.0, best_t)]
         if zero.sum() > 1 or (zero & ~tight).any():
             fold = _constraints(g, _uniform_law(g.k), exhaustive=True)
@@ -632,15 +636,59 @@ def ray_exit(g: Graph, origin, direction) -> tuple[np.ndarray, float, int]:
 def _ray_exit(c: _Constraints, origin, direction, t: np.ndarray):
     """ray_exit over the constraints c from an origin whose slacks are t;
     t is overwritten with the exit times."""
-    rate = c.sums(-direction)  # how fast each slack drops
-    drop = rate > 1e-15
-    np.divide(t, rate, out=t, where=drop)
-    t[~drop] = math.inf
+    _exit_times(t, c.sums(-direction))
     i = t.argmin()
     best_t = float(t[i])
     if not math.isfinite(best_t):
         raise NoExit("no constraint tightens along this direction")
     return origin + best_t * direction, best_t, c.mask(i)
+
+
+def _exit_times(t: np.ndarray, rate: np.ndarray) -> None:
+    """Overwrite the slacks t (last axis: the constraints) with the time at
+    which each reaches 0 when it drops at `rate`; inf where it does not drop."""
+    drop = rate > 1e-15
+    np.divide(t, rate, out=t, where=drop)
+    t[..., ~drop] = math.inf
+
+
+def ray_exit_rows(g: Graph, direction):
+    """ray_exit along one direction for many origins: a function that maps
+    an (R, m) array to its rows' exit points and a mask of the rows it
+    settles.  Each constraint's rate along the direction is computed once.
+    A settled row's point is ray_exit(g, row, direction)[0] bit for bit: its
+    origin is interior, some slack drops, and no entry of its exit is at or
+    below _ZERO, so the vertex-set family decides it.  The other rows'
+    points are unspecified."""
+    direction = np.asarray(direction, dtype=float)
+    c = _constraints(g, _uniform_law(g.k))
+    rate = None if c.exhaustive else c.sums(-direction)
+
+    def exits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if rate is None:
+            return np.array(rows, dtype=float), np.zeros(len(rows), dtype=bool)
+        t = c.row_slacks(rows)
+        ok = t.min(axis=1) > 0
+        _exit_times(t, rate)
+        best = t.min(axis=1)
+        ok &= best < math.inf
+        best[~ok] = 0.0
+        y = rows + best[:, None] * direction
+        ok &= y.min(axis=1) > _ZERO
+        return y, ok
+
+    return exits
+
+
+def min_slack_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """min_slack(g, x)[0] for each row x of an (R, m) array, uniform law."""
+    c = _constraints(g, _uniform_law(g.k))
+    if c.exhaustive:
+        return np.array([min_slack(g, x)[0] for x in rows])
+    s = c.row_slacks(rows).min(axis=1)
+    for i in np.flatnonzero(~(s > 0) & (rows.min(axis=1) < 0)).tolist():
+        s[i] = min_slack(g, rows[i])[0]  # the signed case
+    return s
 
 
 def clip_to_region(g: Graph, y) -> np.ndarray:

@@ -249,7 +249,7 @@ _BLOCK, _WIDTH = 1 << 14, 256
 def _uniform_columns(master_seed: int, lo: int, hi: int):
     """The draws of runs lo <= i < hi, one column per draw: the j-th column
     yielded holds each run's j-th `child_rng(master_seed, i).random()`.
-    Up to _BLOCK / 2 runs take blocks of columns, each column's states
+    The columns come in blocks of up to _BLOCK draws, each column's states
     jumped ahead from the last column of the block before."""
     runs = []
     # a spawn index below 2**32 is one uint32 word, a larger one two
@@ -262,11 +262,7 @@ def _uniform_columns(master_seed: int, lo: int, hi: int):
     inc_hi = s2 << np.uint64(1) | s3 >> np.uint64(63)
     inc_lo = s3 << np.uint64(1) | np.uint64(1)
     st_hi, st_lo = _lcg_step(*_add128(inc_hi, inc_lo, s0, s1), inc_hi, inc_lo)
-    width = min(_BLOCK // (hi - lo), _WIDTH)
-    if width < 2:
-        while True:
-            st_hi, st_lo = _lcg_step(st_hi, st_lo, inc_hi, inc_lo)
-            yield _random(st_hi, st_lo)
+    width = max(1, min(_BLOCK // (hi - lo), _WIDTH))
     a_hi, a_lo, g_hi, g_lo = _lcg_jumps(width)
     step = _mul128(inc_hi, inc_lo, g_hi, g_lo)  # inc * g[j], one row per column
     while True:

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import DomainError, NoExit, OutsideSimplex, StepTooLarge
 from .geometry import (
-    _constraints,
-    _uniform_law,
     all_slacks,
     boundary_distance,
     check_simplex,
@@ -32,7 +30,9 @@ from .geometry import (
     clip_to_region,
     flow_rows,
     min_slack,
+    min_slack_rows,
     ray_exit,
+    ray_exit_rows,
     x_star,
     RegionKind,
 )
@@ -170,6 +170,10 @@ def _legal_move(g: Graph, state, vertex: int, excess=None) -> int:
     return best
 
 
+# an exit point whose minimum slack is below -_CLIP is clipped onto the region
+_CLIP = 1e-12
+
+
 def _exit_point(g: Graph, origin, direction, fallback=None):
     """Point where the ray origin + t*direction (t >= 0) leaves the region;
     `fallback` when no constraint tightens ahead.  A point left outside the
@@ -180,49 +184,26 @@ def _exit_point(g: Graph, origin, direction, fallback=None):
             raise NoExit("origin already past the boundary")
     except NoExit:
         y = fallback
-    if y is not None and min_slack(g, y)[0] < -1e-12:
+    if y is not None and min_slack(g, y)[0] < -_CLIP:
         y = clip_to_region(g, y)
     return y
 
 
 def _exit_rows(g: Graph, direction: np.ndarray):
     """The exit points `_exit_point(g, x, direction, fallback=x)` of the rows
-    x of an (R, m) array, as a function of the rows; every constraint's rate
-    along the shared direction is computed once.  A row is settled on the
-    vertex-set family, where `ray_exit` and `min_slack` would read it, when
-    its origin is interior, its exit time finite, its exit point has no
-    negative entry and no slack below -1e-12, and at most one zero entry,
-    which every tight constraint holds (else ray_exit asks the fold).  Every
-    other row goes to `_exit_point`."""
-    c = _constraints(g, _uniform_law(g.k))
-    if c.exhaustive:
-        return lambda rows: np.array([_exit_point(g, x, direction, fallback=x) for x in rows])
-    rate = c.sums(-direction)
-    drop = rate > 1e-15
+    x of an (R, m) array, as a function of the rows: the rows that
+    `ray_exit_rows` settles with no clip due are taken from it, the others
+    from `_exit_point`."""
+    exits = ray_exit_rows(g, direction)
 
-    def exits(rows: np.ndarray) -> np.ndarray:
-        t = c.row_slacks(rows)
-        ok = t.min(axis=1) > 0
-        np.divide(t, rate, out=t, where=drop)
-        t[:, ~drop] = math.inf
-        best = t.min(axis=1)
-        ok &= best < math.inf
-        best[~ok] = 0.0
-        y = rows + best[:, None] * direction
-        zero = y <= 1e-12
-        ok &= y.min(axis=1) >= 0
-        ok &= zero.sum(axis=1) <= 1
-        one = np.flatnonzero(ok & zero.any(axis=1))
-        if len(one):
-            tight = t[one] <= (best[one] + 1e-12 * np.maximum(1.0, best[one]))[:, None]
-            outside = ~c.rows[:, zero[one].argmax(axis=1)].T
-            ok[one] = ~(tight & outside).any(axis=1)
-        ok[ok] = c.row_slacks(y[ok]).min(axis=1) >= -1e-12
+    def settle(rows: np.ndarray) -> np.ndarray:
+        y, ok = exits(rows)
+        ok[ok] = min_slack_rows(g, y[ok]) >= -_CLIP
         for i in np.flatnonzero(~ok).tolist():
             y[i] = _exit_point(g, rows[i], direction, fallback=rows[i])
         return y
 
-    return exits
+    return settle
 
 
 def _steer_move(g: Graph, point, default, state, vertex: int, rng, excess=None) -> int:

@@ -20,7 +20,9 @@ from seqassign.geometry import (
     kappa,
     membership_flow,
     min_slack,
+    min_slack_rows,
     ray_exit,
+    ray_exit_rows,
     uniform_weights,
     x_star,
 )
@@ -639,6 +641,37 @@ def test_family_row_slacks_match_slacks(g, weights):
 
 
 @pytest.mark.parametrize("g, weights", ORACLE_GRAPHS[:-1], ids=ORACLE_IDS[:-1])
+def test_ray_exit_rows_match_ray_exit(g, weights):
+    # every settled row carries ray_exit's bits; rows from outside the region,
+    # rows with no exit and rays toward points with zeros (exits with zero
+    # entries, where ray_exit may ask the fold) are left unsettled
+    points = np.array(oracle_points(g, g.m + 4))
+    origins = np.concatenate([points, 0.5 * points + 0.5 * x_star(g)])
+    settled = 0
+    for u in points[:: len(points) // 6] - x_star(g):
+        y, ok = ray_exit_rows(g, u)(origins)
+        for x, row, good in zip(origins, y, ok):
+            if good:
+                assert np.array_equal(row, ray_exit(g, x, u)[0]), x
+        settled += int(ok.sum())
+        assert not ok[: len(points)][[min_slack(g, x)[0] <= 0 for x in points]].any()
+    assert 0 < settled < 6 * len(origins)
+    y, ok = ray_exit_rows(g, np.zeros(g.m))(origins)  # no slack drops
+    assert not ok.any()
+
+
+@pytest.mark.parametrize("g, weights", ORACLE_GRAPHS[:-1], ids=ORACLE_IDS[:-1])
+def test_min_slack_rows_match_min_slack(g, weights):
+    # signed zeros and negative entries included
+    points = np.array(oracle_points(g, g.m + 5))
+    want = [min_slack(g, x)[0] for x in points]
+    got = min_slack_rows(g, points)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert min_slack_rows(g, points[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("g, weights", ORACLE_GRAPHS[:-1], ids=ORACLE_IDS[:-1])
 def test_family_ray_exit_and_clip_match_fold(g, weights):
     xs = x_star(g)
     for x in oracle_points(g, g.m + 1):
@@ -748,3 +781,7 @@ def test_sparse_graph_past_the_family_ceiling_uses_the_fold():
     assert _constraints(g, _law(g, None)).exhaustive
     x = x_star(g)
     assert min_slack(g, x) == fold_min_slack(g, x)
+    # the row forms: each minimum slack from min_slack, and no exit settled
+    rows = np.array([x, np.roll(np.arange(20.0), 3) / 190])
+    assert np.array_equal(min_slack_rows(g, rows), [min_slack(g, r)[0] for r in rows])
+    assert not ray_exit_rows(g, rows[1] - x)(rows)[1].any()

@@ -222,7 +222,7 @@ def test_child_uniforms_match_numpy(seed):
 
 @pytest.mark.parametrize("block, width", [(64, 256), (1 << 14, 7), (1 << 14, 256)])
 def test_child_uniform_blocks_match_numpy(monkeypatch, block, width):
-    # one column per step (more runs than half a block), blocks of 7 columns
+    # one column a block (more runs than half a block), blocks of 7 columns
     # that end mid-stream, and blocks longer than the stream
     monkeypatch.setattr(simulate, "_BLOCK", block)
     monkeypatch.setattr(simulate, "_WIDTH", width)
