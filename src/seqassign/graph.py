@@ -50,9 +50,6 @@ class Graph:
             mask |= 1 << e
         return mask
 
-    def full_mask(self) -> int:
-        return (1 << self.m) - 1
-
 
 def build_graph(k: int, pairs) -> Graph:
     """Validate and build a Graph from 1-based vertex pairs.

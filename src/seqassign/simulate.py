@@ -5,13 +5,14 @@ an edge, and decrements it; the game is won when the all-zero config is
 reached after exactly n steps.  Run i of an estimate uses the child stream
 SeedSequence(master_seed, spawn_key=(i,)), so results are reproducible and
 independent of execution order.  Vertex draws consume exactly one uniform
-variate per step (inverse-CDF), which lets the batched fast path for
-deterministic strategies (table play and greedy) reproduce the serial path
-bit-for-bit: `_child_uniforms` computes those streams for a whole chunk of
-runs at once, with NumPy's SeedSequence, PCG64 and `random()` re-done in
-uint64 array arithmetic.  SteerExact play draws one kernel uniform more per
-step until its finishing window, at the same step in every run, so its runs
-also play in lockstep, from the same streams read one column at a time.
+variate per step (inverse-CDF).  `_uniform_columns` computes the streams of a
+chunk of runs, with NumPy's SeedSequence, PCG64 and `random()` re-done in
+uint64 array arithmetic, and yields them one column (one draw of every run)
+at a time.  The batched paths read those columns step by step and reproduce
+the serial loop bit-for-bit: table play walks the stored policy of a box,
+and greedy and SteerExact share one lockstep loop (`_play_chunks`).
+SteerExact draws one kernel uniform more per step until its finishing
+window, at the same step in every run, so its runs read one column too.
 """
 
 from __future__ import annotations
@@ -232,16 +233,6 @@ def _random(hi, lo):
     return (x >> np.uint64(11)) * 2.0**-53
 
 
-def _child_uniforms(master_seed: int, lo: int, hi: int, total: int) -> np.ndarray:
-    """The (hi - lo, total) array whose row i - lo equals
-    child_rng(master_seed, i).random(total) bit for bit, for run indices
-    lo <= i < hi < 2**64."""
-    out = np.empty((total, hi - lo))
-    for t, column in zip(range(total), _uniform_columns(master_seed, lo, hi)):
-        out[t] = column
-    return out.T
-
-
 # a block of _uniform_columns: at most _BLOCK draws, at most _WIDTH per run
 _BLOCK, _WIDTH = 1 << 14, 256
 
@@ -274,6 +265,14 @@ def _uniform_columns(master_seed: int, lo: int, hi: int):
 def _draw_vertex(rng, cum_weights: np.ndarray) -> int:
     # the last cumulative weight may round below 1; the top of [0, 1) is vertex k
     return int(np.searchsorted(cum_weights[:-1], rng.random(), side="right")) + 1
+
+
+def _draw_vertices(cum_weights: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """The 0-based vertices that `_draw_vertex` draws from a column of
+    uniforms: the number of cumulative weights but the last at or below each
+    uniform.  Unlike a binary search, the count does not branch on every
+    draw, which makes long columns several times faster."""
+    return (cum_weights[:-1, None] <= column).sum(axis=0)
 
 
 def play(
@@ -341,9 +340,9 @@ def estimate(
     master_seed: int,
     weights=None,
 ) -> Estimate:
-    """Win-probability estimate with a Wilson 95% interval.  Table strategies,
-    greedy and SteerExact take batched paths that reproduce the serial loop
-    bit-for-bit."""
+    """Win-probability estimate with a Wilson 95% interval.  Table strategies
+    walk the stored policy of the box under the start, greedy and SteerExact
+    play in lockstep (`_play_chunks`), each bit-for-bit as the serial loop."""
     if runs < 1:
         raise ValueError("need at least one run")
     master_seed = _check_seed(master_seed)
@@ -358,17 +357,10 @@ def estimate(
             check_config(g, config, box.n_max)
             held = required_bytes(g.m, box.n_max)
             box = downset_table(g, config, w, max(DEFAULT_BUDGET - held, 0))
-        successes = _estimate_batch(config, runs, master_seed, w, _box_player(box, config))
-    elif isinstance(strategy, GreedyLargest):
-        successes = _estimate_batch(config, runs, master_seed, w, _greedy_player(g, config))
-    elif isinstance(strategy, SteerExact):
-        _, forfeit = _steer_runs(g, config, strategy, runs, master_seed, w, int(config.sum()))
-        successes = runs - int(forfeit.sum())
+        successes = _box_wins(box, config, runs, master_seed, w)
     else:
-        successes = 0
-        for i in range(runs):
-            result = play(g, config, strategy, child_rng(master_seed, i), w)
-            successes += int(result.won)
+        chunks = _play_chunks(g, config, strategy, runs, master_seed, w, int(config.sum()))
+        successes = runs - sum(int(np.count_nonzero(forfeit)) for _, forfeit in chunks)
     lo, hi = wilson_interval(successes, runs)
     return Estimate(runs=runs, successes=successes, p_hat=successes / runs, ci_lo=lo, ci_hi=hi)
 
@@ -385,20 +377,22 @@ def _vertex_law(g: Graph, strategy: Strategy, weights) -> np.ndarray:
 _CHUNK = 1 << 14
 
 
-def _estimate_batch(start, runs: int, master_seed: int, w, player) -> int:
-    """Successes of a deterministic strategy: chunks of runs draw their
-    vertices from `_child_uniforms`, and `player(verts)` plays a chunk from
-    its (total, runs) array of 0-based vertices and counts the wins."""
+def _box_wins(box: DownSetTable, start, runs: int, master_seed: int, w) -> int:
+    """Wins of table-optimal play: each run carries the index of its state
+    in the box, one gather from the stored policy per step, and is won when
+    it ends at the empty config."""
     cum_w = np.cumsum(w)
-    total = int(start.sum())
-    vertex_dtype = np.min_scalar_type(len(w))  # one byte per draw up to 255 vertices
-    successes = 0
+    k = np.int64(box.graph.k)  # the int32 indices of nxt scale to int64 positions
+    nxt = box.nxt.ravel()
+    first = box.index(start)
+    wins = 0
     for lo in range(0, runs, _CHUNK):
         hi = min(lo + _CHUNK, runs)
-        draws = _child_uniforms(master_seed, lo, hi, total)
-        verts = np.searchsorted(cum_w[:-1], draws.T, side="right").astype(vertex_dtype)
-        successes += player(verts)
-    return successes
+        idx = np.full(hi - lo, first, dtype=np.int64)
+        for _, column in zip(range(int(start.sum())), _uniform_columns(master_seed, lo, hi)):
+            idx = nxt.take(idx * k + _draw_vertices(cum_w, column))
+        wins += int(np.count_nonzero(idx == 0))
+    return wins
 
 
 def _incidence_rows(g: Graph) -> np.ndarray:
@@ -410,61 +404,73 @@ def _incidence_rows(g: Graph) -> np.ndarray:
     return incidence
 
 
-def _box_player(box: DownSetTable, start):
-    """Chunk player for table-optimal play: each run carries the index of
-    its state in the box, one gather from the stored policy per step, and
-    is won when it ends at the empty config."""
-    k = np.int64(box.graph.k)  # int64 positions index without a per-step conversion
-    nxt = box.nxt.ravel()
-    first = box.index(start)
+def _play_chunks(g: Graph, start, strategy: Strategy, runs: int, master_seed: int, w, steps: int):
+    """Final states (n, m) and forfeit flags of runs 0..runs-1, one chunk of
+    n <= _CHUNK runs at a time, each run stopped after `steps` moves: run i
+    ends as play(g, start, strategy, child_rng(master_seed, i), w, steps)
+    does.
 
-    def play_chunk(verts) -> int:
-        idx = np.full(verts.shape[1], first, dtype=np.int64)
-        for row in verts:
-            idx = nxt[idx * k + row]
-        return int(np.count_nonzero(idx == 0))
-
-    return play_chunk
-
-
-def _greedy_player(g: Graph, start):
-    """Chunk player for greedy play: the first largest positive count among
-    the drawn vertex's edges in incidence order, as `_legal_move` picks it."""
-    incidence = _incidence_rows(g)
-
-    def play_chunk(verts) -> int:
-        counts = np.zeros((g.m + 1, verts.shape[1]), dtype=np.int64)
-        counts[: g.m] = start[:, None]
-        runs = np.arange(verts.shape[1])  # the runs still playing
-        for row in verts:
-            cand = incidence[row[runs]]
-            vals = counts[cand, runs[:, None]]
-            pick = vals.argmax(axis=1)
-            at = np.arange(len(runs))
-            ok = vals[at, pick] > 0
-            runs = runs[ok]
-            counts[cand[at[ok], pick[ok]], runs] -= 1
-        return len(runs)
-
-    return play_chunk
-
-
-def _steer_runs(g: Graph, start, strategy: SteerExact, runs: int, master_seed: int, w, steps: int):
-    """Final states (runs, m) and forfeit flags of runs 0..runs-1 of a
-    SteerExact game, each stopped after `steps` moves: run i ends as
-    play(g, start, strategy, child_rng(master_seed, i), w, steps) does."""
+    Greedy and SteerExact play the runs of a chunk in lockstep, one step at
+    a time: every run draws one vertex uniform a step, and SteerExact one
+    kernel uniform more while the remaining total, the same in every run, is
+    above its finishing cut, so all runs read the same column of their
+    streams.  Any other strategy plays the serial loop."""
     total = int(start.sum())
-    # column m stays 0: the count of the incidence padding
-    state = np.zeros((runs, g.m + 1), dtype=np.int64)
-    state[:, : g.m] = start
-    forfeit = np.zeros(runs, dtype=bool)
-    if total:  # the empty config is won before any move
+    lockstep = isinstance(strategy, (GreedyLargest, SteerExact))
+    cum_w, incidence = np.cumsum(w), _incidence_rows(g)
+    # greedy plays the finishing rule with no target from the first step
+    target, cut, drift0, kernel_moves = None, total, False, None
+    if isinstance(strategy, SteerExact) and total:  # the empty config is won before any move
         strategy.reset(g, start.copy(), total)
-        play_chunk = _steer_player(g, strategy, np.cumsum(w), total, steps)
-        for lo in range(0, runs, _CHUNK):
-            hi = min(lo + _CHUNK, runs)
-            play_chunk(state[lo:hi], forfeit[lo:hi], _uniform_columns(master_seed, lo, hi))
-    return state[:, : g.m], forfeit
+        target, cut = np.append(strategy.target, 0), strategy.finish_cut
+        kernel_moves, drift0 = _kernel_mover(g, strategy), not strategy._stage1.done
+    for lo in range(0, runs, _CHUNK):
+        hi = min(lo + _CHUNK, runs)
+        # column m stays 0: the count of the incidence padding
+        state = np.zeros((hi - lo, g.m + 1), dtype=np.int64)
+        state[:, : g.m] = start
+        forfeit = np.zeros(hi - lo, dtype=bool)
+        if lockstep:
+            draws = _uniform_columns(master_seed, lo, hi)
+            live = np.arange(hi - lo)  # the runs that have not forfeited
+            drifting = np.full(hi - lo, drift0)  # the runs still in SteerExact's stage 1
+            for t in range(steps):
+                v = _draw_vertices(cum_w, next(draws).take(live))
+                if total - t <= cut:
+                    e = _legal_moves(incidence, state, live, v, target)
+                else:
+                    drift = drifting[live]
+                    e = kernel_moves(state[live], v, next(draws).take(live), total - t, drift)
+                    drifting[live] = drift
+                out = e == FORFEIT
+                if out.any():
+                    forfeit[live[out]] = True
+                    live, e = live[~out], e[~out]
+                state.reshape(-1)[live * (g.m + 1) + e] -= 1  # a view of the rows
+        else:
+            for i in range(lo, hi):
+                game = play(g, start, strategy, child_rng(master_seed, i), w, steps_limit=steps)
+                state[i - lo, : g.m], forfeit[i - lo] = game.final, game.forfeit_step is not None
+        yield state[:, : g.m], forfeit
+
+
+def _legal_moves(incidence, state, live, v, target=None) -> np.ndarray:
+    """`_legal_move` for the runs `live`, rows of the C-contiguous state,
+    with drawn vertices v (0-based): the largest positive excess over
+    `target` when given (the target is non-negative, so an edge with positive
+    excess is never empty), else the largest positive count; ties to the
+    first edge in incidence order; FORFEIT if none.  Flat `take`s gather
+    faster than fancy indexing."""
+    cand = incidence.take(v, axis=0)
+    counts = state.take(live[:, None] * state.shape[1] + cand)
+    first = np.arange(0, cand.size, cand.shape[1])  # each run's first candidate
+    pick = first + counts.argmax(axis=1)
+    e = np.where(counts.take(pick) > 0, cand.take(pick), FORFEIT)
+    if target is not None:
+        excess = counts - target.take(cand)
+        pick = first + excess.argmax(axis=1)
+        e = np.where(excess.take(pick) > 0, cand.take(pick), e)
+    return e
 
 
 def _norms(rows) -> list[float]:
@@ -473,41 +479,23 @@ def _norms(rows) -> list[float]:
     return [math.sqrt(row.dot(row)) for row in rows]
 
 
-def _steer_player(g: Graph, strategy: SteerExact, cum_w, total: int, steps: int):
-    """Chunk player for SteerExact play from a reset strategy: the runs of a
-    chunk move in lockstep, one step at a time, from their streams' columns.
-
-    Each step draws one vertex uniform per run, and one kernel uniform more
-    while the remaining total is above the finishing cut; the remaining total
-    is the same for every run, so all read the same column.  Shared and
-    elementwise work is done on (runs, m) arrays; the flows, the draws from
-    their kernel rows and the norms stay per run, so every bit is the serial
-    loop's."""
-    m, stage1, cut = g.m, strategy._stage1, strategy.finish_cut
-    z, eps0, d0 = stage1.z, stage1.eps0, strategy.d0
-    bounds = cum_w[:-1]
-    incidence = _incidence_rows(g)
-    target = np.append(strategy.target, 0)
+def _kernel_mover(g: Graph, strategy: SteerExact):
+    """The moves of a reset SteerExact before its finishing window, for the
+    runs that share a step: `moves(s, v, u, r, drift)` takes their counts s,
+    drawn vertices v (0-based), kernel uniforms u, the remaining total r and
+    their stage-1 flags `drift`, which it clears for the runs whose stage 1
+    ends.  Shared and elementwise work is done on (runs, m) arrays; the
+    flows, the draws from their kernel rows and the norms stay per run, so
+    every bit is the serial loop's."""
+    m, stage1, d0 = g.m, strategy._stage1, strategy.d0
+    z, eps0 = stage1.z, stage1.eps0
     # the target kernel's running row sums, added left to right as _draw_edge does
-    z_rows = np.array(stage1._z_kernel.rows)
+    z_rows = np.array(stage1._z_kernel)
     z_cum = np.cumsum(z_rows, axis=1)
     z_last = np.array([np.flatnonzero(row > 0).max() for row in z_rows])
     exits = None if stage1.done else _exit_rows(g, stage1.u)
 
-    def finish_moves(s, v):
-        """_legal_move with the excess over the target, for every run; the
-        target is non-negative, so an edge with positive excess is never
-        empty."""
-        cand = incidence[v]
-        at = np.arange(len(s))
-        counts = s[at[:, None], cand]
-        excess = counts - target[cand]
-        pick = excess.argmax(axis=1)
-        most = counts.argmax(axis=1)
-        fallback = np.where(counts[at, most] > 0, cand[at, most], FORFEIT)
-        return np.where(excess[at, pick] > 0, cand[at, pick], fallback)
-
-    def kernel_moves(s, v, u, r, drift):
+    def moves(s, v, u, r, drift):
         """Stage 1 for the drifting runs, confinement for the others: a draw
         from the kernel of the exit point, or of the target when there is
         none, then the legal fallback for an empty edge."""
@@ -529,7 +517,7 @@ def _steer_player(g: Graph, strategy: SteerExact, cum_w, total: int, steps: int)
                 y = _exit_point(g, z, s[j, :m].astype(float) / r - z)
                 if y is not None:
                     plain[j] = False
-                    e[j] = _draw_edge(_kernel_for(g, y).rows[v[j]], u[j])
+                    e[j] = _draw_edge(_kernel_for(g, y)[v[j]], u[j])
         if plain.any():
             pos = np.flatnonzero(plain)
             below = u[pos, None] < z_cum[v[pos]]
@@ -538,25 +526,7 @@ def _steer_player(g: Graph, strategy: SteerExact, cum_w, total: int, steps: int)
             e[j] = _legal_move(g, s[j], int(v[j]) + 1)
         return e
 
-    def play_chunk(state, forfeit, draws) -> None:
-        live = np.arange(len(state))  # the runs that have not forfeited
-        drifting = np.full(len(state), not stage1.done)
-        for t in range(steps):
-            v = np.searchsorted(bounds, next(draws)[live], side="right")
-            s = state[live]
-            if total - t <= cut:
-                e = finish_moves(s, v)
-            else:
-                drift = drifting[live]
-                e = kernel_moves(s, v, next(draws)[live], total - t, drift)
-                drifting[live] = drift
-            out = e == FORFEIT
-            if out.any():
-                forfeit[live[out]] = True
-                live, e = live[~out], e[~out]
-            state[live, e] -= 1
-
-    return play_chunk
+    return moves
 
 
 def _draw_exit_kernels(g: Graph, y: np.ndarray, pos, v, u, e) -> None:
@@ -600,8 +570,8 @@ def deviation_tail(
     largest-remainder rounding of n1*z.  A game that forfeits before the
     target time is measured at its frozen final state (never an exact hit,
     since that state has a larger total than the target).  The target total
-    n1 must lie in 0..n, the start's total; SteerExact runs play in
-    lockstep, as the serial loop would."""
+    n1 must lie in 0..n, the start's total; greedy and SteerExact runs
+    play in lockstep, as the serial loop would."""
     if runs < 1:
         raise ValueError("need at least one run")
     master_seed = _check_seed(master_seed)
@@ -612,15 +582,8 @@ def deviation_tail(
     if not 0 <= n1 <= total:
         raise DomainError(f"target total {n1} is outside 0..{total}, the start's total")
     target = round_to_config(n1, z)
-    steps = total - n1
-    if isinstance(strategy, SteerExact):
-        final, forfeit = _steer_runs(g, config, strategy, runs, master_seed, w, steps)
-    else:
-        final = np.empty((runs, g.m), dtype=np.int64)
-        forfeit = np.empty(runs, dtype=bool)
-        for i in range(runs):
-            result = play(g, config, strategy, child_rng(master_seed, i), w, steps_limit=steps)
-            final[i], forfeit[i] = result.final, result.forfeit_step is not None
+    chunks = _play_chunks(g, config, strategy, runs, master_seed, w, total - n1)
+    final, forfeit = map(np.concatenate, zip(*chunks))
     gaps = final - target
     devs = np.array([float(np.linalg.norm(gap)) for gap in gaps])
     hits = int(np.count_nonzero(~forfeit & ~gaps.any(axis=1)))

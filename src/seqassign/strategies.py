@@ -109,22 +109,12 @@ def baseline_strategy(kind: str) -> Strategy:
 # --- kernel plumbing ----------------------------------------------------------
 
 
-class _KernelSampler:
-    """Draws an edge from the kernel row of the drawn vertex: the first edge
-    whose running sum of the row, added left to right, exceeds one uniform.
-    Rows may sum a few ulps below 1, or up to 1e-9 below when the flow value
-    is short of 1 by that much; a uniform at or above the row's sum goes to
-    the row's last edge of positive probability, which is incident."""
-
-    def __init__(self, rows: list[list[float]]):
-        self.rows = rows
-
-    def sample(self, vertex: int, rng) -> int:
-        return _draw_edge(self.rows[vertex - 1], rng.random())
-
-
 def _draw_edge(row: list[float], u: float) -> int:
-    """The edge of kernel row `row` that the uniform u selects."""
+    """The edge of kernel row `row` that the uniform u selects: the first
+    edge whose running sum of the row, added left to right, exceeds u.  Rows
+    may sum a few ulps below 1, or up to 1e-9 below when the flow value is
+    short of 1 by that much; a uniform at or above the row's sum goes to the
+    row's last edge of positive probability, which is incident."""
     acc = 0.0
     for e, p in enumerate(row):
         acc += p
@@ -133,13 +123,13 @@ def _draw_edge(row: list[float], u: float) -> int:
     return max(e for e, p in enumerate(row) if p > 0)
 
 
-def _kernel_for(g: Graph, point: np.ndarray) -> _KernelSampler:
-    """Flow kernel of a region point, clipping numerically stray inputs."""
+def _kernel_for(g: Graph, point: np.ndarray) -> list[list[float]]:
+    """Flow kernel rows of a region point, clipping numerically stray inputs."""
     point = np.maximum(point, 0.0)
     point = point / point.sum()
     if not np.isfinite(point).all():
         raise OutsideSimplex(f"entries sum to {point.sum()}, not 1")
-    return _KernelSampler(_flow_kernel(g, point, point.tolist()))
+    return _flow_kernel(g, point, point.tolist())
 
 
 def _flow_kernel(g: Graph, point: np.ndarray, entries: list[float]) -> list[list[float]]:
@@ -208,11 +198,11 @@ def _exit_rows(g: Graph, direction: np.ndarray):
 
 def _steer_move(g: Graph, point, default, state, vertex: int, rng, excess=None) -> int:
     """One steering move: draw an edge from the flow kernel of `point` (the
-    `default` sampler when point is None); when the drawn edge is empty, or
-    has no excess over the target when `excess` is given, play the best
+    `default` kernel rows when point is None); when the drawn edge is empty,
+    or has no excess over the target when `excess` is given, play the best
     legal edge instead."""
-    sampler = default if point is None else _kernel_for(g, point)
-    e = sampler.sample(vertex, rng)
+    rows = default if point is None else _kernel_for(g, point)
+    e = _draw_edge(rows[vertex - 1], rng.random())
     if state[e] > 0 and (excess is None or excess[e] > 0):
         return e
     return _legal_move(g, state, vertex, excess)

@@ -11,6 +11,7 @@ from seqassign.graph import (
     path_graph,
     star_graph,
 )
+from seqassign.simulate import _play_chunks
 from seqassign.values import compute_table
 
 
@@ -148,6 +149,12 @@ def exact_step_mean(g, kernel, state) -> np.ndarray:
 @pytest.fixture(scope="session")
 def oracle():
     return brute_force
+
+
+def lockstep_runs(*args):
+    """The final states and forfeit flags of `simulate._play_chunks(*args)`,
+    joined over its chunks."""
+    return map(np.concatenate, zip(*_play_chunks(*args)))
 
 
 def random_simplex_points(m, count, seed):

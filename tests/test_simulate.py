@@ -13,7 +13,6 @@ from seqassign.errors import (
 )
 from seqassign.geometry import check_weights, face_scale, face_values, x_star
 from seqassign.simulate import (
-    _child_uniforms,
     child_rng,
     deviation_tail,
     estimate,
@@ -47,6 +46,8 @@ from seqassign.values import (
     round_to_config,
     value_at,
 )
+
+from conftest import lockstep_runs
 
 
 class FirstPositive(Strategy):
@@ -178,6 +179,32 @@ def test_batch_matches_serial(p4, c4, k4, k13):
     assert serial == estimate(p4, [6, 0, 0], GreedyLargest(), 300, 9).successes
 
 
+def test_batched_paths_match_serial_across_chunks(monkeypatch, p4, k4):
+    # chunks of 7 runs: the streams of every chunk but the first start
+    # mid-way through the run indices
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    for g, n, weights, seed in [(p4, 24, None, 3), (k4, 12, None, 4), (p4, 20, W_P4, 5)]:
+        cfg = round_to_config(n, x_star(g))
+        for strategy in (TableStrategy(downset_table(g, cfg, weights)), GreedyLargest()):
+            wins = sum(play(g, cfg, strategy, child_rng(seed, i), weights).won for i in range(30))
+            assert estimate(g, cfg, strategy, 30, seed, weights).successes == wins
+    # from (6, 0, 3), greedy forfeits when vertex 3 or 4 comes up more than
+    # three times in 7 draws, in about half the runs; a forfeited run is
+    # measured at its frozen final state
+    start, xs, q = np.array([6, 0, 3]), x_star(p4), [0, 1, 2, 3]
+    games = [play(p4, start, GreedyLargest(), child_rng(2, i), steps_limit=7) for i in range(30)]
+    want = np.array([game.final for game in games])
+    want_forfeit = np.array([game.forfeit_step is not None for game in games])
+    assert 5 < want_forfeit.sum() < 25
+    got, got_forfeit = lockstep_runs(p4, start, GreedyLargest(), 30, 2, np.full(4, 0.25), 7)
+    assert np.array_equal(got, want) and np.array_equal(got_forfeit, want_forfeit)
+    gaps = want - round_to_config(2, xs)
+    devs = np.array([np.linalg.norm(gap) for gap in gaps])
+    curve = deviation_tail(p4, start, GreedyLargest(), xs, 2, q, 30, 2)
+    assert np.array_equal(curve.tail, [(devs > qq).mean() for qq in q])
+    assert curve.hits == int(np.sum(~want_forfeit & ~gaps.any(axis=1)))
+
+
 TOP_UNIFORM = 1.0 - 2.0**-53  # the largest value random() returns
 
 
@@ -193,16 +220,23 @@ def test_top_uniform_draws_the_last_vertex(monkeypatch):
     # largest uniform; that draw is vertex 7, the one edge 5 serves
     g = path_graph(7)
     assert np.cumsum(np.full(7, 1 / 7))[-1] < TOP_UNIFORM
-    def top_uniforms(seed, lo, hi, total):
-        return np.full((hi - lo, total), TOP_UNIFORM)
+    def top_uniforms(seed, lo, hi):
+        while True:
+            yield np.full(hi - lo, TOP_UNIFORM)
 
-    monkeypatch.setattr(simulate, "_child_uniforms", top_uniforms)
+    monkeypatch.setattr(simulate, "_uniform_columns", top_uniforms)
     for cfg, won in (([0, 0, 0, 0, 0, 3], True), ([1, 0, 0, 0, 0, 2], False)):
         for strategy in (GreedyLargest(), TableStrategy(downset_table(g, cfg))):
             result = play(g, cfg, strategy, TopOfUnitInterval())
             assert result.won is won
             assert result.steps_played == (3 if won else 2)
             assert estimate(g, cfg, strategy, 5, 1).successes == (5 if won else 0)
+
+
+def _stacked_columns(seed, lo, hi, total):
+    """The first `total` columns of `_uniform_columns`, as one row per run."""
+    columns = simulate._uniform_columns(seed, lo, hi)
+    return np.array([next(columns) for _ in range(total)]).reshape(total, hi - lo).T
 
 
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96 + 1, 2**128 - 1, 2**200 + 12345]
@@ -215,7 +249,7 @@ def test_child_uniforms_match_numpy(seed):
     for lo, hi in [(0, 100), (2**32 - 50, 2**32 + 50)]:
         for total in (0, 1, 60):
             want = np.stack([child_rng(seed, i).random(total) for i in range(lo, hi)])
-            got = _child_uniforms(seed, lo, hi, total)
+            got = _stacked_columns(seed, lo, hi, total)
             assert got.shape == want.shape
             assert np.array_equal(got, want), (seed, lo, total)
 
@@ -228,7 +262,7 @@ def test_child_uniform_blocks_match_numpy(monkeypatch, block, width):
     monkeypatch.setattr(simulate, "_WIDTH", width)
     for lo, hi in [(0, 100), (2**32 - 3, 2**32 + 2)]:
         want = np.stack([child_rng(5, i).random(60) for i in range(lo, hi)])
-        assert np.array_equal(_child_uniforms(5, lo, hi, 60), want)
+        assert np.array_equal(_stacked_columns(5, lo, hi, 60), want)
 
 
 def _no_work(*args, **kwargs):
@@ -240,7 +274,7 @@ def _no_work(*args, **kwargs):
 )
 def test_bad_seed_rejected_before_any_work(p4, monkeypatch, bad, error):
     table = compute_table(p4, 6)
-    for name in ("play", "_box_player", "downset_table", "_greedy_player", "_child_uniforms"):
+    for name in ("play", "_box_wins", "downset_table", "_play_chunks", "_uniform_columns"):
         monkeypatch.setattr(simulate, name, _no_work)
     for strategy in (TableStrategy(table), GreedyLargest(), UniformIncident()):
         with pytest.raises(error) as info:

@@ -15,9 +15,11 @@ import pytest
 from seqassign import simulate, strategies
 from seqassign.geometry import x_star
 from seqassign.graph import complete_graph, cycle_graph, path_graph, star_graph
-from seqassign.simulate import _steer_runs, child_rng, deviation_tail, estimate, play
+from seqassign.simulate import child_rng, deviation_tail, estimate, play
 from seqassign.strategies import SteerExact, SteerPlan
 from seqassign.values import round_to_config
+
+from conftest import lockstep_runs
 
 P4, K4, C4, K5, STAR = (
     path_graph(4), complete_graph(4), cycle_graph(4), complete_graph(5), star_graph(4)
@@ -108,7 +110,7 @@ def test_player_matches_serial_loop(case, monkeypatch):
     seen = _counting(monkeypatch)
     w = np.full(g.k, 1 / g.k)
     for seed, want, want_forfeit, lost in serial:
-        got, got_forfeit = _steer_runs(g, start, strategy, runs, seed, w, total - n1)
+        got, got_forfeit = lockstep_runs(g, start, strategy, runs, seed, w, total - n1)
         assert np.array_equal(got, want) and np.array_equal(got_forfeit, want_forfeit)
         devs = np.array([np.linalg.norm(row) for row in want - target])
         curve = deviation_tail(g, start, strategy, z, n1, Q, runs, seed)
@@ -138,5 +140,5 @@ def test_player_chunks_match_serial_loop(monkeypatch):
     start = np.array([120, 136, 144])
     strategy = SteerExact(P4, SteerPlan(z=x_star(P4), n1=50))
     want, want_forfeit = _serial(P4, start, strategy, 10, 5, 350)
-    got, got_forfeit = _steer_runs(P4, start, strategy, 10, 5, np.full(4, 0.25), 350)
+    got, got_forfeit = lockstep_runs(P4, start, strategy, 10, 5, np.full(4, 0.25), 350)
     assert np.array_equal(got, want) and np.array_equal(got_forfeit, want_forfeit)

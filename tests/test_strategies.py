@@ -24,7 +24,7 @@ from seqassign.strategies import (
     SteerKTarget,
     SteerPlan,
     UniformIncident,
-    _KernelSampler,
+    _draw_edge,
     _exit_point,
     _exit_rows,
     _steer_move,
@@ -214,13 +214,13 @@ def test_stage1_kernel_frequencies_chi_square(p4):
     s.reset(p4, round_to_config(500, x0), 500)
     y = s.current_exit(x0)
     _, kernel = membership_flow(p4, y)
-    sampler = _KernelSampler(kernel.q.tolist())
+    rows = kernel.q.tolist()
     rng = np.random.default_rng(17)
     n = 100_000
     for v in range(1, 5):
         counts = np.zeros(3)
         for _ in range(n // 4):
-            counts[sampler.sample(v, rng)] += 1
+            counts[_draw_edge(rows[v - 1], rng.random())] += 1
         stat, df = chi_square(counts, kernel.q[v - 1], n // 4)
         if df > 0:
             assert stat < CHI2_999[df]
@@ -258,7 +258,7 @@ def test_kernel_sampler_matches_cumsum_search(name):
                 kernels.append(kernel)
     assert len(kernels) > 15
     for kernel in kernels:
-        sampler = _KernelSampler(kernel.q.tolist())
+        rows = kernel.q.tolist()
         for v in range(1, g.k + 1):
             cums = np.cumsum(kernel.q, axis=1)[v - 1]
             us = np.concatenate(
@@ -266,11 +266,11 @@ def test_kernel_sampler_matches_cumsum_search(name):
             )
             for u in us[(us >= 0.0) & (us < cums[-1])].tolist():
                 want = int(np.searchsorted(cums, u, side="right"))
-                assert sampler.sample(v, FixedUniform(u)) == want, (kernel.q, v, u)
+                assert _draw_edge(rows[v - 1], u) == want, (kernel.q, v, u)
             last = int(np.flatnonzero(kernel.q[v - 1] > 0)[-1])
             for u in (cums[-1], 1 - 2**-53):
                 if u >= cums[-1]:
-                    assert sampler.sample(v, FixedUniform(u)) == last
+                    assert _draw_edge(rows[v - 1], u) == last
 
 
 def test_kernel_sampler_overflow_stays_on_the_row(k4):
@@ -282,13 +282,13 @@ def test_kernel_sampler_overflow_stays_on_the_row(k4):
         _, kernel = membership_flow(k4, x)
         if kernel is None:
             continue
-        sampler = _KernelSampler(kernel.q.tolist())
+        rows = kernel.q.tolist()
         for v in (1, 2):
             if np.cumsum(kernel.q[v - 1])[-1] < 1:
-                e = sampler.sample(v, FixedUniform(top))
+                e = _draw_edge(rows[v - 1], top)
                 assert e == np.flatnonzero(kernel.q[v - 1] > 0)[-1]
                 assert e in k4.incidence[v - 1]
-                assert _steer_move(k4, None, sampler, state, v, FixedUniform(top)) == e
+                assert _steer_move(k4, None, rows, state, v, FixedUniform(top)) == e
                 return
     pytest.fail("no K4 kernel row sums below 1")
 
