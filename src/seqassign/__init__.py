@@ -11,7 +11,6 @@ from .geometry import (
     membership_flow,
     x_star,
     boundary_distance,
-    kappa,
 )
 from .values import (
     ValueTable,

@@ -200,7 +200,8 @@ def parse_strategy(spec: str, g: Graph, config, args):
 def _cmd_region(args) -> int:
     g = load_graph(args.graph)
     x = _point(g, args.point)
-    weights = _load_weights(args.weights)
+    # checked here, so a bad law is an input error and not an outside point
+    weights = check_weights(g, _load_weights(args.weights))
     if args.mode == "classify":
         try:
             report = classify_point(g, x, weights).to_json(g.m)

@@ -399,8 +399,9 @@ def classify_point(g: Graph, x, weights=None) -> RegionClass:
 @lru_cache(maxsize=16)
 def _flow_template(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple]:
     """The membership network of g, built once per graph: for each node the
-    arcs leaving it, each arc's head, and the (vertex, edge, arc) of every
-    vertex -> edge arc.  Nodes are the source 0, vertices 1..k, edge nodes
+    arcs leaving it, each arc's head, and for each vertex the (j, e) pairs
+    of its vertex -> edge arcs, where j numbers those arcs from 0 (the j-th
+    is arc 2*(k + j)).  Nodes are the source 0, vertices 1..k, edge nodes
     k+1..k+m and the sink k+m+1.  Arcs are added in a fixed order (source
     arcs by vertex, vertex -> edge arcs by vertex then incidence, edge ->
     sink arcs by edge), each followed by its residual twin, so arc i's twin
@@ -409,21 +410,22 @@ def _flow_template(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ..
     adj: list[list[int]] = [[] for _ in range(k + m + 2)]
     to: list[int] = []
 
-    def add_arc(u: int, v: int) -> int:
-        i = len(to)
+    def add_arc(u: int, v: int) -> None:
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
         to.extend((v, u))
-        adj[u].append(i)
-        adj[v].append(i + 1)
-        return i
 
     for v in range(1, k + 1):
         add_arc(0, v)
-    mid = tuple(
-        (v, e, add_arc(v, k + 1 + e)) for v in range(1, k + 1) for e in g.incidence[v - 1]
-    )
+    pairs, j = [], 0
+    for v, inc in enumerate(g.incidence, 1):
+        pairs.append(tuple(enumerate(inc, j)))
+        j += len(inc)
+        for e in inc:
+            add_arc(v, k + 1 + e)
     for e in range(m):
         add_arc(k + 1 + e, k + m + 1)
-    return tuple(map(tuple, adj)), tuple(to), mid
+    return tuple(map(tuple, adj)), tuple(to), tuple(pairs)
 
 
 def flow_rows(g: Graph, x, w=None) -> tuple[float, list[list[float]] | None]:
@@ -432,51 +434,83 @@ def flow_rows(g: Graph, x, w=None) -> tuple[float, list[list[float]] | None]:
     x holds the edge entries and w the vertex weights (the uniform law when
     None), as sequences of floats.  Returns the max flow value and, when it
     is 1 within TOL, the kernel as k Python rows of m entries; else None.
+
     Edmonds-Karp: breadth-first augmenting paths over the fixed arc order,
-    arcs with residual capacity above 1e-12 only.
+    arcs with residual capacity above 1e-12 only, run in two phases with
+    the same paths, pushes and sums.  While some path s -> v -> e -> t is
+    open, the search finds the first one in vertex-then-incidence order;
+    the push empties one of its arcs to exactly 0.0, and source and sink
+    residuals never rise, so a closed pair stays closed.  Phase 1 is thus
+    one pass over the (vertex, edge) pairs that pushes each open pair once,
+    with its middle residual still 2.0.  Phase 2 is the breadth-first loop
+    itself, on the residual network phase 1 left, and runs only while some
+    source arc and some sink arc are both still open: a longer path needs
+    both.
     """
     if w is None:
         w = _uniform_law(g.k)
-    adj, to, mid = _flow_template(g)
-    k, nmid = g.k, len(mid)
-    cap = [0.0] * len(to)
-    cap[0 : 2 * k : 2] = w
-    cap[2 * k : 2 * (k + nmid) : 2] = [2.0] * nmid
-    cap[2 * (k + nmid) :: 2] = x
-    s, t = 0, len(adj) - 1
+    adj, to, pairs = _flow_template(g)
+    k, nmid = len(pairs), sum(map(len, pairs))
+    rs = list(w)  # source -> vertex residuals
+    rt = list(x)  # edge -> sink residuals
+    fl = [0.0] * nmid  # vertex -> edge flows; the residual is 2.0 minus it
     total = 0.0
-    while True:
-        prev = [-1] * len(adj)
-        prev[s] = -2
-        queue = [s]
-        for u in queue:  # the loop also visits the nodes appended below
-            if prev[t] != -1:
+    for v, row in enumerate(pairs):
+        left = rs[v]
+        for j, e in row:
+            if not left > _FLOW_EPS:
                 break
-            for i in adj[u]:
-                v = to[i]
-                if prev[v] == -1 and cap[i] > _FLOW_EPS:
-                    prev[v] = i
-                    queue.append(v)
-        if prev[t] == -1:
-            break
-        push = math.inf
-        v = t
-        while v != s:
-            i = prev[v]
-            push = min(push, cap[i])
-            v = to[i ^ 1]
-        v = t
-        while v != s:
-            i = prev[v]
-            cap[i] -= push
-            cap[i ^ 1] += push
-            v = to[i ^ 1]
-        total += push
+            sink = rt[e]
+            if sink > _FLOW_EPS:
+                push = min(sink, 2.0, left)
+                rt[e] = sink - push
+                fl[j] = push
+                left -= push
+                total += push
+        rs[v] = left
+    if any(r > _FLOW_EPS for r in rs) and any(r > _FLOW_EPS for r in rt):
+        # arcs into the source and out of the sink stay 0.0: no search reads them
+        cap = [0.0] * len(to)
+        cap[0 : 2 * k : 2] = rs
+        cap[2 * k : 2 * (k + nmid) : 2] = [2.0 - f for f in fl]
+        cap[2 * k + 1 : 2 * (k + nmid) : 2] = fl
+        cap[2 * (k + nmid) :: 2] = rt
+        s, t = 0, len(adj) - 1
+        while True:
+            prev = [-1] * len(adj)
+            prev[s] = -2
+            queue = [s]
+            for u in queue:  # the loop also visits the nodes appended below
+                if prev[t] != -1:
+                    break
+                for i in adj[u]:
+                    v = to[i]
+                    if prev[v] == -1 and cap[i] > _FLOW_EPS:
+                        prev[v] = i
+                        queue.append(v)
+            if prev[t] == -1:
+                break
+            push = math.inf
+            v = t
+            while v != s:
+                i = prev[v]
+                push = min(push, cap[i])
+                v = to[i ^ 1]
+            v = t
+            while v != s:
+                i = prev[v]
+                cap[i] -= push
+                cap[i ^ 1] += push
+                v = to[i ^ 1]
+            total += push
+        fl = cap[2 * k + 1 : 2 * (k + nmid) : 2]
     if abs(total - 1.0) > TOL:
         return total, None
-    rows = [[0.0] * g.m for _ in range(k)]
-    for v, e, arc in mid:
-        rows[v - 1][e] = cap[arc ^ 1] / w[v - 1]
+    rows = [[0.0] * len(rt) for _ in range(k)]
+    for v, row in enumerate(pairs):
+        out, wv = rows[v], w[v]
+        for j, e in row:
+            out[e] = fl[j] / wv
     return total, rows
 
 
@@ -512,12 +546,6 @@ def x_star(g: Graph) -> np.ndarray:
 def face_scale(m: int, f: int) -> float:
     """a+b for a subset of size f: sqrt(m / (f*(m-f)))."""
     return math.sqrt(m / (f * (m - f)))
-
-
-def kappa(g: Graph) -> float:
-    """Smallest face-functional scale over proper subsets; attained at |F| = m//2."""
-    f = g.m // 2
-    return face_scale(g.m, f)
 
 
 def face_values(g: Graph, faces, n, v) -> np.ndarray:

@@ -82,6 +82,20 @@ def test_region_flow_outside_simplex_is_error(p4_file, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("mode", ["classify", "flow"])
+def test_region_rejects_an_invalid_law(p4_file, tmp_path, capsys, mode):
+    # the law's error is an input error, not the point's OutsideSimplex class
+    weights = tmp_path / "w.txt"
+    weights.write_text("0 0.5 0.5 0\n")
+    code, out, err = run(
+        ["region", mode, "--graph", p4_file, "--point", "xstar", "--weights", str(weights)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_non_finite_input_is_outside_simplex(p4_file, tmp_path, capsys):
     point = ["--graph", p4_file, "--point", "nan,0.5,0.5"]
     code, out, _ = run(["region", "classify"] + point, capsys)

@@ -17,7 +17,6 @@ from seqassign.geometry import (
     clip_to_region,
     face_scale,
     face_values,
-    kappa,
     membership_flow,
     min_slack,
     min_slack_rows,
@@ -183,6 +182,7 @@ class ReferenceFlowNetwork:
         self.adj = [[] for _ in range(n_nodes)]
         self.to = []
         self.cap = []
+        self.path_arcs = []  # arcs on each augmenting path, in order
 
     def add_arc(self, u, v, cap):
         i = len(self.to)
@@ -211,11 +211,14 @@ class ReferenceFlowNetwork:
             if prev_arc[t] == -1:
                 return total
             push = math.inf
+            arcs = 0
             v = t
             while v != s:
                 i = prev_arc[v]
                 push = min(push, self.cap[i])
                 v = self.to[i ^ 1]
+                arcs += 1
+            self.path_arcs.append(arcs)
             v = t
             while v != s:
                 i = prev_arc[v]
@@ -226,8 +229,9 @@ class ReferenceFlowNetwork:
 
 
 def reference_flow(g, x, weights=None):
-    """(value, q or None) of the membership network: source -> vertex at p_v,
-    vertex -> incident edge at 2, edge -> sink at x_e."""
+    """(value, q or None, arcs on each augmenting path) of the membership
+    network: source -> vertex at p_v, vertex -> incident edge at 2, edge ->
+    sink at x_e."""
     w = uniform_weights(g.k) if weights is None else np.asarray(weights, dtype=float)
     k, m = g.k, g.m
     net = ReferenceFlowNetwork(k + m + 2)
@@ -241,11 +245,11 @@ def reference_flow(g, x, weights=None):
         net.add_arc(k + 1 + e, k + m + 1, float(x[e]))
     value = net.max_flow(0, k + m + 1)
     if abs(value - 1.0) > 1e-9:
-        return value, None
+        return value, None, net.path_arcs
     q = np.zeros((k, m))
     for (v, e), arc in mid.items():
         q[v - 1, e] = net.cap[arc ^ 1] / w[v - 1]
-    return value, q
+    return value, q, net.path_arcs
 
 
 def flow_points(g, weights, seed):
@@ -272,10 +276,22 @@ FLOW_GRAPHS = {
     "C4": cycle_graph(4),
     "K4": complete_graph(4),
     "K5": complete_graph(5),
+    "K6": complete_graph(6),
+    "C5": cycle_graph(5),
+    "P6": path_graph(6),
     "S4": star_graph(4),
     "triangle-tail": build_graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)]),
 }
-SKEWED = {4: [0.1, 0.2, 0.3, 0.4], 5: [0.1, 0.15, 0.2, 0.25, 0.3]}
+SKEWED = {
+    4: [0.1, 0.2, 0.3, 0.4],
+    5: [0.1, 0.15, 0.2, 0.25, 0.3],
+    6: [0.05, 0.1, 0.15, 0.2, 0.22, 0.28],
+}
+
+
+# On a path graph, vertices in path order fill each edge before the next, so
+# no flow there needs a path longer than source -> vertex -> edge -> sink.
+PATH_GRAPHS = {"P4", "P6"}
 
 
 @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
@@ -283,10 +299,10 @@ SKEWED = {4: [0.1, 0.2, 0.3, 0.4], 5: [0.1, 0.15, 0.2, 0.25, 0.3]}
 def test_membership_flow_matches_reference(name, skewed):
     g = FLOW_GRAPHS[name]
     weights = SKEWED[g.k] if skewed else None
-    inside = outside = 0
+    inside = outside = short = longer = 0
     for x in flow_points(g, weights, g.m):
         value, kernel = membership_flow(g, x, weights)
-        want_value, want_q = reference_flow(g, x, weights)
+        want_value, want_q, path_arcs = reference_flow(g, x, weights)
         assert value == want_value, x
         if want_q is None:
             assert kernel is None, x
@@ -294,7 +310,15 @@ def test_membership_flow_matches_reference(name, skewed):
         else:
             assert np.array_equal(kernel.q, want_q), x
             inside += 1
+        if max(path_arcs, default=3) == 3:
+            short += 1
+        else:
+            longer += 1
     assert inside and outside
+    # flow_rows takes every 3-arc path in one pass and searches only for the
+    # longer ones: the points reach both parts wherever longer paths occur
+    assert short
+    assert bool(longer) == (name not in PATH_GRAPHS)
 
 
 def test_region_convexity(p4, simplex_sampler):
@@ -325,13 +349,6 @@ def test_face_scale_values(p4, c4):
     assert face_scale(p4.m, 1) == pytest.approx(SQ32)
     assert face_scale(p4.m, 2) == pytest.approx(SQ32)
     assert face_scale(c4.m, 2) == pytest.approx(1.0)
-
-
-def test_kappa_values(p4, c4):
-    assert kappa(p4) == pytest.approx(SQ32)
-    assert kappa(c4) == pytest.approx(1.0)
-    two_edges = build_graph(3, [(1, 2), (2, 3)])
-    assert kappa(two_edges) == pytest.approx(math.sqrt(2))
 
 
 # --- the L functional and distances ------------------------------------------
@@ -374,7 +391,7 @@ def test_boundary_distance_examples(p4):
 def test_boundary_distance_sandwich(p4, c4, simplex_sampler):
     for g, seed in ((p4, 21), (c4, 22)):
         max_scale = max(face_scale(g.m, f) for f in range(1, g.m))
-        kap = kappa(g)
+        kap = face_scale(g.m, g.m // 2)  # the smallest scale over proper sizes
         for x in simplex_sampler(g.m, 2000, seed):
             m_val = min_slack(g, x)[0]
             if m_val < 0:
