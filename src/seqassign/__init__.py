@@ -15,6 +15,7 @@ from .geometry import (
 from .values import (
     ValueTable,
     compute_table,
+    stream_table,
     value_at,
     optimal_move,
     argmax_config,

@@ -42,11 +42,10 @@ from .strategies import (
 )
 from .values import (
     argmax_config,
-    compute_table,
     downset_table,
     load_table,
     round_to_config,
-    save_table,
+    stream_table,
     value_at,
 )
 
@@ -162,19 +161,20 @@ def _emit_report(out: str | None, report: dict) -> None:
             fh.write(text)
 
 
-def _table_for(g: Graph, n: int, args):
+def _table_for(g: Graph, keep, args):
+    """A table holding the layers in keep: read from --cache when the file
+    reaches them under the same law, else streamed to the largest of them,
+    and then every layer is written to --cache as it is made."""
+    n = max(keep)
     weights = _load_weights(getattr(args, "weights", None))
     cache = getattr(args, "cache", None)
     if cache:
         want = check_weights(g, weights)
         if os.path.exists(cache):
-            table = load_table(cache, g)
-            if table.n_max >= n and np.array_equal(table.weights, want):
-                return table
-        table = compute_table(g, n, weights)
-        save_table(table, cache)
-        return table
-    return compute_table(g, n, weights)
+            stored = load_table(cache, g, keep=())
+            if stored.n_max >= n and np.array_equal(stored.weights, want):
+                return load_table(cache, g, keep)
+    return stream_table(g, n, weights, keep, cache)
 
 
 def parse_strategy(spec: str, g: Graph, config, args):
@@ -223,8 +223,7 @@ def _cmd_value(args) -> int:
     if args.mode == "table":
         if args.n is None or not args.cache:
             raise DomainError("value table needs --n and --cache")
-        table = compute_table(g, args.n, _load_weights(args.weights))
-        save_table(table, args.cache)
+        table = stream_table(g, args.n, _load_weights(args.weights), path=args.cache)
         _emit_report(args.out, {"n_max": args.n, "cache": args.cache, "graph_hash": table.hash})
         return 0
     if args.mode == "at":
@@ -232,14 +231,14 @@ def _cmd_value(args) -> int:
             raise DomainError("value at needs --config")
         config = [int(v) for v in args.config.split(",")]
         if args.cache:
-            table = _table_for(g, sum(config), args)
+            table = _table_for(g, [sum(config)], args)
         else:
             table = downset_table(g, config, _load_weights(args.weights))
         _emit_report(args.out, {"config": config, "p": value_at(table, config)})
         return 0
     if args.n is None:
         raise DomainError("value argmax needs --n")
-    table = _table_for(g, args.n, args)
+    table = _table_for(g, [args.n], args)
     cfg, val = argmax_config(table, args.n)
     _emit_report(args.out, {"n": args.n, "config": cfg.tolist(), "p": val})
     return 0
@@ -249,13 +248,18 @@ def _verify_rows(path: str, fmt: str, table, col: int, make_config) -> None:
     """Spot re-verification of a written table: re-read the file at `path`
     and compare every 100th row (rows 0, 100, 200, ...) bit-exactly with the
     table.  Column `col` holds the value; `make_config(row)` gives the config
-    it belongs to.  Only the sampled rows are split.  Raises SeqAssignError
-    on the first mismatch."""
+    it belongs to.  Only the sampled rows are split or parsed: in a JSON
+    file the rows array runs from `"rows": [[` to the first `]]`, since its
+    rows hold numbers only, and they are separated by `], [`.  Raises
+    SeqAssignError on the first mismatch."""
     with open(path, "r", encoding="utf-8") as fh:
-        if fmt == "csv":
-            rows = [line.split(",") for line in fh.read().splitlines()[1::100]]
-        else:
-            rows = json.load(fh)["rows"][::100]
+        text = fh.read()
+    if fmt == "csv":
+        rows = [line.split(",") for line in text.splitlines()[1::100]]
+    else:
+        start = text.index('"rows": [[') + len('"rows": [[')
+        cells = text[start : text.index("]]", start)].split("], [")[::100]
+        rows = [json.loads(f"[{row}]") for row in cells]
     for row in rows:
         emitted = float(row[col])
         expected = value_at(table, make_config(row))
@@ -273,7 +277,7 @@ def _cmd_phase(args) -> int:
     g = load_graph(args.graph)
     _require_positive("n", [args.n])
     exp.check_phase_graph(g)
-    table = _table_for(g, args.n, args)
+    table = _table_for(g, [args.n], args)
     columns, summary = exp.phase_diagram(g, args.n, table)
     _emit(args.out, args.format, exp.PHASE_COLUMNS, columns, summary)
     if args.verify:
@@ -294,7 +298,7 @@ def _cmd_scan(args) -> int:
     x = _point(g, args.point)
     n_list = _parse_ints(args.n_list)
     _require_positive("n-list entries", n_list)
-    table = _table_for(g, max(n_list), args)
+    table = _table_for(g, n_list, args)
     rows, summary = exp.transition_scan(g, x, n_list, table, weights=_load_weights(args.weights))
     _emit(args.out, args.format, exp.SCAN_COLUMNS, zip(*rows), summary)
     if args.verify:
@@ -316,7 +320,7 @@ def _cmd_window(args) -> int:
     a_grid = _parse_float_grid(args.a_grid)
     _require_positive("n-list entries", n_list)
     _require_positive("A-grid entries", a_grid)
-    table = _table_for(g, max(n_list), args)
+    table = _table_for(g, n_list, args)
     rows, summary = exp.window_collapse(g, n_list, a_grid, table)
     _emit(args.out, args.format, exp.WINDOW_COLUMNS, zip(*rows), summary)
     return 0

@@ -26,10 +26,10 @@ from .values import (
     ValueTable,
     argmax_config,
     compositions,
-    compute_table,
     graph_hash,
     round_to_config,
     slice_maxima,
+    stream_table,
     value_at,
 )
 
@@ -57,7 +57,7 @@ def phase_diagram(g: Graph, n: int, table: ValueTable):
     """
     check_phase_graph(g)
     cfgs = compositions(n, 3)
-    columns = (cfgs[:, 0], cfgs[:, 2], table.layers[n].copy())
+    columns = (cfgs[:, 0], cfgs[:, 2], table.layer(n).copy())
     best_cfg, best = argmax_config(table, n)
     summary = {
         "n": n,
@@ -142,7 +142,7 @@ def conjecture_scan(k: int, n_list):
     if any(n <= 0 for n in n_list):
         raise DomainError("n-list entries must be positive")
     g = path_graph(k)
-    table = compute_table(g, max(n_list))
+    table = stream_table(g, max(n_list), keep=n_list)
     targets = [a_star(j, k) for j in range(k)]
     rows = []
     for n in n_list:

@@ -29,7 +29,9 @@ Layer t is computed from layer t-1 by the recursion
 with an empty max contributing 0 (a drawn vertex with no positive incident
 edge loses the game).  Every value is >= 0.0, so an empty edge may enter the
 max as 0.0.  Accumulation is in vertex order, so the stored values can be
-reproduced bit-exactly from the previous layer.
+reproduced bit-exactly from the previous layer.  Since a layer reads only
+the one below, stream_table holds two rolling layers and the layers asked
+for, where compute_table holds them all.
 
 A query about one start config reads only the configs at or below it.
 DownSetTable evaluates just that box, under mixed-radix indices, by the same
@@ -39,6 +41,7 @@ recursion and accumulation order, and stores the optimal next state of every
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -103,23 +106,27 @@ def _layer_bars(total: int, m: int) -> np.ndarray:
     return bars
 
 
-def _live(total: int, m: int):
-    """Yield (e, live) for each edge, where live marks the configs of layer
-    total with a positive count on edge e.  Along a row (see _layer_bars)
-    edge 0's count p_1 is 0 only at the start, edge 1's count p_2 - p_1 - 1
-    only at the end, and every other edge's count is constant."""
+def _live(total: int, m: int) -> np.ndarray:
+    """The (m, N) bool masks of layer total: row e marks the configs with a
+    positive count on edge e.  Along a row (see _layer_bars) edge 0's count
+    p_1 is 0 only at the start, edge 1's count p_2 - p_1 - 1 only at the
+    end, and every other edge's count is constant."""
     n = layer_size(total, m)
-    rows = _layer_bars(total, m - 1) + 1 if m > 2 else np.array([[n]])
+    if m > 2:
+        rows = _layer_bars(total, m - 1)
+        rows += 1
+    else:
+        rows = np.array([[n]])
     lengths = rows[0]
     ends = np.cumsum(lengths)
-    for e, cut in ((0, ends - lengths), (1, ends - 1)):
-        live = np.ones(n, dtype=bool)
-        live[cut] = False
-        yield e, live
+    live = np.ones((m, n), dtype=bool)
+    live[0, ends - lengths] = False
+    live[1, ends - 1] = False
     upper = total + m - 1
     for e in range(m - 1, 1, -1):
-        yield e, np.repeat(upper - rows[e - 2] > 1, lengths)
+        live[e] = np.repeat(upper - rows[e - 2] > 1, lengths)
         upper = rows[e - 2]
+    return live
 
 
 def _configs(bars: np.ndarray, total: int) -> np.ndarray:
@@ -187,28 +194,61 @@ def graph_hash(g: Graph) -> int:
 
 @dataclass
 class ValueTable:
+    """Layers 0..n_max of the exact values; a streamed table keeps only some
+    of them, and the others are None."""
+
     graph: Graph
     n_max: int
     weights: np.ndarray
-    layers: list[np.ndarray]
+    layers: list[np.ndarray | None]
 
     @property
     def hash(self) -> int:
         return graph_hash(self.graph)
 
+    def layer(self, t: int) -> np.ndarray:
+        """Layer t; LayerOutOfRange outside 0..n_max or for a layer not kept."""
+        if not 0 <= t <= self.n_max:
+            raise LayerOutOfRange(f"layer {t} not in 0..{self.n_max}")
+        if self.layers[t] is None:
+            raise LayerOutOfRange(f"layer {t} was not kept")
+        return self.layers[t]
+
+
+_CHUNK = 1 << 16  # ranks of a layer evaluated per step of _next_layer
+_LAYER_OBJECT_BYTES = 256  # a layer's array object, list slot and size
+
 
 def required_bytes(m: int, n_max: int) -> int:
     """Bytes of the stored layers 0..n_max (the cache file's payload)."""
-    return 8 * sum(layer_size(t, m) for t in range(n_max + 1))
+    return 8 * comb(n_max + m, m)
+
+
+def _kernel_bytes(m: int, t: int) -> int:
+    """Working memory of _next_layer for layer t: the m bool n_e > 0 masks
+    and the np.repeat temporary of one; the int64 bars of the layer's rows
+    with the temporaries of building them, at most m + 2 int64 arrays the
+    size of the row count C(t+m-2, m-2); and one chunk's m candidate rows
+    and accumulator."""
+    n = layer_size(t, m)
+    rows = layer_size(t, m - 1) if m > 2 else 1
+    return (m + 1) * n + 8 * (m + 2) * rows + 8 * (m + 1) * min(n, _CHUNK)
 
 
 def peak_bytes(m: int, n_max: int) -> int:
-    """Peak memory of compute_table: the stored layers plus the working
-    arrays of the largest layer, bounded by 2m + 4 float64 arrays of its
-    size.  They are the m candidate rows and the accumulator, one bool
-    n_e > 0 mask at a time with its np.repeat temporary, and the int64 bars
-    of the layer's rows, which has (m-1)/(t+m-1) of the layer's size."""
-    return required_bytes(m, n_max) + 8 * (2 * m + 4) * layer_size(n_max, m)
+    """Peak memory of compute_table: the stored layers 0..n_max with their
+    Python objects, plus the working arrays of the largest layer."""
+    return required_bytes(m, n_max) + _LAYER_OBJECT_BYTES * (n_max + 1) + _kernel_bytes(m, n_max)
+
+
+def stream_bytes(m: int, n_max: int, keep) -> int:
+    """Peak memory of stream_table: the kept layers, two rolling buffers the
+    size of the largest layer not kept, the Python objects of every layer,
+    and the working arrays of the largest layer."""
+    keep = set(keep)
+    rolled = max((layer_size(t, m) for t in range(n_max + 1) if t not in keep), default=0)
+    kept = sum(layer_size(t, m) for t in keep)
+    return 8 * (kept + 2 * rolled) + _LAYER_OBJECT_BYTES * (n_max + 1) + _kernel_bytes(m, n_max)
 
 
 def _empty_layers(m: int, n_max: int, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -220,41 +260,109 @@ def _empty_layers(m: int, n_max: int, dtype) -> tuple[np.ndarray, list[np.ndarra
     return buf, np.split(buf, np.cumsum(sizes)[:-1])
 
 
+def _check_keep(keep, n_max: int) -> set[int]:
+    keep = set(keep)
+    if any(not 0 <= t <= n_max for t in keep):
+        raise LayerOutOfRange(f"layers {sorted(keep)} not all in 0..{n_max}")
+    return keep
+
+
+def _kept_layers(m: int, n_max: int, keep: set[int], dtype) -> list[np.ndarray | None]:
+    """An uninitialised array for each layer in keep, None for the others."""
+    return [np.empty(layer_size(t, m), dtype=dtype) if t in keep else None for t in range(n_max + 1)]
+
+
+def _check_build(g: Graph, n_max: int, weights) -> np.ndarray:
+    if n_max < 0:
+        raise LayerOutOfRange(f"n_max {n_max} is negative")
+    return check_weights(g, weights)
+
+
+def _check_budget(need: int, memory_budget: int) -> None:
+    if need > memory_budget:
+        raise MemoryBudgetExceeded(need, memory_budget)
+
+
+def _sweep(g: Graph, w: np.ndarray, n_max: int, out_for):
+    """Compute layers 0..n_max in order, each into the array out_for(t), and
+    yield each one once it is written.  Layer t reads only layer t-1, so
+    out_for may hand out a buffer again two layers later."""
+    prev = out_for(0)
+    prev[0] = 1.0
+    yield prev
+    for t in range(1, n_max + 1):
+        out = out_for(t)
+        _next_layer(g, w, t, prev, out)
+        yield out
+        prev = out
+
+
 def compute_table(
     g: Graph, n_max: int, weights=None, memory_budget: int = DEFAULT_BUDGET
 ) -> ValueTable:
     """Exact win probabilities for every config of total <= n_max."""
-    if n_max < 0:
-        raise LayerOutOfRange(f"n_max {n_max} is negative")
-    w = check_weights(g, weights)
-    need = peak_bytes(g.m, n_max)
-    if need > memory_budget:
-        raise MemoryBudgetExceeded(need, memory_budget)
+    w = _check_build(g, n_max, weights)
+    _check_budget(peak_bytes(g.m, n_max), memory_budget)
     _, layers = _empty_layers(g.m, n_max, float)
-    layers[0][0] = 1.0
-    for t in range(1, n_max + 1):
-        _next_layer(g, w, t, layers[t - 1], layers[t])
+    for _ in _sweep(g, w, n_max, layers.__getitem__):
+        pass
+    return ValueTable(graph=g, n_max=n_max, weights=w, layers=layers)
+
+
+def stream_table(
+    g: Graph, n_max: int, weights=None, keep=(), path=None, memory_budget: int = DEFAULT_BUDGET
+) -> ValueTable:
+    """The layers in keep of the table to n_max, built through two rolling
+    buffers; with a path, every layer is written to it as it is made, in
+    save_table's format."""
+    w = _check_build(g, n_max, weights)
+    keep = _check_keep(keep, n_max)
+    _check_budget(stream_bytes(g.m, n_max, keep), memory_budget)
+    layers = _kept_layers(g.m, n_max, keep, float)
+    rolled = max((layer_size(t, g.m) for t in range(n_max + 1) if t not in keep), default=0)
+    roll = (np.empty(rolled), np.empty(rolled))
+
+    def out_for(t):
+        return roll[t % 2][: layer_size(t, g.m)] if layers[t] is None else layers[t]
+
+    sweep = _sweep(g, w, n_max, out_for)
+    if path is None:
+        for _ in sweep:
+            pass
+    else:
+        _write_table(path, g, n_max, w, sweep)
     return ValueTable(graph=g, n_max=n_max, weights=w, layers=layers)
 
 
 def _next_layer(g: Graph, w: np.ndarray, t: int, prev: np.ndarray, out: np.ndarray) -> None:
-    """Write layer t, computed from layer t-1, to out."""
-    # configs with n_e = 0 get the candidate 0.0, the value of a loss
-    cand = np.zeros((g.m, len(out)))
-    for e, live in _live(t, g.m):
-        # decrementing edge e keeps the rank order of the configs with
-        # n_e > 0, and their children are all of layer t-1
-        cand[e][live] = prev
-    # every value is >= 0.0, so the max over a vertex's edges is the max
-    # over its positive edges, or 0.0 when there is none
-    acc = np.empty(len(out))
-    out[:] = 0.0
-    for v, edges in enumerate(g.incidence):
-        np.copyto(acc, cand[edges[0]])
-        for e in edges[1:]:
-            np.maximum(acc, cand[e], out=acc)
-        acc *= w[v]
-        out += acc
+    """Write layer t, computed from layer t-1, to out, _CHUNK ranks at a
+    time."""
+    live = _live(t, g.m)
+    n = len(out)
+    cand = np.empty((g.m, min(n, _CHUNK)))
+    acc = np.empty(cand.shape[1])
+    start = [0] * g.m  # where each edge's children of the chunk begin in prev
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        rows, a, o = cand[:, : hi - lo], acc[: hi - lo], out[lo:hi]
+        # configs with n_e = 0 get the candidate 0.0, the value of a loss
+        rows.fill(0.0)
+        for e in range(g.m):
+            # decrementing edge e keeps the rank order of the configs with
+            # n_e > 0, and their children are all of layer t-1
+            mask = live[e, lo:hi]
+            count = np.count_nonzero(mask)
+            rows[e][mask] = prev[start[e] : start[e] + count]
+            start[e] += count
+        # every value is >= 0.0, so the max over a vertex's edges is the max
+        # over its positive edges, or 0.0 when there is none
+        o.fill(0.0)
+        for v, edges in enumerate(g.incidence):
+            np.copyto(a, rows[edges[0]])
+            for e in edges[1:]:
+                np.maximum(a, rows[e], out=a)
+            a *= w[v]
+            o += a
 
 
 def check_config(g: Graph, cfg, n_max: int | None = None) -> np.ndarray:
@@ -274,7 +382,7 @@ def value_at(t: ValueTable | DownSetTable, cfg) -> float:
     if isinstance(t, DownSetTable):
         return t.value_at(cfg)
     cfg = check_config(t.graph, cfg, t.n_max)
-    return float(t.layers[int(cfg.sum())][rank_config(cfg)])
+    return float(t.layer(int(cfg.sum()))[rank_config(cfg)])
 
 
 def optimal_move(t: ValueTable | DownSetTable, cfg, v: int) -> int:
@@ -287,7 +395,7 @@ def optimal_move(t: ValueTable | DownSetTable, cfg, v: int) -> int:
     total = int(cfg.sum())
     if total < 1:
         raise LayerOutOfRange("no move from the empty config")
-    prev = t.layers[total - 1]
+    prev = t.layer(total - 1)
     best_edge = LOSS
     best_val = -1.0
     for e in t.graph.incidence[v - 1]:
@@ -305,9 +413,7 @@ def optimal_move(t: ValueTable | DownSetTable, cfg, v: int) -> int:
 def argmax_config(t: ValueTable, n: int) -> tuple[np.ndarray, float]:
     """Max-value config of a layer; ties resolve to the lexicographically
     smallest config."""
-    if not 0 <= n <= t.n_max:
-        raise LayerOutOfRange(f"layer {n} not in 0..{t.n_max}")
-    vals = t.layers[n]
+    vals = t.layer(n)
     best = float(vals.max())
     ties = np.flatnonzero(vals == best)
     winner = min(map(tuple, _unrank(ties, n, t.graph.m)))
@@ -330,13 +436,11 @@ def slice_maxima(t: ValueTable, n: int, amplitudes) -> list[tuple]:
     strictly between.  A connected graph with two or more edges has such a
     face: the edges of a vertex that does not touch every edge.
     """
-    if not 0 <= n <= t.n_max:
-        raise LayerOutOfRange(f"layer {n} not in 0..{t.n_max}")
+    vals = t.layer(n)
     if any(a <= 0 for a in amplitudes):
         raise ValueError("amplitude must be positive")
     g = t.graph
     lmin = face_values(g, active_faces(g), n, compositions(n, g.m)).min(axis=1)
-    vals = t.layers[n]
     out = []
     for a in amplitudes:
         cut = a * np.sqrt(n)
@@ -420,9 +524,7 @@ def downset_table(
     evaluated in order of total with compute_table's accumulation."""
     top = check_config(g, top)
     w = check_weights(g, weights)
-    need = downset_bytes(g.k, g.m, top)
-    if need > memory_budget:
-        raise MemoryBudgetExceeded(need, memory_budget)
+    _check_budget(downset_bytes(g.k, g.m, top), memory_budget)
     radix = top + 1
     stride = np.ones(g.m, dtype=np.int64)
     stride[:-1] = np.cumprod(radix[:0:-1])[::-1]
@@ -470,42 +572,72 @@ def _fill_box(g: Graph, w, idx, counts, stride, values, nxt) -> None:
 
 # --- persistence ------------------------------------------------------------
 
+_HEAD = 4 + struct.calcsize("<IQIII")
+
 
 def save_table(t: ValueTable, path) -> None:
     """Binary cache: magic, version, graph hash, k, |E|, n_max, weights, then
     each layer as little-endian float64 in rank order."""
+    _write_table(path, t.graph, t.n_max, t.weights, [t.layer(s) for s in range(t.n_max + 1)])
+
+
+def _write_table(path, g: Graph, n_max: int, weights, layers) -> None:
+    """Write save_table's format, taking layers 0..n_max from an iterable as
+    it yields them.  A write cut short removes the file, which load_table
+    would refuse on every later read."""
     try:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<IQIII", _VERSION, t.hash, t.graph.k, t.graph.m, t.n_max))
-            fh.write(np.asarray(t.weights, dtype="<f8").tobytes())
-            for layer in t.layers:
-                fh.write(np.asarray(layer, dtype="<f8").tobytes())
+        fh = open(path, "wb")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    try:
+        with fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<IQIII", _VERSION, graph_hash(g), g.k, g.m, n_max))
+            fh.write(np.ascontiguousarray(weights, dtype="<f8"))
+            for layer in layers:
+                fh.write(np.ascontiguousarray(layer, dtype="<f8"))
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        if isinstance(exc, OSError):
+            raise IoFailure(str(exc)) from exc
+        raise
 
 
-def load_table(path, g: Graph) -> ValueTable:
-    head = 4 + struct.calcsize("<IQIII")
+def load_table(path, g: Graph, keep=None) -> ValueTable:
+    """Read a cache that save_table wrote, after checking its header, graph
+    and size.  With keep, only those layers are read, each from its offset,
+    and the others are None."""
     try:
         with open(path, "rb") as fh:
-            header = fh.read(head)
-            if len(header) < head or header[:4] != _MAGIC:
+            header = fh.read(_HEAD)
+            if len(header) < _HEAD or header[:4] != _MAGIC:
                 raise FormatMismatch("bad magic or truncated header")
             version, ghash, k, m, n_max = struct.unpack("<IQIII", header[4:])
             if version != _VERSION:
                 raise FormatMismatch(f"unsupported format version {version}")
             if ghash != graph_hash(g) or k != g.k or m != g.m:
                 raise GraphHashMismatch("cache was built for a different graph")
-            need = head + 8 * k + required_bytes(m, n_max)
+            need = _HEAD + 8 * k + required_bytes(m, n_max)
             size = os.fstat(fh.fileno()).st_size
             if size != need:
                 raise FormatMismatch(f"expected {need} bytes, file has {size}")
-            # the payload is read straight into the layers' one buffer
             weights = np.empty(k, dtype="<f8")
-            buf, layers = _empty_layers(m, n_max, "<f8")
-            if fh.readinto(weights) != weights.nbytes or fh.readinto(buf) != buf.nbytes:
-                raise FormatMismatch("file shrank while it was read")
+            if keep is None:
+                # the payload is read straight into the layers' one buffer
+                buf, layers = _empty_layers(m, n_max, "<f8")
+                reads = [(_HEAD + 8 * k, buf)]
+            else:
+                layers = _kept_layers(m, n_max, _check_keep(keep, n_max), "<f8")
+                reads = [
+                    (_HEAD + 8 * k + required_bytes(m, t - 1), layer)
+                    for t, layer in enumerate(layers)
+                    if layer is not None
+                ]
+            for offset, array in [(_HEAD, weights), *reads]:
+                fh.seek(offset)
+                if fh.readinto(array) != array.nbytes:
+                    raise FormatMismatch("file shrank while it was read")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     return ValueTable(graph=g, n_max=n_max, weights=weights, layers=layers)

@@ -18,7 +18,9 @@ from seqassign.values import (
     DEFAULT_BUDGET,
     compute_table,
     downset_bytes,
+    layer_size,
     peak_bytes,
+    stream_bytes,
     value_at,
 )
 
@@ -374,7 +376,7 @@ def test_phase_rejects_edge_count_before_building_a_table(tmp_path, capsys, monk
     from seqassign.graph import complete_graph
 
     built = []
-    monkeypatch.setattr(cli, "compute_table", lambda *a, **kw: built.append(a))
+    monkeypatch.setattr(cli, "stream_table", lambda *a, **kw: built.append(a))
     path = tmp_path / "k4.txt"
     path.write_text(format_graph_text(complete_graph(4)))
     cache = tmp_path / "k4.cache"
@@ -485,7 +487,7 @@ def test_verify_without_out_is_rejected_before_building_a_table(
     import seqassign.cli as cli
 
     built = []
-    monkeypatch.setattr(cli, "compute_table", lambda *a, **kw: built.append(a))
+    monkeypatch.setattr(cli, "stream_table", lambda *a, **kw: built.append(a))
     code, out, err = run([argv[0], "--graph", p4_file, *argv[1:]], capsys)
     assert code == 2
     assert "--verify needs --out" in err
@@ -538,6 +540,34 @@ def test_verify_checks_every_100th_row(fmt, row, caught, p4_file, tmp_path, caps
             verify()
     else:
         verify()
+
+
+def test_verify_fails_on_a_corrupted_sampled_json_row(p4_file, tmp_path, capsys, monkeypatch):
+    # the file is corrupted between the write and the re-read of --verify
+    import seqassign.cli as cli
+
+    emit = cli._emit
+
+    def emit_then_corrupt(out, fmt, names, columns, summary=None):
+        emit(out, fmt, names, columns, summary)
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read()
+        rows = text.split("], [")
+        cells = rows[100].split(", ")
+        cells[2] = _bump_last_digit(cells[2])
+        rows[100] = ", ".join(cells)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("], [".join(rows))
+
+    monkeypatch.setattr(cli, "_emit", emit_then_corrupt)
+    out_path = tmp_path / "grid.json"
+    code, _, err = run(
+        ["phase", "--graph", p4_file, "--n", "30", "--format", "json", "--verify",
+         "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 2
+    assert "verification mismatch" in err
 
 
 def test_emit_writes_numpy_scalars_as_python_scalars(tmp_path):
@@ -829,13 +859,68 @@ def test_simulate_steering_rejects_weights(p4_file, tmp_path, capsys, strategy):
     assert "--weights" in err
 
 
+def test_phase_streams_past_the_full_table_budget(p4_file, tmp_path, capsys):
+    # all layers to 930 on P4 would exceed the budget; the layers phase holds do not
+    n = 930
+    assert stream_bytes(3, n, [n]) <= DEFAULT_BUDGET < peak_bytes(3, n)
+    out_path = tmp_path / "grid.csv"
+    code, out, _ = run(
+        ["phase", "--graph", p4_file, "--n", str(n), "--out", str(out_path)], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["n"] == n
+    with open(out_path) as fh:
+        assert sum(1 for _ in fh) == 1 + layer_size(n, 3)
+
+
+@pytest.mark.parametrize(
+    "argv, need",
+    [
+        (["value", "table", "--graph", "K4", "--n", "84"], stream_bytes(6, 84, ())),
+        (["phase", "--graph", "P4", "--n", "8738"], stream_bytes(3, 8738, [8738])),
+    ],
+    ids=["value-table-k4", "phase-p4"],
+)
+def test_stream_over_budget_exits_3(argv, need, tmp_path, capsys):
+    for name, g in (("K4", complete_graph(4)), ("P4", path_graph(4))):
+        (tmp_path / name).write_text(format_graph_text(g))
+    argv = [str(tmp_path / a) if a in ("K4", "P4") else a for a in argv]
+    cache = tmp_path / "t.tbl"
+    code, out, err = run(argv + ["--cache", str(cache)], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"table needs {need} bytes" in err
+    assert not cache.exists()
+
+
+def test_cache_reads_only_the_layers_a_command_holds(p4_file, tmp_path, capsys, monkeypatch):
+    import seqassign.cli as cli
+
+    cache = str(tmp_path / "p4.tbl")
+    assert run(["value", "table", "--graph", p4_file, "--n", "60", "--cache", cache], capsys)[0] == 0
+    loaded = []
+    load = cli.load_table
+
+    def spy(*args, **kwargs):
+        loaded.append(load(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_table", spy)
+    monkeypatch.setattr(cli, "stream_table", None)  # a build would fail
+    code, out, _ = run(["value", "argmax", "--graph", p4_file, "--n", "40", "--cache", cache], capsys)
+    assert code == 0
+    assert json.loads(out)["p"] == float(compute_table(path_graph(4), 40).layers[40].max())
+    kept = [[t for t, layer in enumerate(table.layers) if layer is not None] for table in loaded]
+    assert kept == [[], [40]]
+
+
 def test_memory_error_exit_code(p4_file, capsys, monkeypatch):
     import seqassign.cli as cli
 
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "compute_table", exhausted)
+    monkeypatch.setattr(cli, "stream_table", exhausted)
     code, out, err = run(["value", "argmax", "--graph", p4_file, "--n", "20"], capsys)
     assert code == 3
     assert out == ""

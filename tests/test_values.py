@@ -20,6 +20,7 @@ from seqassign.errors import (
 )
 from seqassign.geometry import face_values, x_star
 import seqassign
+import seqassign.values as values_module
 from seqassign.graph import (
     build_graph,
     complete_graph,
@@ -49,9 +50,12 @@ from seqassign.values import (
     optimal_move,
     peak_bytes,
     rank_config,
+    required_bytes,
     round_to_config,
     save_table,
     slice_maxima,
+    stream_bytes,
+    stream_table,
     value_at,
 )
 
@@ -98,7 +102,7 @@ def test_child_rank_shift_matches_scalar():
     for m in range(2, 7):
         cfgs = [unrank_config(r, total, m) for r in range(layer_size(total, m))]
         edges = []
-        for e, live in _live(total, m):
+        for e, live in enumerate(_live(total, m)):
             edges.append(e)
             assert live.tolist() == [cfg[e] > 0 for cfg in cfgs]
             children = []
@@ -124,7 +128,7 @@ def test_layer_bars_match_unrank(m):
         assert np.array_equal(cfgs[ranks], expect)
         assert np.array_equal(_unrank(ranks, total, m), expect)
         assert np.array_equal(_unrank(np.arange(n), total, m), cfgs)
-        for e, live in _live(total, m):
+        for e, live in enumerate(_live(total, m)):
             assert np.array_equal(live, cfgs[:, e] > 0)
 
 
@@ -249,6 +253,19 @@ def test_layer_hashes_pinned(name):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", list(LAYER_SHA256))
+def test_streamed_cache_matches_pinned_layers(name, tmp_path):
+    # the stream writes every layer as it is made, and keeps only the last
+    g, n_max, weights, digest = LAYER_SHA256[name]
+    path = tmp_path / "t.tbl"
+    table = stream_table(g, n_max, weights, keep=[n_max], path=path)
+    data = path.read_bytes()
+    assert hashlib.sha256(data[len(data) - required_bytes(g.m, n_max):]).hexdigest() == digest
+    save_table(compute_table(g, n_max, weights), tmp_path / "full.tbl")
+    assert data == (tmp_path / "full.tbl").read_bytes()
+    assert [t for t, layer in enumerate(table.layers) if layer is not None] == [n_max]
+
+
 def test_martingale_identity_small(p4, p4_table):
     # stored values reproduce the recursion from the previous layer bit-exactly
     w = p4_table.weights
@@ -371,6 +388,72 @@ def test_peak_bytes_bounds_rss_growth():
     # memory guard checks
     growth, estimate = rss_growth("compute_table(g, 30); need = peak_bytes(g.m, 30)")
     assert 0 < growth <= estimate
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+@pytest.mark.parametrize("keep", [(), (40,), (10, 25, 40)], ids=["none", "one", "three"])
+def test_stream_bytes_bounds_rss_growth(keep):
+    # K4 to 40 runs layers of up to 1.2M states in 19 chunks.  The growth
+    # measured 0.81-0.85 of the estimate; the margin is the estimate itself,
+    # so a layer-sized working array that the guard does not count fails it
+    growth, estimate = rss_growth(
+        f"stream_table(g, 40, keep={keep}); need = stream_bytes(g.m, 40, {keep})"
+    )
+    assert 0 < growth <= estimate
+
+
+def test_stream_budget_one_byte_short(k4):
+    need = stream_bytes(k4.m, 20, [20])
+    with pytest.raises(MemoryBudgetExceeded) as exc:
+        stream_table(k4, 20, keep=[20], memory_budget=need - 1)
+    assert exc.value.required_bytes == need
+    assert stream_table(k4, 20, keep=[20], memory_budget=need).n_max == 20
+
+
+@pytest.mark.parametrize(
+    "g, n_max, weights",
+    [
+        (path_graph(4), 40, None),
+        (complete_graph(4), 12, None),
+        (cycle_graph(5), 14, None),
+        (star_graph(4), 16, [0.1, 0.2, 0.3, 0.15, 0.25]),
+    ],
+    ids=["P4", "K4", "C5", "S4-weighted"],
+)
+def test_chunked_layers_match_one_chunk(g, n_max, weights, monkeypatch):
+    # each edge's slice of the layer below must advance across chunk
+    # boundaries, which fall mid-row at a chunk of 37 ranks
+    whole = compute_table(g, n_max, weights)
+    monkeypatch.setattr(values_module, "_CHUNK", 37)
+    chunked = compute_table(g, n_max, weights)
+    assert max(map(len, chunked.layers)) > 37
+    for t, (a, b) in enumerate(zip(chunked.layers, whole.layers)):
+        assert np.array_equal(a, b), f"layer {t}"
+
+
+def test_stream_keeps_only_the_layers_asked_for(p4, p4_table, tmp_path):
+    table = stream_table(p4, 120, keep=[30, 120])
+    for t in (30, 120):
+        assert np.array_equal(table.layer(t), p4_table.layers[t])
+    assert argmax_config(table, 120)[1] == argmax_config(p4_table, 120)[1]
+    assert value_at(table, [10, 10, 10]) == value_at(p4_table, [10, 10, 10])
+    # a read of a layer that was not kept is refused, not a TypeError
+    reads = [
+        lambda: value_at(table, [10, 10, 11]),
+        lambda: argmax_config(table, 60),
+        lambda: slice_maxima(table, 60, [1.0]),
+        lambda: optimal_move(table, [10, 10, 10], 2),
+        lambda: table.layer(121),
+        lambda: save_table(table, tmp_path / "t.tbl"),
+    ]
+    for read in reads:
+        with pytest.raises(LayerOutOfRange):
+            read()
+    assert not (tmp_path / "t.tbl").exists()
+    with pytest.raises(LayerOutOfRange):
+        stream_table(p4, 20, keep=[21])
+    with pytest.raises(LayerOutOfRange):
+        stream_table(p4, 20, keep=[-1])
 
 
 # --- moves and argmax -----------------------------------------------------------
@@ -621,6 +704,25 @@ def test_save_load_weighted_roundtrip(tmp_path, p4):
     assert np.array_equal(loaded.weights, table.weights)
     for a, b in zip(loaded.layers, table.layers):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("keep", [(0,), (12,), (3, 7, 12), ()], ids=["first", "last", "three", "none"])
+def test_partial_load_equals_full_load(tmp_path, keep):
+    g = complete_graph(4)
+    path = tmp_path / "k4.tbl"
+    save_table(compute_table(g, 12, [0.1, 0.2, 0.3, 0.4]), path)
+    full = load_table(path, g)
+    part = load_table(path, g, keep)
+    assert part.n_max == 12
+    assert np.array_equal(part.weights, full.weights)
+    for t in range(13):
+        if t in keep:
+            assert part.layer(t).tobytes() == full.layer(t).tobytes()
+        else:
+            with pytest.raises(LayerOutOfRange):
+                part.layer(t)
+    with pytest.raises(LayerOutOfRange):
+        load_table(path, g, [13])
 
 
 def test_load_wrong_graph(tmp_path, p4, c4):
