@@ -14,6 +14,8 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -112,27 +114,46 @@ def _require_positive(what: str, values) -> None:
         raise DomainError(f"{what} must be positive")
 
 
+_CSV_BLOCK = 1 << 14  # CSV rows formatted and written at a time
+
+
 def _emit(out: str | None, fmt: str, names, columns, summary=None) -> None:
     """Write a table given column by column, one sequence per name.  Each
-    column is formatted once, by its type: float -> repr, bool -> 1/0,
-    int (or str) -> str.  numpy scalars become Python scalars first."""
+    column is formatted by its type: float -> repr, bool -> 1/0, int (or
+    str) -> str.  numpy scalars become Python scalars first."""
     columns = [np.asarray(col) for col in columns]
     if fmt == "csv":
-        cells = [_cells(col) for col in columns]
-        text = "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
+        text = _csv_blocks(names, columns)
     else:
         rows = [list(row) for row in zip(*(col.tolist() for col in columns))]
         payload = {"columns": list(names), "rows": rows}
         if summary is not None:
             payload["summary"] = summary
-        text = json.dumps(payload, sort_keys=True, default=_json_default) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        text = [json.dumps(payload, sort_keys=True, default=_json_default) + "\n"]
+    with _opened(out) as fh:
+        fh.writelines(text)
     if summary is not None and fmt == "csv":
         sys.stdout.write(json.dumps(summary, sort_keys=True, default=_json_default) + "\n")
+
+
+def _csv_blocks(names, columns):
+    """The CSV text of a table: its header line, then _CSV_BLOCK rows at a
+    time, each block formatted only when it is written."""
+    yield ",".join(names) + "\n"
+    size = min(map(len, columns), default=0)
+    for lo in range(0, size, _CSV_BLOCK):
+        cells = [_cells(col[lo : lo + _CSV_BLOCK]) for col in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+@contextlib.contextmanager
+def _opened(out: str | None):
+    """The file out, opened for writing text, or stdout when out is None."""
+    if out is None:
+        yield sys.stdout
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _cells(col: np.ndarray) -> list[str]:
@@ -154,11 +175,8 @@ def _json_default(v):
 
 def _emit_report(out: str | None, report: dict) -> None:
     text = json.dumps(report, sort_keys=True, default=_json_default) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _opened(out) as fh:
+        fh.write(text)
 
 
 def _table_for(g: Graph, keep, args):
@@ -248,18 +266,20 @@ def _verify_rows(path: str, fmt: str, table, col: int, make_config) -> None:
     """Spot re-verification of a written table: re-read the file at `path`
     and compare every 100th row (rows 0, 100, 200, ...) bit-exactly with the
     table.  Column `col` holds the value; `make_config(row)` gives the config
-    it belongs to.  Only the sampled rows are split or parsed: in a JSON
-    file the rows array runs from `"rows": [[` to the first `]]`, since its
-    rows hold numbers only, and they are separated by `], [`.  Raises
-    SeqAssignError on the first mismatch."""
+    it belongs to.  Only the sampled rows are split or parsed: a CSV file
+    is read line by line, and in a JSON file the rows array runs from
+    `"rows": [[` to the first `]]`, since its rows hold numbers only, and
+    they are separated by `], [`.  Raises SeqAssignError on the first
+    mismatch."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if fmt == "csv":
-        rows = [line.split(",") for line in text.splitlines()[1::100]]
-    else:
-        start = text.index('"rows": [[') + len('"rows": [[')
-        cells = text[start : text.index("]]", start)].split("], [")[::100]
-        rows = [json.loads(f"[{row}]") for row in cells]
+        if fmt == "csv":
+            sampled = itertools.islice(fh, 1, None, 100)
+            rows = [line.rstrip("\n").split(",") for line in sampled]
+        else:
+            text = fh.read()
+            start = text.index('"rows": [[') + len('"rows": [[')
+            cells = text[start : text.index("]]", start)].split("], [")[::100]
+            rows = [json.loads(f"[{row}]") for row in cells]
     for row in rows:
         emitted = float(row[col])
         expected = value_at(table, make_config(row))

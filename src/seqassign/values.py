@@ -20,7 +20,12 @@ for e = 1, plus one), and decrementing the last coordinate preserves the
 rank.  The map keeps the colex order, and adding 1^e undoes it, so the
 configs with n_e > 0, in rank order, have as children all of layer t-1 in
 rank order.  Edge e's candidates are therefore layer t-1 scattered into the
-positions with n_e > 0: no child rank and no child config is built.
+positions with n_e > 0: no child rank and no child config is built.  Two
+edges need no scatter.  Edge 0's candidates are edge 1's shifted by one
+rank: along a row the offsets differ by one, and a row's first rank, where
+n_0 = 0, follows the previous row's last, where n_1 = 0.  The configs with
+n_{m-1} > 0 are the first C(t+m-2, m-1) ranks, so the last edge's
+candidates are layer t-1 itself, followed by zeros.
 
 Layer t is computed from layer t-1 by the recursion
 
@@ -106,25 +111,22 @@ def _layer_bars(total: int, m: int) -> np.ndarray:
     return bars
 
 
-def _live(total: int, m: int) -> np.ndarray:
-    """The (m, N) bool masks of layer total: row e marks the configs with a
-    positive count on edge e.  Along a row (see _layer_bars) edge 0's count
-    p_1 is 0 only at the start, edge 1's count p_2 - p_1 - 1 only at the
-    end, and every other edge's count is constant."""
-    n = layer_size(total, m)
-    if m > 2:
-        rows = _layer_bars(total, m - 1)
-        rows += 1
-    else:
-        rows = np.array([[n]])
+def _live(total: int, m: int) -> list[np.ndarray]:
+    """The bool masks of edges 1..m-2 of layer total, one array each,
+    marking the configs with a positive count on that edge.  Along a row
+    (see _layer_bars) edge 1's count p_2 - p_1 - 1 is 0 only at the end,
+    and each of edges 2..m-2 keeps one count.  Edges 0 and m-1 need no
+    mask (see _next_layer)."""
+    if m < 3:
+        return []
+    rows = _layer_bars(total, m - 1)
+    rows += 1
     lengths = rows[0]
-    ends = np.cumsum(lengths)
-    live = np.ones((m, n), dtype=bool)
-    live[0, ends - lengths] = False
-    live[1, ends - 1] = False
-    upper = total + m - 1
-    for e in range(m - 1, 1, -1):
-        live[e] = np.repeat(upper - rows[e - 2] > 1, lengths)
+    live = [np.ones(layer_size(total, m), dtype=bool)]
+    live[0][np.cumsum(lengths) - 1] = False
+    upper = rows[m - 3]
+    for e in range(m - 2, 1, -1):
+        live.insert(1, np.repeat(upper - rows[e - 2] > 1, lengths))
         upper = rows[e - 2]
     return live
 
@@ -215,7 +217,7 @@ class ValueTable:
         return self.layers[t]
 
 
-_CHUNK = 1 << 16  # ranks of a layer evaluated per step of _next_layer
+_CHUNK = 1 << 14  # ranks of a layer evaluated per step of _next_layer
 _LAYER_OBJECT_BYTES = 256  # a layer's array object, list slot and size
 
 
@@ -225,14 +227,15 @@ def required_bytes(m: int, n_max: int) -> int:
 
 
 def _kernel_bytes(m: int, t: int) -> int:
-    """Working memory of _next_layer for layer t: the m bool n_e > 0 masks
-    and the np.repeat temporary of one; the int64 bars of the layer's rows
-    with the temporaries of building them, at most m + 2 int64 arrays the
-    size of the row count C(t+m-2, m-2); and one chunk's m candidate rows
-    and accumulator."""
+    """Working memory of _next_layer for layer t: the m - 2 bool masks of
+    edges 1..m-2; the int64 bars of the layer's rows with the temporaries of
+    building them, at most m + 2 int64 arrays the size of the row count
+    C(t+m-2, m-2); and one chunk's candidate rows of edges 1..m-1, with the
+    carry slot, and accumulator."""
     n = layer_size(t, m)
-    rows = layer_size(t, m - 1) if m > 2 else 1
-    return (m + 1) * n + 8 * (m + 2) * rows + 8 * (m + 1) * min(n, _CHUNK)
+    rows = layer_size(t, m - 1) if m > 2 else 0
+    chunk = min(n, _CHUNK)
+    return (m - 2) * n + 8 * (m + 2) * rows + 8 * ((m - 1) * (chunk + 1) + chunk)
 
 
 def peak_bytes(m: int, n_max: int) -> int:
@@ -336,33 +339,49 @@ def stream_table(
 
 def _next_layer(g: Graph, w: np.ndarray, t: int, prev: np.ndarray, out: np.ndarray) -> None:
     """Write layer t, computed from layer t-1, to out, _CHUNK ranks at a
-    time."""
-    live = _live(t, g.m)
-    n = len(out)
-    cand = np.empty((g.m, min(n, _CHUNK)))
-    acc = np.empty(cand.shape[1])
-    start = [0] * g.m  # where each edge's children of the chunk begin in prev
+    time.  Edge 0's candidates are edge 1's one rank earlier, and the last
+    edge's are layer t-1 followed by zeros, so only edges 1..m-2 are
+    scattered through masks."""
+    m, n, below = g.m, len(out), len(prev)
+    live = _live(t, m)
+    size = min(n, _CHUNK)
+    # row e - 1 holds edge e's candidates from slot 1 on; slot 0 of row 0
+    # carries edge 1's candidate at the rank before the chunk, which is 0.0
+    # before rank 0 (n_0 = 0 there)
+    cand = np.empty((m - 1, size + 1))
+    cand[0, 0] = 0.0
+    acc = np.empty(size)
+    start = [0] * (m - 2)  # where each masked edge's children of the chunk begin in prev
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        rows, a, o = cand[:, : hi - lo], acc[: hi - lo], out[lo:hi]
-        # configs with n_e = 0 get the candidate 0.0, the value of a loss
-        rows.fill(0.0)
-        for e in range(g.m):
+        rows, a, o = [cand[0, : hi - lo], *cand[:, 1 : hi - lo + 1]], acc[: hi - lo], out[lo:hi]
+        for e, mask in enumerate((x[lo:hi] for x in live), 1):
             # decrementing edge e keeps the rank order of the configs with
-            # n_e > 0, and their children are all of layer t-1
-            mask = live[e, lo:hi]
+            # n_e > 0, and their children are all of layer t-1; configs with
+            # n_e = 0 get the candidate 0.0, the value of a loss
             count = np.count_nonzero(mask)
-            rows[e][mask] = prev[start[e] : start[e] + count]
-            start[e] += count
+            rows[e].fill(0.0)
+            rows[e][mask] = prev[start[e - 1] : start[e - 1] + count]
+            start[e - 1] += count
+        # the configs with n_{m-1} > 0 are the first len(prev) ranks
+        cut = min(max(below - lo, 0), hi - lo)
+        rows[m - 1][:cut] = prev[lo : lo + cut]
+        rows[m - 1][cut:] = 0.0
         # every value is >= 0.0, so the max over a vertex's edges is the max
-        # over its positive edges, or 0.0 when there is none
-        o.fill(0.0)
+        # over its positive edges, or 0.0 when there is none.  The first
+        # vertex writes out directly: 0.0 + x is x for every x >= 0.0
         for v, edges in enumerate(g.incidence):
-            np.copyto(a, rows[edges[0]])
-            for e in edges[1:]:
-                np.maximum(a, rows[e], out=a)
-            a *= w[v]
-            o += a
+            dst = a if v else o
+            if len(edges) == 1:
+                np.multiply(rows[edges[0]], w[v], out=dst)
+            else:
+                np.maximum(rows[edges[0]], rows[edges[1]], out=dst)
+                for e in edges[2:]:
+                    np.maximum(dst, rows[e], out=dst)
+                dst *= w[v]
+            if v:
+                o += a
+        cand[0, 0] = cand[0, hi - lo]
 
 
 def check_config(g: Graph, cfg, n_max: int | None = None) -> np.ndarray:

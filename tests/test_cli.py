@@ -222,6 +222,23 @@ def test_phase_golden_header(p4_file, tmp_path, capsys):
     assert summary["argmax_m"] + summary["argmax_l"] <= 12
 
 
+@pytest.mark.parametrize("block", [1, 7, 91])
+def test_csv_blocks_write_the_same_bytes(block, p4_file, tmp_path, capsys, monkeypatch):
+    # the 91 rows of layer 12 written in blocks, ending on a block boundary
+    # or not, and printed to stdout, are the bytes of one block
+    import seqassign.cli as cli
+
+    argv = ["phase", "--graph", p4_file, "--n", "12", "--verify", "--out"]
+    assert run(argv + [str(tmp_path / "whole.csv")], capsys)[0] == 0
+    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    assert run(argv + [str(tmp_path / "blocks.csv")], capsys)[0] == 0
+    whole = (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "blocks.csv").read_bytes() == whole
+    code, out, _ = run(["phase", "--graph", p4_file, "--n", "12"], capsys)
+    assert code == 0
+    assert out.encode().startswith(whole)
+
+
 def test_scan_golden_header_and_summary(p4_file, tmp_path, capsys):
     out_path = tmp_path / "scan.csv"
     code, out, _ = run(
@@ -876,8 +893,8 @@ def test_phase_streams_past_the_full_table_budget(p4_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, need",
     [
-        (["value", "table", "--graph", "K4", "--n", "84"], stream_bytes(6, 84, ())),
-        (["phase", "--graph", "P4", "--n", "8738"], stream_bytes(3, 8738, [8738])),
+        (["value", "table", "--graph", "K4", "--n", "86"], stream_bytes(6, 86, ())),
+        (["phase", "--graph", "P4", "--n", "9254"], stream_bytes(3, 9254, [9254])),
     ],
     ids=["value-table-k4", "phase-p4"],
 )

@@ -97,29 +97,40 @@ def test_compositions_unrank_edges(m):
 
 def test_child_rank_shift_matches_scalar():
     # decrementing edge e maps the configs with n_e > 0, in rank order, onto
-    # the ranks 0, 1, 2, ... of the layer below, for every edge
+    # the ranks 0, 1, 2, ... of the layer below, for every edge.  Edge 0's
+    # children are edge 1's one rank later, the last edge's live set is the
+    # first layer_size(t-1, m) ranks, and _live masks the edges between
     total = 7
-    for m in range(2, 7):
+    for m in range(2, 9):
         cfgs = [unrank_config(r, total, m) for r in range(layer_size(total, m))]
+        below = layer_size(total - 1, m)
+
+        def child(cfg, e):
+            if cfg[e] == 0:
+                return None
+            dec = list(cfg)
+            dec[e] -= 1
+            return rank_config(dec)
+
+        for e in range(m):
+            children = [c for c in (child(cfg, e) for cfg in cfgs) if c is not None]
+            assert children == list(range(below))
+        assert [child(cfg, 0) for cfg in cfgs] == [None] + [child(cfg, 1) for cfg in cfgs[:-1]]
+        assert [cfg[m - 1] > 0 for cfg in cfgs] == [r < below for r in range(len(cfgs))]
         edges = []
-        for e, live in enumerate(_live(total, m)):
+        for e, live in enumerate(_live(total, m), 1):
             edges.append(e)
             assert live.tolist() == [cfg[e] > 0 for cfg in cfgs]
-            children = []
-            for cfg in cfgs:
-                if cfg[e] > 0:
-                    dec = list(cfg)
-                    dec[e] -= 1
-                    children.append(rank_config(dec))
-            assert children == list(range(layer_size(total - 1, m)))
-        assert sorted(edges) == list(range(m))
+        assert edges == list(range(1, m - 1))
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_layer_bars_match_unrank(m):
     # the rows repeated along their lengths give every rank's bars, from the
     # one-config layer t = 0 up; for m = 2 a layer is a single row.  _unrank
-    # finds the same configs for any ranks, in any order
+    # finds the same configs for any ranks, in any order.  Edge 0's child
+    # configs are edge 1's one rank later, the last edge is live on a prefix,
+    # and _live masks edges 1..m-2
     for total in range(13):
         n = layer_size(total, m)
         ranks = np.arange(n)[:: 1 + n // 300][::-1]
@@ -128,8 +139,18 @@ def test_layer_bars_match_unrank(m):
         assert np.array_equal(cfgs[ranks], expect)
         assert np.array_equal(_unrank(ranks, total, m), expect)
         assert np.array_equal(_unrank(np.arange(n), total, m), cfgs)
-        for e, live in enumerate(_live(total, m)):
-            assert np.array_equal(live, cfgs[:, e] > 0)
+        assert cfgs[0, 0] == 0
+        live0 = cfgs[1:, 0] > 0
+        assert np.array_equal(live0, cfgs[:-1, 1] > 0)
+        dec0, dec1 = cfgs[1:][live0], cfgs[:-1][live0]
+        dec0[:, 0] -= 1
+        dec1[:, 1] -= 1
+        assert np.array_equal(dec0, dec1)
+        assert np.array_equal(cfgs[:, m - 1] > 0, np.arange(n) < layer_size(total - 1, m))
+        live = _live(total, m)
+        assert len(live) == m - 2
+        for e, mask in enumerate(live, 1):
+            assert np.array_equal(mask, cfgs[:, e] > 0)
 
 
 def test_round_to_config(p4):
@@ -411,20 +432,25 @@ def test_stream_budget_one_byte_short(k4):
 
 
 @pytest.mark.parametrize(
-    "g, n_max, weights",
+    "g, n_max, weights, chunk",
     [
-        (path_graph(4), 40, None),
-        (complete_graph(4), 12, None),
-        (cycle_graph(5), 14, None),
-        (star_graph(4), 16, [0.1, 0.2, 0.3, 0.15, 0.25]),
+        (path_graph(4), 40, None, 37),
+        (complete_graph(4), 12, None, 37),
+        (cycle_graph(5), 14, None, 37),
+        (star_graph(4), 16, [0.1, 0.2, 0.3, 0.15, 0.25], 37),
+        (path_graph(3), 120, None, 37),
+        (path_graph(4), 20, None, 1),
+        (path_graph(3), 40, None, 1),
     ],
-    ids=["P4", "K4", "C5", "S4-weighted"],
+    ids=["P4", "K4", "C5", "S4-weighted", "P3", "P4-chunk-1", "P3-chunk-1"],
 )
-def test_chunked_layers_match_one_chunk(g, n_max, weights, monkeypatch):
-    # each edge's slice of the layer below must advance across chunk
-    # boundaries, which fall mid-row at a chunk of 37 ranks
+def test_chunked_layers_match_one_chunk(g, n_max, weights, chunk, monkeypatch):
+    # each masked edge's slice of the layer below must advance, and edge 1's
+    # last candidate carry into edge 0's first, across chunk boundaries,
+    # which fall mid-row at a chunk of 37 ranks and at every rank at 1.  The
+    # two-edge path P3 has no masked edge
     whole = compute_table(g, n_max, weights)
-    monkeypatch.setattr(values_module, "_CHUNK", 37)
+    monkeypatch.setattr(values_module, "_CHUNK", chunk)
     chunked = compute_table(g, n_max, weights)
     assert max(map(len, chunked.layers)) > 37
     for t, (a, b) in enumerate(zip(chunked.layers, whole.layers)):
