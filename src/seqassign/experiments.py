@@ -24,8 +24,8 @@ from .simulate import child_rng, deviation_tail, play, trace_diagnostics
 from .strategies import SteerExact, SteerKTarget, SteerPlan, Stage1Steer
 from .values import (
     ValueTable,
+    _layer_bars,
     argmax_config,
-    compositions,
     graph_hash,
     round_to_config,
     slice_maxima,
@@ -52,12 +52,14 @@ def phase_diagram(g: Graph, n: int, table: ValueTable):
 
     Returns (columns, summary).  The columns are the arrays (m, l, p) in rank
     order, m the first and l the last edge count, the middle edge holding
-    n-m-l; p is a copy of the layer.  The summary carries the grid maximum and
-    its location.
+    n-m-l; p is the layer itself.  m and l come from the layer's bar positions
+    (p_1, p_2): m is p_1, and l is n + 1 - p_2, written over p_2.  The
+    summary carries the grid maximum and its location.
     """
     check_phase_graph(g)
-    cfgs = compositions(n, 3)
-    columns = (cfgs[:, 0], cfgs[:, 2], table.layer(n).copy())
+    bars = _layer_bars(n, 3)
+    np.subtract(n + 1, bars[1], out=bars[1])
+    columns = (bars[0], bars[1], table.layer(n))
     best_cfg, best = argmax_config(table, n)
     summary = {
         "n": n,

@@ -47,7 +47,6 @@ from .values import (
     check_config,
     downset_table,
     graph_hash,
-    required_bytes,
     round_to_config,
 )
 
@@ -355,7 +354,7 @@ def estimate(
         if isinstance(box, ValueTable):
             # the table stays held while its box is built: one budget for both
             check_config(g, config, box.n_max)
-            held = required_bytes(g.m, box.n_max)
+            held = sum(layer.nbytes for layer in box.layers if layer is not None)
             box = downset_table(g, config, w, max(DEFAULT_BUDGET - held, 0))
         successes = _box_wins(box, config, runs, master_seed, w)
     else:

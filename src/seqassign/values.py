@@ -36,7 +36,8 @@ edge loses the game).  Every value is >= 0.0, so an empty edge may enter the
 max as 0.0.  Accumulation is in vertex order, so the stored values can be
 reproduced bit-exactly from the previous layer.  Since a layer reads only
 the one below, stream_table holds two rolling layers and the layers asked
-for, where compute_table holds them all.
+for, as views of one buffer.  compute_table is the stream that keeps every
+layer, so it rolls none, and stream_bytes is the one memory guard of both.
 
 A query about one start config reads only the configs at or below it.
 DownSetTable evaluates just that box, under mixed-radix indices, by the same
@@ -238,29 +239,15 @@ def _kernel_bytes(m: int, t: int) -> int:
     return (m - 2) * n + 8 * (m + 2) * rows + 8 * ((m - 1) * (chunk + 1) + chunk)
 
 
-def peak_bytes(m: int, n_max: int) -> int:
-    """Peak memory of compute_table: the stored layers 0..n_max with their
-    Python objects, plus the working arrays of the largest layer."""
-    return required_bytes(m, n_max) + _LAYER_OBJECT_BYTES * (n_max + 1) + _kernel_bytes(m, n_max)
-
-
 def stream_bytes(m: int, n_max: int, keep) -> int:
     """Peak memory of stream_table: the kept layers, two rolling buffers the
     size of the largest layer not kept, the Python objects of every layer,
-    and the working arrays of the largest layer."""
+    and the working arrays of the largest layer.  With every layer kept
+    nothing is rolled, and the kept layers are required_bytes(m, n_max)."""
     keep = set(keep)
     rolled = max((layer_size(t, m) for t in range(n_max + 1) if t not in keep), default=0)
     kept = sum(layer_size(t, m) for t in keep)
     return 8 * (kept + 2 * rolled) + _LAYER_OBJECT_BYTES * (n_max + 1) + _kernel_bytes(m, n_max)
-
-
-def _empty_layers(m: int, n_max: int, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One uninitialised buffer for layers 0..n_max and its views, one per
-    layer.  Sharing one buffer keeps freed working arrays from fragmenting
-    between stored layers."""
-    sizes = [layer_size(t, m) for t in range(n_max + 1)]
-    buf = np.empty(sum(sizes), dtype=dtype)
-    return buf, np.split(buf, np.cumsum(sizes)[:-1])
 
 
 def _check_keep(keep, n_max: int) -> set[int]:
@@ -271,8 +258,12 @@ def _check_keep(keep, n_max: int) -> set[int]:
 
 
 def _kept_layers(m: int, n_max: int, keep: set[int], dtype) -> list[np.ndarray | None]:
-    """An uninitialised array for each layer in keep, None for the others."""
-    return [np.empty(layer_size(t, m), dtype=dtype) if t in keep else None for t in range(n_max + 1)]
+    """Uninitialised views of one buffer for the layers in keep, None for
+    the others.  Sharing one buffer keeps freed working arrays from
+    fragmenting between kept layers."""
+    sizes = [layer_size(t, m) if t in keep else 0 for t in range(n_max + 1)]
+    views = np.split(np.empty(sum(sizes), dtype=dtype), np.cumsum(sizes)[:-1])
+    return [view if t in keep else None for t, view in enumerate(views)]
 
 
 def _check_build(g: Graph, n_max: int, weights) -> np.ndarray:
@@ -303,13 +294,9 @@ def _sweep(g: Graph, w: np.ndarray, n_max: int, out_for):
 def compute_table(
     g: Graph, n_max: int, weights=None, memory_budget: int = DEFAULT_BUDGET
 ) -> ValueTable:
-    """Exact win probabilities for every config of total <= n_max."""
-    w = _check_build(g, n_max, weights)
-    _check_budget(peak_bytes(g.m, n_max), memory_budget)
-    _, layers = _empty_layers(g.m, n_max, float)
-    for _ in _sweep(g, w, n_max, layers.__getitem__):
-        pass
-    return ValueTable(graph=g, n_max=n_max, weights=w, layers=layers)
+    """Exact win probabilities for every config of total <= n_max: the
+    stream that keeps every layer."""
+    return stream_table(g, n_max, weights, range(n_max + 1), memory_budget=memory_budget)
 
 
 def stream_table(
@@ -625,8 +612,8 @@ def _write_table(path, g: Graph, n_max: int, weights, layers) -> None:
 
 def load_table(path, g: Graph, keep=None) -> ValueTable:
     """Read a cache that save_table wrote, after checking its header, graph
-    and size.  With keep, only those layers are read, each from its offset,
-    and the others are None."""
+    and size.  The layers in keep (all of them when keep is None) are read,
+    each from its offset, and the others are None."""
     try:
         with open(path, "rb") as fh:
             header = fh.read(_HEAD)
@@ -642,17 +629,13 @@ def load_table(path, g: Graph, keep=None) -> ValueTable:
             if size != need:
                 raise FormatMismatch(f"expected {need} bytes, file has {size}")
             weights = np.empty(k, dtype="<f8")
-            if keep is None:
-                # the payload is read straight into the layers' one buffer
-                buf, layers = _empty_layers(m, n_max, "<f8")
-                reads = [(_HEAD + 8 * k, buf)]
-            else:
-                layers = _kept_layers(m, n_max, _check_keep(keep, n_max), "<f8")
-                reads = [
-                    (_HEAD + 8 * k + required_bytes(m, t - 1), layer)
-                    for t, layer in enumerate(layers)
-                    if layer is not None
-                ]
+            keep = range(n_max + 1) if keep is None else keep
+            layers = _kept_layers(m, n_max, _check_keep(keep, n_max), "<f8")
+            reads = [
+                (_HEAD + 8 * k + required_bytes(m, t - 1), layer)
+                for t, layer in enumerate(layers)
+                if layer is not None
+            ]
             for offset, array in [(_HEAD, weights), *reads]:
                 fh.seek(offset)
                 if fh.readinto(array) != array.nbytes:

@@ -19,7 +19,6 @@ from seqassign.values import (
     compute_table,
     downset_bytes,
     layer_size,
-    peak_bytes,
     stream_bytes,
     value_at,
 )
@@ -332,7 +331,7 @@ def test_simulate_json_record(p4_file, capsys):
 def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsys):
     # on the two-edge path the full table to total 14,593 fits the budget but
     # the box under (7297, 7296) does not; optimal play walks the box
-    assert peak_bytes(2, 14593) <= DEFAULT_BUDGET < downset_bytes(3, 2, [7297, 7296])
+    assert stream_bytes(2, 14593, range(14594)) <= DEFAULT_BUDGET < downset_bytes(3, 2, [7297, 7296])
     path = tmp_path / "p3.txt"
     path.write_text(format_graph_text(path_graph(3)))
     code, out, err = run(
@@ -879,7 +878,7 @@ def test_simulate_steering_rejects_weights(p4_file, tmp_path, capsys, strategy):
 def test_phase_streams_past_the_full_table_budget(p4_file, tmp_path, capsys):
     # all layers to 930 on P4 would exceed the budget; the layers phase holds do not
     n = 930
-    assert stream_bytes(3, n, [n]) <= DEFAULT_BUDGET < peak_bytes(3, n)
+    assert stream_bytes(3, n, [n]) <= DEFAULT_BUDGET < stream_bytes(3, n, range(n + 1))
     out_path = tmp_path / "grid.csv"
     code, out, _ = run(
         ["phase", "--graph", p4_file, "--n", str(n), "--out", str(out_path)], capsys

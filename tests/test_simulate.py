@@ -41,9 +41,10 @@ from seqassign.values import (
     compute_table,
     downset_bytes,
     downset_table,
-    peak_bytes,
+    layer_size,
     required_bytes,
     round_to_config,
+    stream_bytes,
     value_at,
 )
 
@@ -521,12 +522,25 @@ def test_estimate_holds_table_and_box_in_one_budget():
     # the budget, but the table stays held while the box is built
     p3 = path_graph(3)
     n, top = 12000, [6000, 6000]
-    assert peak_bytes(2, n) <= DEFAULT_BUDGET and downset_bytes(3, 2, top) <= DEFAULT_BUDGET
+    assert stream_bytes(2, n, range(n + 1)) <= DEFAULT_BUDGET
+    assert downset_bytes(3, 2, top) <= DEFAULT_BUDGET
     assert required_bytes(2, n) + downset_bytes(3, 2, top) > DEFAULT_BUDGET
-    # a stand-in for the 0.58 GB table: the box is built from its graph and law
-    table = ValueTable(p3, n, check_weights(p3, None), [])
+    # a stand-in for the 0.58 GB table: the box is built from its graph and
+    # law, and the table is charged its layers' bytes, here zero-stride views
+    layers = [np.broadcast_to(0.0, layer_size(t, 2)) for t in range(n + 1)]
+    table = ValueTable(p3, n, check_weights(p3, None), layers)
     with pytest.raises(MemoryBudgetExceeded, match="budget"):
         estimate(p3, top, TableStrategy(table), 10, 1)
+
+
+def test_estimate_charges_only_the_layers_a_table_holds(p4):
+    # a table streamed to 2000 that keeps layer 2000 holds 16 MB, not the
+    # 10.7 GB of every layer, so the box under the start fits beside it.  A
+    # stand-in holds layer 2000 only: estimate reads the box, not the layers
+    n, start = 2000, [1998, 1, 1]
+    table = ValueTable(p4, n, check_weights(p4, None), [None] * n + [np.zeros(layer_size(n, 3))])
+    est = estimate(p4, start, TableStrategy(table), 10, 1)
+    assert est == estimate(p4, start, TableStrategy(downset_table(p4, start)), 10, 1)
 
 
 def test_estimate_rejects_a_table_of_another_graph_or_law(p4):

@@ -48,7 +48,6 @@ from seqassign.values import (
     layer_size,
     load_table,
     optimal_move,
-    peak_bytes,
     rank_config,
     required_bytes,
     round_to_config,
@@ -364,14 +363,6 @@ def test_memory_budget(p4):
     assert exc.value.required_bytes > 1000
 
 
-def test_memory_budget_one_byte_short(k4):
-    need = peak_bytes(k4.m, 20)
-    with pytest.raises(MemoryBudgetExceeded) as exc:
-        compute_table(k4, 20, memory_budget=need - 1)
-    assert exc.value.required_bytes == need
-    assert compute_table(k4, 20, memory_budget=need).n_max == 20
-
-
 def rss_growth(build: str) -> tuple[int, int]:
     """Peak RSS growth of `build` in a fresh process, and the estimate the
     memory guard checks, which `build` leaves in `need`.  The child reads
@@ -404,31 +395,48 @@ def rss_growth(build: str) -> tuple[int, int]:
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-def test_peak_bytes_bounds_rss_growth():
-    # the peak RSS growth of a table build stays within the estimate the
-    # memory guard checks
-    growth, estimate = rss_growth("compute_table(g, 30); need = peak_bytes(g.m, 30)")
-    assert 0 < growth <= estimate
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-@pytest.mark.parametrize("keep", [(), (40,), (10, 25, 40)], ids=["none", "one", "three"])
-def test_stream_bytes_bounds_rss_growth(keep):
-    # K4 to 40 runs layers of up to 1.2M states in 19 chunks.  The growth
-    # measured 0.81-0.85 of the estimate; the margin is the estimate itself,
+@pytest.mark.parametrize(
+    "n, keep",
+    [(40, ()), (40, (40,)), (40, (10, 25, 40)), (30, range(31))],
+    ids=["none", "one", "three", "every"],
+)
+def test_stream_bytes_bounds_rss_growth(n, keep):
+    # K4 to 40 runs layers of up to 1.2M states in 19 chunks, and every
+    # layer of K4 to 30 is compute_table's build.  The growth measured
+    # 0.81-0.85 of the estimate to 40; the margin is the estimate itself,
     # so a layer-sized working array that the guard does not count fails it
     growth, estimate = rss_growth(
-        f"stream_table(g, 40, keep={keep}); need = stream_bytes(g.m, 40, {keep})"
+        f"stream_table(g, {n}, keep={keep}); need = stream_bytes(g.m, {n}, {keep})"
     )
     assert 0 < growth <= estimate
 
 
-def test_stream_budget_one_byte_short(k4):
-    need = stream_bytes(k4.m, 20, [20])
+@pytest.mark.parametrize(
+    "keep, build",
+    [
+        ([20], lambda g, budget: stream_table(g, 20, keep=[20], memory_budget=budget)),
+        (range(21), lambda g, budget: compute_table(g, 20, memory_budget=budget)),
+    ],
+    ids=["one", "every"],
+)
+def test_stream_budget_one_byte_short(k4, keep, build):
+    need = stream_bytes(k4.m, 20, keep)
     with pytest.raises(MemoryBudgetExceeded) as exc:
-        stream_table(k4, 20, keep=[20], memory_budget=need - 1)
+        build(k4, need - 1)
     assert exc.value.required_bytes == need
-    assert stream_table(k4, 20, keep=[20], memory_budget=need).n_max == 20
+    assert build(k4, need).n_max == 20
+
+
+def test_kept_layers_are_views_of_one_buffer(k4, tmp_path):
+    # one buffer keeps freed working arrays from fragmenting between layers
+    path = tmp_path / "t.tbl"
+    full = compute_table(k4, 12)
+    save_table(full, path)
+    for table in (full, load_table(path, k4), stream_table(k4, 12, keep=[3, 7, 12])):
+        kept = [layer for layer in table.layers if layer is not None]
+        base = kept[0].base
+        assert base is not None and all(layer.base is base for layer in kept)
+        assert base.nbytes == sum(layer.nbytes for layer in kept)
 
 
 @pytest.mark.parametrize(
