@@ -49,6 +49,7 @@ from .values import (
     round_to_config,
     stream_table,
     value_at,
+    values_at,
 )
 
 DEFAULT_SEED = 0
@@ -114,36 +115,105 @@ def _require_positive(what: str, values) -> None:
         raise DomainError(f"{what} must be positive")
 
 
-_CSV_BLOCK = 1 << 14  # CSV rows formatted and written at a time
+_CSV_BLOCK = 1 << 14  # table rows formatted and written at a time
+# a block of fewer rows is formatted one Python string a cell: below about
+# 512 rows of phase's columns that is the faster path (measured)
+_SHORT = 512
+_JSON_PIECE = 1 << 20  # characters of a JSON table read at a time by --verify
 
 
 def _emit(out: str | None, fmt: str, names, columns, summary=None) -> None:
-    """Write a table given column by column, one sequence per name.  Each
-    column is formatted by its type: float -> repr, bool -> 1/0, int (or
-    str) -> str.  numpy scalars become Python scalars first."""
+    """Write a table given column by column, one sequence per name, in
+    blocks of _CSV_BLOCK rows.  Each cell is written by its column's rule
+    (see _cells); float64 and int64 columns get those bytes from
+    seqassign._fmt without a Python string a cell."""
     columns = [np.asarray(col) for col in columns]
     if fmt == "csv":
-        text = _csv_blocks(names, columns)
+        text = _csv_text(names, columns)
     else:
-        rows = [list(row) for row in zip(*(col.tolist() for col in columns))]
-        payload = {"columns": list(names), "rows": rows}
-        if summary is not None:
-            payload["summary"] = summary
-        text = [json.dumps(payload, sort_keys=True, default=_json_default) + "\n"]
+        text = _json_text(names, columns, summary)
     with _opened(out) as fh:
         fh.writelines(text)
     if summary is not None and fmt == "csv":
         sys.stdout.write(json.dumps(summary, sort_keys=True, default=_json_default) + "\n")
 
 
-def _csv_blocks(names, columns):
-    """The CSV text of a table: its header line, then _CSV_BLOCK rows at a
+def _csv_text(names, columns):
+    """The CSV text of a table: its header line, then its rows a block at a
     time, each block formatted only when it is written."""
     yield ",".join(names) + "\n"
+    for block in _blocks(columns):
+        yield _rows(block, "csv")
+
+
+def _json_text(names, columns, summary):
+    """The bytes json.dumps writes for {"columns": names, "rows": [...],
+    "summary": summary} with sorted keys, the rows a block at a time."""
+    yield '{"columns": ' + json.dumps(list(names), default=_json_default) + ', "rows": ['
+    for i, block in enumerate(_blocks(columns)):
+        yield (", " if i else "") + _rows(block, "json")
+    yield "]"
+    if summary is not None:
+        yield ', "summary": ' + json.dumps(summary, sort_keys=True, default=_json_default)
+    yield "}\n"
+
+
+def _blocks(columns):
+    """The table's rows, _CSV_BLOCK at a time, as lists of column slices;
+    the rows end where the shortest column does."""
     size = min(map(len, columns), default=0)
     for lo in range(0, size, _CSV_BLOCK):
-        cells = [_cells(col[lo : lo + _CSV_BLOCK]) for col in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        yield [col[lo : lo + _CSV_BLOCK] for col in columns]
+
+
+def _rows(block, fmt: str) -> str:
+    """The text of a block of rows: CSV lines, or JSON row lists [a, b]
+    joined by ", "."""
+    sep = "," if fmt == "csv" else ", "
+    if len(block[0]) < _SHORT:
+        lines = map(sep.join, zip(*(_cells(col, fmt) for col in block)))
+        if fmt == "csv":
+            return "".join(line + "\n" for line in lines)
+        return ", ".join(f"[{line}]" for line in lines)
+    from . import _fmt  # loaded by the first large block, not by every command
+
+    end = "\n" if fmt == "csv" else "], ["
+    pieces = []
+    for col in block:
+        pieces += [_slots(col, fmt), sep.encode()]
+    pieces[-1] = end.encode()
+    text = _fmt.join_rows(pieces, len(block[0])).decode()
+    return text if fmt == "csv" else "[" + text[: -len(end)] + "]"
+
+
+def _slots(col: np.ndarray, fmt: str) -> np.ndarray:
+    """The character slots of a column's cells (see seqassign._fmt)."""
+    from . import _fmt
+
+    if col.dtype == np.float64:
+        slots = _fmt.float_cells(col)
+        odd = np.flatnonzero(~np.isfinite(col))
+        if odd.size:
+            text = _fmt.text_cells(_cells(col[odd], fmt))
+            slots[:, odd] = 0
+            slots[: len(text), odd] = text
+        return slots
+    if col.dtype == np.int64:
+        return _fmt.int_cells(col)
+    return _fmt.text_cells(_cells(col, fmt))
+
+
+def _cells(col: np.ndarray, fmt: str) -> list[str]:
+    """The rules every cell is written by.  CSV: a float with repr, a bool as
+    1/0, anything else with str.  JSON: each value as json.dumps writes it
+    (NaN, Infinity, true, quoted strings).  numpy scalars become Python
+    scalars first."""
+    values = col.tolist()
+    if fmt == "json":
+        return [json.dumps(v, sort_keys=True, default=_json_default) for v in values]
+    if col.dtype.kind == "b":
+        return ["1" if v else "0" for v in values]
+    return list(map(float.__repr__ if col.dtype.kind == "f" else str, values))
 
 
 @contextlib.contextmanager
@@ -154,13 +224,6 @@ def _opened(out: str | None):
     else:
         with open(out, "w", encoding="utf-8") as fh:
             yield fh
-
-
-def _cells(col: np.ndarray) -> list[str]:
-    values = col.tolist()
-    if col.dtype.kind == "b":
-        return ["1" if v else "0" for v in values]
-    return list(map(float.__repr__ if col.dtype.kind == "f" else str, values))
 
 
 def _json_default(v):
@@ -266,25 +329,56 @@ def _verify_rows(path: str, fmt: str, table, col: int, make_config) -> None:
     """Spot re-verification of a written table: re-read the file at `path`
     and compare every 100th row (rows 0, 100, 200, ...) bit-exactly with the
     table.  Column `col` holds the value; `make_config(row)` gives the config
-    it belongs to.  Only the sampled rows are split or parsed: a CSV file
-    is read line by line, and in a JSON file the rows array runs from
-    `"rows": [[` to the first `]]`, since its rows hold numbers only, and
-    they are separated by `], [`.  Raises SeqAssignError on the first
-    mismatch."""
+    it belongs to.  Only the sampled rows are split or parsed: a CSV file is
+    read line by line, a JSON file a piece at a time (see _json_rows).
+    Raises SeqAssignError naming the first mismatching row."""
     with open(path, "r", encoding="utf-8") as fh:
         if fmt == "csv":
             sampled = itertools.islice(fh, 1, None, 100)
             rows = [line.rstrip("\n").split(",") for line in sampled]
         else:
-            text = fh.read()
-            start = text.index('"rows": [[') + len('"rows": [[')
-            cells = text[start : text.index("]]", start)].split("], [")[::100]
-            rows = [json.loads(f"[{row}]") for row in cells]
-    for row in rows:
-        emitted = float(row[col])
-        expected = value_at(table, make_config(row))
-        if emitted != expected:
-            raise SeqAssignError(f"verification mismatch on row {row}")
+            rows = [json.loads(f"[{row}]") for row in _every_100th(_json_rows(fh))]
+    if not rows:
+        return
+    emitted = np.array([float(row[col]) for row in rows])
+    expected = values_at(table, [make_config(row) for row in rows])
+    bad = np.flatnonzero(emitted != expected)
+    if bad.size:
+        raise SeqAssignError(f"verification mismatch on row {rows[bad[0]]}")
+
+
+def _every_100th(pieces):
+    """Rows 0, 100, 200, ... of rows given as consecutive lists."""
+    skip = 0
+    for rows in pieces:
+        yield from rows[skip::100]
+        skip = (skip - len(rows)) % 100
+
+
+def _json_rows(fh):
+    """The text of the rows of a JSON table file, without their brackets,
+    as lists of consecutive rows, read _JSON_PIECE characters at a time.
+    The rows array runs from `"rows": [[` to the first `]]`, since its rows
+    hold numbers only, and they are separated by `], [`."""
+    text = ""
+    while '"rows": [[' not in text:
+        piece = fh.read(_JSON_PIECE)
+        if not piece:
+            raise SeqAssignError('no "rows": [[ in the JSON table')
+        text += piece
+    text = text[text.index('"rows": [[') + len('"rows": [[') :]
+    while True:
+        end = text.find("]]")
+        rows = text[: end if end >= 0 else len(text)].split("], [")
+        if end >= 0:
+            yield rows
+            return
+        text = rows.pop()  # may be cut short by the piece
+        yield rows
+        piece = fh.read(_JSON_PIECE)
+        if not piece:
+            raise SeqAssignError("the JSON rows array does not end")
+        text += piece
 
 
 def _check_verify(args) -> None:

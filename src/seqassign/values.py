@@ -90,6 +90,22 @@ def rank_config(cfg) -> int:
     return r
 
 
+def rank_configs(cfgs) -> np.ndarray:
+    """rank_config of every row of an (N, m) config array, as int64: the
+    binomials C(p_i, i) are built column by column as products, each
+    exact since it divides into the next one."""
+    cfgs = np.asarray(cfgs, dtype=np.int64)
+    bars = np.cumsum(cfgs[:, :-1] + 1, axis=1) - 1
+    ranks = np.zeros(len(cfgs), dtype=np.int64)
+    for i in range(1, cfgs.shape[1]):
+        p = bars[:, i - 1]
+        binom = np.ones(len(cfgs), dtype=np.int64)
+        for j in range(i):
+            binom = binom * (p - j) // (j + 1)
+        ranks += binom
+    return ranks
+
+
 def _layer_bars(total: int, m: int) -> np.ndarray:
     """The (m-1, N) bar positions of every rank of layer total.
 
@@ -389,6 +405,25 @@ def value_at(t: ValueTable | DownSetTable, cfg) -> float:
         return t.value_at(cfg)
     cfg = check_config(t.graph, cfg, t.n_max)
     return float(t.layer(int(cfg.sum()))[rank_config(cfg)])
+
+
+def values_at(t: ValueTable, cfgs) -> np.ndarray:
+    """value_at for every row of an (N, m) config array, with one
+    vectorised rank per layer."""
+    cfgs = np.asarray(cfgs, dtype=np.int64)
+    if cfgs.ndim != 2 or cfgs.shape[1] != t.graph.m:
+        raise NegativeEntry(f"expected {t.graph.m} entries a row, got shape {cfgs.shape}")
+    negative = np.flatnonzero(np.any(cfgs < 0, axis=1))
+    if negative.size:
+        raise NegativeEntry(f"config {cfgs[negative[0]].tolist()} has a negative entry")
+    totals = cfgs.sum(axis=1)
+    if len(totals) and int(totals.max()) > t.n_max:
+        raise LayerOutOfRange(f"total {int(totals.max())} exceeds n_max {t.n_max}")
+    values = np.empty(len(cfgs))
+    for total in np.unique(totals):
+        at = totals == total
+        values[at] = t.layer(int(total))[rank_configs(cfgs[at])]
+    return values
 
 
 def optimal_move(t: ValueTable | DownSetTable, cfg, v: int) -> int:

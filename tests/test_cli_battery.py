@@ -60,6 +60,16 @@ COMMANDS = {
         ["window", "--graph", P4, "--n-list", "16,32", "--a-grid", "0.5:2:0.5"],
         [],
     ),
+    # JSON with NaN cells: empty slices, and the decay bound of an interior point
+    "window_json": (
+        ["window", "--graph", P4, "--n-list", "16,32", "--a-grid", "0.5:2:0.5", "--format", "json"],
+        [],
+    ),
+    "scan_xstar_json": (
+        ["scan", "--graph", P4, "--point", "xstar", "--n-list", "10:40:10", "--format", "json",
+         "--verify", "--out", "scan.json"],
+        ["scan.json"],
+    ),
     "conjecture": (["conjecture", "--k", "4", "--n-list", "8,12", "--format", "json"], []),
     "simulate_optimal": (
         ["simulate", "--graph", P4, "--config", "23,15,22", "--strategy", "optimal",
@@ -131,6 +141,7 @@ DIGESTS = {
     "phase_csv_310": "790421a767fa1717cd23649663242952868159be6bd7fa564c36cd644042bb79",
     "phase_json": "77eaa0ef61bac486f2275274ad800b3502ba09762bba0575fa036b7fa636b871",
     "phase_json_310": "2eb4fbe852e183d149b34609fbeac06d0e7fe0d3a8da0b2bd4b2d769ca89aab0",
+    "scan_xstar_json": "d02aea99a373abcccb517e0647375d261db33093bb1a93b04ed354982be01b7e",
     "scan_interior": "65d8689622e3920517ae5d0c4aa09cfcdd391273f9ae70f713f567ab43038be1",
     "simulate_greedy": "8f5815ff1d7315fec46d3aa7e64b5c56c163041d03377ddf64ad5aff79c29a0b",
     "simulate_optimal": "95922762b7199421cd1c7446ea8062aca3d3d31cb84f910e56c6a87ad9beebdf",
@@ -140,6 +151,7 @@ DIGESTS = {
     "value_at_box": "da58a8a902203681138bffe9672948e603ad70524aea5cb27f5c658e5aada681",
     "value_at_cache": "279ef369b988312fef4dcca0476ba40026e5bf2aada4060a04f288e213465f66",
     "value_table": "4117929eb930776b8d0b8292eee6885145cf92818b611e6e34d8be064c74cd9e",
+    "window_json": "0035864a58b9d810e9c4fe7861eef738d248146127886cab9d448bebd6e9257c",
     "window": "e44dbd679fcc52428a15de8f7c045e72b1ea130ab4aa7b8b2d3c5d2b24063ec7",
 }
 
