@@ -27,6 +27,7 @@ from .errors import RESOURCE_ERRORS, DomainError, OutsideSimplex, SeqAssignError
 from .geometry import (
     RegionClass,
     RegionKind,
+    check_simplex,
     check_weights,
     classify_point,
     membership_flow,
@@ -44,6 +45,7 @@ from .strategies import (
 )
 from .values import (
     argmax_config,
+    check_config,
     downset_table,
     load_table,
     round_to_config,
@@ -310,7 +312,7 @@ def _cmd_value(args) -> int:
     if args.mode == "at":
         if args.config is None:
             raise DomainError("value at needs --config")
-        config = [int(v) for v in args.config.split(",")]
+        config = check_config(g, [int(v) for v in args.config.split(",")]).tolist()
         if args.cache:
             table = _table_for(g, [sum(config)], args)
         else:
@@ -409,7 +411,7 @@ def _cmd_phase(args) -> int:
 def _cmd_scan(args) -> int:
     _check_verify(args)
     g = load_graph(args.graph)
-    x = _point(g, args.point)
+    x = check_simplex(g, _point(g, args.point))  # before any layer is built
     n_list = _parse_ints(args.n_list)
     _require_positive("n-list entries", n_list)
     table = _table_for(g, n_list, args)

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, IllegalStrategyMove
-from .geometry import TOL, check_weights, membership_flow, uniform_weights
+from .geometry import TOL, check_weights, uniform_weights
 from .graph import Graph
 from .strategies import (
     FORFEIT,
@@ -38,6 +38,7 @@ from .strategies import (
     _exit_rows,
     _flow_kernel,
     _kernel_for,
+    _kernel_points,
     _legal_move,
 )
 from .values import (
@@ -508,7 +509,8 @@ def _kernel_mover(g: Graph, strategy: SteerExact):
             drift[pos[near]] = False  # the stage ends; this move plays the target kernel
             plain[pos[near]] = True
             if not near.all():
-                _draw_exit_kernels(g, exits(x[~near]), pos[~near], v, u, e)
+                for j, p in zip(pos[~near].tolist(), _kernel_points(exits(x[~near]))):
+                    e[j] = _draw_edge(_flow_kernel(g, p)[v[j]], u[j])
         if confine.any():
             pos = np.flatnonzero(confine)
             far = np.array(_norms(s[pos, :m] - r * z)) >= d0
@@ -526,20 +528,6 @@ def _kernel_mover(g: Graph, strategy: SteerExact):
         return e
 
     return moves
-
-
-def _draw_exit_kernels(g: Graph, y: np.ndarray, pos, v, u, e) -> None:
-    """e[j] for each run j in pos: the draw by uniform u[j] from vertex v[j]'s
-    row of the flow kernel of its exit point, the matching row of y,
-    normalised as _kernel_for does (each row sum taken alone, as NumPy adds
-    up a vector)."""
-    point = np.maximum(y, 0.0)
-    point /= np.array([np.add.reduce(row) for row in point])[:, None]
-    bad = ~np.isfinite(point).all(axis=1)
-    if bad.any():
-        _kernel_for(g, y[bad.argmax()])  # raises OutsideSimplex
-    for j, p, entries in zip(pos.tolist(), point, point.tolist()):
-        e[j] = _draw_edge(_flow_kernel(g, p, entries)[v[j]], u[j])
 
 
 @dataclass
@@ -584,7 +572,8 @@ def deviation_tail(
     chunks = _play_chunks(g, config, strategy, runs, master_seed, w, total - n1)
     final, forfeit = map(np.concatenate, zip(*chunks))
     gaps = final - target
-    devs = np.array([float(np.linalg.norm(gap)) for gap in gaps])
+    # exact integer squares, so the same bits as np.linalg.norm of each gap
+    devs = np.sqrt((gaps * gaps).sum(axis=1))
     hits = int(np.count_nonzero(~forfeit & ~gaps.any(axis=1)))
     q = np.asarray(q_grid, dtype=float)
     tail = np.array([(devs > qq).mean() for qq in q])
@@ -606,14 +595,10 @@ class Diagnostics:
 
 
 def replay_states(result: GameResult) -> np.ndarray:
-    """Reconstruct the state after each recorded step from the final config."""
-    trace = result.trace
-    states = np.empty((result.steps_played + 1, len(result.final)), dtype=np.int64)
-    states[result.steps_played] = result.final
-    for t in range(result.steps_played - 1, -1, -1):
-        states[t] = states[t + 1]
-        states[t, trace.edges[t]] += 1
-    return states
+    """The state at each step: the final config plus the edges played from that step on."""
+    played = np.zeros((result.steps_played + 1, len(result.final)), dtype=np.int64)
+    played[np.arange(result.steps_played), result.trace.edges] = 1
+    return result.final + np.cumsum(played[::-1], axis=0)[::-1]
 
 
 def trace_diagnostics(g: Graph, result: GameResult, stage1: Stage1Steer) -> Diagnostics:
@@ -622,26 +607,22 @@ def trace_diagnostics(g: Graph, result: GameResult, stage1: Stage1Steer) -> Diag
 
     With the stage-1 strategy that played the game (reset by it), the
     increments of S = (N - r*z) @ u along its target z and direction u are
-    returned, and the exact conditional mean increment of S at each visited
-    state is recomputed from the prescribed kernel (one-step summation);
-    steps where it is positive are flagged.  A start at the target has no
-    direction, so no increments."""
+    returned.  At each state of stage 1 the kernel played has mean p, the
+    exit point normalised as `_kernel_points` does, so S's conditional mean
+    increment there is (z - p) @ u; steps where (p - z) @ u < -1e-12 are
+    flagged.  A start at the target has no direction, so no increments."""
     if result.trace is None:
         raise ValueError("result carries no trace")
+    if stage1.u is None:
+        return Diagnostics(s_increments=None, positive_drift_steps=[])
     states = replay_states(result)
-    n = int(states[0].sum())
-    s_increments = None
-    positive: list[int] = []
-    if stage1.u is not None:
-        z, u = stage1.z, stage1.u
-        s_increments = np.diff([float((st - (n - t) * z) @ u) for t, st in enumerate(states)])
-        rem = n - np.arange(len(states) - 1)
-        x = states[:-1] / rem[:, None]
-        # the stage ends for good once the state comes within eps0 of z
-        gaps = zip(rem.tolist(), _norms(x - z))
-        stop = next((t for t, (r, d) in enumerate(gaps) if r <= 1 or d <= stage1.eps0), len(x))
-        for t, y in enumerate(_exit_rows(g, u)(x[:stop])):
-            _, kernel = membership_flow(g, np.maximum(y, 0.0) / max(y.sum(), 1e-300))
-            if kernel is not None and float((kernel.weights @ kernel.q - z) @ u) < -1e-12:
-                positive.append(t)
+    n, z, u = int(states[0].sum()), stage1.z, stage1.u
+    s_increments = np.diff([float((st - (n - t) * z) @ u) for t, st in enumerate(states)])
+    rem = n - np.arange(len(states) - 1)
+    x = states[:-1] / rem[:, None]
+    # the stage ends for good once the state comes within eps0 of z
+    gaps = zip(rem.tolist(), _norms(x - z))
+    stop = next((t for t, (r, d) in enumerate(gaps) if r <= 1 or d <= stage1.eps0), len(x))
+    p = _kernel_points(_exit_rows(g, u)(x[:stop]))
+    positive = np.flatnonzero(((p - z) * u).sum(axis=1) < -1e-12).tolist()
     return Diagnostics(s_increments=s_increments, positive_drift_steps=positive)

@@ -123,19 +123,27 @@ def _draw_edge(row: list[float], u: float) -> int:
     return max(e for e, p in enumerate(row) if p > 0)
 
 
-def _kernel_for(g: Graph, point: np.ndarray) -> list[list[float]]:
-    """Flow kernel rows of a region point, clipping numerically stray inputs."""
-    point = np.maximum(point, 0.0)
-    point = point / point.sum()
-    if not np.isfinite(point).all():
-        raise OutsideSimplex(f"entries sum to {point.sum()}, not 1")
-    return _flow_kernel(g, point, point.tolist())
+def _kernel_points(rows: np.ndarray) -> np.ndarray:
+    """Region points, the rows of an array, as a flow kernel takes them:
+    clipped at 0 and divided by their own sums (each taken alone, as NumPy
+    adds up a vector), which clears numerically stray inputs."""
+    points = np.maximum(rows, 0.0)
+    points /= np.array([np.add.reduce(row) for row in points])[:, None]
+    if not np.isfinite(points).all():
+        bad = np.isfinite(points).all(axis=1).argmin()
+        raise OutsideSimplex(f"entries sum to {points[bad].sum()}, not 1")
+    return points
 
 
-def _flow_kernel(g: Graph, point: np.ndarray, entries: list[float]) -> list[list[float]]:
-    """Kernel rows of a normalised point, given also as Python floats; a point
-    the flow cannot realise is clipped onto the region, then x* stands in."""
-    _, rows = flow_rows(g, entries)
+def _kernel_for(g: Graph, point) -> list[list[float]]:
+    """Flow kernel rows of a region point."""
+    return _flow_kernel(g, _kernel_points(np.asarray(point, dtype=float)[None])[0])
+
+
+def _flow_kernel(g: Graph, point: np.ndarray) -> list[list[float]]:
+    """Kernel rows of a normalised point; a point the flow cannot realise is
+    clipped onto the region, then x* stands in."""
+    _, rows = flow_rows(g, point.tolist())
     if rows is None:
         _, rows = flow_rows(g, check_simplex(g, clip_to_region(g, point)).tolist())
         if rows is None:

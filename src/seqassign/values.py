@@ -160,16 +160,20 @@ def _configs(bars: np.ndarray, total: int) -> np.ndarray:
     return cfgs
 
 
-def _unrank(ranks: np.ndarray, total: int, m: int) -> np.ndarray:
-    """The configs of the given ranks in layer total, as an (N, m) array:
-    each rank falls in one row (see _layer_bars), found among the rows'
-    cumulative lengths, and its offset in that row is p_1."""
+def _unranker(total: int, m: int):
+    """The (N, m) configs of N ranks in layer total, as a function of the
+    ranks: each rank falls in one row (see _layer_bars), found among the
+    rows' cumulative lengths once built, and its offset in that row is p_1."""
     if m == 2:
-        return _configs(ranks[None], total)
+        return lambda ranks: _configs(ranks[None], total)
     rows = _layer_bars(total, m - 1) + 1
     ends = np.cumsum(rows[0])
-    j = np.searchsorted(ends, ranks, side="right")
-    return _configs(np.vstack([ranks - ends[j] + rows[0, j], rows[:, j]]), total)
+
+    def unrank(ranks: np.ndarray) -> np.ndarray:
+        j = np.searchsorted(ends, ranks, side="right")
+        return _configs(np.vstack([ranks - ends[j] + rows[0, j], rows[:, j]]), total)
+
+    return unrank
 
 
 def compositions(total: int, m: int) -> np.ndarray:
@@ -457,7 +461,7 @@ def argmax_config(t: ValueTable, n: int) -> tuple[np.ndarray, float]:
     vals = t.layer(n)
     best = float(vals.max())
     ties = np.flatnonzero(vals == best)
-    winner = min(map(tuple, _unrank(ties, n, t.graph.m)))
+    winner = min(map(tuple, _unranker(n, t.graph.m)(ties)))
     return np.array(winner, dtype=np.int64), best
 
 
@@ -469,8 +473,8 @@ def active_faces(g: Graph) -> list[int]:
 def slice_maxima(t: ValueTable, n: int, amplitudes) -> list[tuple]:
     """The largest value of layer n in each critical-window slice: one
     (I, II, III) tuple per amplitude A, with None for an empty slice (a
-    distinguished result, not a failure).  The layer is unranked and its
-    face minima computed once for all amplitudes.
+    distinguished result, not a failure).  The face minima of the layer are
+    taken _CHUNK ranks at a time for all amplitudes at once.
 
     With L the least face value over the faces with 0 < d(F) < k: kind I
     has L <= -A*sqrt(n), kind II has L >= A*sqrt(n), and kind III has L
@@ -481,13 +485,16 @@ def slice_maxima(t: ValueTable, n: int, amplitudes) -> list[tuple]:
     if any(a <= 0 for a in amplitudes):
         raise ValueError("amplitude must be positive")
     g = t.graph
-    lmin = face_values(g, active_faces(g), n, compositions(n, g.m)).min(axis=1)
-    out = []
-    for a in amplitudes:
-        cut = a * np.sqrt(n)
-        kinds = (lmin <= -cut, lmin >= cut, (lmin > -cut) & (lmin < cut))
-        out.append(tuple(float(vals[s].max()) if s.any() else None for s in kinds))
-    return out
+    faces, unrank = active_faces(g), _unranker(n, g.m)
+    cuts = [a * np.sqrt(n) for a in amplitudes]
+    best = np.full((len(cuts), 3), -np.inf)  # -inf while a slice is empty
+    for lo in range(0, len(vals), _CHUNK):
+        hi = min(lo + _CHUNK, len(vals))
+        lmin = face_values(g, faces, n, unrank(np.arange(lo, hi))).min(axis=1)
+        for row, cut in zip(best, cuts):
+            kinds = (lmin <= -cut, lmin >= cut, (lmin > -cut) & (lmin < cut))
+            row[:] = np.maximum(row, [vals[lo:hi].max(where=s, initial=-np.inf) for s in kinds])
+    return [tuple(None if b == -np.inf else float(b) for b in row) for row in best]
 
 
 # --- the down-set of one config ---------------------------------------------

@@ -405,6 +405,27 @@ def test_phase_rejects_edge_count_before_building_a_table(tmp_path, capsys, monk
     assert built == [] and not cache.exists()
 
 
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        (["scan"], ["--point", "0.5,0.5,0.5", "--n-list", "1500"]),
+        (["value", "at"], ["--config", "500,500"]),
+    ],
+)
+def test_bad_input_is_refused_before_building_a_table(
+    p4_file, tmp_path, capsys, monkeypatch, command, bad
+):
+    import seqassign.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "stream_table", lambda *a, **kw: built.append(a))
+    cache = tmp_path / "t.tbl"
+    code, out, _ = run(command + ["--graph", p4_file, "--cache", str(cache)] + bad, capsys)
+    assert code == 2
+    assert out == ""
+    assert built == [] and not cache.exists()
+
+
 def test_window_json_format(p4_file, tmp_path, capsys):
     out_path = tmp_path / "win.json"
     code, _, _ = run(

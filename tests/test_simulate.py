@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqassign import simulate
+from seqassign import geometry, simulate, strategies
 from seqassign.errors import (
     DomainError,
     IllegalStrategyMove,
@@ -11,7 +11,7 @@ from seqassign.errors import (
     MemoryBudgetExceeded,
     NegativeEntry,
 )
-from seqassign.geometry import check_weights, face_scale, face_values, x_star
+from seqassign.geometry import check_weights, face_scale, face_values, membership_flow, x_star
 from seqassign.simulate import (
     child_rng,
     deviation_tail,
@@ -484,6 +484,60 @@ def test_stage1_diagnostics_clean_in_regime(p4):
         diag = trace_diagnostics(p4, result, stage1=s1)
         assert diag.positive_drift_steps == []
         assert diag.s_increments is not None
+
+
+def _flow_drift_flags(g, result, stage1):
+    """Oracle of trace_diagnostics' flags: replay the stage-1 states one by
+    one, solve the flow of each exit point again and flag the steps where
+    the kernel's mean drifts S upward by more than 1e-12."""
+    states = replay_states(result)
+    n, z, u = int(states[0].sum()), stage1.z, stage1.u
+    flags = []
+    for t, st in enumerate(states[:-1]):
+        x = st / (n - t)
+        if n - t <= 1 or np.linalg.norm(x - z) <= stage1.eps0:
+            break
+        y = stage1.current_exit(x)
+        _, kernel = membership_flow(g, np.maximum(y, 0.0) / max(y.sum(), 1e-300))
+        if kernel is not None and float((kernel.weights @ kernel.q - z) @ u) < -1e-12:
+            flags.append(t)
+    return flags
+
+
+def _greedy_past_target(p4):
+    # greedy play from this start ends its games at states where the exit
+    # ahead along the stage-1 direction lies behind x*; with eps0 = 0.06
+    # stage 1 of the first game ends before its flagged steps
+    cfg = round_to_config(60, [0.30, 0.34, 0.36])
+    for i in range(5):
+        result = play(p4, cfg, GreedyLargest(), child_rng(3, i), trace=True)
+        for eps0 in (None, 0.06):
+            s1 = Stage1Steer(p4, x_star(p4), eps0=eps0)
+            s1.reset(p4, cfg, 60)
+            yield result, s1
+
+
+def test_stage1_diagnostics_flag_positive_drift(p4):
+    flags = 0
+    for result, s1 in _greedy_past_target(p4):
+        diag = trace_diagnostics(p4, result, stage1=s1)
+        assert diag.positive_drift_steps == _flow_drift_flags(p4, result, s1)
+        flags += len(diag.positive_drift_steps)
+    assert flags > 0
+
+
+def test_trace_diagnostics_solves_no_flow(p4, monkeypatch):
+    games = list(_greedy_past_target(p4))
+    expect = [_flow_drift_flags(p4, result, s1) for result, s1 in games]
+
+    def spy(*args, **kwargs):
+        raise AssertionError("trace_diagnostics solved a flow")
+
+    for module in (geometry, strategies):
+        monkeypatch.setattr(module, "flow_rows", spy)
+    monkeypatch.setattr(geometry, "membership_flow", spy)
+    got = [trace_diagnostics(p4, result, stage1=s1).positive_drift_steps for result, s1 in games]
+    assert got == expect
 
 
 def test_weighted_law_end_to_end(p4):

@@ -53,7 +53,7 @@ def _counting(monkeypatch) -> Counter:
 
         monkeypatch.setattr(module, name, wrapper)
 
-    spy(simulate, "_draw_exit_kernels", "drift", lambda g, y, pos, *rest: len(pos))
+    spy(simulate, "_kernel_points", "drift", len)
     spy(strategies, "_exit_point", "exit_fallback")
     spy(simulate, "_exit_point", "confine_exit")
     spy(simulate, "_legal_move", "illegal")

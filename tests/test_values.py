@@ -37,7 +37,7 @@ from seqassign.values import (
     _layer_bars,
     _live,
     _next_layer,
-    _unrank,
+    _unranker,
     active_faces,
     argmax_config,
     compositions,
@@ -126,7 +126,7 @@ def test_child_rank_shift_matches_scalar():
 @pytest.mark.parametrize("m", range(2, 9))
 def test_layer_bars_match_unrank(m):
     # the rows repeated along their lengths give every rank's bars, from the
-    # one-config layer t = 0 up; for m = 2 a layer is a single row.  _unrank
+    # one-config layer t = 0 up; for m = 2 a layer is a single row.  _unranker
     # finds the same configs for any ranks, in any order.  Edge 0's child
     # configs are edge 1's one rank later, the last edge is live on a prefix,
     # and _live masks edges 1..m-2
@@ -136,8 +136,9 @@ def test_layer_bars_match_unrank(m):
         expect = np.array([unrank_config(int(r), total, m) for r in ranks]).reshape(-1, m)
         cfgs = _configs(_layer_bars(total, m), total)
         assert np.array_equal(cfgs[ranks], expect)
-        assert np.array_equal(_unrank(ranks, total, m), expect)
-        assert np.array_equal(_unrank(np.arange(n), total, m), cfgs)
+        unrank = _unranker(total, m)
+        assert np.array_equal(unrank(ranks), expect)
+        assert np.array_equal(unrank(np.arange(n)), cfgs)
         assert cfgs[0, 0] == 0
         live0 = cfgs[1:, 0] > 0
         assert np.array_equal(live0, cfgs[:-1, 1] > 0)
@@ -604,6 +605,24 @@ def test_slice_predicate_recheck(p4, p4_table):
     faces = active_faces(p4)
     lmin = face_values(p4, faces, 100, compositions(100, 3)).min(axis=1)
     assert hit == p4_table.layers[100][lmin <= -2.0 * math.sqrt(100)].max()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 14])
+def test_slice_maxima_by_chunks_match_whole_layer(k4, monkeypatch, chunk):
+    # the face minima of the whole layer at once, as an oracle for the
+    # chunked maxima; amplitude 4 leaves slice II empty
+    table = compute_table(k4, 12)
+    monkeypatch.setattr(values_module, "_CHUNK", chunk)
+    n, amps = 12, [0.25, 1.0, 4.0]
+    lmin = face_values(k4, active_faces(k4), n, compositions(n, k4.m)).min(axis=1)
+    vals = table.layers[n]
+    expect = []
+    for a in amps:
+        cut = a * math.sqrt(n)
+        kinds = (lmin <= -cut, lmin >= cut, (lmin > -cut) & (lmin < cut))
+        expect.append(tuple(float(vals[s].max()) if s.any() else None for s in kinds))
+    assert expect[2][1] is None
+    assert slice_maxima(table, n, amps) == expect
 
 
 def test_slices_partition_layer(p4, p4_table):
