@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import RegionKind, classify_point
 from .graph import Graph, path_graph
-from .simulate import child_rng, deviation_tail, play, trace_diagnostics
+from .simulate import deviation_tail, trace_diagnostics
 from .strategies import SteerExact, SteerKTarget, SteerPlan, Stage1Steer
 from .values import (
     ValueTable,
@@ -205,28 +205,26 @@ def steering_report(
 ) -> dict:
     """Exact-hit frequency, deviation tail at q = 0..20, and stage-1 drift
     diagnostics of three traced runs for one steering plan from one start
-    config."""
+    config.  The traced runs play in the tail runs' lockstep loop."""
     start_config = np.asarray(start_config, dtype=np.int64)
     make = SteerKTarget if kind == "k" else SteerExact
     strategy = make(g, plan)
-    curve = deviation_tail(
-        g, start_config, strategy, plan.z, plan.n1, range(21), runs, seed
-    )
     total = int(start_config.sum())
-    x0 = start_config / total
+    # a start at the target has no drift direction to diagnose
+    stage1 = None
+    if kind == "exact" and np.any(start_config / total != plan.z):
+        stage1 = Stage1Steer(g, plan.z)
+    curve = deviation_tail(
+        g, start_config, strategy, plan.z, plan.n1, range(21), runs, seed,
+        traced=None if stage1 is None else (stage1, seed + 1, 3, total // 2),
+    )
     flags = 0
     mean_s_inc = []
-    # a start at the target has no drift direction to diagnose
-    if kind == "exact" and np.any(x0 != plan.z):
-        stage1 = Stage1Steer(g, plan.z)
-        for i in range(3):
-            result = play(
-                g, start_config, stage1, child_rng(seed + 1, i), steps_limit=total // 2, trace=True
-            )
-            diag = trace_diagnostics(g, result, stage1=stage1)
-            flags += len(diag.positive_drift_steps)
-            if len(diag.s_increments):
-                mean_s_inc.append(float(np.mean(diag.s_increments)))
+    for result in curve.traced:
+        diag = trace_diagnostics(g, result, stage1=stage1)
+        flags += len(diag.positive_drift_steps)
+        if len(diag.s_increments):
+            mean_s_inc.append(float(np.mean(diag.s_increments)))
     return {
         "kind": kind,
         "target_point": [float(v) for v in plan.z],

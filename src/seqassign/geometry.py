@@ -428,12 +428,14 @@ def _flow_template(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ..
     return tuple(map(tuple, adj)), tuple(to), tuple(pairs)
 
 
-def flow_rows(g: Graph, x, w=None) -> tuple[float, list[list[float]] | None]:
+def flow_rows(g: Graph, x, w=None, vertex=None) -> tuple[float, list | None]:
     """membership_flow without its input checks, on Python floats.
 
     x holds the edge entries and w the vertex weights (the uniform law when
     None), as sequences of floats.  Returns the max flow value and, when it
-    is 1 within TOL, the kernel as k Python rows of m entries; else None.
+    is 1 within TOL, the kernel as k Python rows of m entries, of which only
+    row `vertex` (0-based) is built when one is given, the others None; else
+    None.
 
     Edmonds-Karp: breadth-first augmenting paths over the fixed arc order,
     arcs with residual capacity above 1e-12 only, run in two phases with
@@ -506,11 +508,12 @@ def flow_rows(g: Graph, x, w=None) -> tuple[float, list[list[float]] | None]:
         fl = cap[2 * k + 1 : 2 * (k + nmid) : 2]
     if abs(total - 1.0) > TOL:
         return total, None
-    rows = [[0.0] * len(rt) for _ in range(k)]
-    for v, row in enumerate(pairs):
-        out, wv = rows[v], w[v]
-        for j, e in row:
+    rows = [None] * k
+    for v in range(k) if vertex is None else (vertex,):
+        out, wv = [0.0] * len(rt), w[v]
+        for j, e in pairs[v]:
             out[e] = fl[j] / wv
+        rows[v] = out
     return total, rows
 
 
@@ -537,9 +540,13 @@ def membership_flow(g: Graph, x, weights=None) -> tuple[float, MoveKernel | None
 def x_star(g: Graph) -> np.ndarray:
     """Canonical interior point: each edge gets the mean reciprocal degree of
     its endpoints, scaled by 1/k."""
-    out = np.zeros(g.m)
-    for e, (u, v) in enumerate(g.edges):
-        out[e] = (1.0 / g.degree(u) + 1.0 / g.degree(v)) / g.k
+    return _x_star(g).copy()
+
+
+@lru_cache(maxsize=16)
+def _x_star(g: Graph) -> np.ndarray:
+    out = np.array([(1.0 / g.degree(u) + 1.0 / g.degree(v)) / g.k for u, v in g.edges])
+    out.flags.writeable = False  # shared through the cache
     return out
 
 
@@ -724,7 +731,7 @@ def clip_to_region(g: Graph, y) -> np.ndarray:
     enough that its minimum slack reaches 0.  x* is interior, so the segment
     enters the region at a point of it, where the vertex-set family binds."""
     y = np.asarray(y, dtype=float)
-    anchor = x_star(g)
+    anchor = _x_star(g)
     c = _constraints(g, _uniform_law(g.k))
     gap = c.slacks(anchor)
     sy = c.slacks(y)

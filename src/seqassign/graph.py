@@ -36,6 +36,13 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     incidence: tuple[tuple[int, ...], ...] = field(repr=False)
 
+    def __post_init__(self):
+        # the dataclass's hash, computed once: every cache keyed on a graph asks for it
+        object.__setattr__(self, "_hash", hash((self.k, self.edges, self.incidence)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def m(self) -> int:
         return len(self.edges)

@@ -10,15 +10,17 @@ chunk of runs, with NumPy's SeedSequence, PCG64 and `random()` re-done in
 uint64 array arithmetic, and yields them one column (one draw of every run)
 at a time.  The batched paths read those columns step by step and reproduce
 the serial loop bit-for-bit: table play walks the stored policy of a box,
-and greedy and SteerExact share one lockstep loop (`_play_chunks`).
-SteerExact draws one kernel uniform more per step until its finishing
-window, at the same step in every run, so its runs read one column too.
+and greedy and SteerExact runs, with a steering report's traced Stage1Steer
+games, share one lockstep loop (`_lockstep`), in groups that each read their
+own streams.  A steering run draws one kernel uniform more per step until
+its finishing window, at the same step in every run of its group, so those
+runs read one column too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -360,7 +362,7 @@ def estimate(
         successes = _box_wins(box, config, runs, master_seed, w)
     else:
         chunks = _play_chunks(g, config, strategy, runs, master_seed, w, int(config.sum()))
-        successes = runs - sum(int(np.count_nonzero(forfeit)) for _, forfeit in chunks)
+        successes = runs - sum(int(np.count_nonzero(forfeit)) for _, forfeit, _ in chunks)
     lo, hi = wilson_interval(successes, runs)
     return Estimate(runs=runs, successes=successes, p_hat=successes / runs, ci_lo=lo, ci_hi=hi)
 
@@ -404,54 +406,129 @@ def _incidence_rows(g: Graph) -> np.ndarray:
     return incidence
 
 
-def _play_chunks(g: Graph, start, strategy: Strategy, runs: int, master_seed: int, w, steps: int):
-    """Final states (n, m) and forfeit flags of runs 0..runs-1, one chunk of
-    n <= _CHUNK runs at a time, each run stopped after `steps` moves: run i
-    ends as play(g, start, strategy, child_rng(master_seed, i), w, steps)
-    does.
-
-    Greedy and SteerExact play the runs of a chunk in lockstep, one step at
-    a time: every run draws one vertex uniform a step, and SteerExact one
-    kernel uniform more while the remaining total, the same in every run, is
-    above its finishing cut, so all runs read the same column of their
-    streams.  Any other strategy plays the serial loop."""
-    total = int(start.sum())
+def _play_chunks(
+    g: Graph, start, strategy: Strategy, runs: int, master_seed: int, w, steps: int, traced=None
+):
+    """Final states (n, m), forfeit flags and traced games of runs
+    0..runs-1, one chunk of n <= _CHUNK runs at a time, each run stopped
+    after `steps` moves: run i ends as play(g, start, strategy,
+    child_rng(master_seed, i), w, steps) does.  Greedy and SteerExact runs
+    play in `_lockstep`, any other strategy the serial loop.
+    `traced`, a tuple (stage1, seed, count, limit), adds the games
+    play(g, start, stage1, child_rng(seed, i), w, limit, trace=True),
+    i < count, to the first chunk's lockstep loop, and that chunk carries
+    their GameResults."""
     lockstep = isinstance(strategy, (GreedyLargest, SteerExact))
-    cum_w, incidence = np.cumsum(w), _incidence_rows(g)
-    # greedy plays the finishing rule with no target from the first step
-    target, cut, drift0, kernel_moves = None, total, False, None
-    if isinstance(strategy, SteerExact) and total:  # the empty config is won before any move
-        strategy.reset(g, start.copy(), total)
-        target, cut = np.append(strategy.target, 0), strategy.finish_cut
-        kernel_moves, drift0 = _kernel_mover(g, strategy), not strategy._stage1.done
     for lo in range(0, runs, _CHUNK):
         hi = min(lo + _CHUNK, runs)
-        # column m stays 0: the count of the incidence padding
-        state = np.zeros((hi - lo, g.m + 1), dtype=np.int64)
-        state[:, : g.m] = start
-        forfeit = np.zeros(hi - lo, dtype=bool)
+        groups = [(strategy, master_seed, lo, hi, steps, False)] if lockstep else []
+        if traced is not None and lo == 0:
+            stage1, seed, count, limit = traced
+            groups.append((stage1, seed, 0, count, limit, True))
+        played = _lockstep(g, start, groups, w) if groups else []
         if lockstep:
-            draws = _uniform_columns(master_seed, lo, hi)
-            live = np.arange(hi - lo)  # the runs that have not forfeited
-            drifting = np.full(hi - lo, drift0)  # the runs still in SteerExact's stage 1
-            for t in range(steps):
-                v = _draw_vertices(cum_w, next(draws).take(live))
-                if total - t <= cut:
-                    e = _legal_moves(incidence, state, live, v, target)
-                else:
-                    drift = drifting[live]
-                    e = kernel_moves(state[live], v, next(draws).take(live), total - t, drift)
-                    drifting[live] = drift
-                out = e == FORFEIT
-                if out.any():
-                    forfeit[live[out]] = True
-                    live, e = live[~out], e[~out]
-                state.reshape(-1)[live * (g.m + 1) + e] -= 1  # a view of the rows
+            state, forfeit, _ = played[0]
         else:
+            state = np.zeros((hi - lo, g.m), dtype=np.int64)
+            forfeit = np.zeros(hi - lo, dtype=bool)
             for i in range(lo, hi):
                 game = play(g, start, strategy, child_rng(master_seed, i), w, steps_limit=steps)
-                state[i - lo, : g.m], forfeit[i - lo] = game.final, game.forfeit_step is not None
-        yield state[:, : g.m], forfeit
+                state[i - lo], forfeit[i - lo] = game.final, game.forfeit_step is not None
+        yield state, forfeit, played[-1][2] if traced is not None and lo == 0 else []
+
+
+def _lockstep(g: Graph, start, groups, w) -> list:
+    """Play groups of runs from `start` together, one step at a time.  A
+    group (strategy, master_seed, lo, hi, steps, trace) holds runs lo..hi-1
+    under GreedyLargest, Stage1Steer or SteerExact, all toward one target:
+    run i ends as play(g, start, strategy, child_rng(master_seed, i), w,
+    steps, trace) does.  Every run draws one vertex uniform a step, and a
+    steering run one kernel uniform more while the remaining total is above
+    its group's finishing cut (SteerExact's; Stage1Steer has none, and
+    greedy finishes from the first step), so each group reads one column of
+    its own streams a draw.  Returns, per group, the final states (n, m),
+    the forfeit flags and, when traced, the GameResults (else None)."""
+    total, m = int(start.sum()), g.m
+    cum_w, incidence = np.cumsum(w), _incidence_rows(g)
+    rows = sum(hi - lo for _, _, lo, hi, _, _ in groups)
+    # column m stays 0: the count of the incidence padding
+    state = np.zeros((rows, m + 1), dtype=np.int64)
+    state[:, :m] = start
+    stop = np.full(rows, -1)  # the step at which a run forfeited
+    eps0, d0, cuts = np.zeros(rows), np.full(rows, np.inf), np.full(rows, total)
+    drifting = np.zeros(rows, dtype=bool)
+    target = moves = None
+    plays, a = [], 0
+    for strategy, seed, lo, hi, steps, trace in groups:
+        b, cut = a + hi - lo, total
+        # the empty config is won before any move
+        if total and not isinstance(strategy, GreedyLargest):
+            strategy.reset(g, start.copy(), total)
+            stage1, cut = strategy, 0
+            if isinstance(strategy, SteerExact):
+                stage1, target = strategy._stage1, np.append(strategy.target, 0)
+                cut, d0[a:b] = strategy.finish_cut, strategy.d0
+            eps0[a:b], drifting[a:b] = stage1.eps0, not stage1.done
+            moves = moves or _kernel_mover(g, stage1)
+        steps, cuts[a:b] = min(steps, total), cut
+        record = np.zeros((2, b - a, steps), dtype=np.int64) if trace else None
+        plays.append((_uniform_columns(seed, lo, hi), a, b, steps, cut, record))
+        a = b
+    buffers = np.empty((2, rows))
+
+    def read(draws, buffer, a, b):
+        # a group that holds every row is read in place, with no copy
+        if b - a == rows:
+            return next(draws)
+        buffer[a:b] = next(draws)
+        return buffer
+
+    live = np.arange(rows)  # the runs still playing
+    for t in range(max(steps for _, _, _, steps, _, _ in plays)):
+        ahead = False  # some group draws from a kernel
+        for draws, a, b, steps, cut, _ in plays:
+            if t == steps:
+                live = live[(live < a) | (live >= b)]
+            elif t < steps:
+                column = read(draws, buffers[0], a, b)
+                if cut < total - t:
+                    uniforms, ahead = read(draws, buffers[1], a, b), True
+        v = _draw_vertices(cum_w, column.take(live))
+        if not ahead:
+            e = _legal_moves(incidence, state, live, v, target)
+        else:
+            on = cuts.take(live) < total - t
+            e = np.empty(len(live), dtype=np.int64)
+            if not on.all():
+                e[~on] = _legal_moves(incidence, state, live[~on], v[~on], target)
+            if on.any():
+                k = live[on]
+                drift = drifting[k]
+                e[on] = moves(state[k], v[on], uniforms.take(k), total - t, drift, eps0[k], d0[k])
+                drifting[k] = drift
+        out = e == FORFEIT
+        if out.any():
+            stop[live[out]] = t
+            live, v, e = live[~out], v[~out], e[~out]
+        for _, a, b, steps, _, record in plays:
+            if record is not None and t < steps:
+                mine = (live >= a) & (live < b)
+                record[:, live[mine] - a, t] = v[mine] + 1, e[mine]
+        state.reshape(-1)[live * (m + 1) + e] -= 1  # a view of the rows
+    final, results = state[:, :m], []
+    for _, a, b, steps, _, record in plays:
+        games = None if record is None else [
+            GameResult(
+                won=f < 0 and steps == total,
+                steps_played=steps if f < 0 else f,
+                forfeit_step=None if f < 0 else f,
+                final=final[a + i].copy(),
+                trace=Trace(*record[:, i, : steps if f < 0 else f]),
+            )
+            for i, f in enumerate(stop[a:b].tolist())
+        ]
+        results.append((final[a:b], stop[a:b] >= 0, games))
+    return results
 
 
 def _legal_moves(incidence, state, live, v, target=None) -> np.ndarray:
@@ -479,23 +556,25 @@ def _norms(rows) -> list[float]:
     return [math.sqrt(row.dot(row)) for row in rows]
 
 
-def _kernel_mover(g: Graph, strategy: SteerExact):
-    """The moves of a reset SteerExact before its finishing window, for the
-    runs that share a step: `moves(s, v, u, r, drift)` takes their counts s,
-    drawn vertices v (0-based), kernel uniforms u, the remaining total r and
-    their stage-1 flags `drift`, which it clears for the runs whose stage 1
-    ends.  Shared and elementwise work is done on (runs, m) arrays; the
-    flows, the draws from their kernel rows and the norms stay per run, so
-    every bit is the serial loop's."""
-    m, stage1, d0 = g.m, strategy._stage1, strategy.d0
-    z, eps0 = stage1.z, stage1.eps0
+def _kernel_mover(g: Graph, stage1: Stage1Steer):
+    """The kernel moves of runs steering toward a reset Stage1Steer's target
+    from its start, before their finishing window, for the runs that share
+    a step: `moves(s, v, u, r, drift, eps0, d0)` takes their counts s, drawn
+    vertices v (0-based), kernel uniforms u, the remaining total r, their
+    stage-1 flags `drift`, which it clears for the runs whose stage 1 ends,
+    and their stage-1 and confinement radii eps0 and d0 (inf for a
+    Stage1Steer, which plays the target kernel once its stage 1 ends).
+    Shared and elementwise work is done on (runs, m) arrays; the flows, the
+    draws from their kernel rows and the norms stay per run, so every bit
+    is the serial loop's."""
+    m, z = g.m, stage1.z
     # the target kernel's running row sums, added left to right as _draw_edge does
     z_rows = np.array(stage1._z_kernel)
     z_cum = np.cumsum(z_rows, axis=1)
     z_last = np.array([np.flatnonzero(row > 0).max() for row in z_rows])
-    exits = None if stage1.done else _exit_rows(g, stage1.u)
+    exits = None if stage1.u is None else _exit_rows(g, stage1.u)
 
-    def moves(s, v, u, r, drift):
+    def moves(s, v, u, r, drift, eps0, d0):
         """Stage 1 for the drifting runs, confinement for the others: a draw
         from the kernel of the exit point, or of the target when there is
         none, then the legal fallback for an empty edge."""
@@ -505,15 +584,15 @@ def _kernel_mover(g: Graph, strategy: SteerExact):
         if not confine.all():
             pos = np.flatnonzero(drift)
             x = s[pos, :m] / r
-            near = np.array(_norms(x - z)) <= eps0
+            near = np.array(_norms(x - z)) <= eps0[pos]
             drift[pos[near]] = False  # the stage ends; this move plays the target kernel
             plain[pos[near]] = True
             if not near.all():
                 for j, p in zip(pos[~near].tolist(), _kernel_points(exits(x[~near]))):
-                    e[j] = _draw_edge(_flow_kernel(g, p)[v[j]], u[j])
+                    e[j] = _draw_edge(_flow_kernel(g, p, v[j])[v[j]], u[j])
         if confine.any():
             pos = np.flatnonzero(confine)
-            far = np.array(_norms(s[pos, :m] - r * z)) >= d0
+            far = np.array(_norms(s[pos, :m] - r * z)) >= d0[pos]
             for j in pos[far].tolist():
                 y = _exit_point(g, z, s[j, :m].astype(float) / r - z)
                 if y is not None:
@@ -539,6 +618,7 @@ class TailCurve:
     hit_rate: float
     hit_ci: tuple[float, float]
     target_config: np.ndarray
+    traced: list[GameResult] = field(default_factory=list)
 
 
 def deviation_tail(
@@ -551,6 +631,7 @@ def deviation_tail(
     runs: int,
     master_seed: int,
     weights=None,
+    traced=None,
 ) -> TailCurve:
     """Empirical tail P[|N(n-n1) - target| > q] of the steering deviation at
     the target time, plus the exact-hit rate.  The integer target is the
@@ -558,19 +639,34 @@ def deviation_tail(
     target time is measured at its frozen final state (never an exact hit,
     since that state has a larger total than the target).  The target total
     n1 must lie in 0..n, the start's total; greedy and SteerExact runs
-    play in lockstep, as the serial loop would."""
+    play in lockstep, as the serial loop would.
+
+    `traced`, a tuple (stage1, seed, count, limit), adds the games
+    play(g, config, stage1, child_rng(seed, i), steps_limit=limit,
+    trace=True) for i < count of a Stage1Steer toward the strategy's
+    target.  They play in the runs' lockstep loop, and the curve lists them
+    in `traced`."""
     if runs < 1:
         raise ValueError("need at least one run")
     master_seed = _check_seed(master_seed)
     w = _vertex_law(g, strategy, weights)
+    if traced is not None:
+        stage1, seed, count, limit = traced
+        if not isinstance(stage1, Stage1Steer) or count < 1 or limit < 0:
+            raise ValueError("traced games need a Stage1Steer, a count >= 1 and a limit >= 0")
+        if isinstance(strategy, SteerExact) and not np.array_equal(strategy._stage1.z, stage1.z):
+            raise DomainError("traced games must steer toward the strategy's target")
+        traced = (stage1, _check_seed(seed), count, limit)
+        _vertex_law(g, stage1, weights)
     z = np.asarray(z, dtype=float)
     config = check_config(g, config)
     total = int(config.sum())
     if not 0 <= n1 <= total:
         raise DomainError(f"target total {n1} is outside 0..{total}, the start's total")
     target = round_to_config(n1, z)
-    chunks = _play_chunks(g, config, strategy, runs, master_seed, w, total - n1)
-    final, forfeit = map(np.concatenate, zip(*chunks))
+    chunks = _play_chunks(g, config, strategy, runs, master_seed, w, total - n1, traced)
+    final, forfeit, games = zip(*chunks)
+    final, forfeit = np.concatenate(final), np.concatenate(forfeit)
     gaps = final - target
     # exact integer squares, so the same bits as np.linalg.norm of each gap
     devs = np.sqrt((gaps * gaps).sum(axis=1))
@@ -585,6 +681,7 @@ def deviation_tail(
         hit_rate=hits / runs,
         hit_ci=wilson_interval(hits, runs),
         target_config=target,
+        traced=games[0],
     )
 
 

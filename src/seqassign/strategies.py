@@ -125,10 +125,11 @@ def _draw_edge(row: list[float], u: float) -> int:
 
 def _kernel_points(rows: np.ndarray) -> np.ndarray:
     """Region points, the rows of an array, as a flow kernel takes them:
-    clipped at 0 and divided by their own sums (each taken alone, as NumPy
-    adds up a vector), which clears numerically stray inputs."""
+    clipped at 0 and divided by their own sums, which clears numerically
+    stray inputs.  A reduce along the rows adds each row up as a reduce of
+    that row alone would."""
     points = np.maximum(rows, 0.0)
-    points /= np.array([np.add.reduce(row) for row in points])[:, None]
+    points /= np.add.reduce(points, axis=1, keepdims=True)
     if not np.isfinite(points).all():
         bad = np.isfinite(points).all(axis=1).argmin()
         raise OutsideSimplex(f"entries sum to {points[bad].sum()}, not 1")
@@ -140,14 +141,15 @@ def _kernel_for(g: Graph, point) -> list[list[float]]:
     return _flow_kernel(g, _kernel_points(np.asarray(point, dtype=float)[None])[0])
 
 
-def _flow_kernel(g: Graph, point: np.ndarray) -> list[list[float]]:
-    """Kernel rows of a normalised point; a point the flow cannot realise is
+def _flow_kernel(g: Graph, point: np.ndarray, vertex=None) -> list:
+    """Kernel rows of a normalised point, or only row `vertex` (0-based) of
+    them, as `flow_rows` gives them; a point the flow cannot realise is
     clipped onto the region, then x* stands in."""
-    _, rows = flow_rows(g, point.tolist())
+    _, rows = flow_rows(g, point.tolist(), vertex=vertex)
     if rows is None:
-        _, rows = flow_rows(g, check_simplex(g, clip_to_region(g, point)).tolist())
+        _, rows = flow_rows(g, check_simplex(g, clip_to_region(g, point)).tolist(), vertex=vertex)
         if rows is None:
-            _, rows = flow_rows(g, x_star(g).tolist())
+            _, rows = flow_rows(g, x_star(g).tolist(), vertex=vertex)
     return rows
 
 
@@ -356,9 +358,11 @@ class SteerExact(Strategy):
 class SteerKTarget(Strategy):
     """Steering variant whose target may sit anywhere in the closed region.
 
-    Approaches the midpoint of start and target first, then replays the
-    confinement moves on the target-shifted state (which may go negative on
-    edges already at target), and finishes with the greedy excess window.
+    Approaches the midpoint of start and target first (when that midpoint
+    is not interior, the point halfway between its clip onto the region and
+    x*, which is), then replays the confinement moves on the target-shifted
+    state (which may go negative on edges already at target), and finishes
+    with the greedy excess window.
     """
 
     name = "steer-k"
@@ -373,6 +377,8 @@ class SteerKTarget(Strategy):
     def reset(self, graph, config, total):
         x0 = np.asarray(config, float) / total
         self.x_mid = 0.5 * x0 + 0.5 * self.plan.z
+        if classify_point(self.g, self.x_mid).kind is not RegionKind.INTERIOR_REACHABLE:
+            self.x_mid = 0.5 * clip_to_region(self.g, self.x_mid) + 0.5 * x_star(self.g)
         self._approach = SteerExact(
             self.g, SteerPlan(z=self.x_mid, n1=2 * self.plan.n1, q0=self.plan.q0)
         )

@@ -154,7 +154,8 @@ def oracle():
 def lockstep_runs(*args):
     """The final states and forfeit flags of `simulate._play_chunks(*args)`,
     joined over its chunks."""
-    return map(np.concatenate, zip(*_play_chunks(*args)))
+    final, forfeit, _ = zip(*_play_chunks(*args))
+    return np.concatenate(final), np.concatenate(forfeit)
 
 
 def random_simplex_points(m, count, seed):

@@ -13,7 +13,13 @@ from seqassign.experiments import (
     a_star,
 )
 from seqassign.errors import DomainError, SeqAssignError
-from seqassign.graph import complete_graph, cycle_graph, format_graph_text, path_graph
+from seqassign.graph import (
+    complete_graph,
+    cycle_graph,
+    format_graph_text,
+    path_graph,
+    star_graph,
+)
 from seqassign.values import (
     DEFAULT_BUDGET,
     compute_table,
@@ -691,6 +697,23 @@ def test_steer_k_kind_cli(p4_file, tmp_path, capsys):
     report = json.loads((tmp_path / "k.json").read_text())
     assert report["kind"] == "k"
     assert report["target_config"] == [6, 9, 9]
+
+
+def test_steer_k_with_a_midpoint_on_the_boundary(tmp_path, capsys):
+    # the start gives two leaf edges the share 0.15, so its midpoint with x*
+    # gives them 1/5, on the region boundary; the approach steers toward the
+    # point halfway between that midpoint's clip and x* instead
+    path = tmp_path / "s4.txt"
+    path.write_text(format_graph_text(star_graph(4)))
+    code, out, err = run(
+        [
+            "steer", "--graph", str(path), "--n", "120", "--n1", "20", "--runs", "3",
+            "--seed", "139", "--config", "27,18,57,18", "--kind", "k",
+        ],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["target_config"] == [5, 5, 5, 5]
 
 
 def test_simulate_weighted_vertex_law(p4_file, tmp_path, capsys):

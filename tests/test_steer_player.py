@@ -4,7 +4,9 @@
 final state, forfeit, deviation, hit and success must be what a loop over
 `play(..., child_rng(seed, i))` gives, and each branch of the player must
 run in some case below: each case counts the branches it takes, through
-spies on the functions that each branch calls.
+spies on the functions that each branch calls.  Traced Stage1Steer games
+ride in the same loop; each must be the game that a serial traced `play`
+gives.
 """
 
 from collections import Counter
@@ -13,10 +15,11 @@ import numpy as np
 import pytest
 
 from seqassign import simulate, strategies
+from seqassign.errors import DomainError
 from seqassign.geometry import x_star
 from seqassign.graph import complete_graph, cycle_graph, path_graph, star_graph
-from seqassign.simulate import child_rng, deviation_tail, estimate, play
-from seqassign.strategies import SteerExact, SteerPlan
+from seqassign.simulate import child_rng, deviation_tail, estimate, play, trace_diagnostics
+from seqassign.strategies import SteerExact, SteerPlan, Stage1Steer
 from seqassign.values import round_to_config
 
 from conftest import lockstep_runs
@@ -142,3 +145,115 @@ def test_player_chunks_match_serial_loop(monkeypatch):
     want, want_forfeit = _serial(P4, start, strategy, 10, 5, 350)
     got, got_forfeit = lockstep_runs(P4, start, strategy, 10, 5, np.full(4, 0.25), 350)
     assert np.array_equal(got, want) and np.array_equal(got_forfeit, want_forfeit)
+
+
+# traced Stage1Steer games that ride in the lockstep loop of the tail runs.
+# id: graph, start, n1 (the plan's and the tail's), and what the case must show:
+# `outlive` (the traced games play on after the tail runs stop or finish),
+# `forfeit` (a traced game forfeits), `still` (the start is the target)
+TRACED = {
+    "p4": (P4, (120, 136, 144), 50, set()),
+    # the tail plays its finishing window from the first step
+    "p4_n1_near_n": (P4, (120, 136, 144), 380, {"outlive"}),
+    # the tail leaves kernel play at step 68 and stops at step 100
+    "p4_tail_finishes_first": (P4, (120, 136, 144), 300, {"outlive"}),
+    "p4_forfeit": (P4, (0, 60, 60), 10, {"forfeit"}),
+    "p4_at_target": (P4, (45, 30, 45), 10, {"still"}),
+    "k4": (K4, (60, 24, 24, 30, 30, 12), 12, set()),
+    "c4": (C4, (60, 40, 50, 50), 20, set()),
+    "star": (STAR, (60, 50, 45, 45), 20, set()),
+}
+
+
+def _same_game(got, want):
+    assert (got.won, got.steps_played, got.forfeit_step) == (
+        want.won, want.steps_played, want.forfeit_step
+    )
+    assert np.array_equal(got.final, want.final)
+    assert np.array_equal(got.trace.vertices, want.trace.vertices)
+    assert np.array_equal(got.trace.edges, want.trace.edges)
+
+
+@pytest.mark.parametrize("case", sorted(TRACED))
+def test_traced_games_match_serial_play(case, monkeypatch):
+    g, start, n1, shows = TRACED[case]
+    start = np.array(start)
+    total, z = int(start.sum()), x_star(g)
+    strategy = SteerExact(g, SteerPlan(z=z, n1=n1))
+    limit = total // 2
+    want = [
+        play(g, start, Stage1Steer(g, z), child_rng(8, i), steps_limit=limit, trace=True)
+        for i in range(3)
+    ]
+    plain = deviation_tail(g, start, strategy, z, n1, Q, 5, 7)
+    monkeypatch.setattr(simulate, "play", _no_play)
+    stage1 = Stage1Steer(g, z)
+    curve = deviation_tail(g, start, strategy, z, n1, Q, 5, 7, traced=(stage1, 8, 3, limit))
+    # the traced games change nothing in the tail runs
+    assert np.array_equal(curve.tail, plain.tail) and curve.hits == plain.hits
+    assert len(curve.traced) == 3
+    for got, game in zip(curve.traced, want):
+        _same_game(got, game)
+    assert ("outlive" in shows) == (limit > min(total - n1, total - strategy.finish_cut))
+    assert ("forfeit" in shows) == any(game.forfeit_step is not None for game in want)
+    assert ("still" in shows) == (stage1.u is None)
+
+
+def test_traced_games_ride_with_the_first_chunk(monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK", 4)
+    start, z = np.array([120, 136, 144]), x_star(P4)
+    strategy = SteerExact(P4, SteerPlan(z=z, n1=50))
+    want = [
+        play(P4, start, Stage1Steer(P4, z), child_rng(2, i), steps_limit=200, trace=True)
+        for i in range(3)
+    ]
+    finals, _ = _serial(P4, start, strategy, 10, 1, 350)
+    stage1 = Stage1Steer(P4, z)
+    chunks = list(simulate._play_chunks(
+        P4, start, strategy, 10, 1, np.full(4, 0.25), 350, (stage1, 2, 3, 200)
+    ))
+    assert [len(games) for _, _, games in chunks] == [3, 0, 0]
+    assert np.array_equal(np.concatenate([final for final, _, _ in chunks]), finals)
+    for got, game in zip(chunks[0][2], want):
+        _same_game(got, game)
+
+
+def _no_play(*args, **kwargs):
+    raise AssertionError("a serial game was played")
+
+
+def test_steering_report_plays_no_serial_game(monkeypatch):
+    from seqassign.experiments import steering_report
+
+    start, z = np.array([120, 136, 144]), x_star(P4)
+    stage1 = Stage1Steer(P4, z)
+    diags = [
+        trace_diagnostics(P4, play(
+            P4, start, stage1, child_rng(4, i), steps_limit=200, trace=True
+        ), stage1)
+        for i in range(3)
+    ]
+    monkeypatch.setattr(simulate, "play", _no_play)
+    report = steering_report(P4, SteerPlan(z=z, n1=50), start, 6, 3)
+    assert report["stage1_positive_drift_flags"] == sum(
+        len(d.positive_drift_steps) for d in diags
+    )
+    assert report["stage1_mean_s_increment"] == [float(np.mean(d.s_increments)) for d in diags]
+    # a start at the target traces no game
+    at_target = steering_report(P4, SteerPlan(z=z, n1=10), [15, 10, 15], 3, 3)
+    assert at_target["stage1_mean_s_increment"] == []
+
+
+def test_bad_traced_games_are_refused_before_any_play(monkeypatch):
+    monkeypatch.setattr(simulate, "_play_chunks", _no_play)
+    start, z = np.array([120, 136, 144]), x_star(P4)
+    strategy = SteerExact(P4, SteerPlan(z=z, n1=50))
+    stage1 = Stage1Steer(P4, z)
+    for traced in [(stage1, 2, 0, 200), (stage1, 2, 3, -1), (strategy, 2, 3, 200)]:
+        with pytest.raises(ValueError, match="traced games need"):
+            deviation_tail(P4, start, strategy, z, 50, Q, 5, 1, traced=traced)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        deviation_tail(P4, start, strategy, z, 50, Q, 5, 1, traced=(stage1, -1, 3, 200))
+    other = Stage1Steer(P4, [0.3, 0.3, 0.4])
+    with pytest.raises(DomainError, match="toward the strategy's target"):
+        deviation_tail(P4, start, strategy, z, 50, Q, 5, 1, traced=(other, 2, 3, 200))

@@ -27,6 +27,7 @@ from seqassign.strategies import (
     _draw_edge,
     _exit_point,
     _exit_rows,
+    _kernel_points,
     _steer_move,
     baseline_strategy,
     ode_trajectory,
@@ -377,6 +378,20 @@ def test_steer_exact_legal_play(p4):
     plan = SteerPlan(z=xs, n1=30)
     for i in range(5):
         play(p4, round_to_config(150, xs), SteerExact(p4, plan), child_rng(4, i))
+
+
+@pytest.mark.parametrize("m", range(2, 25))
+def test_kernel_points_add_each_row_as_a_vector(m):
+    # the reduce along the rows must give each row's sum as NumPy adds up
+    # that row alone; the kernel's input, and so every draw, depends on it
+    rng = np.random.default_rng(m)
+    for count in (1, 2, 3, 15, 18, 100):
+        rows = rng.dirichlet(np.ones(m), count) * rng.uniform(0.5, 1.5, (count, 1))
+        rows -= rng.uniform(0.0, 0.02, (count, m))
+        clipped = np.maximum(rows, 0.0)
+        sums = np.array([np.add.reduce(row) for row in clipped])
+        assert np.array_equal(np.add.reduce(clipped, axis=1), sums)
+        assert np.array_equal(_kernel_points(rows), clipped / sums[:, None])
 
 
 # --- anywhere-in-region steering ---------------------------------------------------
