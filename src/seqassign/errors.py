@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-INPUT_ERRORS map to CLI exit code 2, RESOURCE_ERRORS to exit code 3.
+`cli.main` maps RESOURCE_ERRORS (and MemoryError) to exit code 3, and any
+other SeqAssignError, OSError or ValueError to exit code 2.
 """
 
 

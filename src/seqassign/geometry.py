@@ -441,13 +441,14 @@ def flow_rows(g: Graph, x, w=None, vertex=None) -> tuple[float, list | None]:
     arcs with residual capacity above 1e-12 only, run in two phases with
     the same paths, pushes and sums.  While some path s -> v -> e -> t is
     open, the search finds the first one in vertex-then-incidence order;
-    the push empties one of its arcs to exactly 0.0, and source and sink
-    residuals never rise, so a closed pair stays closed.  Phase 1 is thus
+    the push empties its source or sink arc to exactly 0.0, and source and
+    sink residuals never rise, so a closed pair stays closed.  Phase 1 is thus
     one pass over the (vertex, edge) pairs that pushes each open pair once,
-    with its middle residual still 2.0.  Phase 2 is the breadth-first loop
-    itself, on the residual network phase 1 left, and runs only while some
-    source arc and some sink arc are both still open: a longer path needs
-    both.
+    the lesser of its source and sink residuals: its middle arc, at 2.0,
+    never binds, since a vertex weight is at most 1.  Phase 2 is the
+    breadth-first loop itself, on the residual network phase 1 left, and
+    runs only while some source arc and some sink arc are both still open:
+    a longer path needs both.
     """
     if w is None:
         w = _uniform_law(g.k)
@@ -464,13 +465,13 @@ def flow_rows(g: Graph, x, w=None, vertex=None) -> tuple[float, list | None]:
                 break
             sink = rt[e]
             if sink > _FLOW_EPS:
-                push = min(sink, 2.0, left)
+                push = min(sink, left)
                 rt[e] = sink - push
                 fl[j] = push
                 left -= push
                 total += push
         rs[v] = left
-    if any(r > _FLOW_EPS for r in rs) and any(r > _FLOW_EPS for r in rt):
+    if max(rs) > _FLOW_EPS and max(rt) > _FLOW_EPS:
         # arcs into the source and out of the sink stay 0.0: no search reads them
         cap = [0.0] * len(to)
         cap[0 : 2 * k : 2] = rs
@@ -713,17 +714,6 @@ def ray_exit_rows(g: Graph, direction):
         return y, ok
 
     return exits
-
-
-def min_slack_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
-    """min_slack(g, x)[0] for each row x of an (R, m) array, uniform law."""
-    c = _constraints(g, _uniform_law(g.k))
-    if c.exhaustive:
-        return np.array([min_slack(g, x)[0] for x in rows])
-    s = c.row_slacks(rows).min(axis=1)
-    for i in np.flatnonzero(~(s > 0) & (rows.min(axis=1) < 0)).tolist():
-        s[i] = min_slack(g, rows[i])[0]  # the signed case
-    return s
 
 
 def clip_to_region(g: Graph, y) -> np.ndarray:

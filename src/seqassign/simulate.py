@@ -446,8 +446,9 @@ def _lockstep(g: Graph, start, groups, w) -> list:
     steering run one kernel uniform more while the remaining total is above
     its group's finishing cut (SteerExact's; Stage1Steer has none, and
     greedy finishes from the first step), so each group reads one column of
-    its own streams a draw.  Returns, per group, the final states (n, m),
-    the forfeit flags and, when traced, the GameResults (else None)."""
+    its own streams a draw, until every run has stopped.  Returns, per
+    group, the final states (n, m), the forfeit flags and, when traced, the
+    GameResults (else None)."""
     total, m = int(start.sum()), g.m
     cum_w, incidence = np.cumsum(w), _incidence_rows(g)
     rows = sum(hi - lo for _, _, lo, hi, _, _ in groups)
@@ -515,6 +516,8 @@ def _lockstep(g: Graph, start, groups, w) -> list:
                 mine = (live >= a) & (live < b)
                 record[:, live[mine] - a, t] = v[mine] + 1, e[mine]
         state.reshape(-1)[live * (m + 1) + e] -= 1  # a view of the rows
+        if not len(live):
+            break
     final, results = state[:, :m], []
     for _, a, b, steps, _, record in plays:
         games = None if record is None else [

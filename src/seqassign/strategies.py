@@ -30,7 +30,6 @@ from .geometry import (
     clip_to_region,
     flow_rows,
     min_slack,
-    min_slack_rows,
     ray_exit,
     ray_exit_rows,
     x_star,
@@ -142,14 +141,12 @@ def _kernel_for(g: Graph, point) -> list[list[float]]:
 
 
 def _flow_kernel(g: Graph, point: np.ndarray, vertex=None) -> list:
-    """Kernel rows of a normalised point, or only row `vertex` (0-based) of
-    them, as `flow_rows` gives them; a point the flow cannot realise is
-    clipped onto the region, then x* stands in."""
-    _, rows = flow_rows(g, point.tolist(), vertex=vertex)
+    """Kernel rows of a normalised region point, or only row `vertex`
+    (0-based) of them, as `flow_rows` gives them.  A region point's flow is
+    1 within far less than TOL, so a shortfall is a DomainError."""
+    value, rows = flow_rows(g, point.tolist(), vertex=vertex)
     if rows is None:
-        _, rows = flow_rows(g, check_simplex(g, clip_to_region(g, point)).tolist(), vertex=vertex)
-        if rows is None:
-            _, rows = flow_rows(g, x_star(g).tolist(), vertex=vertex)
+        raise DomainError(f"max flow {value!r} is not 1: the steering point lies off the region")
     return rows
 
 
@@ -192,13 +189,13 @@ def _exit_point(g: Graph, origin, direction, fallback=None):
 def _exit_rows(g: Graph, direction: np.ndarray):
     """The exit points `_exit_point(g, x, direction, fallback=x)` of the rows
     x of an (R, m) array, as a function of the rows: the rows that
-    `ray_exit_rows` settles with no clip due are taken from it, the others
-    from `_exit_point`."""
+    `ray_exit_rows` settles are taken from it, the others from
+    `_exit_point`.  A settled exit's slacks s_c(x) - t*r_c are >= 0 up to a
+    few m*2^-53 of rounding, so `_exit_point` would not clip it."""
     exits = ray_exit_rows(g, direction)
 
     def settle(rows: np.ndarray) -> np.ndarray:
         y, ok = exits(rows)
-        ok[ok] = min_slack_rows(g, y[ok]) >= -_CLIP
         for i in np.flatnonzero(~ok).tolist():
             y[i] = _exit_point(g, rows[i], direction, fallback=rows[i])
         return y

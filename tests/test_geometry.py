@@ -19,7 +19,6 @@ from seqassign.geometry import (
     face_values,
     membership_flow,
     min_slack,
-    min_slack_rows,
     ray_exit,
     ray_exit_rows,
     uniform_weights,
@@ -678,17 +677,6 @@ def test_ray_exit_rows_match_ray_exit(g, weights):
 
 
 @pytest.mark.parametrize("g, weights", ORACLE_GRAPHS[:-1], ids=ORACLE_IDS[:-1])
-def test_min_slack_rows_match_min_slack(g, weights):
-    # signed zeros and negative entries included
-    points = np.array(oracle_points(g, g.m + 5))
-    want = [min_slack(g, x)[0] for x in points]
-    got = min_slack_rows(g, points)
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert min_slack_rows(g, points[:0]).shape == (0,)
-
-
-@pytest.mark.parametrize("g, weights", ORACLE_GRAPHS[:-1], ids=ORACLE_IDS[:-1])
 def test_family_ray_exit_and_clip_match_fold(g, weights):
     xs = x_star(g)
     for x in oracle_points(g, g.m + 1):
@@ -771,6 +759,59 @@ def test_k8_ray_exit_needs_an_interior_origin():
         ray_exit(k8, y, x - xs)
 
 
+def vertex_set_oracle(g):
+    """min_slack by brute force over the single edges and the edge sets
+    E(S) != E of all 2^k vertex sets S, built from Python int masks: a
+    function of x that gives the least slack and the first mask to attain
+    it.  Each slack adds x over the set's edges and the weights of its full
+    vertices in increasing order, as the fold does."""
+    full = (1 << g.m) - 1
+    masks = {1 << e for e in range(g.m)}
+    for vertex_set in range(1, 1 << g.k):
+        mask = 0
+        for v, inc in enumerate(g.incidence):
+            if vertex_set >> v & 1:
+                for e in inc:
+                    mask |= 1 << e
+        if mask != full:
+            masks.add(mask)
+    masks = sorted(masks)
+    rows = np.array([[mask >> e & 1 for e in range(g.m)] for mask in masks], dtype=bool)
+    d = np.zeros(len(masks))
+    for inc in g.incidence:
+        d += np.where(rows[:, inc].all(axis=1), 1 / g.k, 0.0)
+
+    def least(x):
+        s = np.zeros(len(masks))
+        for e in range(g.m):
+            s += np.where(rows[:, e], x[e], 0.0)
+        s -= d
+        i = int(s.argmin())
+        return float(s[i]), masks[i]
+
+    return least
+
+
+def test_k12_family_of_two_word_masks_matches_brute_force():
+    # 66 edges: each mask of the family takes two 64-bit words
+    k12 = complete_graph(12)
+    assert k12.m == 66 and not _constraints(k12, _law(k12, None)).exhaustive
+    oracle = vertex_set_oracle(k12)
+    rng = np.random.default_rng(12)
+    points = [x_star(k12)] + list(rng.dirichlet(np.ones(k12.m), 12))
+    points += list(rng.dirichlet(np.full(k12.m, 0.2), 12))
+    kinds, high = set(), False
+    for x in points:
+        want = oracle(x)
+        assert min_slack(k12, x) == want, x
+        r = classify_point(k12, x)
+        assert (r.slack, r.subset) == want
+        kinds.add(r.kind)
+        high |= want[1] >> 64 > 0
+    assert kinds == {RegionKind.INTERIOR_REACHABLE, RegionKind.INACCESSIBLE}
+    assert high  # some least slack is attained on a set with edges past 63
+
+
 def test_family_over_the_byte_ceiling_raises_before_allocating():
     import tracemalloc
 
@@ -798,7 +839,6 @@ def test_sparse_graph_past_the_family_ceiling_uses_the_fold():
     assert _constraints(g, _law(g, None)).exhaustive
     x = x_star(g)
     assert min_slack(g, x) == fold_min_slack(g, x)
-    # the row forms: each minimum slack from min_slack, and no exit settled
+    # the row form settles no exit
     rows = np.array([x, np.roll(np.arange(20.0), 3) / 190])
-    assert np.array_equal(min_slack_rows(g, rows), [min_slack(g, r)[0] for r in rows])
     assert not ray_exit_rows(g, rows[1] - x)(rows)[1].any()

@@ -556,6 +556,18 @@ def test_diagnostics_requires_trace(p4):
         trace_diagnostics(p4, result, Stage1Steer(p4, x_star(p4)))
 
 
+def test_diagnostics_of_a_game_from_the_target(p4):
+    # the normalised start is x* itself: stage 1 has no direction, so no
+    # increments and no flags
+    start = np.array([3, 2, 3])
+    assert np.array_equal(start / 8, x_star(p4))
+    s1 = Stage1Steer(p4, x_star(p4))
+    result = play(p4, start, s1, child_rng(1, 0), trace=True)
+    assert s1.u is None and result.steps_played > 0
+    diag = trace_diagnostics(p4, result, stage1=s1)
+    assert diag.s_increments is None and diag.positive_drift_steps == []
+
+
 def test_play_and_estimate_reject_negative_entry(p4):
     with pytest.raises(NegativeEntry):
         play(p4, [5, -1, 5], GreedyLargest(), 1)

@@ -19,7 +19,7 @@ from seqassign.errors import DomainError
 from seqassign.geometry import x_star
 from seqassign.graph import complete_graph, cycle_graph, path_graph, star_graph
 from seqassign.simulate import child_rng, deviation_tail, estimate, play, trace_diagnostics
-from seqassign.strategies import SteerExact, SteerPlan, Stage1Steer
+from seqassign.strategies import GreedyLargest, SteerExact, SteerPlan, Stage1Steer
 from seqassign.values import round_to_config
 
 from conftest import lockstep_runs
@@ -31,10 +31,13 @@ Q = list(range(21))
 
 
 def _serial(g, start, strategy, runs, seed, steps=None):
+    """Final states, forfeit flags, and the steps that a lockstep loop of
+    the runs takes: through the last step at which one of them stops."""
     games = [play(g, start, strategy, child_rng(seed, i), steps_limit=steps) for i in range(runs)]
     finals = np.array([game.final for game in games])
     forfeits = np.array([game.forfeit_step is not None for game in games])
-    return finals, forfeits
+    played = max(game.steps_played + forfeit for game, forfeit in zip(games, forfeits))
+    return finals, forfeits, played
 
 
 def _counting(monkeypatch) -> Counter:
@@ -107,12 +110,12 @@ def test_player_matches_serial_loop(case, monkeypatch):
     # the serial loop first, so that the spies see the player alone
     serial = [
         (seed, *_serial(g, start, strategy, runs, seed, total - n1),
-         _serial(g, start, strategy, runs, seed)[1])
+         *_serial(g, start, strategy, runs, seed)[1:])
         for seed in seeds
     ]
     seen = _counting(monkeypatch)
     w = np.full(g.k, 1 / g.k)
-    for seed, want, want_forfeit, lost in serial:
+    for seed, want, want_forfeit, _, lost, _ in serial:
         got, got_forfeit = lockstep_runs(g, start, strategy, runs, seed, w, total - n1)
         assert np.array_equal(got, want) and np.array_equal(got_forfeit, want_forfeit)
         devs = np.array([np.linalg.norm(row) for row in want - target])
@@ -122,11 +125,14 @@ def test_player_matches_serial_loop(case, monkeypatch):
         seen["forfeit"] += int(want_forfeit.sum())
         # estimate plays every game to the end
         assert estimate(g, start, strategy, runs, seed).successes == runs - int(lost.sum())
-    # two uniforms a step while more than the finishing cut remains, then one
+    # two uniforms a step while more than the finishing cut remains, then
+    # one, until every run has stopped
     def columns(steps):
         return steps + min(steps, max(total - strategy.finish_cut, 0))
 
-    assert seen["columns"] == len(seeds) * (2 * columns(total - n1) + columns(total))
+    assert seen["columns"] == sum(
+        2 * columns(to_n1) + columns(to_end) for _, _, _, to_n1, _, to_end in serial
+    )
     if "finish" in branches:
         assert columns(total - n1) < 2 * (total - n1)
     for branch in branches - {"finish"}:
@@ -137,12 +143,23 @@ def test_player_matches_serial_loop(case, monkeypatch):
         assert strategy._stage1.u is None and seen["drift"] == 0
 
 
+def test_lockstep_stops_once_every_run_has_stopped(monkeypatch):
+    # greedy from this start loses every run within a few dozen of its
+    # 4,000 steps; the loop reads one column a step up to the last loss
+    start, greedy = np.array([0, 2000, 2000]), GreedyLargest()
+    _, forfeits, played = _serial(P4, start, greedy, 200, 1)
+    assert forfeits.all() and played < 100
+    seen = _counting(monkeypatch)
+    assert estimate(P4, start, greedy, 200, 1).successes == 0
+    assert seen["columns"] == played
+
+
 def test_player_chunks_match_serial_loop(monkeypatch):
     # chunks of 4 runs: the streams of runs 4..9 start mid-way through the run indices
     monkeypatch.setattr(simulate, "_CHUNK", 4)
     start = np.array([120, 136, 144])
     strategy = SteerExact(P4, SteerPlan(z=x_star(P4), n1=50))
-    want, want_forfeit = _serial(P4, start, strategy, 10, 5, 350)
+    want, want_forfeit, _ = _serial(P4, start, strategy, 10, 5, 350)
     got, got_forfeit = lockstep_runs(P4, start, strategy, 10, 5, np.full(4, 0.25), 350)
     assert np.array_equal(got, want) and np.array_equal(got_forfeit, want_forfeit)
 
@@ -207,7 +224,7 @@ def test_traced_games_ride_with_the_first_chunk(monkeypatch):
         play(P4, start, Stage1Steer(P4, z), child_rng(2, i), steps_limit=200, trace=True)
         for i in range(3)
     ]
-    finals, _ = _serial(P4, start, strategy, 10, 1, 350)
+    finals, _, _ = _serial(P4, start, strategy, 10, 1, 350)
     stage1 = Stage1Steer(P4, z)
     chunks = list(simulate._play_chunks(
         P4, start, strategy, 10, 1, np.full(4, 0.25), 350, (stage1, 2, 3, 200)

@@ -10,10 +10,14 @@ from seqassign.geometry import (
     clip_to_region,
     membership_flow,
     min_slack,
+    ray_exit,
+    ray_exit_rows,
     x_star,
     RegionKind,
 )
-from seqassign.graph import build_graph, complete_graph, cycle_graph, path_graph, star_graph
+from seqassign.graph import (
+    SUBSET_CAP, build_graph, complete_graph, cycle_graph, path_graph, star_graph
+)
 from seqassign.simulate import child_rng, deviation_tail, play
 from seqassign.strategies import (
     FORFEIT,
@@ -27,6 +31,7 @@ from seqassign.strategies import (
     _draw_edge,
     _exit_point,
     _exit_rows,
+    _flow_kernel,
     _kernel_points,
     _steer_move,
     baseline_strategy,
@@ -129,32 +134,47 @@ def test_stage1_exit_is_positive_multiple_of_u(p4):
         star_graph(4),
         complete_graph(5),
         build_graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)]),
+        complete_graph(8),
     ],
-    ids=["P4", "C4", "K4", "S4", "K5", "triangle-tail"],
+    ids=["P4", "C4", "K4", "S4", "K5", "triangle-tail", "K8"],
 )
 def test_exit_rows_match_exit_point(g):
     # the batched stage-1 exits of many origins along one direction carry the
-    # bits of _exit_point's: interior origins, origins with zero or negative
-    # entries, origins outside the region, and rays from x* toward points
-    # with zeros and ties, whose exits can have zero entries
+    # bits of _exit_point's: interior origins, some within 1e-9 of the
+    # boundary, origins with zero or negative entries, origins outside the
+    # region, and rays from x* toward points with zeros and ties, whose exits
+    # can have zero entries.  _exit_point clips an exit left outside the
+    # region by rounding; the batch takes the exits it settles as they are,
+    # so a settled exit that needed a clip fails here
     rng = np.random.default_rng(g.m)
     xs = x_star(g)
-    points = list(rng.dirichlet(np.ones(g.m), 40))
-    for x in rng.dirichlet(np.ones(g.m), 200):
-        x[rng.random(g.m) < 0.5] = 0.0
-        if x.sum() > 0:
+    points = []
+    if g.m <= SUBSET_CAP:  # an origin outside the region asks the fold, which K8 is past
+        points += list(rng.dirichlet(np.ones(g.m), 40))
+        for x in rng.dirichlet(np.ones(g.m), 200):
+            x[rng.random(g.m) < 0.5] = 0.0
+            if x.sum() > 0:
+                points.append(x / x.sum())
+        for x in rng.integers(0, 4, (200, g.m)).astype(float):
+            if x.sum() > 0:
+                points.append(x / x.sum())
+        for x in rng.dirichlet(np.ones(g.m), 10):
+            x[rng.integers(g.m)] = -1e-13
             points.append(x / x.sum())
-    for x in rng.integers(0, 4, (200, g.m)).astype(float):
-        if x.sum() > 0:
-            points.append(x / x.sum())
-    for x in rng.dirichlet(np.ones(g.m), 10):
-        x[rng.integers(g.m)] = -1e-13
-        points.append(x / x.sum())
-    points = np.array(points)
+    near = []  # just short of the exits from x* toward Dirichlet points
+    for x in rng.dirichlet(np.ones(g.m), 40):
+        y = ray_exit(g, xs, x - xs)[0]
+        near.append(y + 1e-10 * (xs - y))
+    near = np.array(near)
+    assert all(min_slack(g, x)[0] > 0 and boundary_distance(g, x) < 1e-9 for x in near)
+    points = np.concatenate([np.reshape(points, (-1, g.m)), near])
     origins = np.concatenate([points, 0.5 * points + 0.5 * xs])
+    settled = 0
     for u in points[:10] - xs:
         want = np.array([_exit_point(g, x, u, fallback=x) for x in origins])
         assert np.array_equal(_exit_rows(g, u)(origins), want)
+        settled += int(ray_exit_rows(g, u)(near)[1].sum())
+    assert settled > 0  # the batch settled some of the near-boundary origins
     # on K5 and the triangle with a tail, some of these exits are the fold's
     # and some are clipped back onto the region
     for target in points:
@@ -174,6 +194,16 @@ def test_stage1_forced_kernel_state(p4):
     _, kernel = membership_flow(p4, y)
     expect = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     assert np.allclose(kernel.q, expect, atol=1e-9)
+
+
+def test_flow_kernel_refuses_a_point_off_the_region(p4):
+    # the first edge holds 0.1 of the 0.25 that its leaf must send: the flow
+    # is 0.1 + 0.5 + 0.1, and no stand-in point is played instead
+    with pytest.raises(DomainError, match=r"max flow 0\.7 is not 1"):
+        _flow_kernel(p4, np.array([0.1, 0.8, 0.1]))
+    with pytest.raises(DomainError, match="max flow"):
+        _flow_kernel(p4, np.array([0.1, 0.8, 0.1]), 1)
+    assert _flow_kernel(p4, x_star(p4))[0] == [1.0, 0.0, 0.0]
 
 
 def test_stage1_supermartingale_exact(p4):
