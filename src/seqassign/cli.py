@@ -37,11 +37,10 @@ from .graph import Graph, load_graph
 from .simulate import estimate
 from .strategies import (
     OutwardSteer,
-    SteerExact,
-    SteerKTarget,
     SteerPlan,
     baseline_strategy,
     optimal_strategy,
+    steering_strategy,
 )
 from .values import (
     argmax_config,
@@ -273,7 +272,7 @@ def parse_strategy(spec: str, g: Graph, config, args):
         kind, zspec, n1 = spec.split(":")
         q0 = DEFAULT_Q0 if args.q0 is None else args.q0
         plan = SteerPlan(z=_point(g, zspec), n1=int(n1), q0=q0)
-        return SteerExact(g, plan) if kind == "steer" else SteerKTarget(g, plan)
+        return steering_strategy(g, plan, "exact" if kind == "steer" else "k")
     if spec.startswith("outward:"):
         amplitude = float(spec.split(":")[1])
         return OutwardSteer(g, amplitude=amplitude)
@@ -459,7 +458,7 @@ def _cmd_steer(args) -> int:
     if args.calibrate:
         if args.q0 is not None:
             raise DomainError("--q0 has no effect with --calibrate")
-        q0 = exp.calibrate_q0(g, z, args.n1, start, seed=args.seed)
+        q0 = exp.calibrate_q0(g, z, args.n1, start, seed=args.seed, kind=args.kind)
     else:
         q0 = DEFAULT_Q0 if args.q0 is None else args.q0
     plan = SteerPlan(z=z, n1=args.n1, q0=q0)

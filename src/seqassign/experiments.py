@@ -21,11 +21,12 @@ from .errors import DomainError
 from .geometry import RegionKind, classify_point
 from .graph import Graph, path_graph
 from .simulate import deviation_tail, trace_diagnostics
-from .strategies import SteerExact, SteerKTarget, SteerPlan, Stage1Steer
+from .strategies import SteerPlan, Stage1Steer, steering_strategy
 from .values import (
     ValueTable,
     _layer_bars,
     argmax_config,
+    check_config,
     graph_hash,
     round_to_config,
     slice_maxima,
@@ -77,9 +78,10 @@ def transition_scan(g: Graph, x, n_list, table: ValueTable, weights=None):
 
     For inaccessible points the rows carry the concentration bound
     exp(-n*eps^2/4) with eps the worst face deficit, and the summary fits the
-    slope of log p against n; for interior points the summary reports the
-    successive differences (an empirical convergence indicator) and the value
-    at the largest n as the limit estimate.
+    slope of log p against n over the rows with p > 0 (slope, intercept and
+    r_squared are None with fewer than two of them); for interior points the
+    summary reports the successive differences (an empirical convergence
+    indicator) and the value at the largest n as the limit estimate.
     """
     x = np.asarray(x, dtype=float)
     n_list = sorted(n_list)
@@ -94,18 +96,21 @@ def transition_scan(g: Graph, x, n_list, table: ValueTable, weights=None):
         ps.append(p)
     summary: dict = {"class": region.kind.value, "n_list": list(n_list)}
     if region.kind is RegionKind.INACCESSIBLE:
-        ns = np.array(n_list, dtype=float)
-        logs = np.array([r[2] for r in rows])
-        slope, intercept = np.polyfit(ns, logs, 1)
-        pred = slope * ns + intercept
-        ss_res = float(((logs - pred) ** 2).sum())
-        ss_tot = float(((logs - logs.mean()) ** 2).sum())
-        summary.update(
-            slope=float(slope),
-            intercept=float(intercept),
-            r_squared=1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
-            deficit=deficit,
-        )
+        # a p that underflows to 0 has no log to fit
+        ns = np.array([r[0] for r in rows if r[1] > 0], dtype=float)
+        logs = np.array([r[2] for r in rows if r[1] > 0])
+        fit = dict(slope=None, intercept=None, r_squared=None)
+        if len(ns) >= 2:
+            slope, intercept = np.polyfit(ns, logs, 1)
+            pred = slope * ns + intercept
+            ss_res = float(((logs - pred) ** 2).sum())
+            ss_tot = float(((logs - logs.mean()) ** 2).sum())
+            fit = dict(
+                slope=float(slope),
+                intercept=float(intercept),
+                r_squared=1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+            )
+        summary.update(fit, deficit=deficit)
     elif region.kind is RegionKind.INTERIOR_REACHABLE:
         diffs = [abs(b - a) for a, b in zip(ps, ps[1:])]
         summary.update(successive_diffs=diffs, limit_estimate=ps[-1])
@@ -179,15 +184,15 @@ def window_collapse(g: Graph, n_list, a_grid, table: ValueTable):
 
 
 def calibrate_q0(
-    g: Graph, z, n1: int, start_config, runs: int = 200, seed: int = 0
+    g: Graph, z, n1: int, start_config, runs: int = 200, seed: int = 0, kind: str = "exact"
 ) -> int:
-    """Double q0 from 2 until the measured steering deviation tail at q0/4
-    drops to 1/2 on a calibration run."""
+    """Double q0 from 2 until the measured deviation tail at q0/4 of the
+    steering strategy of `kind` drops to 1/2 on a calibration run."""
     q0 = 2
     while q0 <= 4096:
         plan = SteerPlan(z=z, n1=n1, q0=q0)
         curve = deviation_tail(
-            g, start_config, SteerExact(g, plan), z, n1, [q0 / 4.0], runs, seed
+            g, start_config, steering_strategy(g, plan, kind), z, n1, [q0 / 4.0], runs, seed
         )
         if curve.tail[0] <= 0.5:
             return q0
@@ -206,9 +211,8 @@ def steering_report(
     """Exact-hit frequency, deviation tail at q = 0..20, and stage-1 drift
     diagnostics of three traced runs for one steering plan from one start
     config.  The traced runs play in the tail runs' lockstep loop."""
-    start_config = np.asarray(start_config, dtype=np.int64)
-    make = SteerKTarget if kind == "k" else SteerExact
-    strategy = make(g, plan)
+    start_config = check_config(g, start_config)
+    strategy = steering_strategy(g, plan, kind)
     total = int(start_config.sum())
     # a start at the target has no drift direction to diagnose
     stage1 = None

@@ -42,6 +42,7 @@ from .strategies import (
     _kernel_for,
     _kernel_points,
     _legal_move,
+    _norm,
 )
 from .values import (
     DEFAULT_BUDGET,
@@ -553,12 +554,6 @@ def _legal_moves(incidence, state, live, v, target=None) -> np.ndarray:
     return e
 
 
-def _norms(rows) -> list[float]:
-    """np.linalg.norm of each row of a C-contiguous float array, computed as
-    it computes a vector's: sqrt(x.dot(x)), the dot through BLAS."""
-    return [math.sqrt(row.dot(row)) for row in rows]
-
-
 def _kernel_mover(g: Graph, stage1: Stage1Steer):
     """The kernel moves of runs steering toward a reset Stage1Steer's target
     from its start, before their finishing window, for the runs that share
@@ -587,7 +582,7 @@ def _kernel_mover(g: Graph, stage1: Stage1Steer):
         if not confine.all():
             pos = np.flatnonzero(drift)
             x = s[pos, :m] / r
-            near = np.array(_norms(x - z)) <= eps0[pos]
+            near = np.array([_norm(row) for row in x - z]) <= eps0[pos]
             drift[pos[near]] = False  # the stage ends; this move plays the target kernel
             plain[pos[near]] = True
             if not near.all():
@@ -595,12 +590,12 @@ def _kernel_mover(g: Graph, stage1: Stage1Steer):
                     e[j] = _draw_edge(_flow_kernel(g, p, v[j])[v[j]], u[j])
         if confine.any():
             pos = np.flatnonzero(confine)
-            far = np.array(_norms(s[pos, :m] - r * z)) >= d0[pos]
+            far = np.array([_norm(row) for row in s[pos, :m] - r * z]) >= d0[pos]
             for j in pos[far].tolist():
                 y = _exit_point(g, z, s[j, :m].astype(float) / r - z)
                 if y is not None:
                     plain[j] = False
-                    e[j] = _draw_edge(_kernel_for(g, y)[v[j]], u[j])
+                    e[j] = _draw_edge(_kernel_for(g, y, v[j])[v[j]], u[j])
         if plain.any():
             pos = np.flatnonzero(plain)
             below = u[pos, None] < z_cum[v[pos]]
@@ -671,7 +666,7 @@ def deviation_tail(
     final, forfeit, games = zip(*chunks)
     final, forfeit = np.concatenate(final), np.concatenate(forfeit)
     gaps = final - target
-    # exact integer squares, so the same bits as np.linalg.norm of each gap
+    # exact integer squares and sums, so the same bits as _norm of each gap
     devs = np.sqrt((gaps * gaps).sum(axis=1))
     hits = int(np.count_nonzero(~forfeit & ~gaps.any(axis=1)))
     q = np.asarray(q_grid, dtype=float)
@@ -721,7 +716,7 @@ def trace_diagnostics(g: Graph, result: GameResult, stage1: Stage1Steer) -> Diag
     rem = n - np.arange(len(states) - 1)
     x = states[:-1] / rem[:, None]
     # the stage ends for good once the state comes within eps0 of z
-    gaps = zip(rem.tolist(), _norms(x - z))
+    gaps = zip(rem.tolist(), [_norm(row) for row in x - z])
     stop = next((t for t, (r, d) in enumerate(gaps) if r <= 1 or d <= stage1.eps0), len(x))
     p = _kernel_points(_exit_rows(g, u)(x[:stop]))
     positive = np.flatnonzero(((p - z) * u).sum(axis=1) < -1e-12).tolist()

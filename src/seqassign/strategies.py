@@ -108,6 +108,13 @@ def baseline_strategy(kind: str) -> Strategy:
 # --- kernel plumbing ----------------------------------------------------------
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float64 vector, the one rule for every
+    steering radius: sqrt(x.dot(x)), the dot through BLAS, which is how
+    NumPy's `norm` computes it with ord=None."""
+    return math.sqrt(x.dot(x))
+
+
 def _draw_edge(row: list[float], u: float) -> int:
     """The edge of kernel row `row` that the uniform u selects: the first
     edge whose running sum of the row, added left to right, exceeds u.  Rows
@@ -135,9 +142,10 @@ def _kernel_points(rows: np.ndarray) -> np.ndarray:
     return points
 
 
-def _kernel_for(g: Graph, point) -> list[list[float]]:
-    """Flow kernel rows of a region point."""
-    return _flow_kernel(g, _kernel_points(np.asarray(point, dtype=float)[None])[0])
+def _kernel_for(g: Graph, point, vertex=None) -> list:
+    """Flow kernel rows of a region point, or only row `vertex` (0-based) of
+    them, the row a move draws from: the others are None."""
+    return _flow_kernel(g, _kernel_points(np.asarray(point, dtype=float)[None])[0], vertex)
 
 
 def _flow_kernel(g: Graph, point: np.ndarray, vertex=None) -> list:
@@ -208,7 +216,7 @@ def _steer_move(g: Graph, point, default, state, vertex: int, rng, excess=None) 
     `default` kernel rows when point is None); when the drawn edge is empty,
     or has no excess over the target when `excess` is given, play the best
     legal edge instead."""
-    rows = default if point is None else _kernel_for(g, point)
+    rows = default if point is None else _kernel_for(g, point, vertex - 1)
     e = _draw_edge(rows[vertex - 1], rng.random())
     if state[e] > 0 and (excess is None or excess[e] > 0):
         return e
@@ -224,7 +232,7 @@ def _confine_move(
     counts/r, else `kernel`, the center's own; then as `_steer_move`."""
     counts = np.asarray(state if excess is None else excess, float)
     y = None
-    if np.linalg.norm(counts - r * center) >= d0:
+    if _norm(counts - r * center) >= d0:
         y = _exit_point(g, center, counts / r - center)
     return _steer_move(g, y, kernel, state, vertex, rng, excess)
 
@@ -302,7 +310,7 @@ class Stage1Steer(Strategy):
             delta = min(boundary_distance(self.g, x0), boundary_distance(self.g, self.z))
             self.eps0 = max(delta, 1e-6) / 8.0
         gap = x0 - self.z
-        norm = float(np.linalg.norm(gap))
+        norm = _norm(gap)
         self.u = gap / norm if norm > 0 else None
         self.done = norm <= self.eps0
 
@@ -312,7 +320,7 @@ class Stage1Steer(Strategy):
 
     def choose(self, state, remaining, vertex, rng) -> int:
         x = np.asarray(state, float) / remaining
-        if not self.done and (self.u is None or np.linalg.norm(x - self.z) <= self.eps0):
+        if not self.done and (self.u is None or _norm(x - self.z) <= self.eps0):
             self.done = True
         y = None if self.done else self.current_exit(x)
         return _steer_move(self.g, y, self._z_kernel, state, vertex, rng)
@@ -408,6 +416,17 @@ class SteerKTarget(Strategy):
         )
 
 
+def steering_strategy(g: Graph, plan: SteerPlan, kind: str) -> Strategy:
+    """The steering strategy of a kind for a plan: SteerExact for `exact`,
+    whose target must be interior, and SteerKTarget for `k`, whose target
+    may lie anywhere in the closed region."""
+    if kind == "exact":
+        return SteerExact(g, plan)
+    if kind == "k":
+        return SteerKTarget(g, plan)
+    raise DomainError(f"unknown steering kind {kind!r}")
+
+
 class OutwardSteer(Strategy):
     """Drift away from the boundary.  Until the normalized state clears half
     the boundary distance of x*, play the kernel of the boundary exit ahead
@@ -441,10 +460,10 @@ class OutwardSteer(Strategy):
         anchor = x_star(self.g)
         y, _, _ = ray_exit(self.g, anchor, x0 - anchor)
         gap = y - x0
-        if np.linalg.norm(gap) <= 1e-12:
+        if _norm(gap) <= 1e-12:
             # a start on the boundary is its own exit; the ray points the same way
             gap = x0 - anchor
-        self.u = gap / np.linalg.norm(gap)
+        self.u = gap / _norm(gap)
 
     def choose(self, state, remaining, vertex, rng) -> int:
         self.step += 1
@@ -504,12 +523,12 @@ def ode_trajectory(g: Graph, x0, target=None, dt: float = 1e-3, T: float = 10.0,
             u = clip_to_region(g, x)
         else:
             direction = x - target
-            if np.linalg.norm(direction) < 1e-15:
+            if _norm(direction) < 1e-15:
                 u = x.copy()
             else:
                 u, _, _ = ray_exit(g, target, direction)
         dx = (x - u) * dt
-        if float(np.linalg.norm(dx)) > _MAX_STEP:
-            raise StepTooLarge(f"step {i}: |dx|={np.linalg.norm(dx)} exceeds {_MAX_STEP}")
+        if _norm(dx) > _MAX_STEP:
+            raise StepTooLarge(f"step {i}: |dx|={_norm(dx)} exceeds {_MAX_STEP}")
         x = x + dx
     return OdePath(times=times, points=points, slacks=np.array(slack_rows))

@@ -4,15 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from seqassign.cli import _emit, _verify_rows, main
+from seqassign.cli import _emit, _parse_ints, _verify_rows, main
 from seqassign.experiments import (
     CONJECTURE_COLUMNS,
     PHASE_COLUMNS,
     SCAN_COLUMNS,
     WINDOW_COLUMNS,
     a_star,
+    steering_report,
 )
-from seqassign.errors import DomainError, SeqAssignError
+from seqassign.errors import DomainError, NegativeEntry, SeqAssignError
 from seqassign.graph import (
     complete_graph,
     cycle_graph,
@@ -20,6 +21,9 @@ from seqassign.graph import (
     path_graph,
     star_graph,
 )
+from seqassign.geometry import x_star
+from seqassign.simulate import deviation_tail
+from seqassign.strategies import SteerExact, SteerKTarget, SteerPlan
 from seqassign.values import (
     DEFAULT_BUDGET,
     compute_table,
@@ -259,6 +263,48 @@ def test_scan_golden_header_and_summary(p4_file, tmp_path, capsys):
     summary = json.loads(out)
     assert summary["class"] == "Inaccessible"
     assert summary["slope"] < 0
+
+
+def test_scan_fits_only_the_rows_it_can_log(p4_file, tmp_path, capsys):
+    # p = 2^-n underflows to 0.0 past n = 1074: one row has a log, too few to fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            [
+                "scan", "--graph", p4_file, "--point", "1,0,0",
+                "--n-list", "1000,1100,1200", "--out", str(tmp_path / "s.csv"),
+            ],
+            capsys,
+        )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+    assert [float(r[1]) for r in rows] == [2.0**-1000, 0.0, 0.0]
+    assert out.endswith('"r_squared": null, "slope": null}\n')
+    summary = json.loads(out)
+    assert summary["intercept"] is None and summary["deficit"] == 0.5
+
+
+def test_scan_fits_the_rows_with_p_above_zero(p4_file, tmp_path, capsys):
+    # under this law p = 0.1^n (up to rounding), 0.0 at n = 400
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("0.05 0.05 0.45 0.45\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            [
+                "scan", "--graph", p4_file, "--point", "1,0,0", "--n-list", "100,200,400",
+                "--weights", str(wfile), "--out", str(tmp_path / "s.csv"),
+            ],
+            capsys,
+        )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+    assert [float(r[1]) > 0 for r in rows] == [True, True, False]
+    slope, intercept = np.polyfit([100.0, 200.0], [float(r[2]) for r in rows[:2]], 1)
+    summary = json.loads(out)
+    assert (summary["slope"], summary["intercept"]) == (float(slope), float(intercept))
+    assert summary["slope"] == pytest.approx(np.log(0.1))
+    assert summary["r_squared"] == pytest.approx(1.0)
 
 
 def test_conjecture_golden_header(tmp_path, capsys):
@@ -655,6 +701,50 @@ def test_steer_calibrate_flag(p4_file, tmp_path, capsys):
     assert report["q0"] >= 2
 
 
+def _steer_report(p4_file, capsys, *extra) -> str:
+    code, out, err = run(
+        ["steer", "--graph", p4_file, "--n", "120", "--n1", "24", "--runs", "2", *extra], capsys
+    )
+    assert (code, err) == (0, "")
+    return out
+
+
+@pytest.mark.parametrize("kind, make, q0", [("exact", SteerExact, 16), ("k", SteerKTarget, 8)])
+def test_steer_calibrate_calibrates_its_kind(p4_file, capsys, kind, make, q0):
+    # the report is the plain one at the q0 of the kind's own strategy: the
+    # first doubling from 2 whose 200-run tail at q0/4 is at most 1/2
+    out = _steer_report(p4_file, capsys, "--kind", kind, "--calibrate")
+    assert json.loads(out)["q0"] == q0
+    assert out == _steer_report(p4_file, capsys, "--kind", kind, "--q0", str(q0))
+    p4, start = path_graph(4), [45, 30, 45]
+    z = x_star(p4)
+    for q in (q0 // 2, q0):
+        strategy = make(p4, SteerPlan(z=z, n1=24, q0=q))
+        curve = deviation_tail(p4, start, strategy, z, 24, [q / 4], 200, 0)
+        assert (curve.tail[0] <= 0.5) == (q == q0)
+
+
+def test_steer_k_calibrates_a_boundary_target(p4_file, capsys):
+    # SteerExact refuses a target off the interior; SteerKTarget takes it
+    out = _steer_report(p4_file, capsys, "--target", "0.25,0.25,0.5", "--kind", "k", "--calibrate")
+    report = json.loads(out)
+    assert (report["kind"], report["target_config"], report["q0"]) == ("k", [6, 6, 12], 8)
+
+
+@pytest.mark.parametrize("kind", ["exact", "k"])
+def test_steer_checks_the_start_config(p4_file, capsys, kind):
+    code, out, err = run(
+        [
+            "steer", "--graph", p4_file, "--n", "100", "--n1", "20", "--config", "50,50",
+            "--runs", "2", "--kind", kind,
+        ],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", "error: expected 3 entries, got shape (2,)\n")
+    with pytest.raises(NegativeEntry, match="expected 3 entries"):
+        steering_report(path_graph(4), SteerPlan(z=[0.3, 0.3, 0.4], n1=20), [50, 50], 2, 0, kind)
+
+
 def test_steer_rejects_q0_with_calibrate(p4_file, tmp_path, capsys):
     out_path = tmp_path / "c.json"
     code, out, err = run(
@@ -865,6 +955,12 @@ def test_range_step_must_be_positive(p4_file, capsys, flag, grid):
     assert code == 2
     assert out == ""
     assert "range step" in err
+
+
+def test_parse_ints_ranges():
+    assert _parse_ints("3:6") == [3, 4, 5, 6]  # a two-part range steps by 1
+    with pytest.raises(DomainError, match="bad range '1:2:3:4'"):
+        _parse_ints("1:2:3:4")
 
 
 @pytest.mark.parametrize(

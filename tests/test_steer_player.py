@@ -6,7 +6,8 @@ final state, forfeit, deviation, hit and success must be what a loop over
 run in some case below: each case counts the branches it takes, through
 spies on the functions that each branch calls.  Traced Stage1Steer games
 ride in the same loop; each must be the game that a serial traced `play`
-gives.
+gives.  A move, serial or in lockstep, builds the kernel row of its drawn
+vertex alone.
 """
 
 from collections import Counter
@@ -19,7 +20,14 @@ from seqassign.errors import DomainError
 from seqassign.geometry import x_star
 from seqassign.graph import complete_graph, cycle_graph, path_graph, star_graph
 from seqassign.simulate import child_rng, deviation_tail, estimate, play, trace_diagnostics
-from seqassign.strategies import GreedyLargest, SteerExact, SteerPlan, Stage1Steer
+from seqassign.strategies import (
+    GreedyLargest,
+    OutwardSteer,
+    SteerExact,
+    SteerKTarget,
+    SteerPlan,
+    Stage1Steer,
+)
 from seqassign.values import round_to_config
 
 from conftest import lockstep_runs
@@ -274,3 +282,99 @@ def test_bad_traced_games_are_refused_before_any_play(monkeypatch):
     other = Stage1Steer(P4, [0.3, 0.3, 0.4])
     with pytest.raises(DomainError, match="toward the strategy's target"):
         deviation_tail(P4, start, strategy, z, 50, Q, 5, 1, traced=(other, 2, 3, 200))
+
+
+# --- drawn rows ----------------------------------------------------------------
+
+
+def _spy_flows(monkeypatch) -> list:
+    """The (point, vertex) of every flow that the strategies build, in order."""
+    flows = []
+    real = strategies.flow_rows
+
+    def spy(g, x, w=None, vertex=None):
+        flows.append((tuple(x), None if vertex is None else int(vertex)))
+        return real(g, x, w, vertex)
+
+    monkeypatch.setattr(strategies, "flow_rows", spy)
+    return flows
+
+
+def _confining(strategy) -> bool:
+    """Whether a flow built by the move just played is a confinement exit's."""
+    if isinstance(strategy, SteerKTarget):
+        return strategy.phase == "shifted"
+    if isinstance(strategy, SteerExact):
+        # a move that ends stage 1 plays the target kernel, built beforehand
+        return strategy._stage1.done
+    return False
+
+
+def _drawn_flows(g, start, strategy, seed, flows, limit=None):
+    """Play the game from child_rng(*seed) for `limit` steps and check each
+    move: it builds at most one kernel row, the drawn vertex's, and a whole
+    kernel only when SteerKTarget enters its shifted phase.  Returns the
+    drawn rows' flows and how many of them were confinement exits'."""
+    drawn, confined = [], 0
+    choose = strategy.choose
+
+    def checked(state, remaining, vertex, rng):
+        nonlocal confined
+        entering = getattr(strategy, "phase", None) == "approach"
+        del flows[:]
+        e = choose(state, remaining, vertex, rng)
+        whole = [f for f in flows if f[1] is None]
+        rows = [f for f in flows if f[1] is not None]
+        assert len(whole) == int(entering and strategy.phase == "shifted")
+        assert len(rows) <= 1 and all(v == vertex - 1 for _, v in rows)
+        drawn.extend(rows)
+        confined += len(rows) * _confining(strategy)
+        return e
+
+    strategy.choose = checked
+    play(g, start, strategy, child_rng(*seed), steps_limit=limit)
+    del strategy.choose
+    return drawn, confined
+
+
+# id: graph, strategy, start, games (seed pairs), and for SteerExact the
+# tail's target total, at which the lockstep runs stop
+DRAWN = {
+    "outward_p4": (P4, lambda: OutwardSteer(P4, 0.5), (39, 36, 45), [(0, 0), (0, 1)], None),
+    # a long shifted phase strays past radius d0 of the shifted line
+    "steer_k_c4": (
+        C4, lambda: SteerKTarget(C4, SteerPlan(z=(0.125, 0.125, 0.375, 0.375), n1=400)),
+        tuple(round_to_config(1600, x_star(C4))), [(5, 4)], None,
+    ),
+    "exact_p4_drift": (
+        P4, lambda: SteerExact(P4, SteerPlan(z=x_star(P4), n1=50)), (120, 136, 144),
+        [(0, i) for i in range(4)], 50,
+    ),
+    "exact_p4_confine_exits": (
+        P4, lambda: SteerExact(P4, SteerPlan(z=x_star(P4), n1=200)),
+        tuple(round_to_config(2000, x_star(P4))), [(1, 0), (1, 1)], 200,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRAWN))
+def test_moves_build_the_drawn_row_alone(case, monkeypatch):
+    g, make, start, seeds, n1 = DRAWN[case]
+    start = np.array(start)
+    total = int(start.sum())
+    strategy = make()
+    flows = _spy_flows(monkeypatch)
+    limit = None if n1 is None else total - n1
+    drawn, confined = [], 0
+    for seed in seeds:
+        game, exits = _drawn_flows(g, start, strategy, seed, flows, limit)
+        drawn += game
+        confined += exits
+    assert drawn
+    assert (confined > 0) == case.endswith(("c4", "confine_exits")), confined
+    if isinstance(strategy, SteerExact):
+        # the lockstep runs build the same rows, each for its run's drawn vertex
+        del flows[:]
+        (master,) = {seed for seed, _ in seeds}
+        deviation_tail(g, start, strategy, x_star(g), n1, Q, len(seeds), master)
+        assert Counter(flows) == Counter(drawn)

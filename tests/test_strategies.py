@@ -33,10 +33,12 @@ from seqassign.strategies import (
     _exit_rows,
     _flow_kernel,
     _kernel_points,
+    _norm,
     _steer_move,
     baseline_strategy,
     ode_trajectory,
     optimal_strategy,
+    steering_strategy,
 )
 from seqassign.values import compute_table, round_to_config
 
@@ -422,6 +424,34 @@ def test_kernel_points_add_each_row_as_a_vector(m):
         sums = np.array([np.add.reduce(row) for row in clipped])
         assert np.array_equal(np.add.reduce(clipped, axis=1), sums)
         assert np.array_equal(_kernel_points(rows), clipped / sums[:, None])
+
+
+@pytest.mark.parametrize("m", range(2, 41))
+def test_norm_is_numpys_bit_for_bit(m):
+    # every steering radius compares _norm; it must give np.linalg.norm's bits
+    rng = np.random.default_rng(m)
+    scales = 10.0 ** rng.uniform(-8, 4, (300, 1))
+    vectors = np.concatenate([
+        rng.normal(size=(200, m)) * scales[:200],
+        # differences of simplex points and count gaps, as the strategies form them
+        rng.dirichlet(np.ones(m), 50) - rng.dirichlet(np.ones(m), 50),
+        rng.integers(-40, 40, (50, m)) - 37.0 * rng.dirichlet(np.ones(m), 50),
+    ])
+    got = np.array([_norm(np.ascontiguousarray(x)) for x in vectors])
+    want = np.array([np.linalg.norm(np.ascontiguousarray(x)) for x in vectors])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the rows of a 2-D array, as the lockstep player takes them
+    assert np.array_equal(
+        np.array([_norm(row) for row in vectors]).view(np.uint64), want.view(np.uint64)
+    )
+
+
+def test_steering_strategy_maps_each_kind(p4):
+    plan = SteerPlan(z=x_star(p4), n1=20)
+    assert type(steering_strategy(p4, plan, "exact")) is SteerExact
+    assert type(steering_strategy(p4, plan, "k")) is SteerKTarget
+    with pytest.raises(DomainError, match="unknown steering kind"):
+        steering_strategy(p4, plan, "steer")
 
 
 # --- anywhere-in-region steering ---------------------------------------------------

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -14,6 +16,7 @@ from seqassign.errors import (
     DomainError,
     FormatMismatch,
     GraphHashMismatch,
+    IoFailure,
     LayerOutOfRange,
     MemoryBudgetExceeded,
     NegativeEntry,
@@ -56,6 +59,7 @@ from seqassign.values import (
     stream_bytes,
     stream_table,
     value_at,
+    values_at,
 )
 
 from conftest import exact_value, unrank_config
@@ -776,6 +780,58 @@ def test_partial_load_equals_full_load(tmp_path, keep):
                 part.layer(t)
     with pytest.raises(LayerOutOfRange):
         load_table(path, g, [13])
+
+
+def _cut_layers(table, exc):
+    """The table's layers up to layer 3, then the exception `exc`."""
+    yield from (table.layer(t) for t in range(4))
+    raise exc
+
+
+def test_write_cut_by_the_layers_removes_the_file(tmp_path, p4):
+    table, path = compute_table(p4, 6), tmp_path / "t.tbl"
+    layers = _cut_layers(table, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        values_module._write_table(path, p4, 6, table.weights, layers)
+    assert not path.exists()
+
+
+class _FullDisk(io.FileIO):
+    """A file whose writes fail once its header is written."""
+
+    def write(self, data):
+        if self.tell() >= 4:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(data)
+
+
+def test_write_failure_is_io_failure_and_leaves_no_file(tmp_path, p4, monkeypatch):
+    monkeypatch.setattr(values_module, "open", _FullDisk, raising=False)
+    path = tmp_path / "t.tbl"
+    with pytest.raises(IoFailure, match="No space left"):
+        save_table(compute_table(p4, 6), path)
+    assert not path.exists()
+
+
+def test_write_to_a_directory_is_io_failure(tmp_path, p4):
+    with pytest.raises(IoFailure):
+        save_table(compute_table(p4, 6), tmp_path)
+    assert tmp_path.is_dir()
+
+
+def test_values_at_checks_its_rows(p4):
+    table = compute_table(p4, 6)
+    assert values_at(table, [[1, 2, 3], [0, 0, 0]]).tolist() == [
+        value_at(table, [1, 2, 3]), value_at(table, [0, 0, 0])
+    ]
+    with pytest.raises(NegativeEntry, match="expected 3 entries a row"):
+        values_at(table, [[1, 2, 3, 0]])
+    with pytest.raises(NegativeEntry, match="expected 3 entries a row"):
+        values_at(table, [1, 2, 3])
+    with pytest.raises(NegativeEntry, match=r"config \[1, -1, 2\] has a negative entry"):
+        values_at(table, [[1, 2, 3], [1, -1, 2]])
+    with pytest.raises(LayerOutOfRange, match="total 7 exceeds n_max 6"):
+        values_at(table, [[1, 2, 3], [3, 2, 2]])
 
 
 def test_load_wrong_graph(tmp_path, p4, c4):
