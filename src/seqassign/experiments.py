@@ -40,6 +40,8 @@ SCAN_COLUMNS = ["n", "p", "log_p", "decay_bound"]
 CONJECTURE_COLUMNS = ["n", "j", "partial_sum", "target", "gap", "gap_symmetric"]
 WINDOW_COLUMNS = ["n", "A", "kind", "p_max", "empty", "gauss_ref"]
 
+_NORMAL = 2.0**-1022  # the least normal float64
+
 
 def check_phase_graph(g: Graph) -> None:
     """Raise DomainError unless g has the three edges a phase grid needs."""
@@ -78,8 +80,8 @@ def transition_scan(g: Graph, x, n_list, table: ValueTable, weights=None):
 
     For inaccessible points the rows carry the concentration bound
     exp(-n*eps^2/4) with eps the worst face deficit, and the summary fits the
-    slope of log p against n over the rows with p > 0 (slope, intercept and
-    r_squared are None with fewer than two of them); for interior points the
+    slope of log p against n over the rows with a normal p (slope, intercept
+    and r_squared are None with fewer than two of them); for interior points the
     summary reports the successive differences (an empirical convergence
     indicator) and the value at the largest n as the limit estimate.
     """
@@ -96,9 +98,10 @@ def transition_scan(g: Graph, x, n_list, table: ValueTable, weights=None):
         ps.append(p)
     summary: dict = {"class": region.kind.value, "n_list": list(n_list)}
     if region.kind is RegionKind.INACCESSIBLE:
-        # a p that underflows to 0 has no log to fit
-        ns = np.array([r[0] for r in rows if r[1] > 0], dtype=float)
-        logs = np.array([r[2] for r in rows if r[1] > 0])
+        # below the least normal float a p rounds to an absolute step, and
+        # one that underflows to 0 has no log: neither follows the decay
+        ns = np.array([r[0] for r in rows if r[1] >= _NORMAL], dtype=float)
+        logs = np.array([r[2] for r in rows if r[1] >= _NORMAL])
         fit = dict(slope=None, intercept=None, r_squared=None)
         if len(ns) >= 2:
             slope, intercept = np.polyfit(ns, logs, 1)
@@ -187,17 +190,16 @@ def calibrate_q0(
     g: Graph, z, n1: int, start_config, runs: int = 200, seed: int = 0, kind: str = "exact"
 ) -> int:
     """Double q0 from 2 until the measured deviation tail at q0/4 of the
-    steering strategy of `kind` drops to 1/2 on a calibration run."""
-    q0 = 2
-    while q0 <= 4096:
+    steering strategy of `kind` drops to 1/2 on a calibration run; a tail
+    still above 1/2 at q0 = 4096 is a DomainError."""
+    for q0 in (2**j for j in range(1, 13)):
         plan = SteerPlan(z=z, n1=n1, q0=q0)
         curve = deviation_tail(
             g, start_config, steering_strategy(g, plan, kind), z, n1, [q0 / 4.0], runs, seed
         )
         if curve.tail[0] <= 0.5:
             return q0
-        q0 *= 2
-    return q0
+    raise DomainError(f"calibration did not converge: the tail at q0 = {q0} is {curve.tail[0]}")
 
 
 def steering_report(

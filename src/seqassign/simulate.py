@@ -49,6 +49,7 @@ from .values import (
     DownSetTable,
     ValueTable,
     check_config,
+    check_held,
     downset_table,
     graph_hash,
     round_to_config,
@@ -355,9 +356,9 @@ def estimate(
         box = strategy.table
         if graph_hash(box.graph) != graph_hash(g) or not np.array_equal(box.weights, w):
             raise DomainError("the value table was built for another graph or vertex law")
+        check_held(box, config)
         if isinstance(box, ValueTable):
             # the table stays held while its box is built: one budget for both
-            check_config(g, config, box.n_max)
             held = sum(layer.nbytes for layer in box.layers if layer is not None)
             box = downset_table(g, config, w, max(DEFAULT_BUDGET - held, 0))
         successes = _box_wins(box, config, runs, master_seed, w)
@@ -387,7 +388,7 @@ def _box_wins(box: DownSetTable, start, runs: int, master_seed: int, w) -> int:
     cum_w = np.cumsum(w)
     k = np.int64(box.graph.k)  # the int32 indices of nxt scale to int64 positions
     nxt = box.nxt.ravel()
-    first = box.index(start)
+    first = int(start @ box.stride)
     wins = 0
     for lo in range(0, runs, _CHUNK):
         hi = min(lo + _CHUNK, runs)

@@ -48,6 +48,7 @@ recursion and accumulation order, and stores the optimal next state of every
 from __future__ import annotations
 
 import contextlib
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ from math import comb
 import numpy as np
 
 from .errors import (
+    DomainError,
     FormatMismatch,
     GraphHashMismatch,
     IoFailure,
@@ -174,12 +176,6 @@ def _unranker(total: int, m: int):
         return _configs(np.vstack([ranks - ends[j] + rows[0, j], rows[:, j]]), total)
 
     return unrank
-
-
-def compositions(total: int, m: int) -> np.ndarray:
-    """All configs of the given total as an (N, m) int64 array, row r having
-    rank r."""
-    return _configs(_layer_bars(total, m), total)
 
 
 def round_to_config(total: int, x) -> np.ndarray:
@@ -391,38 +387,54 @@ def _next_layer(g: Graph, w: np.ndarray, t: int, prev: np.ndarray, out: np.ndarr
         cand[0, 0] = cand[0, hi - lo]
 
 
-def check_config(g: Graph, cfg, n_max: int | None = None) -> np.ndarray:
+def check_config(g: Graph, cfg, n_max: int | None = None, rows: bool = False) -> np.ndarray:
     """A config as an int64 array: one non-negative count per edge, with a
-    total of at most n_max when n_max is given."""
+    total of at most n_max when n_max is given.  With rows, an (N, m) array
+    of such configs."""
     cfg = np.asarray(cfg, dtype=np.int64)
-    if cfg.shape != (g.m,):
-        raise NegativeEntry(f"expected {g.m} entries, got shape {cfg.shape}")
-    if np.any(cfg < 0):
-        raise NegativeEntry(f"config {cfg.tolist()} has a negative entry")
-    if n_max is not None and int(cfg.sum()) > n_max:
-        raise LayerOutOfRange(f"total {int(cfg.sum())} exceeds n_max {n_max}")
+    if cfg.shape[rows:] != (g.m,):
+        each = " a row" if rows else ""
+        raise DomainError(f"expected {g.m} entries{each}, got shape {cfg.shape}")
+    if cfg.min(initial=0) < 0:
+        bad = cfg[(cfg < 0).any(axis=-1)][0]
+        raise NegativeEntry(f"config {bad.tolist()} has a negative entry")
+    if n_max is not None:
+        total = int(cfg.sum(axis=-1, keepdims=True).max(initial=0))
+        if total > n_max:
+            raise LayerOutOfRange(f"total {total} exceeds n_max {n_max}")
     return cfg
 
 
+def check_held(t: ValueTable | DownSetTable, cfg) -> np.ndarray:
+    """check_config for a config that t holds: a total of at most n_max in
+    a table, and no count above top's in a box."""
+    if isinstance(t, ValueTable):
+        return check_config(t.graph, cfg, t.n_max)
+    cfg = check_config(t.graph, cfg)
+    if (cfg > t.top).any():
+        raise LayerOutOfRange(f"config {cfg.tolist()} is outside the box under {t.top.tolist()}")
+    return cfg
+
+
+def _slot(t: ValueTable | DownSetTable, cfg: list[int]) -> tuple[np.ndarray, int]:
+    """Where the value of a held config, given as a list of counts, sits:
+    the array that holds it and its index there, its rank in its layer of a
+    table or cfg @ stride in a box."""
+    if isinstance(t, ValueTable):
+        return t.layer(sum(cfg)), rank_config(cfg)
+    return t.values, sum(map(operator.mul, cfg, t.stride.tolist()))
+
+
 def value_at(t: ValueTable | DownSetTable, cfg) -> float:
-    if isinstance(t, DownSetTable):
-        return t.value_at(cfg)
-    cfg = check_config(t.graph, cfg, t.n_max)
-    return float(t.layer(int(cfg.sum()))[rank_config(cfg)])
+    values, i = _slot(t, check_held(t, cfg).tolist())
+    return float(values[i])
 
 
 def values_at(t: ValueTable, cfgs) -> np.ndarray:
     """value_at for every row of an (N, m) config array, with one
     vectorised rank per layer."""
-    cfgs = np.asarray(cfgs, dtype=np.int64)
-    if cfgs.ndim != 2 or cfgs.shape[1] != t.graph.m:
-        raise NegativeEntry(f"expected {t.graph.m} entries a row, got shape {cfgs.shape}")
-    negative = np.flatnonzero(np.any(cfgs < 0, axis=1))
-    if negative.size:
-        raise NegativeEntry(f"config {cfgs[negative[0]].tolist()} has a negative entry")
+    cfgs = check_config(t.graph, cfgs, t.n_max, rows=True)
     totals = cfgs.sum(axis=1)
-    if len(totals) and int(totals.max()) > t.n_max:
-        raise LayerOutOfRange(f"total {int(totals.max())} exceeds n_max {t.n_max}")
     values = np.empty(len(cfgs))
     for total in np.unique(totals):
         at = totals == total
@@ -433,25 +445,23 @@ def values_at(t: ValueTable, cfgs) -> np.ndarray:
 def optimal_move(t: ValueTable | DownSetTable, cfg, v: int) -> int:
     """Best edge for the drawn vertex (the first in incidence order among
     those of largest value), or LOSS when no incident edge has positive
-    capacity."""
-    if isinstance(t, DownSetTable):
-        return t.optimal_move(cfg, v)
-    cfg = check_config(t.graph, cfg, t.n_max)
-    total = int(cfg.sum())
-    if total < 1:
+    capacity.  Each child is read at its own slot, its counts those of cfg
+    lowered on its edge in place and then restored: in a table at its rank
+    in the layer below, in a box at cfg's index minus stride[e]."""
+    cfg = check_held(t, cfg).tolist()
+    if not any(cfg):
         raise LayerOutOfRange("no move from the empty config")
-    prev = t.layer(total - 1)
     best_edge = LOSS
     best_val = -1.0
     for e in t.graph.incidence[v - 1]:
-        if cfg[e] <= 0:
-            continue
-        child = cfg.copy()
-        child[e] -= 1
-        val = float(prev[rank_config(child)])
-        if val > best_val:
-            best_val = val
-            best_edge = e
+        if cfg[e] > 0:
+            cfg[e] -= 1
+            values, i = _slot(t, cfg)
+            cfg[e] += 1
+            val = values[i]
+            if val > best_val:
+                best_val = val
+                best_edge = e
     return best_edge
 
 
@@ -513,7 +523,8 @@ class DownSetTable:
     full table's.  nxt[i, v - 1] is the state optimal play moves to when
     vertex v is drawn at state i: the child through the first incident edge,
     in incidence order, of largest value, or the sink row `dead` when no
-    incident edge is positive.  The sink row maps to itself.
+    incident edge is positive.  The sink row maps to itself.  value_at and
+    optimal_move read only values; nxt serves the batched walk.
     """
 
     graph: Graph
@@ -526,29 +537,6 @@ class DownSetTable:
     @property
     def dead(self) -> int:
         return len(self.values)
-
-    def index(self, cfg) -> int:
-        cfg = check_config(self.graph, cfg)
-        if np.any(cfg > self.top):
-            raise LayerOutOfRange(
-                f"config {cfg.tolist()} is outside the box under {self.top.tolist()}"
-            )
-        return int(cfg @ self.stride)
-
-    def value_at(self, cfg) -> float:
-        return float(self.values[self.index(cfg)])
-
-    def optimal_move(self, cfg, v: int) -> int:
-        """The edge nxt moves along, or LOSS.  Two edges positive at one
-        state have different strides, so the index step names the edge."""
-        i = self.index(cfg)
-        if i == 0:
-            raise LayerOutOfRange("no move from the empty config")
-        step = i - int(self.nxt[i, v - 1])
-        for e in self.graph.incidence[v - 1]:
-            if cfg[e] > 0 and self.stride[e] == step:
-                return e
-        return LOSS
 
 
 def downset_bytes(k: int, m: int, top) -> int:

@@ -12,7 +12,7 @@ from seqassign.graph import (
     star_graph,
 )
 from seqassign.simulate import _play_chunks
-from seqassign.values import compute_table
+from seqassign.values import _configs, _layer_bars, compute_table
 
 
 @pytest.fixture(scope="session")
@@ -106,6 +106,12 @@ def _exact(g, cfg, weights, memo) -> Fraction:
         total += weights[v - 1] * (best if found else Fraction(0))
     memo[cfg] = total
     return total
+
+
+def compositions(total: int, m: int) -> np.ndarray:
+    """All configs of the given total as an (N, m) int64 array, row r having
+    rank r."""
+    return _configs(_layer_bars(total, m), total)
 
 
 def unrank_config(r: int, total: int, m: int) -> tuple[int, ...]:

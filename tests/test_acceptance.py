@@ -35,7 +35,6 @@ from seqassign.strategies import (
 )
 from seqassign.values import (
     argmax_config,
-    compositions,
     compute_table,
     layer_size,
     rank_config,
@@ -45,7 +44,7 @@ from seqassign.values import (
     value_at,
 )
 
-from conftest import brute_force, exact_step_mean, unrank_config
+from conftest import brute_force, compositions, exact_step_mean, unrank_config
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -13,7 +13,7 @@ from seqassign.experiments import (
     a_star,
     steering_report,
 )
-from seqassign.errors import DomainError, NegativeEntry, SeqAssignError
+from seqassign.errors import DomainError, SeqAssignError
 from seqassign.graph import (
     complete_graph,
     cycle_graph,
@@ -282,6 +282,29 @@ def test_scan_fits_only_the_rows_it_can_log(p4_file, tmp_path, capsys):
     assert out.endswith('"r_squared": null, "slope": null}\n')
     summary = json.loads(out)
     assert summary["intercept"] is None and summary["deficit"] == 0.5
+
+
+def test_scan_fits_only_the_rows_with_a_normal_p(tmp_path, capsys):
+    # on the two-edge path p = (2/3)^n; it is subnormal from n = 1800 on and
+    # stays at 1e-323 past n = 1900, below (2/3)^n
+    graph = tmp_path / "p3.txt"
+    graph.write_text(format_graph_text(path_graph(3)))
+    code, out, err = run(
+        [
+            "scan", "--graph", str(graph), "--point", "1,0",
+            "--n-list", "1000,1500,1700,1800,1900,2000", "--format", "json",
+        ],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    ps = [row[1] for row in report["rows"]]
+    assert ps[3] < 2.0**-1022 and ps[4:] == [1e-323, 1e-323]
+    logs = [row[2] for row in report["rows"][:3]]
+    slope, intercept = np.polyfit([1000.0, 1500.0, 1700.0], logs, 1)
+    summary = report["summary"]
+    assert (summary["slope"], summary["intercept"]) == (float(slope), float(intercept))
+    assert abs(summary["slope"] - np.log(2 / 3)) < 1e-9
 
 
 def test_scan_fits_the_rows_with_p_above_zero(p4_file, tmp_path, capsys):
@@ -741,8 +764,56 @@ def test_steer_checks_the_start_config(p4_file, capsys, kind):
         capsys,
     )
     assert (code, out, err) == (2, "", "error: expected 3 entries, got shape (2,)\n")
-    with pytest.raises(NegativeEntry, match="expected 3 entries"):
+    with pytest.raises(DomainError, match="expected 3 entries"):
         steering_report(path_graph(4), SteerPlan(z=[0.3, 0.3, 0.4], n1=20), [50, 50], 2, 0, kind)
+
+
+def test_calibrate_that_never_converges_is_an_input_error(p4_file, capsys):
+    # vertex 1's one edge is empty, so every run is lost within a few draws:
+    # no q0 up to 4096 brings the tail down, and none past it is measured
+    code, out, err = run(
+        [
+            "steer", "--graph", p4_file, "--n", "6000", "--n1", "40",
+            "--config", "0,3000,3000", "--runs", "5", "--calibrate",
+        ],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: calibration did not converge: the tail at q0 = 4096 is 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["value", "table", "--n", "5"], "value table needs --n and --cache"),
+        (["value", "at"], "value at needs --config"),
+        (["value", "argmax"], "value argmax needs --n"),
+        (
+            ["simulate", "--config", "3,3,3", "--strategy", "best", "--runs", "2"],
+            "unknown strategy 'best'",
+        ),
+        (["steer", "--n", "40", "--n1", "0", "--runs", "2"], "target total must be positive"),
+        (
+            [
+                "steer", "--n", "40", "--n1", "10", "--target", "0.25,0.25,0.5",
+                "--kind", "exact", "--runs", "2",
+            ],
+            "steering target must be interior",
+        ),
+        (["value", "at", "--config", "1,1"], "expected 3 entries, got shape (2,)"),
+    ],
+    ids=["table-cache", "at-config", "argmax-n", "strategy", "n1-zero", "target-boundary", "width"],
+)
+def test_input_errors_exit_2(p4_file, capsys, argv, message):
+    code, out, err = run([*argv, "--graph", p4_file], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_graph_file_with_a_non_integer_vertex(tmp_path, capsys):
+    graph = tmp_path / "bad.txt"
+    graph.write_text("vertices 4\n1 2\n2 x\n3 4\n")
+    code, out, err = run(["value", "at", "--graph", str(graph), "--config", "1,1,1"], capsys)
+    assert (code, out, err) == (2, "", "error: non-integer vertex in '2 x'\n")
 
 
 def test_steer_rejects_q0_with_calibrate(p4_file, tmp_path, capsys):

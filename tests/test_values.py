@@ -43,7 +43,6 @@ from seqassign.values import (
     _unranker,
     active_faces,
     argmax_config,
-    compositions,
     compute_table,
     downset_bytes,
     downset_table,
@@ -62,7 +61,7 @@ from seqassign.values import (
     values_at,
 )
 
-from conftest import exact_value, unrank_config
+from conftest import compositions, exact_value, unrank_config
 
 
 # --- ranking ------------------------------------------------------------------
@@ -678,32 +677,40 @@ def test_downset_matches_exact_values(p4, c4):
         box = downset_table(g, top)
         memo = {}
         for cfg in box_configs(top):
-            assert box.value_at(cfg) == pytest.approx(
+            assert value_at(box, cfg) == pytest.approx(
                 float(exact_value(g, cfg, _memo=memo)), abs=1e-14
             )
 
 
-def test_downset_optimal_move_matches_table(k4, p4):
+def test_downset_optimal_move_matches_table(k4, p4, c4, k13):
     # K4 under the uniform law has many ties between edges
-    for g, top in ((k4, (2, 1, 2, 1, 2, 1)), (p4, (5, 3, 4))):
-        box = downset_table(g, top)
-        full = compute_table(g, sum(top))
+    cases = [
+        (k4, (2, 1, 2, 1, 2, 1), None),
+        (p4, (5, 3, 4), None),
+        (c4, (3, 2, 3, 2), None),
+        (k13, (4, 3, 5), None),
+        (p4, (5, 4, 6), [0.1, 0.2, 0.3, 0.4]),
+    ]
+    for g, top, weights in cases:
+        box = downset_table(g, top, weights)
+        full = compute_table(g, sum(top), weights)
         for cfg in box_configs(top):
             if not any(cfg):
                 continue
-            i = box.index(cfg)
+            i = int(np.dot(cfg, box.stride))
             for v in range(1, g.k + 1):
-                e = box.optimal_move(cfg, v)
-                assert e == optimal_move(full, cfg, v) == optimal_move(box, cfg, v)
+                e = optimal_move(box, cfg, v)
+                assert e == optimal_move(full, cfg, v)
+                # the stored policy moves along the same edge
                 want = box.dead if e == LOSS else i - box.stride[e]
                 assert box.nxt[i, v - 1] == want
 
 
 def test_downset_rejects_configs_outside_the_box(p4):
     box = downset_table(p4, (3, 2, 3))
-    assert value_at(box, (3, 2, 3)) == box.value_at((3, 2, 3))
+    assert value_at(box, (3, 2, 3)) == box.values[-1]
     with pytest.raises(LayerOutOfRange):
-        box.value_at((0, 3, 0))
+        value_at(box, (0, 3, 0))
     with pytest.raises(LayerOutOfRange):
         optimal_move(box, (4, 0, 0), 1)
     with pytest.raises(NegativeEntry):
@@ -718,7 +725,7 @@ def test_downset_budget_one_byte_short(k4):
     with pytest.raises(MemoryBudgetExceeded) as exc:
         downset_table(k4, top, memory_budget=need - 1)
     assert exc.value.required_bytes == need
-    assert downset_table(k4, top, memory_budget=need).value_at(top) > 0.0
+    assert value_at(downset_table(k4, top, memory_budget=need), top) > 0.0
 
 
 def test_default_budget_keeps_box_indices_in_int32():
@@ -824,9 +831,9 @@ def test_values_at_checks_its_rows(p4):
     assert values_at(table, [[1, 2, 3], [0, 0, 0]]).tolist() == [
         value_at(table, [1, 2, 3]), value_at(table, [0, 0, 0])
     ]
-    with pytest.raises(NegativeEntry, match="expected 3 entries a row"):
+    with pytest.raises(DomainError, match="expected 3 entries a row"):
         values_at(table, [[1, 2, 3, 0]])
-    with pytest.raises(NegativeEntry, match="expected 3 entries a row"):
+    with pytest.raises(DomainError, match="expected 3 entries a row"):
         values_at(table, [1, 2, 3])
     with pytest.raises(NegativeEntry, match=r"config \[1, -1, 2\] has a negative entry"):
         values_at(table, [[1, 2, 3], [1, -1, 2]])
@@ -856,6 +863,37 @@ def test_load_bad_magic(tmp_path, p4):
     path = tmp_path / "junk.tbl"
     path.write_bytes(b"NOPE" + bytes(64))
     with pytest.raises(FormatMismatch):
+        load_table(path, p4)
+
+
+def test_load_unsupported_version(tmp_path, p4):
+    path = tmp_path / "p4.tbl"
+    save_table(compute_table(p4, 5), path)
+    data = bytearray(path.read_bytes())
+    data[4:8] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatMismatch, match="unsupported format version 2"):
+        load_table(path, p4)
+
+
+@pytest.mark.parametrize("name", [None, "missing.tbl"], ids=["directory", "missing"])
+def test_load_from_a_path_that_is_no_file_is_io_failure(tmp_path, p4, name):
+    with pytest.raises(IoFailure):
+        load_table(tmp_path if name is None else tmp_path / name, p4)
+
+
+def test_load_refuses_a_file_that_shrinks_while_read(tmp_path, p4, monkeypatch):
+    path = tmp_path / "p4.tbl"
+    save_table(compute_table(p4, 5), path)
+
+    class Shrinking(io.FileIO):
+        # unbuffered: another writer cuts 8 bytes off the end before each read
+        def readinto(self, buffer):
+            os.truncate(path, path.stat().st_size - 8)
+            return super().readinto(buffer)
+
+    monkeypatch.setattr(values_module, "open", Shrinking, raising=False)
+    with pytest.raises(FormatMismatch, match="file shrank while it was read"):
         load_table(path, p4)
 
 
