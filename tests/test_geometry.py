@@ -13,6 +13,7 @@ from seqassign.geometry import (
     _vertex_set_distance,
     all_slacks,
     boundary_distance,
+    check_simplex,
     classify_point,
     clip_to_region,
     face_scale,
@@ -112,6 +113,31 @@ def test_non_finite_input_is_outside_simplex(p4, bad):
         membership_flow(p4, [bad, 0.5, 0.5])
     with pytest.raises(OutsideSimplex):
         classify_point(p4, x_star(p4), [bad, 0.25, 0.25, 0.25])
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        # a NaN entry is reported by the minimum when some entry is negative
+        ([math.nan, -1.0, 2.0], "negative entry nan"),
+        ([math.nan, 0.5, 0.5], "entries sum to nan, not 1"),
+        ([math.inf, -math.inf, 1.0], "negative entry -inf"),
+        ([0.5, 0.5], "expected 3 entries, got shape (2,)"),
+        ([[0.5, 0.25, 0.25]], "expected 3 entries, got shape (1, 3)"),
+        ([0.5, 0.25, 0.25 + 2e-9], "entries sum to 1.000000002, not 1"),
+        ([0.5, 0.25, 0.25 - 2e-9], "entries sum to 0.9999999980000001, not 1"),
+    ],
+)
+def test_check_simplex_messages(p4, x, message):
+    with pytest.raises(OutsideSimplex) as err:
+        check_simplex(p4, x)
+    assert str(err.value) == message
+
+
+def test_check_simplex_passes_points_within_tolerance(p4):
+    for x in ([0.5, 0.25, 0.25 + 5e-10], [0.5 + 5e-10, -5e-10, 0.5]):
+        got = check_simplex(p4, x)
+        assert got.dtype == float and np.array_equal(got, x)
 
 
 def test_classify_weighted_vertex_law(p4):
@@ -500,6 +526,14 @@ def test_all_slacks_matches_scalar(g, weights):
         assert vec[F - 1] == pytest.approx(slack(g, F, x, weights), abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "weights", [[0.5, 0.5, 0.5, -0.5], [0.25] * 3, [0.3, 0.3, 0.3, 0.3], [math.nan, 0.5, 0.25, 0.25]]
+)
+def test_all_slacks_rejects_a_bad_law(p4, weights):
+    with pytest.raises(OutsideSimplex):
+        all_slacks(p4, x_star(p4), weights)
+
+
 def test_min_slack_and_ray_exit_match_scalar_loop():
     # first minimising subset in bitmask order, from a loop over slack()
     from seqassign.geometry import slack
@@ -702,6 +736,93 @@ def test_family_boundary_distance_matches_fold(g, weights):
         if g.m == 3:
             assert got == want, x
         assert abs(got - want) <= 2.2e-16, x
+
+
+def bipartite_graph(a, b):
+    return build_graph(a + b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)])
+
+
+def wheel_graph(spokes):
+    """The hub 1 joined to a cycle 2..spokes+1."""
+    rim = list(range(2, spokes + 2))
+    return build_graph(spokes + 1, [(1, v) for v in rim] + list(zip(rim, rim[1:] + rim[:1])))
+
+
+def grid_graph(rows, cols):
+    def v(i, j):
+        return i * cols + j + 1
+
+    pairs = [(v(i, j), v(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    pairs += [(v(i, j), v(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return build_graph(rows * cols, pairs)
+
+
+FOLD_GRAPHS = {
+    "K5": complete_graph(5),
+    "K3,3": bipartite_graph(3, 3),
+    "K3,4": bipartite_graph(3, 4),
+    "W6": wheel_graph(6),
+    "grid3x3": grid_graph(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(FOLD_GRAPHS))
+def test_boundary_distance_paths_agree_bit_for_bit(name):
+    # on graphs where either path is cheap enough to run, the fold and the
+    # vertex-set scan give the same float, so the choice between them is
+    # a matter of cost alone
+    g = FOLD_GRAPHS[name]
+    c = _constraints(g, _law(g, None))
+    xs = x_star(g)
+    rng = np.random.default_rng(g.m + 29)
+    dirichlet = list(rng.dirichlet(np.ones(g.m), 40))
+    exits = [ray_exit(g, xs, x - xs)[0] for x in dirichlet[:20]]
+    zeros = []
+    for x in rng.dirichlet(np.ones(g.m), 20):
+        x[rng.choice(g.m, size=rng.integers(1, 3), replace=False)] = 0.0
+        zeros.append(x / x.sum())
+    for x in dirichlet + exits + zeros:
+        want = fold_distance(g, x)
+        assert boundary_distance(g, x) == want, x
+        assert _vertex_set_distance(g, c, x) == want, x
+
+
+@pytest.mark.parametrize(
+    "g, fold",
+    [
+        (complete_graph(5), True),  # 2^10 subsets, 3.9x the scan's entries
+        (grid_graph(3, 3), True),
+        (complete_graph(6), False),
+        (wheel_graph(7), False),  # 2^14 subsets, 6.6x the entries
+        (wheel_graph(8), False),  # 2^16 subsets, 11.9x the entries
+        (complete_graph(7), False),
+        (grid_graph(3, 5), False),  # 2^22 subsets, 15.9x the entries
+    ],
+    ids=["K5", "grid3x3", "K6", "W7", "W8", "K7", "grid3x5"],
+)
+def test_boundary_distance_path_choice(monkeypatch, g, fold):
+    from seqassign import geometry
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _vertex_set_distance(*args)
+
+    monkeypatch.setattr(geometry, "_vertex_set_distance", spy)
+    assert boundary_distance(g, x_star(g)) > 0
+    assert len(calls) == (0 if fold else 1)
+
+
+def test_x_star_slacks_are_cached_read_only():
+    from seqassign.geometry import _x_star_slacks
+
+    g = complete_graph(5)
+    s = _x_star_slacks(g)
+    assert s is _x_star_slacks(g)
+    assert np.array_equal(s, _constraints(g, _law(g, None)).slacks(x_star(g)))
+    with pytest.raises(ValueError):
+        s[0] = 0.0
 
 
 def test_family_sizes():
