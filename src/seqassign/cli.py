@@ -36,6 +36,7 @@ from .geometry import (
 from .graph import Graph, load_graph
 from .simulate import estimate
 from .strategies import (
+    DEFAULT_Q0,
     OutwardSteer,
     SteerPlan,
     baseline_strategy,
@@ -55,7 +56,6 @@ from .values import (
 
 DEFAULT_SEED = 0
 DEFAULT_RUNS = 1000
-DEFAULT_Q0 = 8
 REPORT = ("json",)  # the --format of a command that writes one JSON report
 
 

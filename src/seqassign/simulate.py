@@ -446,11 +446,13 @@ def _lockstep(g: Graph, start, groups, w) -> list:
     run i ends as play(g, start, strategy, child_rng(master_seed, i), w,
     steps, trace) does.  Every run draws one vertex uniform a step, and a
     steering run one kernel uniform more while the remaining total is above
-    its group's finishing cut (SteerExact's; Stage1Steer has none, and
-    greedy finishes from the first step), so each group reads one column of
-    its own streams a draw, until every run has stopped.  Returns, per
-    group, the final states (n, m), the forfeit flags and, when traced, the
-    GameResults (else None)."""
+    its group's finishing cut (the strategy's `finish_cut`, 0 for a bare
+    Stage1Steer; greedy finishes from the first step), so each group reads
+    one column of its own streams a draw, until every run has stopped.
+    Every steering group is read through the same fields: eps0, d0,
+    finish_cut, target and done.  Returns, per group, the final states
+    (n, m), the forfeit flags and, when traced, the GameResults (else
+    None)."""
     total, m = int(start.sum()), g.m
     cum_w, incidence = np.cumsum(w), _incidence_rows(g)
     rows = sum(hi - lo for _, _, lo, hi, _, _ in groups)
@@ -467,25 +469,16 @@ def _lockstep(g: Graph, start, groups, w) -> list:
         # the empty config is won before any move
         if total and not isinstance(strategy, GreedyLargest):
             strategy.reset(g, start.copy(), total)
-            stage1, cut = strategy, 0
-            if isinstance(strategy, SteerExact):
-                stage1, target = strategy._stage1, np.append(strategy.target, 0)
-                cut, d0[a:b] = strategy.finish_cut, strategy.d0
-            eps0[a:b], drifting[a:b] = stage1.eps0, not stage1.done
-            moves = moves or _kernel_mover(g, stage1)
+            cut, eps0[a:b], d0[a:b] = strategy.finish_cut, strategy.eps0, strategy.d0
+            drifting[a:b] = not strategy.done
+            if strategy.target is not None:
+                target = np.append(strategy.target, 0)
+            moves = moves or _kernel_mover(g, strategy)
         steps, cuts[a:b] = min(steps, total), cut
         record = np.zeros((2, b - a, steps), dtype=np.int64) if trace else None
         plays.append((_uniform_columns(seed, lo, hi), a, b, steps, cut, record))
         a = b
-    buffers = np.empty((2, rows))
-
-    def read(draws, buffer, a, b):
-        # a group that holds every row is read in place, with no copy
-        if b - a == rows:
-            return next(draws)
-        buffer[a:b] = next(draws)
-        return buffer
-
+    columns, uniforms = np.empty((2, rows))  # each group's draws in its own rows
     live = np.arange(rows)  # the runs still playing
     for t in range(max(steps for _, _, _, steps, _, _ in plays)):
         ahead = False  # some group draws from a kernel
@@ -493,10 +486,10 @@ def _lockstep(g: Graph, start, groups, w) -> list:
             if t == steps:
                 live = live[(live < a) | (live >= b)]
             elif t < steps:
-                column = read(draws, buffers[0], a, b)
+                columns[a:b] = next(draws)
                 if cut < total - t:
-                    uniforms, ahead = read(draws, buffers[1], a, b), True
-        v = _draw_vertices(cum_w, column.take(live))
+                    uniforms[a:b], ahead = next(draws), True
+        v = _draw_vertices(cum_w, columns.take(live))
         if not ahead:
             e = _legal_moves(incidence, state, live, v, target)
         else:
@@ -561,7 +554,7 @@ def _kernel_mover(g: Graph, stage1: Stage1Steer):
     a step: `moves(s, v, u, r, drift, eps0, d0)` takes their counts s, drawn
     vertices v (0-based), kernel uniforms u, the remaining total r, their
     stage-1 flags `drift`, which it clears for the runs whose stage 1 ends,
-    and their stage-1 and confinement radii eps0 and d0 (inf for a
+    and their stage-1 and confinement radii eps0 and d0 (inf for a bare
     Stage1Steer, which plays the target kernel once its stage 1 ends).
     Shared and elementwise work is done on (runs, m) arrays; the flows, the
     draws from their kernel rows and the norms stay per run, so every bit
@@ -651,9 +644,10 @@ def deviation_tail(
     w = _vertex_law(g, strategy, weights)
     if traced is not None:
         stage1, seed, count, limit = traced
-        if not isinstance(stage1, Stage1Steer) or count < 1 or limit < 0:
+        # the drift stage alone: a SteerExact would confine and finish
+        if type(stage1) is not Stage1Steer or count < 1 or limit < 0:
             raise ValueError("traced games need a Stage1Steer, a count >= 1 and a limit >= 0")
-        if isinstance(strategy, SteerExact) and not np.array_equal(strategy._stage1.z, stage1.z):
+        if isinstance(strategy, SteerExact) and not np.array_equal(strategy.z, stage1.z):
             raise DomainError("traced games must steer toward the strategy's target")
         traced = (stage1, _check_seed(seed), count, limit)
         _vertex_law(g, stage1, weights)

@@ -248,6 +248,9 @@ def _confinement(point: np.ndarray, delta: float) -> tuple[float, int]:
 
 # --- steering plans ------------------------------------------------------------
 
+# the finishing-window unit of a plan that names none
+DEFAULT_Q0 = 8
+
 
 @dataclass
 class SteerPlan:
@@ -260,7 +263,7 @@ class SteerPlan:
 
     z: np.ndarray
     n1: int
-    q0: int = 8
+    q0: int = DEFAULT_Q0
     target_config: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -288,11 +291,17 @@ class Stage1Steer(Strategy):
     fixed ray direction, playing kernels of the ray's boundary exit point.
 
     The stage ends once the normalized state is within eps0 of the target;
-    afterwards the target's own kernel is played (drift neutral).
+    the move that ends it plays the target's own kernel (drift neutral), and
+    every later one a confinement move about the line r*z with radius d0.
+    With the class defaults, no confinement radius and no finishing window,
+    that is the target kernel to the end.
     """
 
     name = "stage1"
     uniform_law_only = True
+    d0 = math.inf
+    finish_cut = 0
+    target = None
 
     def __init__(self, g: Graph, z, eps0: float | None = None):
         self.g = g
@@ -312,52 +321,38 @@ class Stage1Steer(Strategy):
         gap = x0 - self.z
         norm = _norm(gap)
         self.u = gap / norm if norm > 0 else None
-        self.done = norm <= self.eps0
+        self.done = self.u is None or norm <= self.eps0
 
     def current_exit(self, x: np.ndarray) -> np.ndarray:
         """Boundary point ahead of x along the stage direction."""
         return _exit_point(self.g, x, self.u, fallback=x)
 
     def choose(self, state, remaining, vertex, rng) -> int:
-        x = np.asarray(state, float) / remaining
-        if not self.done and (self.u is None or _norm(x - self.z) <= self.eps0):
-            self.done = True
-        y = None if self.done else self.current_exit(x)
-        return _steer_move(self.g, y, self._z_kernel, state, vertex, rng)
+        if remaining <= self.finish_cut:
+            return _legal_move(self.g, state, vertex, excess=np.asarray(state) - self.target)
+        if not self.done:
+            x = np.asarray(state, float) / remaining
+            self.done = _norm(x - self.z) <= self.eps0
+            y = None if self.done else self.current_exit(x)
+            return _steer_move(self.g, y, self._z_kernel, state, vertex, rng)
+        return _confine_move(self.g, self.z, self.d0, self._z_kernel, remaining, state, vertex, rng)
 
 
-class SteerExact(Strategy):
+class SteerExact(Stage1Steer):
     """Three-stage steering toward an integer target config at a target total:
     ray drift, confinement, then a greedy finishing window that removes the
     componentwise excess (largest excess first, only edges above target).
 
-    The drift stage is a Stage1Steer; the confinement moves share its target
-    kernel, so the target is classified, measured and given a kernel once."""
+    It is the Stage1Steer toward the plan's target with the plan's switch
+    radius eps0, confinement radius d0 and finishing window."""
 
     name = "steer"
-    uniform_law_only = True
 
     def __init__(self, g: Graph, plan: SteerPlan):
-        self.plan = plan
         self.d0, eps0, M = plan.resolved(g)
-        self._stage1 = Stage1Steer(g, plan.z, eps0=eps0)
-        self.g = g
+        super().__init__(g, plan.z, eps0=eps0)
         self.finish_cut = plan.n1 + M * plan.q0
-
-    def reset(self, graph, config, total):
-        self._stage1.reset(graph, config, total)
-        self.target = self.plan.target_config
-
-    def choose(self, state, remaining, vertex, rng) -> int:
-        if remaining <= self.finish_cut:
-            excess = np.asarray(state) - self.target
-            return _legal_move(self.g, state, vertex, excess=excess)
-        stage1 = self._stage1
-        if not stage1.done:
-            return stage1.choose(state, remaining, vertex, rng)
-        return _confine_move(
-            self.g, stage1.z, self.d0, stage1._z_kernel, remaining, state, vertex, rng
-        )
+        self.target = plan.target_config
 
 
 class SteerKTarget(Strategy):
@@ -517,9 +512,7 @@ def ode_trajectory(g: Graph, x0, target=None, dt: float = 1e-3, T: float = 10.0,
             break
         if control is not None:
             u = np.asarray(control(x), dtype=float)
-        elif min_slack(g, x)[0] < 0:
-            u = clip_to_region(g, x)
-        elif target is None:
+        elif target is None or min_slack(g, x)[0] < 0:
             u = clip_to_region(g, x)
         else:
             direction = x - target

@@ -3,13 +3,16 @@ for float64 cells, str for int64 cells, and a writer that builds every cell
 as a Python string (CSV) or the whole payload with one json.dumps (JSON)
 for the block writer of seqassign.cli."""
 
+import io
 import json
+import re
 
 import numpy as np
 import pytest
 
 import seqassign.cli as cli
 from seqassign import _fmt
+from seqassign.errors import SeqAssignError
 from seqassign.graph import path_graph
 from seqassign.values import rank_config, rank_configs, stream_table, value_at, values_at
 
@@ -183,6 +186,20 @@ def test_json_rows_read_in_pieces(piece, tmp_path, monkeypatch):
     with open(path, encoding="utf-8") as fh:
         rows = [row for piece in cli._json_rows(fh) for row in piece]
     assert rows == [f"{a}, {b!r}" for a, b in zip(range(40), (np.arange(40) / 3.0).tolist())]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 3, "rows": []}', 'no "rows": [[ in the JSON table'),
+        ('{"rows": [[1, 2], [3, 4', "the JSON rows array does not end"),
+    ],
+)
+def test_json_rows_refuse_text_with_no_rows_array_or_no_end(text, message, monkeypatch):
+    monkeypatch.setattr(cli, "_JSON_PIECE", 4)
+    with pytest.raises(SeqAssignError, match=re.escape(message)):
+        for _ in cli._json_rows(io.StringIO(text)):
+            pass
 
 
 def test_every_100th_row_across_pieces():

@@ -572,6 +572,7 @@ def test_subset_cap_raises_before_enumerating():
         lambda: ray_exit(g, x, d),
         lambda: clip_to_region(g, x),
         lambda: min_slack(g, x),
+        lambda: all_slacks(g, x),
     ]
     tracemalloc.start()
     try:

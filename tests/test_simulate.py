@@ -292,7 +292,10 @@ def test_no_runs_rejected_before_any_play(p4, monkeypatch, runs):
     from seqassign.experiments import steering_report
 
     monkeypatch.setattr(simulate, "play", _no_play)
+    monkeypatch.setattr(simulate, "_play_chunks", _no_play)
     xs = x_star(p4)
+    with pytest.raises(ValueError, match="need at least one run"):
+        estimate(p4, [2, 2, 2], GreedyLargest(), runs, 1)
     with pytest.raises(ValueError, match="need at least one run"):
         deviation_tail(p4, [2, 2, 2], GreedyLargest(), xs, 2, [0, 1], runs, 1)
     with pytest.raises(ValueError, match="need at least one run"):

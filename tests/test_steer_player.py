@@ -148,7 +148,7 @@ def test_player_matches_serial_loop(case, monkeypatch):
     if "drift" in branches:  # some exits were settled in the batch
         assert seen["drift"] > seen["exit_fallback"], seen
     if case == "p4_at_target":
-        assert strategy._stage1.u is None and seen["drift"] == 0
+        assert strategy.u is None and seen["drift"] == 0
 
 
 def test_lockstep_stops_once_every_run_has_stopped(monkeypatch):
@@ -306,7 +306,7 @@ def _confining(strategy) -> bool:
         return strategy.phase == "shifted"
     if isinstance(strategy, SteerExact):
         # a move that ends stage 1 plays the target kernel, built beforehand
-        return strategy._stage1.done
+        return strategy.done
     return False
 
 

@@ -625,6 +625,27 @@ def test_ode_step_too_large(p4):
         ode_trajectory(p4, np.array([0.2, 0.3, 0.5]), target=xs, dt=50.0, T=100.0)
 
 
+@pytest.mark.parametrize("dt, T", [(0.0, 1.0), (0.01, -1.0)])
+def test_ode_refuses_a_step_or_horizon_that_is_not_positive(p4, dt, T):
+    with pytest.raises(DomainError, match="dt and T must be positive"):
+        ode_trajectory(p4, x_star(p4), dt=dt, T=T)
+
+
+def test_ode_without_target_holds_x_star(p4):
+    # with no target the default control clips x onto the region: x* is its own clip
+    xs = x_star(p4)
+    path = ode_trajectory(p4, xs, dt=0.01, T=1.0)
+    assert np.array_equal(path.points, np.broadcast_to(xs, path.points.shape))
+
+
+def test_ode_without_target_steps_away_from_the_clip(p4):
+    # (0.2, 0.3, 0.5) lies outside the region: vertex 1's only edge has 0.2 < 1/4
+    x0, dt = np.array([0.2, 0.3, 0.5]), 0.01
+    path = ode_trajectory(p4, x0, dt=dt, T=dt)
+    assert np.array_equal(path.points[1], x0 + (x0 - clip_to_region(p4, x0)) * dt)
+    assert not np.array_equal(path.points[1], x0)
+
+
 def test_ode_min_slack_never_recovers(p4):
     # started outside the region, any admissible control keeps it outside
     rng = np.random.default_rng(8)

@@ -199,6 +199,16 @@ def test_value_at_errors(p4_table):
         value_at(p4_table, [1, -1, 2])
 
 
+def test_no_optimal_move_from_the_empty_config(p4_table):
+    with pytest.raises(LayerOutOfRange, match="no move from the empty config"):
+        optimal_move(p4_table, [0, 0, 0], 1)
+
+
+def test_slice_maxima_refuses_a_non_positive_amplitude(p4_table):
+    with pytest.raises(ValueError, match="amplitude must be positive"):
+        slice_maxima(p4_table, 8, [0.5, 0.0])
+
+
 def test_oracle_equivalence_small(p4, triangle, oracle):
     table_p4 = compute_table(p4, 4)
     for total in range(5):
