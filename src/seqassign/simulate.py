@@ -9,12 +9,12 @@ variate per step (inverse-CDF).  `_uniform_columns` computes the streams of a
 chunk of runs, with NumPy's SeedSequence, PCG64 and `random()` re-done in
 uint64 array arithmetic, and yields them one column (one draw of every run)
 at a time.  The batched paths read those columns step by step and reproduce
-the serial loop bit-for-bit: table play walks the stored policy of a box,
-and greedy and SteerExact runs, with a steering report's traced Stage1Steer
-games, share one lockstep loop (`_lockstep`), in groups that each read their
-own streams.  A steering run draws one kernel uniform more per step until
-its finishing window, at the same step in every run of its group, so those
-runs read one column too.
+the serial loop bit-for-bit: table play walks the policy it builds from a
+box's values, and greedy and SteerExact runs, with a steering report's
+traced Stage1Steer games, share one lockstep loop (`_lockstep`), in groups
+that each read their own streams.  A steering run draws one kernel uniform
+more per step until its finishing window, at the same step in every run of
+its group, so those runs read one column too.
 """
 
 from __future__ import annotations
@@ -45,9 +45,11 @@ from .strategies import (
     _norm,
 )
 from .values import (
+    _BOX_CHUNK,
     DEFAULT_BUDGET,
     DownSetTable,
     ValueTable,
+    _check_budget,
     check_config,
     check_held,
     downset_table,
@@ -345,7 +347,7 @@ def estimate(
     weights=None,
 ) -> Estimate:
     """Win-probability estimate with a Wilson 95% interval.  Table strategies
-    walk the stored policy of the box under the start, greedy and SteerExact
+    walk the optimal policy of the box under the start, greedy and SteerExact
     play in lockstep (`_play_chunks`), each bit-for-bit as the serial loop."""
     if runs < 1:
         raise ValueError("need at least one run")
@@ -357,11 +359,12 @@ def estimate(
         if graph_hash(box.graph) != graph_hash(g) or not np.array_equal(box.weights, w):
             raise DomainError("the value table was built for another graph or vertex law")
         check_held(box, config)
+        # a held table, its box and the box's policy share one budget
+        budget = DEFAULT_BUDGET
         if isinstance(box, ValueTable):
-            # the table stays held while its box is built: one budget for both
-            held = sum(layer.nbytes for layer in box.layers if layer is not None)
-            box = downset_table(g, config, w, max(DEFAULT_BUDGET - held, 0))
-        successes = _box_wins(box, config, runs, master_seed, w)
+            budget -= sum(layer.nbytes for layer in box.layers if layer is not None)
+            box = downset_table(g, config, w, max(budget, 0))
+        successes = _box_wins(box, config, runs, master_seed, w, budget - box.values.nbytes)
     else:
         chunks = _play_chunks(g, config, strategy, runs, master_seed, w, int(config.sum()))
         successes = runs - sum(int(np.count_nonzero(forfeit)) for _, forfeit, _ in chunks)
@@ -381,13 +384,41 @@ def _vertex_law(g: Graph, strategy: Strategy, weights) -> np.ndarray:
 _CHUNK = 1 << 14
 
 
-def _box_wins(box: DownSetTable, start, runs: int, master_seed: int, w) -> int:
+def policy_bytes(k: int, m: int, states: int) -> int:
+    """Peak memory of _box_policy: 4k bytes a state and the sink's, and one
+    chunk's working arrays, as many as values.downset_bytes counts."""
+    return 4 * k * (states + 1) + 8 * (4 * m + 8) * min(states, _BOX_CHUNK)
+
+
+def _box_policy(box: DownSetTable, budget: int) -> np.ndarray:
+    """The flat int32 optimal policy of a box: entry i*k + v - 1 is the child
+    of state i through the first of v's edges, in incidence order, of
+    largest value (optimal_move's edge), or the sink len(values), whose row
+    maps to itself, when v has no positive edge."""
+    g, stride, sink = box.graph, box.stride, len(box.values)
+    _check_budget(policy_bytes(g.k, g.m, sink), budget)
+    nxt = np.full((sink + 1, g.k), sink, dtype=np.int32)
+    for lo in range(0, sink, _BOX_CHUNK):
+        idx = np.arange(lo, min(lo + _BOX_CHUNK, sink))
+        # the children's values as in downset_table, but -1.0, below every
+        # value, for an empty edge: the largest only where v has no move
+        cand = np.take(box.values, idx - stride[:, None], mode="clip")
+        cand[idx // stride[:, None] % (box.top + 1)[:, None] == 0] = -1.0
+        for v, edges in enumerate(map(list, g.incidence)):
+            rows = cand[edges]
+            child = idx - stride[edges].take(rows.argmax(axis=0))  # the first of the largest
+            nxt[lo : lo + len(idx), v] = np.where(rows.max(axis=0) < 0.0, sink, child)
+        del cand, rows, child  # the next chunk's candidates need their room
+    return nxt.ravel()
+
+
+def _box_wins(box: DownSetTable, start, runs: int, master_seed: int, w, budget: int) -> int:
     """Wins of table-optimal play: each run carries the index of its state
-    in the box, one gather from the stored policy per step, and is won when
-    it ends at the empty config."""
+    in the box, one gather from the box's policy, built under budget, per
+    step, and is won when it ends at the empty config."""
+    nxt = _box_policy(box, max(budget, 0))
     cum_w = np.cumsum(w)
     k = np.int64(box.graph.k)  # the int32 indices of nxt scale to int64 positions
-    nxt = box.nxt.ravel()
     first = int(start @ box.stride)
     wins = 0
     for lo in range(0, runs, _CHUNK):

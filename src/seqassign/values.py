@@ -40,9 +40,9 @@ for, as views of one buffer.  compute_table is the stream that keeps every
 layer, so it rolls none, and stream_bytes is the one memory guard of both.
 
 A query about one start config reads only the configs at or below it.
-DownSetTable evaluates just that box, under mixed-radix indices, by the same
-recursion and accumulation order, and stores the optimal next state of every
-(state, vertex) pair for the batched simulator.
+DownSetTable evaluates just that box, under mixed-radix indices, and holds
+its values only, the table's bit for bit: layers and boxes both sum over
+the vertices in _vertex_pass.  The batched simulator builds its policy.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -370,21 +370,28 @@ def _next_layer(g: Graph, w: np.ndarray, t: int, prev: np.ndarray, out: np.ndarr
         cut = min(max(below - lo, 0), hi - lo)
         rows[m - 1][:cut] = prev[lo : lo + cut]
         rows[m - 1][cut:] = 0.0
-        # every value is >= 0.0, so the max over a vertex's edges is the max
-        # over its positive edges, or 0.0 when there is none.  The first
-        # vertex writes out directly: 0.0 + x is x for every x >= 0.0
-        for v, edges in enumerate(g.incidence):
-            dst = a if v else o
-            if len(edges) == 1:
-                np.multiply(rows[edges[0]], w[v], out=dst)
-            else:
-                np.maximum(rows[edges[0]], rows[edges[1]], out=dst)
-                for e in edges[2:]:
-                    np.maximum(dst, rows[e], out=dst)
-                dst *= w[v]
-            if v:
-                o += a
+        _vertex_pass(g, w, rows, o, a)
         cand[0, 0] = cand[0, hi - lo]
+
+
+def _vertex_pass(g: Graph, w: np.ndarray, rows, out: np.ndarray, acc: np.ndarray) -> None:
+    """Write sum_v w[v] * max_{e ~ v} rows[e] to out, with rows[e] edge e's
+    candidate row, 0.0 where the edge is empty, and acc a scratch array of
+    out's size.  Every value is >= 0.0, so the max over a vertex's edges is
+    the max over its positive edges, or 0.0 when there is none.  Vertices
+    are added in order, which fixes every value's bits; the first vertex
+    writes out directly, since 0.0 + x is x for every x >= 0.0."""
+    for v, edges in enumerate(g.incidence):
+        dst = acc if v else out
+        if len(edges) == 1:
+            np.multiply(rows[edges[0]], w[v], out=dst)
+        else:
+            np.maximum(rows[edges[0]], rows[edges[1]], out=dst)
+            for e in edges[2:]:
+                np.maximum(dst, rows[e], out=dst)
+            dst *= w[v]
+        if v:
+            out += acc
 
 
 def check_config(g: Graph, cfg, n_max: int | None = None, rows: bool = False) -> np.ndarray:
@@ -514,17 +521,13 @@ _BOX_CHUNK = 1 << 16  # box states evaluated per vectorised step
 
 @dataclass
 class DownSetTable:
-    """Exact values and the optimal policy on the box {c : 0 <= c <= top},
-    which holds every state a game started at top can reach.
+    """Exact values on the box {c : 0 <= c <= top}, which holds every state
+    a game started at top can reach.
 
     A config c has the mixed-radix index sum_e c_e * stride[e] (the last
     edge varies fastest), so decrementing edge e lowers the index by
     stride[e].  values[i] is the win probability of state i, bit for bit the
-    full table's.  nxt[i, v - 1] is the state optimal play moves to when
-    vertex v is drawn at state i: the child through the first incident edge,
-    in incidence order, of largest value, or the sink row `dead` when no
-    incident edge is positive.  The sink row maps to itself.  value_at and
-    optimal_move read only values; nxt serves the batched walk.
+    full table's.
     """
 
     graph: Graph
@@ -532,43 +535,33 @@ class DownSetTable:
     weights: np.ndarray
     stride: np.ndarray
     values: np.ndarray
-    nxt: np.ndarray
-
-    @property
-    def dead(self) -> int:
-        return len(self.values)
 
 
-def downset_bytes(k: int, m: int, top) -> int:
-    """Peak memory of a DownSetTable build: per state its value (8 bytes)
-    and its nxt row (4k bytes), plus the sink row; the states of two
-    consecutive totals with their temporaries, at most six int64 arrays the
-    size of a total (and no total holds more states than the box has lines
-    along its longest edge); and the working arrays of one chunk of states,
-    at most 4m + 8 int64/float64 arrays of _BOX_CHUNK entries."""
-    states = 1
-    for c in top:
-        states *= int(c) + 1
+def downset_bytes(m: int, top) -> int:
+    """Peak memory of a DownSetTable build: per state its value (8 bytes);
+    the states of two consecutive totals with their temporaries, at most
+    six int64 arrays the size of a total (and no total holds more states
+    than the box has lines along its longest edge); and the working arrays
+    of one chunk of states, at most 4m + 8 int64/float64 arrays of
+    _BOX_CHUNK entries."""
+    states = prod(int(c) + 1 for c in top)
     widest = states // (max(int(c) for c in top) + 1)
-    return (8 + 4 * k) * (states + 1) + 48 * widest + 8 * (4 * m + 8) * min(states, _BOX_CHUNK)
+    return 8 * states + 48 * widest + 8 * (4 * m + 8) * min(states, _BOX_CHUNK)
 
 
 def downset_table(
     g: Graph, top, weights=None, memory_budget: int = DEFAULT_BUDGET
 ) -> DownSetTable:
-    """Exact values and the optimal policy for every config at or below top,
-    evaluated in order of total with compute_table's accumulation."""
+    """Exact values for every config at or below top, evaluated in order of
+    total by _next_layer's vertex pass."""
     top = check_config(g, top)
     w = check_weights(g, weights)
-    _check_budget(downset_bytes(g.k, g.m, top), memory_budget)
+    _check_budget(downset_bytes(g.m, top), memory_budget)
     radix = top + 1
     stride = np.ones(g.m, dtype=np.int64)
     stride[:-1] = np.cumprod(radix[:0:-1])[::-1]
-    size = int(radix.prod())
-    values = np.empty(size)
+    values = np.empty(int(radix.prod()))
     values[0] = 1.0
-    nxt = np.empty((size + 1, g.k), dtype=np.int32)
-    nxt[0] = nxt[size] = size
     layer = np.zeros(1, dtype=np.int64)  # the states of total 0
     for _ in range(int(top.sum())):
         # each state of the next total once, from the state one count short
@@ -580,30 +573,14 @@ def downset_table(
         layer.sort()  # ascending indices keep the gathers below local
         for lo in range(0, len(layer), _BOX_CHUNK):
             idx = layer[lo : lo + _BOX_CHUNK]
-            _fill_box(g, w, idx, idx // stride[:, None] % radix[:, None], stride, values, nxt)
-    return DownSetTable(graph=g, top=top, weights=w, stride=stride, values=values, nxt=nxt)
-
-
-def _fill_box(g: Graph, w, idx, counts, stride, values, nxt) -> None:
-    """Values and nxt rows of the box states idx, all of one total, whose
-    children are done; values accumulate as in _next_layer."""
-    # where n_e = 0 the child index may fall outside the box; it is masked
-    cand = np.take(values, idx - stride[:, None], mode="clip")
-    cand[counts == 0] = -1.0
-    rows = np.empty((len(idx), g.k), dtype=nxt.dtype)
-    acc = np.zeros(len(idx))
-    for v, edges in enumerate(g.incidence):
-        best = cand[edges[0]]
-        step = np.full(len(idx), stride[edges[0]])
-        for e in edges[1:]:
-            better = cand[e] > best  # strict: ties keep the earlier edge
-            best = np.where(better, cand[e], best)
-            step[better] = stride[e]
-        dead = best < 0.0
-        rows[:, v] = np.where(dead, len(values), idx - step)
-        acc += w[v] * np.where(dead, 0.0, best)
-    nxt[idx] = rows
-    values[idx] = acc
+            # the states of one total, whose children are all done; where
+            # n_e = 0 the child index may fall outside the box: candidate 0.0
+            cand = np.take(values, idx - stride[:, None], mode="clip")
+            cand[idx // stride[:, None] % radix[:, None] == 0] = 0.0
+            out, acc = np.empty((2, len(idx)))
+            _vertex_pass(g, w, cand, out, acc)
+            values[idx] = out
+    return DownSetTable(graph=g, top=top, weights=w, stride=stride, values=values)
 
 
 # --- persistence ------------------------------------------------------------

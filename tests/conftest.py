@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqassign
 from seqassign.graph import (
     build_graph,
     complete_graph,
@@ -172,3 +177,36 @@ def random_simplex_points(m, count, seed):
 @pytest.fixture(scope="session")
 def simplex_sampler():
     return random_simplex_points
+
+
+def rss_growth(build: str, setup: str = "") -> tuple[int, int]:
+    """Peak RSS growth of `build` in a fresh process, after `setup`, and the
+    estimate the memory guard checks, which `build` leaves in `need`.  The
+    child reads its peak RSS from VmHWM, not ru_maxrss: ru_maxrss survives
+    fork and exec, so a child of a large test process would start at the
+    parent's peak."""
+    code = (
+        "from seqassign.graph import complete_graph\n"
+        "from seqassign.values import *\n"
+        "from seqassign.simulate import _box_policy, policy_bytes\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        line = next(x for x in fh if x.startswith('VmHWM:'))\n"
+        "    return int(line.split()[1]) * 1024\n"
+        "g = complete_graph(4)\n"
+        "compute_table(g, 3)\n"
+        "_box_policy(downset_table(g, (1,) * 6), DEFAULT_BUDGET)\n"
+        f"{setup}\n"
+        "before = hwm()\n"
+        f"{build}\n"
+        "print(hwm() - before, need)\n"
+    )
+    src = str(Path(seqassign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    growth, need = map(int, out.stdout.split())
+    return growth, need

@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -22,7 +23,7 @@ from seqassign.graph import (
     star_graph,
 )
 from seqassign.geometry import x_star
-from seqassign.simulate import deviation_tail
+from seqassign.simulate import deviation_tail, policy_bytes
 from seqassign.strategies import SteerExact, SteerKTarget, SteerPlan
 from seqassign.values import (
     DEFAULT_BUDGET,
@@ -404,14 +405,25 @@ def test_simulate_json_record(p4_file, capsys):
 
 
 def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsys):
-    # on the two-edge path the full table to total 14,593 fits the budget but
-    # the box under (7297, 7296) does not; optimal play walks the box
-    assert stream_bytes(2, 14593, range(14594)) <= DEFAULT_BUDGET < downset_bytes(3, 2, [7297, 7296])
+    # on the two-edge path, the smallest balanced box whose values and
+    # policy, 8 + 4k bytes a state, exceed the budget: the full table to its
+    # total fits, and so do the box's values alone.  Optimal play walks the
+    # box by its policy, so simulate is refused; value at reads the values
+    def top(n):
+        return [n - n // 2, n // 2]
+
+    def charge(cfg):
+        states = (cfg[0] + 1) * (cfg[1] + 1)
+        return 8 * states + policy_bytes(3, 2, states)
+
+    n = next(n for n in itertools.count(1) if charge(top(n)) > DEFAULT_BUDGET)
+    assert stream_bytes(2, n, range(n + 1)) <= DEFAULT_BUDGET
+    assert downset_bytes(2, top(n)) <= DEFAULT_BUDGET
     path = tmp_path / "p3.txt"
     path.write_text(format_graph_text(path_graph(3)))
     code, out, err = run(
         [
-            "simulate", "--graph", str(path), "--config", "7297,7296",
+            "simulate", "--graph", str(path), "--config", ",".join(map(str, top(n))),
             "--strategy", "optimal", "--runs", "10",
         ],
         capsys,
@@ -419,6 +431,10 @@ def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsy
     assert code == 3
     assert out == ""
     assert "budget" in err
+    # over the budget while a box held its policy too, now 0.43 GB of values
+    code, out, _ = run(["value", "at", "--graph", str(path), "--config", "7297,7296"], capsys)
+    assert code == 0
+    assert 0.0 < json.loads(out)["p"] < 1.0
 
 
 def test_simulate_steer_strategy_spec(p4_file, capsys):

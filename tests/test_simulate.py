@@ -1,4 +1,6 @@
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from seqassign.errors import (
 )
 from seqassign.geometry import check_weights, face_scale, face_values, membership_flow, x_star
 from seqassign.simulate import (
+    _box_policy,
     child_rng,
     deviation_tail,
     estimate,
     play,
+    policy_bytes,
     replay_states,
     trace_diagnostics,
     wilson_interval,
@@ -36,19 +40,21 @@ from seqassign.strategies import (
 from seqassign.graph import path_graph, star_graph
 from seqassign.values import (
     DEFAULT_BUDGET,
+    LOSS,
     ValueTable,
     active_faces,
     compute_table,
     downset_bytes,
     downset_table,
     layer_size,
+    optimal_move,
     required_bytes,
     round_to_config,
     stream_bytes,
     value_at,
 )
 
-from conftest import lockstep_runs
+from conftest import lockstep_runs, rss_growth
 
 
 class FirstPositive(Strategy):
@@ -587,13 +593,15 @@ def test_estimate_rejects_config_beyond_table(p4):
 
 
 def test_estimate_holds_table_and_box_in_one_budget():
-    # the full table to total 12,000 and the box under (6000, 6000) each fit
-    # the budget, but the table stays held while the box is built
+    # the full table to total 12,000 and the box under (6000, 6000) with its
+    # policy each fit the budget, but the table stays held while the box and
+    # the policy are built
     p3 = path_graph(3)
     n, top = 12000, [6000, 6000]
+    policy = policy_bytes(3, 2, 6001 * 6001)
     assert stream_bytes(2, n, range(n + 1)) <= DEFAULT_BUDGET
-    assert downset_bytes(3, 2, top) <= DEFAULT_BUDGET
-    assert required_bytes(2, n) + downset_bytes(3, 2, top) > DEFAULT_BUDGET
+    assert downset_bytes(2, top) + policy <= DEFAULT_BUDGET
+    assert required_bytes(2, n) + downset_bytes(2, top) + policy > DEFAULT_BUDGET
     # a stand-in for the 0.58 GB table: the box is built from its graph and
     # law, and the table is charged its layers' bytes, here zero-stride views
     layers = [np.broadcast_to(0.0, layer_size(t, 2)) for t in range(n + 1)]
@@ -624,3 +632,36 @@ def test_estimate_rejects_a_table_of_another_graph_or_law(p4):
         with pytest.raises(DomainError):
             estimate(p4, cfg, TableStrategy(table), 10, 1)
 
+
+def test_box_policy_moves_as_optimal_move(k4, p4, c4, k13):
+    # K4 under the uniform law has many ties between edges
+    cases = [
+        (k4, (2, 1, 2, 1, 2, 1), None),
+        (p4, (5, 3, 4), None),
+        (c4, (3, 2, 3, 2), None),
+        (k13, (4, 3, 5), None),
+        (p4, (5, 4, 6), W_P4),
+    ]
+    for g, top, weights in cases:
+        box = downset_table(g, top, weights)
+        sink = len(box.values)
+        nxt = _box_policy(box, DEFAULT_BUDGET).reshape(sink + 1, g.k)
+        # the empty config and the sink have no move; the sink maps to itself
+        assert np.all(nxt[0] == sink) and np.all(nxt[sink] == sink)
+        # box states in index order, the last edge fastest
+        for i, cfg in enumerate(itertools.product(*(range(c + 1) for c in top))):
+            if not any(cfg):
+                continue
+            for v in range(1, g.k + 1):
+                e = optimal_move(box, cfg, v)
+                assert nxt[i, v - 1] == (sink if e == LOSS else i - box.stride[e])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_policy_bytes_bounds_rss_growth():
+    top = (7, 8, 6, 9, 7, 8)
+    growth, need = rss_growth(
+        "_box_policy(box, DEFAULT_BUDGET); need = policy_bytes(g.k, g.m, len(box.values))",
+        setup=f"box = downset_table(g, {top})",
+    )
+    assert 0 < growth <= need

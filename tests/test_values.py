@@ -4,10 +4,7 @@ import io
 import itertools
 import math
 import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +19,6 @@ from seqassign.errors import (
     NegativeEntry,
 )
 from seqassign.geometry import face_values, x_star
-import seqassign
 import seqassign.values as values_module
 from seqassign.graph import (
     build_graph,
@@ -31,7 +27,7 @@ from seqassign.graph import (
     path_graph,
     star_graph,
 )
-from seqassign.simulate import estimate
+from seqassign.simulate import estimate, policy_bytes
 from seqassign.strategies import TableStrategy
 from seqassign.values import (
     DEFAULT_BUDGET,
@@ -61,7 +57,7 @@ from seqassign.values import (
     values_at,
 )
 
-from conftest import compositions, exact_value, unrank_config
+from conftest import compositions, exact_value, rss_growth, unrank_config
 
 
 # --- ranking ------------------------------------------------------------------
@@ -377,37 +373,6 @@ def test_memory_budget(p4):
     assert exc.value.required_bytes > 1000
 
 
-def rss_growth(build: str) -> tuple[int, int]:
-    """Peak RSS growth of `build` in a fresh process, and the estimate the
-    memory guard checks, which `build` leaves in `need`.  The child reads
-    its peak RSS from VmHWM, not ru_maxrss: ru_maxrss survives fork and
-    exec, so a child of a large test process would start at the parent's
-    peak."""
-    code = (
-        "from seqassign.graph import complete_graph\n"
-        "from seqassign.values import *\n"
-        "def hwm():\n"
-        "    with open('/proc/self/status') as fh:\n"
-        "        line = next(x for x in fh if x.startswith('VmHWM:'))\n"
-        "    return int(line.split()[1]) * 1024\n"
-        "g = complete_graph(4)\n"
-        "compute_table(g, 3)\n"
-        "downset_table(g, (1,) * 6)\n"
-        "before = hwm()\n"
-        f"{build}\n"
-        "print(hwm() - before, need)\n"
-    )
-    src = str(Path(seqassign.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    growth, need = map(int, out.stdout.split())
-    return growth, need
-
-
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 @pytest.mark.parametrize(
     "n, keep",
@@ -670,16 +635,17 @@ def box_configs(top):
         (complete_graph(4), (3, 2, 3, 1, 2, 3), None),
         (star_graph(3), (6, 4, 7), None),
         (path_graph(4), (7, 5, 8), [0.1, 0.2, 0.3, 0.4]),
+        # a law that is not dyadic, and degree-3 vertices under unequal weights
+        (cycle_graph(5), (3, 2, 3, 2, 3), None),
+        (complete_graph(4), (2, 3, 2, 1, 2, 3), [0.1, 0.2, 0.3, 0.4]),
     ],
-    ids=["P4", "C4", "K4", "K13", "P4-weighted"],
+    ids=["P4", "C4", "K4", "K13", "P4-weighted", "C5", "K4-weighted"],
 )
 def test_downset_matches_full_table(g, top, weights):
     box = downset_table(g, top, weights)
     full = compute_table(g, sum(top), weights)
     want = np.array([value_at(full, c) for c in box_configs(top)])
     assert np.array_equal(box.values, want)
-    # the empty config and the sink have no move; the sink maps to itself
-    assert np.all(box.nxt[0] == box.dead) and np.all(box.nxt[box.dead] == box.dead)
 
 
 def test_downset_matches_exact_values(p4, c4):
@@ -707,13 +673,8 @@ def test_downset_optimal_move_matches_table(k4, p4, c4, k13):
         for cfg in box_configs(top):
             if not any(cfg):
                 continue
-            i = int(np.dot(cfg, box.stride))
             for v in range(1, g.k + 1):
-                e = optimal_move(box, cfg, v)
-                assert e == optimal_move(full, cfg, v)
-                # the stored policy moves along the same edge
-                want = box.dead if e == LOSS else i - box.stride[e]
-                assert box.nxt[i, v - 1] == want
+                assert optimal_move(box, cfg, v) == optimal_move(full, cfg, v)
 
 
 def test_downset_rejects_configs_outside_the_box(p4):
@@ -731,7 +692,7 @@ def test_downset_rejects_configs_outside_the_box(p4):
 
 def test_downset_budget_one_byte_short(k4):
     top = (3, 2, 3, 1, 2, 3)
-    need = downset_bytes(k4.k, k4.m, top)
+    need = downset_bytes(k4.m, top)
     with pytest.raises(MemoryBudgetExceeded) as exc:
         downset_table(k4, top, memory_budget=need - 1)
     assert exc.value.required_bytes == need
@@ -739,18 +700,19 @@ def test_downset_budget_one_byte_short(k4):
 
 
 def test_default_budget_keeps_box_indices_in_int32():
-    # nxt stores int32 state indices, and batched play gathers at int32
-    # positions state * k + v.  A state costs 8 + 4k bytes, so the budget
-    # admits fewer than 2**28 / k states: far below 2**31 positions
+    # the optimal walk's policy stores int32 state indices, and batched play
+    # gathers at int32 positions state * k + v.  The policy costs 4k bytes a
+    # state, so the budget admits fewer than 2**28 / k states: far below
+    # 2**31 positions
     for k, m in ((3, 2), (4, 3), (4, 6), (25, 24)):
-        assert downset_bytes(k, m, (2**28 // k,) + (0,) * (m - 1)) > DEFAULT_BUDGET
+        assert policy_bytes(k, m, 2**28 // k) > DEFAULT_BUDGET
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 def test_downset_bytes_bounds_rss_growth():
     top = (7, 8, 6, 9, 7, 8)
     growth, estimate = rss_growth(
-        f"downset_table(g, {top}); need = downset_bytes(g.k, g.m, {top})"
+        f"downset_table(g, {top}); need = downset_bytes(g.m, {top})"
     )
     assert 0 < growth <= estimate
 
