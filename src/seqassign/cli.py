@@ -34,7 +34,7 @@ from .geometry import (
     x_star,
 )
 from .graph import Graph, load_graph
-from .simulate import estimate
+from .simulate import estimate, optimal_box
 from .strategies import (
     DEFAULT_Q0,
     OutwardSteer,
@@ -262,7 +262,7 @@ def _table_for(g: Graph, keep, args):
 def parse_strategy(spec: str, g: Graph, config, args):
     if spec == "optimal":
         # the values a game from config reads: the down-set of config
-        return optimal_strategy(downset_table(g, config, _load_weights(args.weights)))
+        return optimal_strategy(optimal_box(g, config, _load_weights(args.weights)))
     if spec in ("uniform", "greedy"):
         return baseline_strategy(spec)
     if spec.startswith(("steer:", "steer-k:", "outward:")) and args.weights:

@@ -604,6 +604,15 @@ def _subset_sizes(m: int) -> np.ndarray:
     return sizes
 
 
+@lru_cache(maxsize=4)
+def _fold_scales(m: int) -> np.ndarray:
+    """a+b for every proper mask F, ascending.  boundary_distance holds it
+    for m <= 16 only: 2^24 floats are 128 MB."""
+    out = _face_scales(m)[0][_subset_sizes(m)]
+    out.flags.writeable = False
+    return out
+
+
 def boundary_distance(g: Graph, x) -> float:
     """Distance from x to the region boundary within the simplex hyperplane
     (uniform vertex law): min over proper subsets of (a+b) * slack.  Negative
@@ -619,7 +628,7 @@ def boundary_distance(g: Graph, x) -> float:
         g.m <= SUBSET_CAP and 1 << g.m <= max(c.uncover.size, min(4 * c.uncover.size, 1 << 16))
     ):
         s = all_slacks(g, x)
-        s *= _face_scales(g.m)[0][_subset_sizes(g.m)]
+        s *= _fold_scales(g.m) if g.m <= 16 else _face_scales(g.m)[0][_subset_sizes(g.m)]
         return float(s.min())
     return _vertex_set_distance(g, c, x)
 

@@ -52,6 +52,7 @@ from .values import (
     _check_budget,
     check_config,
     check_held,
+    downset_bytes,
     downset_table,
     graph_hash,
     round_to_config,
@@ -388,6 +389,18 @@ def policy_bytes(k: int, m: int, states: int) -> int:
     """Peak memory of _box_policy: 4k bytes a state and the sink's, and one
     chunk's working arrays, as many as values.downset_bytes counts."""
     return 4 * k * (states + 1) + 8 * (4 * m + 8) * min(states, _BOX_CHUNK)
+
+
+def optimal_box(g: Graph, config, weights=None) -> DownSetTable:
+    """The box under config that estimate walks for optimal play, refused
+    before anything is allocated when its values, and then its values with
+    their policy, exceed the budget: downset_table's checks and then
+    _box_policy's, in their order."""
+    top, w = check_config(g, config), check_weights(g, weights)
+    states = math.prod(int(c) + 1 for c in top)
+    _check_budget(downset_bytes(g.m, top), DEFAULT_BUDGET)
+    _check_budget(policy_bytes(g.k, g.m, states), DEFAULT_BUDGET - 8 * states)
+    return downset_table(g, top, w)
 
 
 def _box_policy(box: DownSetTable, budget: int) -> np.ndarray:

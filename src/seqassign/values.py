@@ -135,7 +135,8 @@ def _live(total: int, m: int) -> list[np.ndarray]:
     marking the configs with a positive count on that edge.  Along a row
     (see _layer_bars) edge 1's count p_2 - p_1 - 1 is 0 only at the end,
     and each of edges 2..m-2 keeps one count.  Edges 0 and m-1 need no
-    mask (see _next_layer)."""
+    mask (see _next_layer).  Layer t's masks are a prefix of layer t+1's,
+    whose first ranks hold layer t's configs with n_{m-1} one higher."""
     if m < 3:
         return []
     rows = _layer_bars(total, m - 1)
@@ -143,11 +144,7 @@ def _live(total: int, m: int) -> list[np.ndarray]:
     lengths = rows[0]
     live = [np.ones(layer_size(total, m), dtype=bool)]
     live[0][np.cumsum(lengths) - 1] = False
-    upper = rows[m - 3]
-    for e in range(m - 2, 1, -1):
-        live.insert(1, np.repeat(upper - rows[e - 2] > 1, lengths))
-        upper = rows[e - 2]
-    return live
+    return live + [np.repeat(rows[e - 1] - rows[e - 2] > 1, lengths) for e in range(2, m - 1)]
 
 
 def _configs(bars: np.ndarray, total: int) -> np.ndarray:
@@ -244,11 +241,12 @@ def required_bytes(m: int, n_max: int) -> int:
 
 
 def _kernel_bytes(m: int, t: int) -> int:
-    """Working memory of _next_layer for layer t: the m - 2 bool masks of
-    edges 1..m-2; the int64 bars of the layer's rows with the temporaries of
-    building them, at most m + 2 int64 arrays the size of the row count
-    C(t+m-2, m-2); and one chunk's candidate rows of edges 1..m-1, with the
-    carry slot, and accumulator."""
+    """Working memory of a stream to layer t: the m - 2 bool masks of edges
+    1..m-2 on layer t, which every layer reads; the int64 bars of its rows
+    with the temporaries of building them, at most m + 2 int64 arrays the
+    size of the row count C(t+m-2, m-2), whose room the masks' chunk offsets
+    take once they are freed, (m-2) * (ceil(N/_CHUNK) + 1) int64s; and one
+    chunk's candidate rows of edges 1..m-1, with the carry slot, and accumulator."""
     n = layer_size(t, m)
     rows = layer_size(t, m - 1) if m > 2 else 0
     chunk = min(n, _CHUNK)
@@ -282,12 +280,6 @@ def _kept_layers(m: int, n_max: int, keep: set[int], dtype) -> list[np.ndarray |
     return [view if t in keep else None for t, view in enumerate(views)]
 
 
-def _check_build(g: Graph, n_max: int, weights) -> np.ndarray:
-    if n_max < 0:
-        raise LayerOutOfRange(f"n_max {n_max} is negative")
-    return check_weights(g, weights)
-
-
 def _check_budget(need: int, memory_budget: int) -> None:
     if need > memory_budget:
         raise MemoryBudgetExceeded(need, memory_budget)
@@ -296,13 +288,16 @@ def _check_budget(need: int, memory_budget: int) -> None:
 def _sweep(g: Graph, w: np.ndarray, n_max: int, out_for):
     """Compute layers 0..n_max in order, each into the array out_for(t), and
     yield each one once it is written.  Layer t reads only layer t-1, so
-    out_for may hand out a buffer again two layers later."""
+    out_for may hand out a buffer again two layers later.  Every layer
+    reads a prefix of layer n_max's masks (see _live) and chunk offsets."""
+    live = _live(n_max, g.m)
+    starts = _chunk_starts(live)
     prev = out_for(0)
     prev[0] = 1.0
     yield prev
     for t in range(1, n_max + 1):
         out = out_for(t)
-        _next_layer(g, w, t, prev, out)
+        _next_layer(g, w, prev, out, live, starts)
         yield out
         prev = out
 
@@ -321,7 +316,9 @@ def stream_table(
     """The layers in keep of the table to n_max, built through two rolling
     buffers; with a path, every layer is written to it as it is made, in
     save_table's format."""
-    w = _check_build(g, n_max, weights)
+    if n_max < 0:
+        raise LayerOutOfRange(f"n_max {n_max} is negative")
+    w = check_weights(g, weights)
     keep = _check_keep(keep, n_max)
     _check_budget(stream_bytes(g.m, n_max, keep), memory_budget)
     layers = _kept_layers(g.m, n_max, keep, float)
@@ -340,13 +337,20 @@ def stream_table(
     return ValueTable(graph=g, n_max=n_max, weights=w, layers=layers)
 
 
-def _next_layer(g: Graph, w: np.ndarray, t: int, prev: np.ndarray, out: np.ndarray) -> None:
-    """Write layer t, computed from layer t-1, to out, _CHUNK ranks at a
-    time.  Edge 0's candidates are edge 1's one rank earlier, and the last
-    edge's are layer t-1 followed by zeros, so only edges 1..m-2 are
-    scattered through masks."""
-    m, n, below = g.m, len(out), len(prev)
-    live = _live(t, m)
+def _chunk_starts(live) -> list[np.ndarray]:
+    """Per mask, its count of True before each multiple of _CHUNK and in all:
+    where each chunk's children begin in the layer below (see _next_layer)."""
+    counts = ([np.count_nonzero(x[i : i + _CHUNK]) for i in range(0, len(x), _CHUNK)] for x in live)
+    return [np.cumsum([0, *c]) for c in counts]
+
+
+def _next_layer(g: Graph, w: np.ndarray, prev: np.ndarray, out: np.ndarray, live, starts) -> None:
+    """Write layer t, computed from layer t-1 in prev, to out, _CHUNK ranks
+    at a time.  Edge 0's candidates are edge 1's one rank earlier, and the
+    last edge's are layer t-1 followed by zeros, so only edges 1..m-2 are
+    scattered, through live, their masks on layer t or a larger layer (see
+    _live), and starts, the masks' _chunk_starts."""
+    m, n = g.m, len(out)
     size = min(n, _CHUNK)
     # row e - 1 holds edge e's candidates from slot 1 on; slot 0 of row 0
     # carries edge 1's candidate at the rank before the chunk, which is 0.0
@@ -354,22 +358,18 @@ def _next_layer(g: Graph, w: np.ndarray, t: int, prev: np.ndarray, out: np.ndarr
     cand = np.empty((m - 1, size + 1))
     cand[0, 0] = 0.0
     acc = np.empty(size)
-    start = [0] * (m - 2)  # where each masked edge's children of the chunk begin in prev
-    for lo in range(0, n, _CHUNK):
+    for c, lo in enumerate(range(0, n, _CHUNK)):
         hi = min(lo + _CHUNK, n)
         rows, a, o = [cand[0, : hi - lo], *cand[:, 1 : hi - lo + 1]], acc[: hi - lo], out[lo:hi]
-        for e, mask in enumerate((x[lo:hi] for x in live), 1):
+        for e, (mask, start) in enumerate(zip(live, starts), 1):
             # decrementing edge e keeps the rank order of the configs with
-            # n_e > 0, and their children are all of layer t-1; configs with
-            # n_e = 0 get the candidate 0.0, the value of a loss
-            count = np.count_nonzero(mask)
+            # n_e > 0, and their children are all of layer t-1, which the
+            # slice's end may pass; n_e = 0 gets 0.0, the value of a loss
             rows[e].fill(0.0)
-            rows[e][mask] = prev[start[e - 1] : start[e - 1] + count]
-            start[e - 1] += count
-        # the configs with n_{m-1} > 0 are the first len(prev) ranks
-        cut = min(max(below - lo, 0), hi - lo)
-        rows[m - 1][:cut] = prev[lo : lo + cut]
-        rows[m - 1][cut:] = 0.0
+            rows[e][mask[lo:hi]] = prev[start[c] : start[c + 1]]
+        head = prev[lo:hi]  # the configs with n_{m-1} > 0 are the first len(prev) ranks
+        rows[m - 1][: len(head)] = head
+        rows[m - 1][len(head) :] = 0.0
         _vertex_pass(g, w, rows, o, a)
         cand[0, 0] = cand[0, hi - lo]
 

@@ -5,6 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+import seqassign.cli as cli_module
+import seqassign.simulate as simulate_module
+import seqassign.values as values_module
 from seqassign.cli import _emit, _parse_ints, _verify_rows, main
 from seqassign.experiments import (
     CONJECTURE_COLUMNS,
@@ -404,11 +407,12 @@ def test_simulate_json_record(p4_file, capsys):
     assert record["strategy"] == "greedy"
 
 
-def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsys):
+def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsys, monkeypatch):
     # on the two-edge path, the smallest balanced box whose values and
     # policy, 8 + 4k bytes a state, exceed the budget: the full table to its
     # total fits, and so do the box's values alone.  Optimal play walks the
-    # box by its policy, so simulate is refused; value at reads the values
+    # box by its policy, so simulate is refused, before the box is built;
+    # value at reads the values
     def top(n):
         return [n - n // 2, n // 2]
 
@@ -421,6 +425,9 @@ def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsy
     assert downset_bytes(2, top(n)) <= DEFAULT_BUDGET
     path = tmp_path / "p3.txt"
     path.write_text(format_graph_text(path_graph(3)))
+    built = []
+    for module in (cli_module, simulate_module, values_module):
+        monkeypatch.setattr(module, "downset_table", lambda *args, **kw: built.append(args))
     code, out, err = run(
         [
             "simulate", "--graph", str(path), "--config", ",".join(map(str, top(n))),
@@ -430,7 +437,10 @@ def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsy
     )
     assert code == 3
     assert out == ""
-    assert "budget" in err
+    assert top(n) == [7298, 7297]
+    assert err == "error: table needs 647605844 bytes, budget is 647597008\n"
+    assert built == []
+    monkeypatch.undo()
     # over the budget while a box held its policy too, now 0.43 GB of values
     code, out, _ = run(["value", "at", "--graph", str(path), "--config", "7297,7296"], capsys)
     assert code == 0

@@ -32,6 +32,7 @@ from seqassign.strategies import TableStrategy
 from seqassign.values import (
     DEFAULT_BUDGET,
     LOSS,
+    _chunk_starts,
     _configs,
     _layer_bars,
     _live,
@@ -120,6 +121,28 @@ def test_child_rank_shift_matches_scalar():
             edges.append(e)
             assert live.tolist() == [cfg[e] > 0 for cfg in cfgs]
         assert edges == list(range(1, m - 1))
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_masks_and_chunk_offsets_are_prefixes(m, monkeypatch):
+    # a rank does not depend on the last edge's count, so every layer's
+    # masks are a prefix of a larger layer's, and so are their counts before
+    # each multiple of _CHUNK: a stream builds both once, for its top layer.
+    # Each mask marks all of the layer below; for m = 2 there is none
+    monkeypatch.setattr(values_module, "_CHUNK", 37)
+    top = {2: 30, 3: 60, 4: 25, 5: 14, 6: 12, 7: 9, 8: 8, 9: 7}[m]
+    live = _live(top, m)
+    starts = _chunk_starts(live)
+    assert len(live) == len(starts) == m - 2
+    for t in range(top + 1):
+        n, below = layer_size(t, m), layer_size(t - 1, m)
+        masks = _live(t, m)
+        assert len(masks) == m - 2
+        for mask, offsets, big, big_offsets in zip(masks, _chunk_starts(masks), live, starts):
+            assert np.array_equal(mask, big[:n])
+            chunks = -(-n // 37)
+            assert np.array_equal(offsets[:chunks], big_offsets[:chunks])
+            assert offsets[chunks] == np.count_nonzero(mask) == below
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -316,11 +339,28 @@ def test_martingale_identity_small(p4, p4_table):
             assert acc == p4_table.layers[total][rank_config(cfg)]
 
 
-def test_layer_independence(p4, p4_table):
-    for t in (5, 60, 137):
-        rebuilt = np.empty(layer_size(t, 3))
-        _next_layer(p4, p4_table.weights, t, p4_table.layers[t - 1], rebuilt)
-        assert np.array_equal(rebuilt, p4_table.layers[t])
+def test_layer_independence(monkeypatch):
+    # a layer rebuilt from the one below alone, through the masks of layer
+    # n_max sliced to its size and their chunk offsets, as a stream reads
+    # them, is the table's bit for bit.  P4 has one masked edge, the star
+    # two, C5 three and K4 four; chunks of 37 ranks end mid-row
+    cases = [
+        (path_graph(4), 200, (5, 60, 137)),
+        (complete_graph(4), 16, (1, 3, 9, 15)),
+        (cycle_graph(5), 24, (1, 4, 13, 23)),
+        (star_graph(4), 24, (1, 4, 13, 23)),
+    ]
+    for chunk in (values_module._CHUNK, 37):
+        monkeypatch.setattr(values_module, "_CHUNK", chunk)
+        for g, n_max, layers in cases:
+            table = compute_table(g, n_max)
+            live = _live(n_max, g.m)
+            starts = _chunk_starts(live)
+            for t in layers:
+                rebuilt = np.empty(layer_size(t, g.m))
+                masks = [x[: len(rebuilt)] for x in live]
+                _next_layer(g, table.weights, table.layers[t - 1], rebuilt, masks, starts)
+                assert np.array_equal(rebuilt, table.layers[t]), (g.edges, chunk, t)
 
 
 def reference_layers(g, n_max, weights):
