@@ -6,15 +6,16 @@ reached after exactly n steps.  Run i of an estimate uses the child stream
 SeedSequence(master_seed, spawn_key=(i,)), so results are reproducible and
 independent of execution order.  Vertex draws consume exactly one uniform
 variate per step (inverse-CDF).  `_uniform_columns` computes the streams of a
-chunk of runs, with NumPy's SeedSequence, PCG64 and `random()` re-done in
-uint64 array arithmetic, and yields them one column (one draw of every run)
-at a time.  The batched paths read those columns step by step and reproduce
-the serial loop bit-for-bit: table play walks the policy it builds from a
-box's values, and greedy and SteerExact runs, with a steering report's
-traced Stage1Steer games, share one lockstep loop (`_lockstep`), in groups
-that each read their own streams.  A steering run draws one kernel uniform
-more per step until its finishing window, at the same step in every run of
-its group, so those runs read one column too.
+chunk of runs, NumPy's SeedSequence, PCG64 and `random()` re-done in uint32
+and uint64 array arithmetic, block by block in buffers allocated once, and
+yields them one column (one draw of every run) at a time.  The batched paths
+read those columns step by step and reproduce the serial loop bit-for-bit:
+table play walks the policy it builds from a box's values, drawing each vertex
+into the policy's index, and greedy and SteerExact runs, with a steering
+report's traced Stage1Steer games, share one lockstep loop (`_lockstep`), in
+groups that each read their own streams.  A steering run draws one kernel
+uniform more per step until its finishing window, at the same step in every
+run of its group, so those runs read one column too.
 """
 
 from __future__ import annotations
@@ -129,115 +130,99 @@ def _check_seed(master_seed) -> int:
 # --- vectorised child streams ----------------------------------------------------
 #
 # Constants of numpy.random.SeedSequence (pool of four 32-bit words) and of
-# PCG64 (128-bit LCG, XSL-RR output).  Every word lives in a uint64 array, so
-# 32-bit products never overflow and 64-bit ones wrap silently; a numpy
-# scalar would warn on the wrap, hence the one-element arrays below.
+# PCG64 (128-bit LCG, XSL-RR output).  SeedSequence's words live in uint32
+# arrays and PCG64's in uint64 arrays, so every product wraps natively; a
+# numpy scalar would warn on the wrap, hence the one-element arrays below.
 
 _U32 = np.uint64(0xFFFFFFFF)
-_SHIFT_16, _SHIFT_32 = np.uint64(16), np.uint64(32)
+_SHIFT_16, _SHIFT_32 = np.uint32(16), np.uint64(32)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 
 
 def _hashmix(value, hc: int, mult: int):
-    """SeedSequence's hashmix of uint32 words held in uint64; `hc` is the
-    running hash constant (a Python int), returned advanced."""
-    value = value ^ np.uint64(hc)
+    """SeedSequence's hashmix of uint32 words; `hc` is the running hash
+    constant (a Python int), returned advanced."""
+    value = value ^ np.uint32(hc)
     hc = hc * mult & 0xFFFFFFFF
-    value = value * np.uint64(hc) & _U32
+    value = value * np.uint32(hc)
     return value ^ value >> _SHIFT_16, hc
 
 
 def _mix(x, y):
-    result = (x * _MIX_L - y * _MIX_R) & _U32
+    result = x * _MIX_L - y * _MIX_R
     return result ^ result >> _SHIFT_16
 
 
 def _seed_state(master_seed: int, spawn_words: list) -> list:
     """SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64)
     as four uint64 arrays, one entry per run; spawn_words holds the uint32
-    words of the runs' indices, least significant first."""
-    n_words = max(1, (master_seed.bit_length() + 31) // 32)
-    seed_words = [master_seed >> 32 * j & 0xFFFFFFFF for j in range(n_words)]
+    arrays of the runs' indices' words, least significant first."""
     # with a spawn key the seed is zero-padded to the pool size
-    seed_words += [0] * (4 - n_words)
-    entropy = [np.array([w], dtype=np.uint64) for w in seed_words] + spawn_words
-    hc = _INIT_A
-    pool = []
+    n_words = max(4, (master_seed.bit_length() + 31) // 32)
+    entropy = [np.array([master_seed >> 32 * j & 0xFFFFFFFF], np.uint32) for j in range(n_words)]
+    entropy += spawn_words
+    hc, pool = _INIT_A, []
     for word in entropy[:4]:
         word, hc = _hashmix(word, hc, _MULT_A)
         pool.append(word)
-    for src in range(4):
+    # each pool word into the other three, then each extra word into all four
+    pool += entropy[4:]
+    for src in range(len(pool)):
         for dst in range(4):
             if src != dst:
                 word, hc = _hashmix(pool[src], hc, _MULT_A)
                 pool[dst] = _mix(pool[dst], word)
-    for extra in entropy[4:]:
-        for dst in range(4):
-            word, hc = _hashmix(extra, hc, _MULT_A)
-            pool[dst] = _mix(pool[dst], word)
-    hc = _INIT_B
-    out = []
+    hc, out = _INIT_B, []
     for i in range(8):
         word, hc = _hashmix(pool[i % 4], hc, _MULT_B)
-        out.append(word)
+        out.append(word.astype(np.uint64))
     # little-endian pairs of 32-bit words
     return [out[2 * j] | out[2 * j + 1] << _SHIFT_32 for j in range(4)]
 
 
-def _add128(hi, lo, add_hi, add_lo):
-    lo = lo + add_lo
-    return hi + add_hi + (lo < add_lo), lo
-
-
-def _mul128(hi, lo, m_hi, m_lo):
-    """(hi, lo) * (m_hi, m_lo) mod 2**128 on uint64 word arrays; the high
-    half of lo * m_lo comes from 32-bit limbs."""
-    a0, a1 = lo & _U32, lo >> _SHIFT_32
-    b0, b1 = m_lo & _U32, m_lo >> _SHIFT_32
-    p00, p01 = a0 * b0, a0 * b1
-    p10, p11 = a1 * b0, a1 * b1
-    mid = (p00 >> _SHIFT_32) + (p01 & _U32) + (p10 & _U32)
-    mulhi = p11 + (p01 >> _SHIFT_32) + (p10 >> _SHIFT_32) + (mid >> _SHIFT_32)
-    return mulhi + hi * m_lo + lo * m_hi, lo * m_lo
-
-
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 step, state * multiplier + inc mod 2**128."""
-    return _add128(*_mul128(hi, lo, _PCG_HI, _PCG_LO), inc_hi, inc_lo)
-
-
 @lru_cache(maxsize=4)
-def _lcg_jumps(width: int) -> list[np.ndarray]:
-    """Words (a_hi, a_lo, g_hi, g_lo), each a (width, 1) array, such that j + 1
-    PCG64 steps take a state s to s * a[j] + inc * g[j] mod 2**128."""
-    mult = int(_PCG_HI) << 64 | int(_PCG_LO)
-    a, g, power, geometric = [], [], 1, 0
+def _lcg_jumps(width: int) -> np.ndarray:
+    """Multipliers a and g such that j + 1 PCG64 steps take a state s to
+    s * a[j] + inc * g[j] mod 2**128, each as (width, 1) uint64 arrays of
+    the high word, the low word and the low word's two 32-bit limbs."""
+    mult, a, g = int(_PCG_HI) << 64 | int(_PCG_LO), [1], [0]
     for _ in range(width):
-        geometric = (geometric + power) % (1 << 128)
-        power = power * mult % (1 << 128)
-        a.append(power)
-        g.append(geometric)
-    words = [
-        np.array([[v >> shift & 0xFFFFFFFFFFFFFFFF] for v in vals], dtype=np.uint64)
-        for vals in (a, g)
-        for shift in (64, 0)
-    ]
-    for array in words:
-        array.flags.writeable = False  # shared through the cache
+        a.append(a[-1] * mult % (1 << 128))
+        g.append((g[-1] * mult + 1) % (1 << 128))
+    fields = ((64, 64), (0, 64), (0, 32), (32, 32))  # bit offsets and lengths
+    words = [[v >> s & (1 << b) - 1 for v in vals] for vals in (a[1:], g[1:]) for s, b in fields]
+    words = np.array(words, dtype=np.uint64).reshape(2, 4, width, 1)
+    words.flags.writeable = False  # shared through the cache
     return words
 
 
-def _random(hi, lo):
-    """Generator.random() from PCG64 states: XSL-RR output, rotating hi ^ lo
-    right by the top six bits of the state, then the top 53 bits scaled to
-    [0, 1)."""
-    x = hi ^ lo
-    rot = hi >> np.uint64(58)
-    x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-    return (x >> np.uint64(11)) * 2.0**-53
+def _muladd128(hi, lo, m, add_hi, add_lo, buffers) -> None:
+    """(hi, lo) * m + (add_hi, add_lo) mod 2**128, m either multiplier of
+    `_lcg_jumps`, into buffers[:2], which hi and lo may view: they are read first."""
+    new_hi, new_lo, x, y, z, carry, lo0, lo1 = buffers
+    m_hi, m_lo, m0, m1 = m
+    np.bitwise_and(lo, _U32, out=lo0)
+    np.right_shift(lo, _SHIFT_32, out=lo1)
+    np.multiply(hi, m_lo, out=x)
+    x += np.multiply(lo, m_hi, out=y)
+    np.multiply(lo, m_lo, out=z)
+    # x collects the carries of the limb products and the cross terms
+    np.multiply(lo0, m0, out=new_hi)
+    new_hi >>= _SHIFT_32
+    for p, q in ((lo0, m1), (lo1, m0)):
+        np.multiply(p, q, out=y)
+        new_hi += np.bitwise_and(y, _U32, out=new_lo)
+        x += np.right_shift(y, _SHIFT_32, out=y)
+    new_hi >>= _SHIFT_32
+    x += new_hi
+    np.multiply(lo1, m1, out=new_hi)
+    new_hi += x
+    new_hi += add_hi
+    np.add(z, add_lo, out=new_lo)
+    new_hi += np.less(new_lo, add_lo, out=carry)
 
 
 # a block of _uniform_columns: at most _BLOCK draws, at most _WIDTH per run
@@ -246,27 +231,42 @@ _BLOCK, _WIDTH = 1 << 14, 256
 
 def _uniform_columns(master_seed: int, lo: int, hi: int):
     """The draws of runs lo <= i < hi, one column per draw: the j-th column
-    yielded holds each run's j-th `child_rng(master_seed, i).random()`.
-    The columns come in blocks of up to _BLOCK draws, each column's states
-    jumped ahead from the last column of the block before."""
+    yielded holds each run's j-th `child_rng(master_seed, i).random()`.  A
+    block of up to _BLOCK draws is jumped ahead from the last state of the
+    block before (the first from the state before PCG64's seeding step, whose
+    row it drops) in buffers allocated once, then scaled into a fresh float
+    array, so a column stays valid after later draws."""
     runs = []
     # a spawn index below 2**32 is one uint32 word, a larger one two
     for a, b, n_words in ((lo, min(hi, 1 << 32), 1), (max(lo, 1 << 32), hi, 2)):
         if a < b:
             idx = np.arange(a, b, dtype=np.uint64)
-            runs.append(_seed_state(master_seed, [idx & _U32, idx >> _SHIFT_32][:n_words]))
+            words = [idx.astype(np.uint32), (idx >> _SHIFT_32).astype(np.uint32)]
+            runs.append(_seed_state(master_seed, words[:n_words]))
     s0, s1, s2, s3 = (np.concatenate([state[j] for state in runs]) for j in range(4))
-    # PCG64 seeding: inc = (initseq << 1) | 1; state = inc + initstate; one step
+    width = max(1, min(_BLOCK // (hi - lo), _WIDTH))
+    jump, inc_jump = _lcg_jumps(width)
+    # the new hi and lo words, three scratch words, the carry, the old lo's limbs
+    new_hi, new_lo, x, y, z = np.empty((5, width, hi - lo), dtype=np.uint64)
+    buffers = (new_hi, new_lo, x, y, z, np.empty(x.shape, bool), *np.empty((2, hi - lo), np.uint64))
+    # PCG64 seeding: inc = (initseq << 1) | 1, then one step from inc + initstate
     inc_hi = s2 << np.uint64(1) | s3 >> np.uint64(63)
     inc_lo = s3 << np.uint64(1) | np.uint64(1)
-    st_hi, st_lo = _lcg_step(*_add128(inc_hi, inc_lo, s0, s1), inc_hi, inc_lo)
-    width = max(1, min(_BLOCK // (hi - lo), _WIDTH))
-    a_hi, a_lo, g_hi, g_lo = _lcg_jumps(width)
-    step = _mul128(inc_hi, inc_lo, g_hi, g_lo)  # inc * g[j], one row per column
+    _muladd128(inc_hi, inc_lo, inc_jump, np.uint64(0), np.uint64(0), buffers)
+    step_hi, step_lo = new_hi.copy(), new_lo.copy()  # inc * g[j], one row per column
+    st_lo = inc_lo + s1
+    st_hi, skip = inc_hi + s0 + (st_lo < s1), 1
     while True:
-        st_hi, st_lo = _add128(*_mul128(st_hi, st_lo, a_hi, a_lo), *step)
-        yield from _random(st_hi, st_lo)
-        st_hi, st_lo = st_hi[-1], st_lo[-1]
+        _muladd128(st_hi, st_lo, jump, step_hi, step_lo, buffers)
+        # XSL-RR: hi ^ lo rotated right by the top six bits, then the top 53 bits
+        np.bitwise_xor(new_hi, new_lo, out=x)
+        np.right_shift(new_hi, np.uint64(58), out=y)
+        np.right_shift(x, y, out=z)
+        x <<= np.bitwise_and(np.negative(y, out=y), np.uint64(63), out=y)
+        x |= z
+        x >>= np.uint64(11)
+        yield from x[skip:] * 2.0**-53
+        st_hi, st_lo, skip = new_hi[-1], new_lo[-1], 0
 
 
 def _draw_vertex(rng, cum_weights: np.ndarray) -> int:
@@ -306,11 +306,9 @@ def play(
         strategy.reset(g, state.copy(), total)
 
     if trace:
-        verts = np.zeros(steps, dtype=np.int64)
-        edges = np.zeros(steps, dtype=np.int64)
+        verts, edges = np.zeros((2, steps), dtype=np.int64)
 
-    forfeit_step = None
-    t = 0
+    forfeit_step, t = None, 0
     while t < steps:
         v = _draw_vertex(rng, cum_w)
         e = strategy.choose(state, total - t, v, rng)
@@ -418,27 +416,30 @@ def _box_policy(box: DownSetTable, budget: int) -> np.ndarray:
         cand = np.take(box.values, idx - stride[:, None], mode="clip")
         cand[idx // stride[:, None] % (box.top + 1)[:, None] == 0] = -1.0
         for v, edges in enumerate(map(list, g.incidence)):
-            rows = cand[edges]
-            child = idx - stride[edges].take(rows.argmax(axis=0))  # the first of the largest
-            nxt[lo : lo + len(idx), v] = np.where(rows.max(axis=0) < 0.0, sink, child)
-        del cand, rows, child  # the next chunk's candidates need their room
+            top, step = cand[edges].max(axis=0), np.full(len(idx), stride[edges[-1]])
+            for e in edges[-2::-1]:  # last to first: the first of the largest wins
+                step[cand[e] == top] = stride[e]
+            nxt[lo : lo + len(idx), v] = np.where(top < 0.0, sink, idx - step)
+        del cand, top, step  # the next chunk's candidates need their room
     return nxt.ravel()
 
 
 def _box_wins(box: DownSetTable, start, runs: int, master_seed: int, w, budget: int) -> int:
     """Wins of table-optimal play: each run carries the index of its state
     in the box, one gather from the box's policy, built under budget, per
-    step, and is won when it ends at the empty config."""
-    nxt = _box_policy(box, max(budget, 0))
-    cum_w = np.cumsum(w)
-    k = np.int64(box.graph.k)  # the int32 indices of nxt scale to int64 positions
-    first = int(start @ box.stride)
-    wins = 0
+    step, and is won when it ends at the empty config.  The drawn vertex is
+    `_draw_vertices`' count, added into the gather's position idx * k one
+    cumulative weight at a time, with no (k - 1, runs) temporary."""
+    nxt = _box_policy(box, max(budget, 0))  # 4k bytes a state: k * states < 2**31
+    cuts, k, wins = np.cumsum(w)[:-1], box.graph.k, 0
     for lo in range(0, runs, _CHUNK):
         hi = min(lo + _CHUNK, runs)
-        idx = np.full(hi - lo, first, dtype=np.int64)
+        idx, at = np.full(hi - lo, int(start @ box.stride)), np.empty(hi - lo, dtype=bool)
         for _, column in zip(range(int(start.sum())), _uniform_columns(master_seed, lo, hi)):
-            idx = nxt.take(idx * k + _draw_vertices(cum_w, column))
+            idx *= k
+            for c in cuts:
+                idx += np.greater_equal(column, c, out=at)
+            idx = nxt.take(idx)
         wins += int(np.count_nonzero(idx == 0))
     return wins
 
@@ -475,8 +476,7 @@ def _play_chunks(
         if lockstep:
             state, forfeit, _ = played[0]
         else:
-            state = np.zeros((hi - lo, g.m), dtype=np.int64)
-            forfeit = np.zeros(hi - lo, dtype=bool)
+            state, forfeit = np.zeros((hi - lo, g.m), dtype=np.int64), np.zeros(hi - lo, dtype=bool)
             for i in range(lo, hi):
                 game = play(g, start, strategy, child_rng(master_seed, i), w, steps_limit=steps)
                 state[i - lo], forfeit[i - lo] = game.final, game.forfeit_step is not None
@@ -577,18 +577,18 @@ def _legal_moves(incidence, state, live, v, target=None) -> np.ndarray:
     """`_legal_move` for the runs `live`, rows of the C-contiguous state,
     with drawn vertices v (0-based): the largest positive excess over
     `target` when given (the target is non-negative, so an edge with positive
-    excess is never empty), else the largest positive count; ties to the
-    first edge in incidence order; FORFEIT if none.  Flat `take`s gather
-    faster than fancy indexing."""
-    cand = incidence.take(v, axis=0)
-    counts = state.take(live[:, None] * state.shape[1] + cand)
-    first = np.arange(0, cand.size, cand.shape[1])  # each run's first candidate
-    pick = first + counts.argmax(axis=1)
-    e = np.where(counts.take(pick) > 0, cand.take(pick), FORFEIT)
-    if target is not None:
-        excess = counts - target.take(cand)
-        pick = first + excess.argmax(axis=1)
-        e = np.where(excess.take(pick) > 0, cand.take(pick), e)
+    excess is never empty), else the largest positive count; ties go to the
+    first edge in incidence order, which a left-to-right pass with a strict
+    > keeps; FORFEIT if none.  Flat `take`s gather faster than fancy
+    indexing."""
+    cand = incidence.T.take(v, axis=1)  # one row per candidate position
+    counts = state.take(live * state.shape[1] + cand)
+    e, up = np.full(len(live), FORFEIT), np.empty(len(live), dtype=bool)
+    for score in [counts] if target is None else [counts, counts - target.take(cand)]:
+        best = np.zeros(len(live), dtype=np.int64)
+        for row, edge in zip(score, cand):
+            np.copyto(e, edge, where=np.greater(row, best, out=up))
+            np.maximum(best, row, out=best)
     return e
 
 

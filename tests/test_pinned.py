@@ -21,8 +21,9 @@ from seqassign.strategies import (
     SteerExact,
     SteerKTarget,
     SteerPlan,
+    TableStrategy,
 )
-from seqassign.values import compute_table, round_to_config
+from seqassign.values import compute_table, downset_table, round_to_config
 
 BOUNDARY_TARGET = np.array([0.25, 0.375, 0.375])
 K4_TARGET = np.array([0.3, 0.1, 0.1, 0.2, 0.2, 0.1])
@@ -75,6 +76,26 @@ def test_estimate_successes_pinned(p4):
     steer_k = SteerKTarget(p4, SteerPlan(z=BOUNDARY_TARGET, n1=24))
     assert estimate(p4, round_to_config(120, xs), steer_k, 20, 12).successes == 2
     assert estimate(p4, [23, 15, 22], GreedyLargest(), 500, 13).successes == 96
+
+
+@pytest.mark.parametrize(
+    "graph, start, kind, seed, successes",
+    [
+        ("p4", [23, 15, 22], "optimal", 1, 5349),
+        ("p4", [23, 15, 22], "greedy", 1, 3645),
+        # all four seed words set
+        ("p4", [23, 15, 22], "optimal", 2**128 - 1, 5126),
+        # K4's degree-3 candidates and its many ties between edges
+        ("k4", [4, 3, 4, 3, 4, 3], "optimal", 3, 7848),
+        ("k4", [4, 3, 4, 3, 4, 3], "greedy", 3, 6289),
+    ],
+)
+def test_chunk_crossing_successes_pinned(request, graph, start, kind, seed, successes):
+    # 20,000 runs cross the 16,384-run chunk: the second chunk's streams
+    # start at spawn index 16,384 and come in blocks of four columns
+    g = request.getfixturevalue(graph)
+    strategy = TableStrategy(downset_table(g, start)) if kind == "optimal" else GreedyLargest()
+    assert estimate(g, start, strategy, 20000, seed).successes == successes
 
 
 def test_confinement_successes_pinned(c4, k4):

@@ -633,6 +633,31 @@ def test_estimate_rejects_a_table_of_another_graph_or_law(p4):
             estimate(p4, cfg, TableStrategy(table), 10, 1)
 
 
+@pytest.mark.parametrize("graph", ["p4", "c4", "k4", "star4"])
+def test_legal_moves_match_the_serial_rule(request, graph):
+    # counts of 0..2 tie often and leave some rows empty; a 0/1 target
+    # leaves a positive excess on some edges only, so the excess rule and
+    # its fallback to the counts both decide moves
+    g = star_graph(4) if graph == "star4" else request.getfixturevalue(graph)
+    rng = np.random.default_rng(17)
+    state = np.zeros((600, g.m + 1), dtype=np.int64)
+    state[:, : g.m] = rng.integers(0, 3, (600, g.m))
+    state[::9, : g.m] = 0
+    live = np.flatnonzero(rng.random(600) < 0.8)
+    v = rng.integers(0, g.k, len(live))
+    counts = state[live, : g.m]
+    plain = [strategies._legal_move(g, s, int(u) + 1) for s, u in zip(counts, v)]
+    got = simulate._legal_moves(simulate._incidence_rows(g), state, live, v)
+    assert got.tolist() == plain and FORFEIT in plain
+    target = rng.integers(0, 2, g.m)
+    want = [strategies._legal_move(g, s, int(u) + 1, s - target) for s, u in zip(counts, v)]
+    got = simulate._legal_moves(simulate._incidence_rows(g), state, live, v, np.append(target, 0))
+    assert got.tolist() == want and want != plain
+    # ties: a row with two or more candidates at the largest count
+    cand = [[s[e] for e in g.incidence[u]] for s, u in zip(counts, v)]
+    assert any(max(c) > 0 and c.count(max(c)) > 1 for c in cand)
+
+
 def test_box_policy_moves_as_optimal_move(k4, p4, c4, k13):
     # K4 under the uniform law has many ties between edges
     cases = [
