@@ -265,18 +265,21 @@ def parse_strategy(spec: str, g: Graph, config, args):
         return optimal_strategy(optimal_box(g, config, _load_weights(args.weights)))
     if spec in ("uniform", "greedy"):
         return baseline_strategy(spec)
-    if spec.startswith(("steer:", "steer-k:", "outward:")) and args.weights:
+    kind, *fields = spec.split(":")
+    forms = {"steer": "<z>:<n1>", "steer-k": "<z>:<n1>", "outward": "<A>"}
+    form = forms.get(kind) if fields else None
+    if form is None:
+        raise DomainError(f"unknown strategy {spec!r}")
+    if args.weights:
         # the steering kernels realize their targets under the uniform law only
         raise DomainError(f"strategy {spec!r} does not support --weights")
-    if spec.startswith("steer:") or spec.startswith("steer-k:"):
-        kind, zspec, n1 = spec.split(":")
-        q0 = DEFAULT_Q0 if args.q0 is None else args.q0
-        plan = SteerPlan(z=_point(g, zspec), n1=int(n1), q0=q0)
-        return steering_strategy(g, plan, "exact" if kind == "steer" else "k")
-    if spec.startswith("outward:"):
-        amplitude = float(spec.split(":")[1])
-        return OutwardSteer(g, amplitude=amplitude)
-    raise DomainError(f"unknown strategy {spec!r}")
+    if len(fields) != form.count(":") + 1:
+        raise DomainError(f"strategy {spec!r} is not of the form {kind}:{form}")
+    if kind == "outward":
+        return OutwardSteer(g, amplitude=float(fields[0]))
+    q0 = DEFAULT_Q0 if args.q0 is None else args.q0
+    plan = SteerPlan(z=_point(g, fields[0]), n1=int(fields[1]), q0=q0)
+    return steering_strategy(g, plan, "exact" if kind == "steer" else "k")
 
 
 def _cmd_region(args) -> int:
@@ -301,6 +304,10 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_value(args) -> int:
+    # the one flag each mode does not read
+    unused = {"table": "config", "at": "n", "argmax": "config"}[args.mode]
+    if getattr(args, unused) is not None:
+        raise DomainError(f"value {args.mode} does not use --{unused}")
     g = load_graph(args.graph)
     if args.mode == "table":
         if args.n is None or not args.cache:
@@ -393,7 +400,7 @@ def _cmd_phase(args) -> int:
     _require_positive("n", [args.n])
     exp.check_phase_graph(g)
     table = _table_for(g, [args.n], args)
-    columns, summary = exp.phase_diagram(g, args.n, table)
+    columns, summary = exp.phase_diagram(args.n, table)
     _emit(args.out, args.format, exp.PHASE_COLUMNS, columns, summary)
     if args.verify:
         n = args.n
@@ -414,7 +421,7 @@ def _cmd_scan(args) -> int:
     n_list = _parse_ints(args.n_list)
     _require_positive("n-list entries", n_list)
     table = _table_for(g, n_list, args)
-    rows, summary = exp.transition_scan(g, x, n_list, table, weights=_load_weights(args.weights))
+    rows, summary = exp.transition_scan(x, n_list, table)
     _emit(args.out, args.format, exp.SCAN_COLUMNS, zip(*rows), summary)
     if args.verify:
         _verify_rows(
@@ -436,7 +443,7 @@ def _cmd_window(args) -> int:
     _require_positive("n-list entries", n_list)
     _require_positive("A-grid entries", a_grid)
     table = _table_for(g, n_list, args)
-    rows, summary = exp.window_collapse(g, n_list, a_grid, table)
+    rows, summary = exp.window_collapse(n_list, a_grid, table)
     _emit(args.out, args.format, exp.WINDOW_COLUMNS, zip(*rows), summary)
     return 0
 

@@ -21,13 +21,12 @@ from .errors import DomainError
 from .geometry import RegionKind, classify_point
 from .graph import Graph, path_graph
 from .simulate import deviation_tail, trace_diagnostics
-from .strategies import SteerPlan, Stage1Steer, steering_strategy
+from .strategies import SteerPlan, steering_strategy
 from .values import (
     ValueTable,
     _layer_bars,
     argmax_config,
     check_config,
-    graph_hash,
     round_to_config,
     slice_maxima,
     stream_table,
@@ -49,9 +48,9 @@ def check_phase_graph(g: Graph) -> None:
         raise DomainError(f"phase grid needs a 3-edge graph, got |E|={g.m}")
 
 
-def phase_diagram(g: Graph, n: int, table: ValueTable):
-    """Full win-probability grid over a three-edge graph's layer n, read from
-    `table`.
+def phase_diagram(n: int, table: ValueTable):
+    """Full win-probability grid over layer n of `table`, whose graph has
+    three edges.
 
     Returns (columns, summary).  The columns are the arrays (m, l, p) in rank
     order, m the first and l the last edge count, the middle edge holding
@@ -59,7 +58,7 @@ def phase_diagram(g: Graph, n: int, table: ValueTable):
     (p_1, p_2): m is p_1, and l is n + 1 - p_2, written over p_2.  The
     summary carries the grid maximum and its location.
     """
-    check_phase_graph(g)
+    check_phase_graph(table.graph)
     bars = _layer_bars(n, 3)
     np.subtract(n + 1, bars[1], out=bars[1])
     columns = (bars[0], bars[1], table.layer(n))
@@ -74,9 +73,10 @@ def phase_diagram(g: Graph, n: int, table: ValueTable):
     return columns, summary
 
 
-def transition_scan(g: Graph, x, n_list, table: ValueTable, weights=None):
+def transition_scan(x, n_list, table: ValueTable):
     """Win probability along configs tracking a fixed simplex point, read
-    from `table`; `weights` is the vertex law the point is classified under.
+    from `table`; the point is classified on the table's graph under the
+    table's vertex law.
 
     For inaccessible points the rows carry the concentration bound
     exp(-n*eps^2/4) with eps the worst face deficit, and the summary fits the
@@ -87,7 +87,7 @@ def transition_scan(g: Graph, x, n_list, table: ValueTable, weights=None):
     """
     x = np.asarray(x, dtype=float)
     n_list = sorted(n_list)
-    region = classify_point(g, x, weights)
+    region = classify_point(table.graph, x, table.weights)
     deficit = -region.slack
     rows = []
     ps = []
@@ -120,7 +120,11 @@ def transition_scan(g: Graph, x, n_list, table: ValueTable, weights=None):
     return rows, summary
 
 
-def _a_star_raw(j: int, k: int) -> float:
+def a_star(j: int, k: int) -> float:
+    """Crossover location of the two competing run-out events on a path with
+    k vertices: the point where the cheaper large-deviation rate is maximal."""
+    if k < 3 or not 0 <= j <= k - 1:
+        raise DomainError(f"need k >= 3 and 0 <= j <= k-1, got j={j}, k={k}")
     if j == 0:
         return 0.0
     if j == k - 1:
@@ -128,20 +132,6 @@ def _a_star_raw(j: int, k: int) -> float:
     return math.log((k - j - 1) / (k - j)) / math.log(
         (j * (k - j - 1)) / ((j + 1) * (k - j))
     )
-
-
-def a_star(j: int, k: int) -> float:
-    """Crossover location of the two competing run-out events on a path with
-    k vertices: the point where the cheaper large-deviation rate is maximal."""
-    if k < 3 or not 0 <= j <= k - 1:
-        raise DomainError(f"need k >= 3 and 0 <= j <= k-1, got j={j}, k={k}")
-    value = _a_star_raw(j, k)
-    if 1 <= j <= k - 2:
-        if not (j / k < value < (j + 1) / k):
-            raise DomainError(f"a_*({j};{k})={value} escaped ({j / k}, {(j + 1) / k})")
-        if abs(value - (1.0 - _a_star_raw(k - 1 - j, k))) > 1e-12:
-            raise DomainError(f"a_*({j};{k}) breaks the reversal symmetry")
-    return value
 
 
 def conjecture_scan(k: int, n_list):
@@ -167,14 +157,12 @@ def conjecture_scan(k: int, n_list):
     return rows, {"k": k, "targets": targets[1 : k - 1]}
 
 
-def window_collapse(g: Graph, n_list, a_grid, table: ValueTable):
+def window_collapse(n_list, a_grid, table: ValueTable):
     """Slice maxima of the three critical-window classes per (n, A), read
     from `table`, with the Gaussian reference exp(-A^2/8); empty slices are
     marked.  The slice faces use the uniform law's d(F)/k, so a table under
     another law is refused."""
     n_list = sorted(n_list)
-    if graph_hash(table.graph) != graph_hash(g):
-        raise DomainError("the value table was built for another graph")
     if np.any(table.weights != table.weights[0]):
         raise DomainError("window slices need a table under the uniform vertex law")
     rows = []
@@ -217,17 +205,15 @@ def steering_report(
     strategy = steering_strategy(g, plan, kind)
     total = int(start_config.sum())
     # a start at the target has no drift direction to diagnose
-    stage1 = None
-    if kind == "exact" and np.any(start_config / total != plan.z):
-        stage1 = Stage1Steer(g, plan.z)
+    drift = kind == "exact" and np.any(start_config / total != plan.z)
     curve = deviation_tail(
         g, start_config, strategy, plan.z, plan.n1, range(21), runs, seed,
-        traced=None if stage1 is None else (stage1, seed + 1, 3, total // 2),
+        traced=(seed + 1, 3, total // 2) if drift else None,
     )
     flags = 0
     mean_s_inc = []
     for result in curve.traced:
-        diag = trace_diagnostics(g, result, stage1=stage1)
+        diag = trace_diagnostics(result, curve.stage1)
         flags += len(diag.positive_drift_steps)
         if len(diag.s_increments):
             mean_s_inc.append(float(np.mean(diag.s_increments)))

@@ -517,7 +517,7 @@ def _lockstep(g: Graph, start, groups, w) -> list:
             drifting[a:b] = not strategy.done
             if strategy.target is not None:
                 target = np.append(strategy.target, 0)
-            moves = moves or _kernel_mover(g, strategy)
+            moves = moves or _kernel_mover(strategy)
         steps, cuts[a:b] = min(steps, total), cut
         record = np.zeros((2, b - a, steps), dtype=np.int64) if trace else None
         plays.append((_uniform_columns(seed, lo, hi), a, b, steps, cut, record))
@@ -592,18 +592,18 @@ def _legal_moves(incidence, state, live, v, target=None) -> np.ndarray:
     return e
 
 
-def _kernel_mover(g: Graph, stage1: Stage1Steer):
+def _kernel_mover(stage1: Stage1Steer):
     """The kernel moves of runs steering toward a reset Stage1Steer's target
-    from its start, before their finishing window, for the runs that share
-    a step: `moves(s, v, u, r, drift, eps0, d0)` takes their counts s, drawn
-    vertices v (0-based), kernel uniforms u, the remaining total r, their
-    stage-1 flags `drift`, which it clears for the runs whose stage 1 ends,
-    and their stage-1 and confinement radii eps0 and d0 (inf for a bare
-    Stage1Steer, which plays the target kernel once its stage 1 ends).
+    from its start on its graph, before their finishing window, for the
+    runs that share a step: `moves(s, v, u, r, drift, eps0, d0)` takes their
+    counts s, drawn vertices v (0-based), kernel uniforms u, the remaining
+    total r, their stage-1 flags `drift`, which it clears for the runs whose
+    stage 1 ends, and their stage-1 and confinement radii eps0 and d0 (inf
+    for a bare Stage1Steer, which plays the target kernel once it ends).
     Shared and elementwise work is done on (runs, m) arrays; the flows, the
     draws from their kernel rows and the norms stay per run, so every bit
     is the serial loop's."""
-    m, z = g.m, stage1.z
+    g, m, z = stage1.g, stage1.g.m, stage1.z
     # the target kernel's running row sums, added left to right as _draw_edge does
     z_rows = np.array(stage1._z_kernel)
     z_cum = np.cumsum(z_rows, axis=1)
@@ -655,6 +655,7 @@ class TailCurve:
     hit_ci: tuple[float, float]
     target_config: np.ndarray
     traced: list[GameResult] = field(default_factory=list)
+    stage1: Stage1Steer | None = None
 
 
 def deviation_tail(
@@ -677,25 +678,28 @@ def deviation_tail(
     n1 must lie in 0..n, the start's total; greedy and SteerExact runs
     play in lockstep, as the serial loop would.
 
-    `traced`, a tuple (stage1, seed, count, limit), adds the games
+    `traced`, a tuple (seed, count, limit), adds the games
     play(g, config, stage1, child_rng(seed, i), steps_limit=limit,
-    trace=True) for i < count of a Stage1Steer toward the strategy's
-    target.  They play in the runs' lockstep loop, and the curve lists them
-    in `traced`."""
+    trace=True) for i < count of stage1 = Stage1Steer(g, z), the drift
+    stage alone (a SteerExact would confine and finish).  They play in the
+    runs' lockstep loop; the curve lists them in `traced` and carries
+    stage1, as reset at the start, in `stage1`; a SteerExact toward
+    another point than z is refused."""
     if runs < 1:
         raise ValueError("need at least one run")
     master_seed = _check_seed(master_seed)
     w = _vertex_law(g, strategy, weights)
+    z = np.asarray(z, dtype=float)
+    stage1 = None
     if traced is not None:
-        stage1, seed, count, limit = traced
-        # the drift stage alone: a SteerExact would confine and finish
-        if type(stage1) is not Stage1Steer or count < 1 or limit < 0:
-            raise ValueError("traced games need a Stage1Steer, a count >= 1 and a limit >= 0")
-        if isinstance(strategy, SteerExact) and not np.array_equal(strategy.z, stage1.z):
+        seed, count, limit = traced
+        if count < 1 or limit < 0:
+            raise ValueError("traced games need a count >= 1 and a limit >= 0")
+        if isinstance(strategy, SteerExact) and not np.array_equal(strategy.z, z):
             raise DomainError("traced games must steer toward the strategy's target")
+        stage1 = Stage1Steer(g, z)
         traced = (stage1, _check_seed(seed), count, limit)
         _vertex_law(g, stage1, weights)
-    z = np.asarray(z, dtype=float)
     config = check_config(g, config)
     total = int(config.sum())
     if not 0 <= n1 <= total:
@@ -719,6 +723,7 @@ def deviation_tail(
         hit_ci=wilson_interval(hits, runs),
         target_config=target,
         traced=games[0],
+        stage1=stage1,
     )
 
 
@@ -735,16 +740,16 @@ def replay_states(result: GameResult) -> np.ndarray:
     return result.final + np.cumsum(played[::-1], axis=0)[::-1]
 
 
-def trace_diagnostics(g: Graph, result: GameResult, stage1: Stage1Steer) -> Diagnostics:
+def trace_diagnostics(result: GameResult, stage1: Stage1Steer) -> Diagnostics:
     """Per-step increments of the stage-1 supermartingale along a traced
     game, from the states that `replay_states` rebuilds.
 
     With the stage-1 strategy that played the game (reset by it), the
     increments of S = (N - r*z) @ u along its target z and direction u are
     returned.  At each state of stage 1 the kernel played has mean p, the
-    exit point normalised as `_kernel_points` does, so S's conditional mean
-    increment there is (z - p) @ u; steps where (p - z) @ u < -1e-12 are
-    flagged.  A start at the target has no direction, so no increments."""
+    exit point on the strategy's graph normalised as `_kernel_points` does,
+    so S's conditional mean increment there is (z - p) @ u; steps where
+    (p - z) @ u < -1e-12 are flagged.  A start at the target has no direction, so no increments."""
     if result.trace is None:
         raise ValueError("result carries no trace")
     if stage1.u is None:
@@ -757,6 +762,6 @@ def trace_diagnostics(g: Graph, result: GameResult, stage1: Stage1Steer) -> Diag
     # the stage ends for good once the state comes within eps0 of z
     gaps = zip(rem.tolist(), [_norm(row) for row in x - z])
     stop = next((t for t, (r, d) in enumerate(gaps) if r <= 1 or d <= stage1.eps0), len(x))
-    p = _kernel_points(_exit_rows(g, u)(x[:stop]))
+    p = _kernel_points(_exit_rows(stage1.g, u)(x[:stop]))
     positive = np.flatnonzero(((p - z) * u).sum(axis=1) < -1e-12).tolist()
     return Diagnostics(s_increments=s_increments, positive_drift_steps=positive)

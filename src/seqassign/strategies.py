@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError, NoExit, OutsideSimplex, StepTooLarge
 from .geometry import (
-    all_slacks,
     boundary_distance,
     check_simplex,
     classify_point,
@@ -371,6 +370,7 @@ class SteerKTarget(Strategy):
     def __init__(self, g: Graph, plan: SteerPlan):
         self.g = g
         self.plan = plan
+        check_simplex(g, plan.z)
         if min_slack(g, plan.z)[0] < -1e-9:
             raise DomainError("target must lie in the closed region")
 
@@ -479,7 +479,7 @@ class OutwardSteer(Strategy):
 class OdePath:
     times: np.ndarray
     points: np.ndarray
-    slacks: np.ndarray
+    min_slack: np.ndarray  # the region's minimum slack at each point
 
 
 _MAX_STEP = 0.5 * math.sqrt(2)
@@ -492,8 +492,9 @@ def ode_trajectory(g: Graph, x0, target=None, dt: float = 1e-3, T: float = 10.0,
     Default control: the boundary exit of the ray from `target` through x
     (drift then points toward the target); when x leaves the region the
     control falls back to the slack-clipped nearest region point.  A callable
-    `control(x)` overrides both.  Raises StepTooLarge when a single step would
-    move more than half the simplex diameter.
+    `control(x)` overrides both.  The path records the minimum slack of each
+    point, the value that decides the fallback.  Raises StepTooLarge when a
+    single step would move more than half the simplex diameter.
     """
     if dt <= 0 or T <= 0:
         raise DomainError("dt and T must be positive")
@@ -503,16 +504,16 @@ def ode_trajectory(g: Graph, x0, target=None, dt: float = 1e-3, T: float = 10.0,
     steps = int(round(T / dt))
     times = np.empty(steps + 1)
     points = np.empty((steps + 1, g.m))
-    slack_rows = []
+    slacks = np.empty(steps + 1)
     for i in range(steps + 1):
         times[i] = i * dt
         points[i] = x
-        slack_rows.append(all_slacks(g, x))
+        slacks[i] = min_slack(g, x)[0]
         if i == steps:
             break
         if control is not None:
             u = np.asarray(control(x), dtype=float)
-        elif target is None or min_slack(g, x)[0] < 0:
+        elif target is None or slacks[i] < 0:
             u = clip_to_region(g, x)
         else:
             direction = x - target
@@ -524,4 +525,4 @@ def ode_trajectory(g: Graph, x0, target=None, dt: float = 1e-3, T: float = 10.0,
         if _norm(dx) > _MAX_STEP:
             raise StepTooLarge(f"step {i}: |dx|={_norm(dx)} exceeds {_MAX_STEP}")
         x = x + dx
-    return OdePath(times=times, points=points, slacks=np.array(slack_rows))
+    return OdePath(times=times, points=points, min_slack=slacks)

@@ -264,7 +264,7 @@ def test_criterion_08_drift_and_supermartingale(p4, c4):
             p4, cfg, s1, child_rng(809, i),
             steps_limit=200, trace=True,
         )
-        diag = trace_diagnostics(p4, result, stage1=s1)
+        diag = trace_diagnostics(result, stage1=s1)
         flags += len(diag.positive_drift_steps)
         sampled += result.steps_played
     ok = worst <= 1e-12 and flags == 0
@@ -311,7 +311,7 @@ def test_criterion_10_ode_claims(p4):
             return clip_to_region(p4, rng.dirichlet(np.ones(3)))
 
         path = ode_trajectory(p4, x0, dt=0.02, T=2.0, control=control)
-        mins = path.slacks.min(axis=1)
+        mins = path.min_slack
         assert np.all(np.diff(mins) <= 1e-6), f"slack recovered on path {paths}"
 
     xs = x_star(p4)

@@ -827,8 +827,46 @@ def test_calibrate_that_never_converges_is_an_input_error(p4_file, capsys):
             "steering target must be interior",
         ),
         (["value", "at", "--config", "1,1"], "expected 3 entries, got shape (2,)"),
+        # a flag the mode does not read is refused, not ignored
+        (
+            ["value", "argmax", "--n", "10", "--config", "1,2,3"],
+            "value argmax does not use --config",
+        ),
+        (["value", "at", "--config", "1,2,3", "--n", "99"], "value at does not use --n"),
+        (
+            ["value", "table", "--n", "10", "--cache", "t.tbl", "--config", "1,1,1"],
+            "value table does not use --config",
+        ),
+        # the target's own sum, not that of its midpoint with the start
+        (
+            [
+                "steer", "--n", "120", "--n1", "24", "--target", "0.5,0.5,0.5",
+                "--kind", "k", "--runs", "2",
+            ],
+            "entries sum to 1.5, not 1",
+        ),
+        (
+            ["simulate", "--config", "40,40,40", "--strategy", "steer-k:0.5,0.5,0.5:24"],
+            "entries sum to 1.5, not 1",
+        ),
+        (
+            ["simulate", "--config", "40,40,40", "--strategy", "steer:xstar"],
+            "strategy 'steer:xstar' is not of the form steer:<z>:<n1>",
+        ),
+        (
+            ["simulate", "--config", "40,40,40", "--strategy", "steer-k:xstar:24:8"],
+            "strategy 'steer-k:xstar:24:8' is not of the form steer-k:<z>:<n1>",
+        ),
+        (
+            ["simulate", "--config", "40,40,40", "--strategy", "outward:0.5:9"],
+            "strategy 'outward:0.5:9' is not of the form outward:<A>",
+        ),
     ],
-    ids=["table-cache", "at-config", "argmax-n", "strategy", "n1-zero", "target-boundary", "width"],
+    ids=[
+        "table-cache", "at-config", "argmax-n", "strategy", "n1-zero", "target-boundary",
+        "width", "argmax-config", "at-n", "table-config", "steer-k-target",
+        "simulate-steer-k-target", "steer-spec", "steer-k-spec", "outward-spec",
+    ],
 )
 def test_input_errors_exit_2(p4_file, capsys, argv, message):
     code, out, err = run([*argv, "--graph", p4_file], capsys)
@@ -925,7 +963,7 @@ def test_a_star_values():
     assert a_star(4, 5) == 1.0
     assert a_star(1, 3) == pytest.approx(0.5)
     assert a_star(1, 4) == pytest.approx(0.3690702464285426)
-    for k in (3, 4, 5, 8):
+    for k in range(3, 41):
         for j in range(1, k - 1):
             v = a_star(j, k)
             assert j / k < v < (j + 1) / k

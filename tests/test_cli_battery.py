@@ -112,6 +112,17 @@ COMMANDS = {
          "0.4,0.3,0.05,0.05,0.05,0.05,0.05,0.05,0,0"],
         [],
     ),
+    # interior only under the file's law: the point is classified under the table's
+    "scan_weights_json": (
+        ["scan", "--graph", P4, "--point", "0.2,0.35,0.45", "--n-list", "10:40:10",
+         "--weights", WEIGHTS, "--format", "json", "--verify", "--out", "scanw.json"],
+        ["scanw.json"],
+    ),
+    "phase_weights_json": (
+        ["phase", "--graph", P4, "--n", "30", "--weights", WEIGHTS, "--format", "json",
+         "--verify", "--out", "phw.json"],
+        ["phw.json"],
+    ),
     "exit2_phase_edge_count": (["phase", "--graph", K4, "--n", "10"], []),
     "exit2_phase_verify_without_out": (["phase", "--graph", P4, "--n", "30", "--verify"], []),
     "exit2_steer_runs": (
@@ -122,16 +133,50 @@ COMMANDS = {
         ["window", "--graph", P4, "--n-list", "16", "--a-grid", "0,1"],
         [],
     ),
+    "exit2_value_argmax_config": (
+        ["value", "argmax", "--graph", P4, "--n", "10", "--config", "1,2,3"],
+        [],
+    ),
+    "exit2_value_at_n": (["value", "at", "--graph", P4, "--config", "1,2,3", "--n", "99"], []),
+    "exit2_value_table_config": (
+        ["value", "table", "--graph", P4, "--n", "10", "--cache", "t2.tbl", "--config", "1,1,1"],
+        [],
+    ),
+    "exit2_steer_k_target": (
+        ["steer", "--graph", P4, "--n", "120", "--n1", "24", "--target", "0.5,0.5,0.5",
+         "--kind", "k"],
+        [],
+    ),
+    "exit2_simulate_steer_k_target": (
+        ["simulate", "--graph", P4, "--config", "40,40,40", "--strategy",
+         "steer-k:0.5,0.5,0.5:24"],
+        [],
+    ),
+    "exit2_simulate_steer_spec": (
+        ["simulate", "--graph", P4, "--config", "40,40,40", "--strategy", "steer:xstar"],
+        [],
+    ),
+    "exit2_simulate_outward_spec": (
+        ["simulate", "--graph", P4, "--config", "40,40,40", "--strategy", "outward:0.5:9"],
+        [],
+    ),
 }
 
 DIGESTS = {
-    "classify_k4": "48161155a5d109d51d016e855471f2736dcd47279f94a582c4bb4bfe1bf23aeb",
+"classify_k4": "48161155a5d109d51d016e855471f2736dcd47279f94a582c4bb4bfe1bf23aeb",
     "classify_k5": "4ff8a58f44a4dbde51fb4e80497a86dc1b1009c3b570103816ebbdbf8d755ed8",
     "classify_p4": "1fdac1a106b7490a3befa7269ca67e71a051b60011f56e1d8951c1641b86e07f",
     "conjecture": "d74e55a5247cba7cf05849384c2247e57a3869f6ddc9a7d6d87986254b87e916",
     "exit2_phase_edge_count": "19e9d95b24b5fe05f23b425a98ebdb9a071a2a7a08c1a4cba5dd4bea0b3746ac",
     "exit2_phase_verify_without_out": "ef8fcdd9cc5f620172f41266eae4982a976e0dbb8c747899eba1a6a10f2e8f63",
+    "exit2_simulate_outward_spec": "0b6696d8ace302c80ab9550a9423d0daab1e8b7f2212692593e867ed0600d982",
+    "exit2_simulate_steer_k_target": "03e4d1873f39f40405f6d340eb1cf760c3533031e9b22a836dec749db974baff",
+    "exit2_simulate_steer_spec": "5443858ee4e21821cc7be5592806a8db072a1d02e8efa3a996996e7512a38ab2",
+    "exit2_steer_k_target": "03e4d1873f39f40405f6d340eb1cf760c3533031e9b22a836dec749db974baff",
     "exit2_steer_runs": "08a0bc222e02488a894f843288db256bcae0625ce935d38c4e709aa3f10d49f0",
+    "exit2_value_argmax_config": "98f16a7b0967fb51cd13b5c8861adb712996b596919805175ff9cd9bb7f07893",
+    "exit2_value_at_n": "6c5602614bd2a3bce3ec9e713f5e3df7b09c6d50b6c6dcd58a9b56fb72ef7fd9",
+    "exit2_value_table_config": "21e5cef3ba1148c2f0f0da1f1d2231b49072e631247c5e0615faa7b58cad6624",
     "exit2_window_a_grid": "76aa877f6f8028ca644210a3967a29fd53ac895400c597b6b521f71656d9f03f",
     "flow_k4_outside": "0706bf9a79121d7f66fe578aea14ccb443ccc29061fb7092bb9627f6fd3521e1",
     "flow_k4_xstar": "5f4b91e458955b3dcfabd6355a2d799802acf8b4edaf0f5eb9c3e532e0551cf8",
@@ -141,8 +186,10 @@ DIGESTS = {
     "phase_csv_310": "790421a767fa1717cd23649663242952868159be6bd7fa564c36cd644042bb79",
     "phase_json": "77eaa0ef61bac486f2275274ad800b3502ba09762bba0575fa036b7fa636b871",
     "phase_json_310": "2eb4fbe852e183d149b34609fbeac06d0e7fe0d3a8da0b2bd4b2d769ca89aab0",
-    "scan_xstar_json": "d02aea99a373abcccb517e0647375d261db33093bb1a93b04ed354982be01b7e",
+    "phase_weights_json": "a4f01eab282f0bd002017ff7f6164693947f4f2a6f1115f9262884cf4428c2a3",
     "scan_interior": "65d8689622e3920517ae5d0c4aa09cfcdd391273f9ae70f713f567ab43038be1",
+    "scan_weights_json": "a67e0366b95fa9eb70fd74cd3edd545479b4ca1e7d17027314a5b2dec8ccb84a",
+    "scan_xstar_json": "d02aea99a373abcccb517e0647375d261db33093bb1a93b04ed354982be01b7e",
     "simulate_greedy": "8f5815ff1d7315fec46d3aa7e64b5c56c163041d03377ddf64ad5aff79c29a0b",
     "simulate_optimal": "95922762b7199421cd1c7446ea8062aca3d3d31cb84f910e56c6a87ad9beebdf",
     "simulate_optimal_weights": "a31c3463f669c60802b83a807b4c7aeaa85d2b39c12e62f01f6a0212a71f3cb2",
@@ -151,8 +198,8 @@ DIGESTS = {
     "value_at_box": "da58a8a902203681138bffe9672948e603ad70524aea5cb27f5c658e5aada681",
     "value_at_cache": "279ef369b988312fef4dcca0476ba40026e5bf2aada4060a04f288e213465f66",
     "value_table": "4117929eb930776b8d0b8292eee6885145cf92818b611e6e34d8be064c74cd9e",
-    "window_json": "0035864a58b9d810e9c4fe7861eef738d248146127886cab9d448bebd6e9257c",
     "window": "e44dbd679fcc52428a15de8f7c045e72b1ea130ab4aa7b8b2d3c5d2b24063ec7",
+    "window_json": "0035864a58b9d810e9c4fe7861eef738d248146127886cab9d448bebd6e9257c",
 }
 
 

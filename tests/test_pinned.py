@@ -136,7 +136,7 @@ def test_k4_steering_report_pinned(k4, seed, hits, tail):
 
 
 def test_window_slices_pinned(p4):
-    rows, _ = window_collapse(p4, [16, 32, 64], [0.5, 1.0, 1.5, 2.0], compute_table(p4, 64))
+    rows, _ = window_collapse([16, 32, 64], [0.5, 1.0, 1.5, 2.0], compute_table(p4, 64))
     cells = "".join(kind + ("1" if empty else "0") for _, _, kind, _, empty, _ in rows)
     assert cells == (
         "I0II0III0I0II1III0I0II1III0I0II1III0"

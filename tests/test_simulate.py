@@ -490,7 +490,7 @@ def test_stage1_diagnostics_clean_in_regime(p4):
             p4, cfg, s1, child_rng(57, i),
             steps_limit=200, trace=True,
         )
-        diag = trace_diagnostics(p4, result, stage1=s1)
+        diag = trace_diagnostics(result, stage1=s1)
         assert diag.positive_drift_steps == []
         assert diag.s_increments is not None
 
@@ -529,7 +529,7 @@ def _greedy_past_target(p4):
 def test_stage1_diagnostics_flag_positive_drift(p4):
     flags = 0
     for result, s1 in _greedy_past_target(p4):
-        diag = trace_diagnostics(p4, result, stage1=s1)
+        diag = trace_diagnostics(result, stage1=s1)
         assert diag.positive_drift_steps == _flow_drift_flags(p4, result, s1)
         flags += len(diag.positive_drift_steps)
     assert flags > 0
@@ -545,7 +545,7 @@ def test_trace_diagnostics_solves_no_flow(p4, monkeypatch):
     for module in (geometry, strategies):
         monkeypatch.setattr(module, "flow_rows", spy)
     monkeypatch.setattr(geometry, "membership_flow", spy)
-    got = [trace_diagnostics(p4, result, stage1=s1).positive_drift_steps for result, s1 in games]
+    got = [trace_diagnostics(result, stage1=s1).positive_drift_steps for result, s1 in games]
     assert got == expect
 
 
@@ -562,7 +562,7 @@ def test_weighted_law_end_to_end(p4):
 def test_diagnostics_requires_trace(p4):
     result = play(p4, [1, 0, 0], FirstPositive(), 1)
     with pytest.raises(ValueError):
-        trace_diagnostics(p4, result, Stage1Steer(p4, x_star(p4)))
+        trace_diagnostics(result, Stage1Steer(p4, x_star(p4)))
 
 
 def test_diagnostics_of_a_game_from_the_target(p4):
@@ -573,7 +573,7 @@ def test_diagnostics_of_a_game_from_the_target(p4):
     s1 = Stage1Steer(p4, x_star(p4))
     result = play(p4, start, s1, child_rng(1, 0), trace=True)
     assert s1.u is None and result.steps_played > 0
-    diag = trace_diagnostics(p4, result, stage1=s1)
+    diag = trace_diagnostics(result, stage1=s1)
     assert diag.s_increments is None and diag.positive_drift_steps == []
 
 

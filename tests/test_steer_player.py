@@ -212,8 +212,7 @@ def test_traced_games_match_serial_play(case, monkeypatch):
     ]
     plain = deviation_tail(g, start, strategy, z, n1, Q, 5, 7)
     monkeypatch.setattr(simulate, "play", _no_play)
-    stage1 = Stage1Steer(g, z)
-    curve = deviation_tail(g, start, strategy, z, n1, Q, 5, 7, traced=(stage1, 8, 3, limit))
+    curve = deviation_tail(g, start, strategy, z, n1, Q, 5, 7, traced=(8, 3, limit))
     # the traced games change nothing in the tail runs
     assert np.array_equal(curve.tail, plain.tail) and curve.hits == plain.hits
     assert len(curve.traced) == 3
@@ -221,7 +220,13 @@ def test_traced_games_match_serial_play(case, monkeypatch):
         _same_game(got, game)
     assert ("outlive" in shows) == (limit > min(total - n1, total - strategy.finish_cut))
     assert ("forfeit" in shows) == any(game.forfeit_step is not None for game in want)
-    assert ("still" in shows) == (stage1.u is None)
+    assert ("still" in shows) == (curve.stage1.u is None)
+    # the curve carries the traced strategy as reset at the start
+    fresh = Stage1Steer(g, z)
+    fresh.reset(g, start, total)
+    assert type(curve.stage1) is Stage1Steer and curve.stage1.eps0 == fresh.eps0
+    assert (curve.stage1.u is None) == (fresh.u is None)
+    assert fresh.u is None or np.array_equal(curve.stage1.u, fresh.u)
 
 
 def test_traced_games_ride_with_the_first_chunk(monkeypatch):
@@ -253,7 +258,7 @@ def test_steering_report_plays_no_serial_game(monkeypatch):
     start, z = np.array([120, 136, 144]), x_star(P4)
     stage1 = Stage1Steer(P4, z)
     diags = [
-        trace_diagnostics(P4, play(
+        trace_diagnostics(play(
             P4, start, stage1, child_rng(4, i), steps_limit=200, trace=True
         ), stage1)
         for i in range(3)
@@ -273,15 +278,14 @@ def test_bad_traced_games_are_refused_before_any_play(monkeypatch):
     monkeypatch.setattr(simulate, "_play_chunks", _no_play)
     start, z = np.array([120, 136, 144]), x_star(P4)
     strategy = SteerExact(P4, SteerPlan(z=z, n1=50))
-    stage1 = Stage1Steer(P4, z)
-    for traced in [(stage1, 2, 0, 200), (stage1, 2, 3, -1), (strategy, 2, 3, 200)]:
+    for traced in [(2, 0, 200), (2, 3, -1)]:
         with pytest.raises(ValueError, match="traced games need"):
             deviation_tail(P4, start, strategy, z, 50, Q, 5, 1, traced=traced)
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        deviation_tail(P4, start, strategy, z, 50, Q, 5, 1, traced=(stage1, -1, 3, 200))
-    other = Stage1Steer(P4, [0.3, 0.3, 0.4])
+        deviation_tail(P4, start, strategy, z, 50, Q, 5, 1, traced=(-1, 3, 200))
+    other = SteerExact(P4, SteerPlan(z=[0.3, 0.3, 0.4], n1=50))
     with pytest.raises(DomainError, match="toward the strategy's target"):
-        deviation_tail(P4, start, strategy, z, 50, Q, 5, 1, traced=(other, 2, 3, 200))
+        deviation_tail(P4, start, other, z, 50, Q, 5, 1, traced=(2, 3, 200))
 
 
 # --- drawn rows ----------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from seqassign.errors import DomainError, OutsideSimplex, StepTooLarge
 from seqassign.geometry import (
+    all_slacks,
     boundary_distance,
     classify_point,
     clip_to_region,
@@ -660,8 +661,30 @@ def test_ode_min_slack_never_recovers(p4):
             return clip_to_region(p4, rng.dirichlet(np.ones(3)))
 
         path = ode_trajectory(p4, x0, dt=0.01, T=2.0, control=control)
-        mins = path.slacks.min(axis=1)
-        assert np.all(np.diff(mins) <= 1e-6)
+        assert np.all(np.diff(path.min_slack) <= 1e-6)
+
+
+@pytest.mark.parametrize("graph", ["p4", "k4", "k5"])
+def test_ode_records_the_fold_minimum(graph):
+    # toward x* from 0.7 x* + 0.3 e_0, and with no target from the outside
+    # point 0.5 x* + 0.5 e_0, which drifts to negative entries: there
+    # min_slack takes its signed path
+    g = path_graph(4) if graph == "p4" else complete_graph(int(graph[1]))
+    xs, e0 = x_star(g), np.eye(g.m)[0]
+    for x0, target in [(0.7 * xs + 0.3 * e0, xs), (0.5 * xs + 0.5 * e0, None)]:
+        path = ode_trajectory(g, x0, target=target, dt=0.01, T=2.0)
+        fold = [all_slacks(g, x).min() for x in path.points]
+        assert np.array_equal(path.min_slack, fold)
+    assert path.min_slack[0] < 0 and (path.points < 0).any()
+
+
+def test_ode_integrates_past_the_subset_cap():
+    # K8 has 28 edges: no fold over its 2^28 subsets, but 255 vertex sets
+    g = complete_graph(8)
+    xs = x_star(g)
+    path = ode_trajectory(g, 0.97 * xs + 0.03 * np.eye(g.m)[0], target=xs)
+    assert g.m > SUBSET_CAP and path.min_slack.shape == (10001,)
+    assert (path.min_slack > 0).all()
 
 
 def test_ode_exit_control_converges(p4):

@@ -575,17 +575,24 @@ def test_window_refuses_a_weighted_table(p4):
     # the slice faces use the uniform law's d(F)/k
     table = compute_table(p4, 16, [0.1, 0.2, 0.3, 0.4])
     with pytest.raises(DomainError, match="uniform vertex law"):
-        window_collapse(p4, [16], [1.0], table=table)
-    rows, _ = window_collapse(p4, [16], [1.0], table=compute_table(p4, 16, [0.25] * 4))
+        window_collapse([16], [1.0], table=table)
+    rows, _ = window_collapse([16], [1.0], table=compute_table(p4, 16, [0.25] * 4))
     assert len(rows) == 3
 
 
-def test_window_refuses_a_table_of_another_graph(p4, k4):
-    from seqassign.experiments import window_collapse
+def test_scan_classifies_under_the_table_law(p4):
+    from seqassign.experiments import transition_scan
+    from seqassign.geometry import RegionKind, classify_point
 
-    # the rows would be the table's graph's, not the game's
-    with pytest.raises(DomainError, match="another graph"):
-        window_collapse(k4, [16], [1.0], compute_table(p4, 16))
+    table = compute_table(p4, 40, [0.1, 0.2, 0.3, 0.4])
+    # interior under the table's law, inaccessible under the uniform one
+    assert classify_point(p4, [0.2, 0.3, 0.5]).kind is RegionKind.INACCESSIBLE
+    for x in ([0.2, 0.3, 0.5], [0.05, 0.5, 0.45]):
+        region = classify_point(p4, x, table.weights)
+        _, summary = transition_scan(x, [20, 40], table)
+        assert summary["class"] == region.kind.value
+        assert summary.get("deficit", -region.slack) == -region.slack
+    assert summary["class"] == RegionKind.INACCESSIBLE.value
 
 
 def test_phase_decay_outside_rectangle(p4_table):
