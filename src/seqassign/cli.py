@@ -23,7 +23,13 @@ import sys
 import numpy as np
 
 from . import experiments as exp
-from .errors import RESOURCE_ERRORS, DomainError, OutsideSimplex, SeqAssignError
+from .errors import (
+    RESOURCE_ERRORS,
+    DomainError,
+    MemoryBudgetExceeded,
+    OutsideSimplex,
+    SeqAssignError,
+)
 from .geometry import (
     RegionClass,
     RegionKind,
@@ -44,11 +50,13 @@ from .strategies import (
     steering_strategy,
 )
 from .values import (
+    DEFAULT_BUDGET,
     argmax_config,
     check_config,
     downset_table,
     load_table,
     round_to_config,
+    stream_bytes,
     stream_table,
     value_at,
     values_at,
@@ -120,15 +128,26 @@ _CSV_BLOCK = 1 << 14  # table rows formatted and written at a time
 # a block of fewer rows is formatted one Python string a cell: below about
 # 512 rows of phase's columns that is the faster path (measured)
 _SHORT = 512
-_JSON_PIECE = 1 << 20  # characters of a JSON table read at a time by --verify
+_JSON_PIECE = 1 << 18  # characters of a JSON table read at a time by --verify
+_VERIFY_BATCH = 1 << 10  # sampled rows --verify compares at a time
+# phase's output: one block's m and l columns, cell slots and text measured
+# about 190 bytes a row, and --verify's JSON piece split into rows or its
+# batch no more than a block
+_ROW_BYTES = 256
+
+
+def phase_bytes(n: int) -> int:
+    """Peak memory of phase at layer n, its guard: the stream that keeps
+    layer n, and one output block of _CSV_BLOCK rows at _ROW_BYTES a row."""
+    return stream_bytes(3, n, [n]) + _ROW_BYTES * _CSV_BLOCK
 
 
 def _emit(out: str | None, fmt: str, names, columns, summary=None) -> None:
-    """Write a table given column by column, one sequence per name, in
-    blocks of _CSV_BLOCK rows.  Each cell is written by its column's rule
-    (see _cells); float64 and int64 columns get those bytes from
-    seqassign._fmt without a Python string a cell."""
-    columns = [np.asarray(col) for col in columns]
+    """Write a table given column by column, one sequence per name, or as a
+    table that makes its columns a block at a time (see _blocks), in blocks
+    of _CSV_BLOCK rows.  Each cell is written by its column's rule (see
+    _cells); float64 and int64 columns get those bytes from seqassign._fmt
+    without a Python string a cell."""
     if fmt == "csv":
         text = _csv_text(names, columns)
     else:
@@ -160,11 +179,21 @@ def _json_text(names, columns, summary):
 
 
 def _blocks(columns):
-    """The table's rows, _CSV_BLOCK at a time, as lists of column slices;
-    the rows end where the shortest column does."""
-    size = min(map(len, columns), default=0)
+    """The table's rows, _CSV_BLOCK at a time, as lists of columns: those
+    that columns.block(lo, hi) makes, for a table that has it (phase's
+    PhaseGrid), else slices of the columns, whose rows end where the
+    shortest column does."""
+    if hasattr(columns, "block"):
+        size, block = len(columns), columns.block
+    else:
+        columns = [np.asarray(col) for col in columns]
+        size = min(map(len, columns), default=0)
+
+        def block(lo, hi):
+            return [col[lo:hi] for col in columns]
+
     for lo in range(0, size, _CSV_BLOCK):
-        yield [col[lo : lo + _CSV_BLOCK] for col in columns]
+        yield block(lo, min(lo + _CSV_BLOCK, size))
 
 
 def _rows(block, fmt: str) -> str:
@@ -338,21 +367,21 @@ def _verify_rows(path: str, fmt: str, table, col: int, make_config) -> None:
     and compare every 100th row (rows 0, 100, 200, ...) bit-exactly with the
     table.  Column `col` holds the value; `make_config(row)` gives the config
     it belongs to.  Only the sampled rows are split or parsed: a CSV file is
-    read line by line, a JSON file a piece at a time (see _json_rows).
-    Raises SeqAssignError naming the first mismatching row."""
+    read line by line, a JSON file a piece at a time (see _json_rows), and
+    they are compared _VERIFY_BATCH at a time.  Raises SeqAssignError naming
+    the first mismatching row."""
     with open(path, "r", encoding="utf-8") as fh:
         if fmt == "csv":
             sampled = itertools.islice(fh, 1, None, 100)
-            rows = [line.rstrip("\n").split(",") for line in sampled]
+            rows = (line.rstrip("\n").split(",") for line in sampled)
         else:
-            rows = [json.loads(f"[{row}]") for row in _every_100th(_json_rows(fh))]
-    if not rows:
-        return
-    emitted = np.array([float(row[col]) for row in rows])
-    expected = values_at(table, [make_config(row) for row in rows])
-    bad = np.flatnonzero(emitted != expected)
-    if bad.size:
-        raise SeqAssignError(f"verification mismatch on row {rows[bad[0]]}")
+            rows = (json.loads(f"[{row}]") for row in _every_100th(_json_rows(fh)))
+        while batch := list(itertools.islice(rows, _VERIFY_BATCH)):
+            emitted = np.array([float(row[col]) for row in batch])
+            expected = values_at(table, [make_config(row) for row in batch])
+            bad = np.flatnonzero(emitted != expected)
+            if bad.size:
+                raise SeqAssignError(f"verification mismatch on row {batch[bad[0]]}")
 
 
 def _every_100th(pieces):
@@ -399,9 +428,12 @@ def _cmd_phase(args) -> int:
     g = load_graph(args.graph)
     _require_positive("n", [args.n])
     exp.check_phase_graph(g)
+    need = phase_bytes(args.n)
+    if need > DEFAULT_BUDGET:
+        raise MemoryBudgetExceeded(need, DEFAULT_BUDGET)
     table = _table_for(g, [args.n], args)
-    columns, summary = exp.phase_diagram(args.n, table)
-    _emit(args.out, args.format, exp.PHASE_COLUMNS, columns, summary)
+    grid, summary = exp.phase_diagram(args.n, table)
+    _emit(args.out, args.format, exp.PHASE_COLUMNS, grid, summary)
     if args.verify:
         n = args.n
         _verify_rows(

@@ -1,8 +1,9 @@
 """Experiment drivers: phase diagram, decay/convergence scans, critical-window
 curves, the path-graph argmax scan, and steering reports.
 
-Each driver returns its table plus a summary dict: the phase grid as three
-columns, the other tables as plain rows.  Column sets are fixed:
+Each driver returns its table plus a summary dict: the phase grid as a
+PhaseGrid, which makes its columns a block of rows at a time, the other
+tables as plain rows.  Column sets are fixed:
 
     phase:      m, l, p
     scan:       n, p, log_p, decay_bound
@@ -14,6 +15,7 @@ columns, the other tables as plain rows.  Column sets are fixed:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .simulate import deviation_tail, trace_diagnostics
 from .strategies import SteerPlan, steering_strategy
 from .values import (
     ValueTable,
-    _layer_bars,
     argmax_config,
     check_config,
     round_to_config,
@@ -48,20 +49,40 @@ def check_phase_graph(g: Graph) -> None:
         raise DomainError(f"phase grid needs a 3-edge graph, got |E|={g.m}")
 
 
+@dataclass
+class PhaseGrid:
+    """Layer n of a three-edge table as the phase columns (m, l, p) in rank
+    order: m the first and l the last edge count, the middle edge holding
+    n-m-l, and p the layer itself.  m and l are made a block of ranks at a
+    time from the layer's rows (see values._layer_bars): row j holds the
+    ranks from j(j+1)/2 on, where l = n - j, and m runs from 0 along it."""
+
+    n: int
+    p: np.ndarray
+    starts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        j = np.arange(self.n + 1, dtype=np.int64)
+        self.starts = j * (j + 1) // 2
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def block(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The columns of rows lo..hi-1."""
+        m = np.arange(lo, hi, dtype=np.int64)
+        row = np.searchsorted(self.starts, m, side="right")  # j + 1
+        m -= self.starts[row - 1]
+        return [m, np.subtract(self.n + 1, row, out=row), self.p[lo:hi]]
+
+
 def phase_diagram(n: int, table: ValueTable):
     """Full win-probability grid over layer n of `table`, whose graph has
     three edges.
 
-    Returns (columns, summary).  The columns are the arrays (m, l, p) in rank
-    order, m the first and l the last edge count, the middle edge holding
-    n-m-l; p is the layer itself.  m and l come from the layer's bar positions
-    (p_1, p_2): m is p_1, and l is n + 1 - p_2, written over p_2.  The
-    summary carries the grid maximum and its location.
-    """
+    Returns (grid, summary): the PhaseGrid of the layer, and the grid
+    maximum and its location."""
     check_phase_graph(table.graph)
-    bars = _layer_bars(n, 3)
-    np.subtract(n + 1, bars[1], out=bars[1])
-    columns = (bars[0], bars[1], table.layer(n))
     best_cfg, best = argmax_config(table, n)
     summary = {
         "n": n,
@@ -70,7 +91,7 @@ def phase_diagram(n: int, table: ValueTable):
         "argmax_m": int(best_cfg[0]),
         "argmax_l": int(best_cfg[2]),
     }
-    return columns, summary
+    return PhaseGrid(n, table.layer(n)), summary
 
 
 def transition_scan(x, n_list, table: ValueTable):

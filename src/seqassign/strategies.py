@@ -301,6 +301,7 @@ class Stage1Steer(Strategy):
     d0 = math.inf
     finish_cut = 0
     target = None
+    u = None  # no direction before a reset, as from a start of total 0
 
     def __init__(self, g: Graph, z, eps0: float | None = None):
         self.g = g
@@ -373,15 +374,21 @@ class SteerKTarget(Strategy):
         check_simplex(g, plan.z)
         if min_slack(g, plan.z)[0] < -1e-9:
             raise DomainError("target must lie in the closed region")
+        self._mid = None  # the bytes of the midpoint the approach was built for
 
     def reset(self, graph, config, total):
         x0 = np.asarray(config, float) / total
-        self.x_mid = 0.5 * x0 + 0.5 * self.plan.z
-        if classify_point(self.g, self.x_mid).kind is not RegionKind.INTERIOR_REACHABLE:
-            self.x_mid = 0.5 * clip_to_region(self.g, self.x_mid) + 0.5 * x_star(self.g)
-        self._approach = SteerExact(
-            self.g, SteerPlan(z=self.x_mid, n1=2 * self.plan.n1, q0=self.plan.q0)
-        )
+        mid = 0.5 * x0 + 0.5 * self.plan.z
+        # the runs of an estimate share their start, so they share the
+        # approach, which reset rebuilds only for another midpoint
+        if mid.tobytes() != self._mid:
+            x_mid = mid
+            if classify_point(self.g, mid).kind is not RegionKind.INTERIOR_REACHABLE:
+                x_mid = 0.5 * clip_to_region(self.g, mid) + 0.5 * x_star(self.g)
+            self._approach = SteerExact(
+                self.g, SteerPlan(z=x_mid, n1=2 * self.plan.n1, q0=self.plan.q0)
+            )
+            self._mid, self.x_mid = mid.tobytes(), x_mid
         self._approach.reset(graph, config, total)
         self.target = self.plan.target_config
         self.phase = "approach"

@@ -35,9 +35,11 @@ with an empty max contributing 0 (a drawn vertex with no positive incident
 edge loses the game).  Every value is >= 0.0, so an empty edge may enter the
 max as 0.0.  Accumulation is in vertex order, so the stored values can be
 reproduced bit-exactly from the previous layer.  Since a layer reads only
-the one below, stream_table holds two rolling layers and the layers asked
-for, as views of one buffer.  compute_table is the stream that keeps every
-layer, so it rolls none, and stream_bytes is the one memory guard of both.
+the one below, stream_table holds the layers asked for, as views of one
+buffer, and one rolling buffer per parity of the total for the others; a
+kept layer n_max, the last and largest, is its parity's buffer.
+compute_table is the stream that keeps every layer, so it rolls none, and
+stream_bytes is the one memory guard of both.
 
 A query about one start config reads only the configs at or below it.
 DownSetTable evaluates just that box, under mixed-radix indices, and holds
@@ -232,7 +234,10 @@ class ValueTable:
 
 
 _CHUNK = 1 << 14  # ranks of a layer evaluated per step of _next_layer
-_LAYER_OBJECT_BYTES = 256  # a layer's array object, list slot and size
+# a kept layer's array object and size, and the record numpy keeps of its
+# buffer once it is written to a cache file
+_LAYER_OBJECT_BYTES = 320
+_WRITE_BUFFER = 1 << 13  # a cache file's write buffer: io's default, or a 4 KiB block
 
 
 def required_bytes(m: int, n_max: int) -> int:
@@ -253,15 +258,33 @@ def _kernel_bytes(m: int, t: int) -> int:
     return (m - 2) * n + 8 * (m + 2) * rows + 8 * ((m - 1) * (chunk + 1) + chunk)
 
 
+def _rolled(m: int, n_max: int, keep: set[int]) -> list[int]:
+    """The sizes of the rolling buffers of the layers of even and of odd
+    total: the largest layer of each parity that is not kept.  A kept layer
+    n_max is its parity's buffer, since the layers of that parity before it
+    are smaller and no longer read once it is written, so that parity needs
+    none."""
+    sizes = [0, 0]
+    for t in range(n_max + 1):
+        if t not in keep:
+            sizes[t % 2] = layer_size(t, m)  # layers grow with t
+    if n_max in keep:
+        sizes[n_max % 2] = 0
+    return sizes
+
+
 def stream_bytes(m: int, n_max: int, keep) -> int:
-    """Peak memory of stream_table: the kept layers, two rolling buffers the
-    size of the largest layer not kept, the Python objects of every layer,
-    and the working arrays of the largest layer.  With every layer kept
-    nothing is rolled, and the kept layers are required_bytes(m, n_max)."""
+    """Peak memory of stream_table: the kept layers, the rolling buffers
+    (see _rolled), the Python objects of the kept layers and a list slot for
+    every layer, the working arrays of the largest layer, and a cache
+    file's write buffer with its file objects, twice the buffer.  With every
+    layer kept nothing is rolled, and the kept layers are
+    required_bytes(m, n_max)."""
     keep = set(keep)
-    rolled = max((layer_size(t, m) for t in range(n_max + 1) if t not in keep), default=0)
     kept = sum(layer_size(t, m) for t in keep)
-    return 8 * (kept + 2 * rolled) + _LAYER_OBJECT_BYTES * (n_max + 1) + _kernel_bytes(m, n_max)
+    rolled = sum(_rolled(m, n_max, keep))
+    objects = _LAYER_OBJECT_BYTES * len(keep) + 8 * (n_max + 1)
+    return 8 * (kept + rolled) + objects + _kernel_bytes(m, n_max) + 2 * _WRITE_BUFFER
 
 
 def _check_keep(keep, n_max: int) -> set[int]:
@@ -275,9 +298,13 @@ def _kept_layers(m: int, n_max: int, keep: set[int], dtype) -> list[np.ndarray |
     """Uninitialised views of one buffer for the layers in keep, None for
     the others.  Sharing one buffer keeps freed working arrays from
     fragmenting between kept layers."""
-    sizes = [layer_size(t, m) if t in keep else 0 for t in range(n_max + 1)]
-    views = np.split(np.empty(sum(sizes), dtype=dtype), np.cumsum(sizes)[:-1])
-    return [view if t in keep else None for t, view in enumerate(views)]
+    layers = [None] * (n_max + 1)
+    buffer = np.empty(sum(layer_size(t, m) for t in keep), dtype=dtype)
+    at = 0
+    for t in sorted(keep):
+        layers[t] = buffer[at : at + layer_size(t, m)]
+        at += len(layers[t])
+    return layers
 
 
 def _check_budget(need: int, memory_budget: int) -> None:
@@ -313,17 +340,18 @@ def compute_table(
 def stream_table(
     g: Graph, n_max: int, weights=None, keep=(), path=None, memory_budget: int = DEFAULT_BUDGET
 ) -> ValueTable:
-    """The layers in keep of the table to n_max, built through two rolling
-    buffers; with a path, every layer is written to it as it is made, in
-    save_table's format."""
+    """The layers in keep of the table to n_max, the others built in the
+    rolling buffer of their parity (see _rolled); with a path, every layer
+    is written to it as it is made, in save_table's format."""
     if n_max < 0:
         raise LayerOutOfRange(f"n_max {n_max} is negative")
     w = check_weights(g, weights)
     keep = _check_keep(keep, n_max)
     _check_budget(stream_bytes(g.m, n_max, keep), memory_budget)
     layers = _kept_layers(g.m, n_max, keep, float)
-    rolled = max((layer_size(t, g.m) for t in range(n_max + 1) if t not in keep), default=0)
-    roll = (np.empty(rolled), np.empty(rolled))
+    roll = [np.empty(size) for size in _rolled(g.m, n_max, keep)]
+    if layers[n_max] is not None:
+        roll[n_max % 2] = layers[n_max]
 
     def out_for(t):
         return roll[t % 2][: layer_size(t, g.m)] if layers[t] is None else layers[t]
@@ -539,14 +567,31 @@ class DownSetTable:
 
 def downset_bytes(m: int, top) -> int:
     """Peak memory of a DownSetTable build: per state its value (8 bytes);
-    the states of two consecutive totals with their temporaries, at most
-    six int64 arrays the size of a total (and no total holds more states
-    than the box has lines along its longest edge); and the working arrays
-    of one chunk of states, at most 4m + 8 int64/float64 arrays of
-    _BOX_CHUNK entries."""
+    per point of the grid of the other edges' counts (see _grid), at most
+    28 bytes while it is built and sorted; and the working arrays of one
+    chunk of states, at most 4m + 8 int64/float64 arrays of _BOX_CHUNK
+    entries."""
     states = prod(int(c) + 1 for c in top)
-    widest = states // (max(int(c) for c in top) + 1)
-    return 8 * states + 48 * widest + 8 * (4 * m + 8) * min(states, _BOX_CHUNK)
+    grid = states // (max(int(c) for c in top) + 1)
+    return 8 * states + 28 * grid + 8 * (4 * m + 8) * min(states, _BOX_CHUNK)
+
+
+def _grid(top: np.ndarray, stride: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states of a box by total, from the grid of the counts of every
+    edge but d: a grid point with counts c and total s heads the state of
+    total t whose edge d holds t - s, at index base + t * stride[d], where
+    base = sum_e c_e * (stride[e] - stride[d]).  Returns the bases sorted
+    by s, in grid order within each s (ascending indices when d is the last
+    edge), and where each s begins: the states of total t are the points
+    with t - top[d] <= s <= t, one slice."""
+    base, total = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int32)
+    for e in np.delete(np.arange(len(top)), d):
+        counts = np.arange(top[e] + 1)
+        base = np.add.outer(base, counts * (stride[e] - stride[d])).ravel()
+        total = np.add.outer(total, counts.astype(np.int32)).ravel()
+    starts = np.zeros(int(total[-1]) + 2, dtype=np.int64)
+    np.cumsum(np.bincount(total), out=starts[1:])
+    return base[np.argsort(total, kind="stable")], starts
 
 
 def downset_table(
@@ -562,17 +607,14 @@ def downset_table(
     stride[:-1] = np.cumprod(radix[:0:-1])[::-1]
     values = np.empty(int(radix.prod()))
     values[0] = 1.0
-    layer = np.zeros(1, dtype=np.int64)  # the states of total 0
-    for _ in range(int(top.sum())):
-        # each state of the next total once, from the state one count short
-        # on its last positive edge e: a state whose counts after e are all zero
-        layer = np.concatenate([
-            layer[(layer % stride[e] == 0) & (layer // stride[e] % radix[e] < top[e])] + stride[e]
-            for e in range(g.m)
-        ])
-        layer.sort()  # ascending indices keep the gathers below local
-        for lo in range(0, len(layer), _BOX_CHUNK):
-            idx = layer[lo : lo + _BOX_CHUNK]
+    # the edge read off the total: the one with the most counts, the last among ties
+    d = max(range(g.m), key=lambda e: (top[e], e))
+    base, starts = _grid(top, stride, d)
+    last = len(starts) - 2  # the largest grid total
+    for t in range(1, int(top.sum()) + 1):
+        first, end = starts[max(t - top[d], 0)], starts[min(t, last) + 1]
+        for lo in range(first, end, _BOX_CHUNK):
+            idx = base[lo : min(lo + _BOX_CHUNK, end)] + t * stride[d]
             # the states of one total, whose children are all done; where
             # n_e = 0 the child index may fall outside the box: candidate 0.0
             cand = np.take(values, idx - stride[:, None], mode="clip")

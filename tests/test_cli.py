@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 import seqassign.cli as cli_module
 import seqassign.simulate as simulate_module
 import seqassign.values as values_module
-from seqassign.cli import _emit, _parse_ints, _verify_rows, main
+from seqassign.cli import _emit, _parse_ints, _verify_rows, main, phase_bytes
 from seqassign.experiments import (
     CONJECTURE_COLUMNS,
     PHASE_COLUMNS,
     SCAN_COLUMNS,
     WINDOW_COLUMNS,
+    PhaseGrid,
     a_star,
     steering_report,
 )
@@ -30,6 +32,7 @@ from seqassign.simulate import deviation_tail, policy_bytes
 from seqassign.strategies import SteerExact, SteerKTarget, SteerPlan
 from seqassign.values import (
     DEFAULT_BUDGET,
+    _layer_bars,
     compute_table,
     downset_bytes,
     layer_size,
@@ -250,6 +253,44 @@ def test_csv_blocks_write_the_same_bytes(block, p4_file, tmp_path, capsys, monke
     code, out, _ = run(["phase", "--graph", p4_file, "--n", "12"], capsys)
     assert code == 0
     assert out.encode().startswith(whole)
+
+
+def test_phase_grid_blocks_are_the_layer_bars():
+    # m is the first bar p_1 and l is n + 1 - p_2, for any block of ranks:
+    # one that starts or ends mid-row, one row, the layer's last rank, the
+    # whole layer, and the one-config layer 0
+    for n in (0, 1, 2, 12, 45):
+        size = layer_size(n, 3)
+        bars = _layer_bars(n, 3)
+        grid = PhaseGrid(n, np.arange(size) / 7.0)
+        assert len(grid) == size
+        for lo, hi in {(0, size), (0, 1), (size - 1, size), (size // 3, size // 2), (1, size)}:
+            m, l, p = grid.block(lo, hi)
+            assert m.dtype == l.dtype == np.int64
+            assert m.tolist() == bars[0, lo:hi].tolist()
+            assert l.tolist() == (n + 1 - bars[1, lo:hi]).tolist()
+            assert p.tolist() == grid.p[lo:hi].tolist()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_phase_peak_within_its_guard(fmt, p4_file, tmp_path, capsys):
+    # tracemalloc sees every numpy buffer and Python object: the command's
+    # peak, its stream, output blocks and --verify re-read included, stays
+    # under phase_bytes.  Layer 800's 321,201 rows would take 5.1 MB as two
+    # int64 bar columns, more than the guard allows one output block
+    n = 800
+    assert 16 * layer_size(n, 3) > cli_module._ROW_BYTES * cli_module._CSV_BLOCK
+    argv = ["phase", "--graph", p4_file, "--format", fmt, "--verify", "--out"]
+    # the first large block loads seqassign._fmt and its tables
+    assert run(argv + [str(tmp_path / "warm"), "--n", "60"], capsys)[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(argv + [str(tmp_path / f"grid.{fmt}"), "--n", str(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= phase_bytes(n)
 
 
 def test_scan_golden_header_and_summary(p4_file, tmp_path, capsys):
@@ -678,6 +719,32 @@ def test_verify_checks_every_100th_row(fmt, row, caught, p4_file, tmp_path, caps
             verify()
     else:
         verify()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_compares_its_rows_in_batches(fmt, p4_file, tmp_path, capsys, monkeypatch):
+    # sampled rows are compared a batch at a time: a bad row in a later
+    # batch than the first is caught, and names its own row
+    monkeypatch.setattr(cli_module, "_VERIFY_BATCH", 2)
+    n = 30
+    out_path = tmp_path / f"grid.{fmt}"
+    argv = ["phase", "--graph", p4_file, "--n", str(n), "--format", fmt, "--out", str(out_path)]
+    assert run(argv, capsys)[0] == 0
+    text = out_path.read_text()
+    sep = "\n" if fmt == "csv" else "], ["
+    rows = text.split(sep)
+    row = 400 + (fmt == "csv")  # the fifth sampled row, in the third batch
+    cells = rows[row].split("," if fmt == "csv" else ", ")
+    cells[2] = _bump_last_digit(cells[2])
+    rows[row] = ("," if fmt == "csv" else ", ").join(cells)
+    out_path.write_text(sep.join(rows))
+    table = compute_table(path_graph(4), n)
+    with pytest.raises(SeqAssignError, match="verification mismatch") as exc:
+        _verify_rows(
+            str(out_path), fmt, table, 2,
+            lambda r: (int(r[0]), n - int(r[0]) - int(r[1]), int(r[1])),
+        )
+    assert cells[0] in str(exc.value)
 
 
 def test_verify_fails_on_a_corrupted_sampled_json_row(p4_file, tmp_path, capsys, monkeypatch):
@@ -1168,7 +1235,7 @@ def test_phase_streams_past_the_full_table_budget(p4_file, tmp_path, capsys):
     "argv, need",
     [
         (["value", "table", "--graph", "K4", "--n", "86"], stream_bytes(6, 86, ())),
-        (["phase", "--graph", "P4", "--n", "9254"], stream_bytes(3, 9254, [9254])),
+        (["phase", "--graph", "P4", "--n", "11212"], phase_bytes(11212)),
     ],
     ids=["value-table-k4", "phase-p4"],
 )

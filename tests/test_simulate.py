@@ -577,6 +577,17 @@ def test_diagnostics_of_a_game_from_the_target(p4):
     assert diag.s_increments is None and diag.positive_drift_steps == []
 
 
+def test_diagnostics_of_a_traced_game_from_the_empty_config(p4):
+    # a start of total 0 is won before any move, so the lockstep loop never
+    # resets the traced stage-1 strategy: no direction, no increments, no flags
+    xs = x_star(p4)
+    curve = deviation_tail(p4, [0, 0, 0], GreedyLargest(), xs, 0, [0], 3, 1, traced=(2, 3, 5))
+    assert [game.steps_played for game in curve.traced] == [0, 0, 0]
+    for game in curve.traced:
+        diag = trace_diagnostics(game, curve.stage1)
+        assert diag.s_increments is None and diag.positive_drift_steps == []
+
+
 def test_play_and_estimate_reject_negative_entry(p4):
     with pytest.raises(NegativeEntry):
         play(p4, [5, -1, 5], GreedyLargest(), 1)

@@ -467,6 +467,44 @@ def test_steer_k_interior_coincides_with_exact_setup(p4):
     assert np.allclose(s.x_mid, xs)
 
 
+def test_steer_k_builds_its_approach_once_per_start(p4, monkeypatch):
+    # the runs of an estimate share their start and so their midpoint: one
+    # approach SteerExact serves them all, and plays the games a new one would
+    import seqassign.strategies as strategies
+
+    built = []
+
+    class Spy(SteerExact):
+        def __init__(self, *args):
+            built.append(args[1].z)
+            super().__init__(*args)
+
+    class Rebuilt(SteerKTarget):
+        def reset(self, *args):
+            self._mid = None
+            super().reset(*args)
+
+    monkeypatch.setattr(strategies, "SteerExact", Spy)
+    plan, start = SteerPlan(z=np.array([0.3, 0.3, 0.4]), n1=12), [40, 30, 50]
+    shared = SteerKTarget(p4, plan)
+    curve = deviation_tail(p4, start, shared, plan.z, 12, [0, 1, 2], 6, 3)
+    assert len(built) == 1
+    again = deviation_tail(p4, start, Rebuilt(p4, plan), plan.z, 12, [0, 1, 2], 6, 3)
+    assert np.array_equal(again.tail, curve.tail)
+    assert len(built) == 7
+    games = [
+        [play(p4, start, s, child_rng(5, i), trace=True) for i in range(4)]
+        for s in (shared, Rebuilt(p4, plan))
+    ]
+    for a, b in zip(*games):
+        assert np.array_equal(a.trace.vertices, b.trace.vertices)
+        assert np.array_equal(a.trace.edges, b.trace.edges)
+    assert len(built) == 11
+    # another start has another midpoint, and its own approach
+    play(p4, [50, 30, 40], shared, child_rng(5, 0))
+    assert len(built) == 12 and not np.array_equal(built[-1], built[0])
+
+
 def test_steer_k_rejects_outside(p4):
     with pytest.raises(DomainError):
         SteerKTarget(p4, SteerPlan(z=np.array([0.2, 0.3, 0.5]), n1=30))

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -428,6 +429,58 @@ def test_stream_bytes_bounds_rss_growth(n, keep):
         f"stream_table(g, {n}, keep={keep}); need = stream_bytes(g.m, {n}, {keep})"
     )
     assert 0 < growth <= estimate
+
+
+STREAM_KEEPS = {"none": (), "top": (-1,), "two": (10, -1), "below-top": (10,), "every": None}
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["memory", "cache"])
+@pytest.mark.parametrize("keep", list(STREAM_KEEPS.values()), ids=list(STREAM_KEEPS))
+@pytest.mark.parametrize(
+    "g, n",
+    [(path_graph(3), 2000), (path_graph(4), 300), (complete_graph(4), 24)],
+    ids=["P3", "P4", "K4"],
+)
+def test_stream_peak_within_stream_bytes(g, n, keep, cached, tmp_path):
+    # tracemalloc sees every numpy buffer and Python object: the stream's
+    # peak, with its cache file's writes, stays under its guard, and its kept
+    # layers and cache file carry compute_table's and save_table's bytes
+    keep = range(n + 1) if keep is None else [n + 1 + t if t < 0 else t for t in keep]
+    path = tmp_path / "t.tbl" if cached else None
+    stream_table(g, 3, keep=[3], path=tmp_path / "warm.tbl")  # allocations of a first call
+    tracemalloc.start()
+    try:
+        table = stream_table(g, n, keep=keep, path=path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stream_bytes(g.m, n, keep)
+    full = compute_table(g, n)
+    assert [t for t, layer in enumerate(table.layers) if layer is not None] == sorted(keep)
+    for t in keep:
+        assert table.layer(t).tobytes() == full.layer(t).tobytes()
+    if cached:
+        save_table(full, tmp_path / "full.tbl")
+        assert path.read_bytes() == (tmp_path / "full.tbl").read_bytes()
+
+
+def test_stream_holds_two_layer_buffers(p4):
+    # the kept top layer is the rolling buffer of its parity: the stream fits
+    # a budget below the bytes of the three layer-sized buffers that the kept
+    # layer and two rolling buffers of the largest rolled layer took, and
+    # its top layer is the one a stream that keeps layer n - 1 apart makes
+    n = 600
+    three = 8 * (layer_size(n, 3) + 2 * layer_size(n - 1, 3))
+    need = stream_bytes(3, n, [n])
+    tracemalloc.start()
+    try:
+        table = stream_table(p4, n, keep=[n], memory_budget=need)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need < three
+    apart = stream_table(p4, n, keep=[n - 1, n])
+    assert table.layer(n).tobytes() == apart.layer(n).tobytes()
 
 
 @pytest.mark.parametrize(
