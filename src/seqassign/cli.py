@@ -2,7 +2,7 @@
 
 Subcommands: region classify|flow, value table|at|argmax, phase, scan,
 conjecture, window, steer, simulate.  Exit codes: 0 success, 2 input error,
-3 resource budget exceeded or out of memory.
+3 resource budget exceeded, too little disk for --cache, or out of memory.
 
 CSV files carry one fixed, documented header row per subcommand; JSON output
 is a single object with "columns" and "rows" (tabular commands) or a report
@@ -26,7 +26,6 @@ from . import experiments as exp
 from .errors import (
     RESOURCE_ERRORS,
     DomainError,
-    MemoryBudgetExceeded,
     OutsideSimplex,
     SeqAssignError,
 )
@@ -51,9 +50,11 @@ from .strategies import (
 )
 from .values import (
     DEFAULT_BUDGET,
+    _check_budget,
     argmax_config,
     check_config,
     downset_table,
+    load_bytes,
     load_table,
     round_to_config,
     stream_bytes,
@@ -137,8 +138,10 @@ _ROW_BYTES = 256
 
 
 def phase_bytes(n: int) -> int:
-    """Peak memory of phase at layer n, its guard: the stream that keeps
-    layer n, and one output block of _CSV_BLOCK rows at _ROW_BYTES a row."""
+    """Peak memory of phase at layer n when it streams, its guard: the
+    stream that keeps layer n, and one output block of _CSV_BLOCK rows at
+    _ROW_BYTES a row.  A load from --cache is charged its layer instead
+    (see _table_for)."""
     return stream_bytes(3, n, [n]) + _ROW_BYTES * _CSV_BLOCK
 
 
@@ -272,10 +275,12 @@ def _emit_report(out: str | None, report: dict) -> None:
         fh.write(text)
 
 
-def _table_for(g: Graph, keep, args):
+def _table_for(g: Graph, keep, args, beside: int = 0):
     """A table holding the layers in keep: read from --cache when the file
     reaches them under the same law, else streamed to the largest of them,
-    and then every layer is written to --cache as it is made."""
+    and then every layer is written to --cache as it is made.  The path
+    taken is charged, load_bytes or stream_bytes, with the bytes the command
+    holds beside the table."""
     n = max(keep)
     weights = _load_weights(getattr(args, "weights", None))
     cache = getattr(args, "cache", None)
@@ -284,7 +289,9 @@ def _table_for(g: Graph, keep, args):
         if os.path.exists(cache):
             stored = load_table(cache, g, keep=())
             if stored.n_max >= n and np.array_equal(stored.weights, want):
+                _check_budget(load_bytes(g.m, stored.n_max, keep) + beside, DEFAULT_BUDGET)
                 return load_table(cache, g, keep)
+    _check_budget(stream_bytes(g.m, n, keep) + beside, DEFAULT_BUDGET)
     return stream_table(g, n, weights, keep, cache)
 
 
@@ -428,10 +435,7 @@ def _cmd_phase(args) -> int:
     g = load_graph(args.graph)
     _require_positive("n", [args.n])
     exp.check_phase_graph(g)
-    need = phase_bytes(args.n)
-    if need > DEFAULT_BUDGET:
-        raise MemoryBudgetExceeded(need, DEFAULT_BUDGET)
-    table = _table_for(g, [args.n], args)
+    table = _table_for(g, [args.n], args, _ROW_BYTES * _CSV_BLOCK)
     grid, summary = exp.phase_diagram(args.n, table)
     _emit(args.out, args.format, exp.PHASE_COLUMNS, grid, summary)
     if args.verify:

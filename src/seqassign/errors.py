@@ -54,6 +54,13 @@ class MemoryBudgetExceeded(SeqAssignError):
         self.budget_bytes = budget_bytes
 
 
+class DiskSpaceExceeded(SeqAssignError):
+    def __init__(self, required_bytes: int, free_bytes: int):
+        super().__init__(f"cache file needs {required_bytes} bytes, disk has {free_bytes} free")
+        self.required_bytes = required_bytes
+        self.free_bytes = free_bytes
+
+
 class LayerOutOfRange(SeqAssignError):
     pass
 
@@ -86,4 +93,4 @@ class DomainError(SeqAssignError):
     pass
 
 
-RESOURCE_ERRORS = (MemoryBudgetExceeded, SubsetCapExceeded)
+RESOURCE_ERRORS = (MemoryBudgetExceeded, DiskSpaceExceeded, SubsetCapExceeded)

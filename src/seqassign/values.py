@@ -34,7 +34,12 @@ Layer t is computed from layer t-1 by the recursion
 with an empty max contributing 0 (a drawn vertex with no positive incident
 edge loses the game).  Every value is >= 0.0, so an empty edge may enter the
 max as 0.0.  Accumulation is in vertex order, so the stored values can be
-reproduced bit-exactly from the previous layer.  Since a layer reads only
+reproduced bit-exactly from the previous layer.  Under an equal-weight law
+every p_v is one w, and x -> fl(w * x) is monotone, since rounding is, so
+fl(w * max_e c_e) = max_e fl(w * c_e): a streamed layer whose previous
+layer was rolled scales that layer once in place and then takes only maxima
+and sums, with the same bits.  Boxes, other laws and a layer after a kept
+layer keep the per-vertex multiply.  Since a layer reads only
 the one below, stream_table holds the layers asked for, as views of one
 buffer, and one rolling buffer per parity of the total for the others; a
 kept layer n_max, the last and largest, is its parity's buffer.
@@ -52,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import operator
 import os
+import shutil
 import struct
 from dataclasses import dataclass
 from math import comb, prod
@@ -59,6 +65,7 @@ from math import comb, prod
 import numpy as np
 
 from .errors import (
+    DiskSpaceExceeded,
     DomainError,
     FormatMismatch,
     GraphHashMismatch,
@@ -237,7 +244,7 @@ _CHUNK = 1 << 14  # ranks of a layer evaluated per step of _next_layer
 # a kept layer's array object and size, and the record numpy keeps of its
 # buffer once it is written to a cache file
 _LAYER_OBJECT_BYTES = 320
-_WRITE_BUFFER = 1 << 13  # a cache file's write buffer: io's default, or a 4 KiB block
+_FILE_BUFFER = 1 << 13  # a cache file's buffer: io's default, or a 4 KiB block
 
 
 def required_bytes(m: int, n_max: int) -> int:
@@ -273,18 +280,24 @@ def _rolled(m: int, n_max: int, keep: set[int]) -> list[int]:
     return sizes
 
 
-def stream_bytes(m: int, n_max: int, keep) -> int:
-    """Peak memory of stream_table: the kept layers, the rolling buffers
-    (see _rolled), the Python objects of the kept layers and a list slot for
-    every layer, the working arrays of the largest layer, and a cache
-    file's write buffer with its file objects, twice the buffer.  With every
-    layer kept nothing is rolled, and the kept layers are
-    required_bytes(m, n_max)."""
+def load_bytes(m: int, n_max: int, keep) -> int:
+    """Peak memory of load_table from a file of layers 0..n_max: the layers
+    in keep, their Python objects and a list slot for every layer, and the
+    file's buffer with its file objects, twice the buffer."""
     keep = set(keep)
     kept = sum(layer_size(t, m) for t in keep)
-    rolled = sum(_rolled(m, n_max, keep))
     objects = _LAYER_OBJECT_BYTES * len(keep) + 8 * (n_max + 1)
-    return 8 * (kept + rolled) + objects + _kernel_bytes(m, n_max) + 2 * _WRITE_BUFFER
+    return 8 * kept + objects + 2 * _FILE_BUFFER
+
+
+def stream_bytes(m: int, n_max: int, keep) -> int:
+    """Peak memory of stream_table: what load_bytes charges the kept layers
+    and a cache file, the rolling buffers (see _rolled) and the working
+    arrays of the largest layer.  With every layer kept nothing is rolled,
+    and the kept layers are required_bytes(m, n_max)."""
+    keep = set(keep)
+    rolled = sum(_rolled(m, n_max, keep))
+    return load_bytes(m, n_max, keep) + 8 * rolled + _kernel_bytes(m, n_max)
 
 
 def _check_keep(keep, n_max: int) -> set[int]:
@@ -312,19 +325,28 @@ def _check_budget(need: int, memory_budget: int) -> None:
         raise MemoryBudgetExceeded(need, memory_budget)
 
 
-def _sweep(g: Graph, w: np.ndarray, n_max: int, out_for):
-    """Compute layers 0..n_max in order, each into the array out_for(t), and
-    yield each one once it is written.  Layer t reads only layer t-1, so
-    out_for may hand out a buffer again two layers later.  Every layer
-    reads a prefix of layer n_max's masks (see _live) and chunk offsets."""
+def _sweep(g: Graph, w: np.ndarray, layers, roll):
+    """Compute layers 0..n_max in order, each into its array in layers when
+    it is kept, else into the rolling buffer of its parity, and yield each
+    one once it is written.  Layer t reads only layer t-1, so a buffer is
+    handed out again two layers later.  Every layer reads a prefix of layer
+    n_max's masks (see _live) and chunk offsets.  Under an equal-weight law
+    a rolled layer t-1, already yielded and read by layer t alone, is scaled
+    in place by w[0] first, and layer t takes the pass without multiplies
+    (see _vertex_pass)."""
+    n_max = len(layers) - 1
     live = _live(n_max, g.m)
     starts = _chunk_starts(live)
-    prev = out_for(0)
-    prev[0] = 1.0
-    yield prev
-    for t in range(1, n_max + 1):
-        out = out_for(t)
-        _next_layer(g, w, prev, out, live, starts)
+    equal = bool((w == w[0]).all())
+    for t, layer in enumerate(layers):
+        out = roll[t % 2][: layer_size(t, g.m)] if layer is None else layer
+        if t == 0:
+            out[0] = 1.0
+        else:
+            scaled = equal and layers[t - 1] is None
+            if scaled:
+                prev *= w[0]
+            _next_layer(g, w, prev, out, live, starts, scaled)
         yield out
         prev = out
 
@@ -352,11 +374,7 @@ def stream_table(
     roll = [np.empty(size) for size in _rolled(g.m, n_max, keep)]
     if layers[n_max] is not None:
         roll[n_max % 2] = layers[n_max]
-
-    def out_for(t):
-        return roll[t % 2][: layer_size(t, g.m)] if layers[t] is None else layers[t]
-
-    sweep = _sweep(g, w, n_max, out_for)
+    sweep = _sweep(g, w, layers, roll)
     if path is None:
         for _ in sweep:
             pass
@@ -372,12 +390,15 @@ def _chunk_starts(live) -> list[np.ndarray]:
     return [np.cumsum([0, *c]) for c in counts]
 
 
-def _next_layer(g: Graph, w: np.ndarray, prev: np.ndarray, out: np.ndarray, live, starts) -> None:
+def _next_layer(
+    g: Graph, w: np.ndarray, prev: np.ndarray, out: np.ndarray, live, starts, scaled: bool = False
+) -> None:
     """Write layer t, computed from layer t-1 in prev, to out, _CHUNK ranks
     at a time.  Edge 0's candidates are edge 1's one rank earlier, and the
     last edge's are layer t-1 followed by zeros, so only edges 1..m-2 are
     scattered, through live, their masks on layer t or a larger layer (see
-    _live), and starts, the masks' _chunk_starts."""
+    _live), and starts, the masks' _chunk_starts.  With scaled, prev holds
+    layer t-1 times w[0] under an equal-weight law (see _vertex_pass)."""
     m, n = g.m, len(out)
     size = min(n, _CHUNK)
     # row e - 1 holds edge e's candidates from slot 1 on; slot 0 of row 0
@@ -395,31 +416,46 @@ def _next_layer(g: Graph, w: np.ndarray, prev: np.ndarray, out: np.ndarray, live
             # slice's end may pass; n_e = 0 gets 0.0, the value of a loss
             rows[e].fill(0.0)
             rows[e][mask[lo:hi]] = prev[start[c] : start[c + 1]]
-        head = prev[lo:hi]  # the configs with n_{m-1} > 0 are the first len(prev) ranks
-        rows[m - 1][: len(head)] = head
-        rows[m - 1][len(head) :] = 0.0
-        _vertex_pass(g, w, rows, o, a)
+        # the configs with n_{m-1} > 0 are the first len(prev) ranks; for
+        # m = 2 the last edge is edge 1, whose row carries into edge 0
+        if m > 2 and hi <= len(prev):
+            rows[m - 1] = prev[lo:hi]
+        else:
+            head = prev[lo:hi]
+            rows[m - 1][: len(head)] = head
+            rows[m - 1][len(head) :] = 0.0
+        _vertex_pass(g, w, rows, o, a, scaled)
         cand[0, 0] = cand[0, hi - lo]
 
 
-def _vertex_pass(g: Graph, w: np.ndarray, rows, out: np.ndarray, acc: np.ndarray) -> None:
+def _vertex_pass(
+    g: Graph, w: np.ndarray, rows, out: np.ndarray, acc: np.ndarray, scaled: bool = False
+) -> None:
     """Write sum_v w[v] * max_{e ~ v} rows[e] to out, with rows[e] edge e's
     candidate row, 0.0 where the edge is empty, and acc a scratch array of
     out's size.  Every value is >= 0.0, so the max over a vertex's edges is
     the max over its positive edges, or 0.0 when there is none.  Vertices
-    are added in order, which fixes every value's bits; the first vertex
-    writes out directly, since 0.0 + x is x for every x >= 0.0."""
+    are added in order, which fixes every value's bits; the first two terms
+    go into out in one add, since 0.0 + x is x for every x >= 0.0.
+
+    With scaled, every w[v] is w[0] and the rows hold w[0] times the
+    candidates, so the pass takes only maxima and sums, and a one-edge
+    vertex's term is its row.  x -> fl(w * x) is monotone, since rounding
+    is, so fl(w * max_e c_e) = max_e fl(w * c_e): the bits are the same."""
     for v, edges in enumerate(g.incidence):
-        dst = acc if v else out
-        if len(edges) == 1:
-            np.multiply(rows[edges[0]], w[v], out=dst)
-        else:
-            np.maximum(rows[edges[0]], rows[edges[1]], out=dst)
+        term, dst = rows[edges[0]], acc if v else out
+        if len(edges) > 1:
+            term = np.maximum(term, rows[edges[1]], out=dst)
             for e in edges[2:]:
-                np.maximum(dst, rows[e], out=dst)
-            dst *= w[v]
-        if v:
-            out += acc
+                np.maximum(term, rows[e], out=term)
+        if not scaled:
+            term = np.multiply(term, w[v], out=dst)
+        if v == 0:
+            first = term
+        elif v == 1:
+            np.add(first, term, out=out)
+        else:
+            out += term
 
 
 def check_config(g: Graph, cfg, n_max: int | None = None, rows: bool = False) -> np.ndarray:
@@ -638,9 +674,11 @@ def save_table(t: ValueTable, path) -> None:
 
 def _write_table(path, g: Graph, n_max: int, weights, layers) -> None:
     """Write save_table's format, taking layers 0..n_max from an iterable as
-    it yields them.  A write cut short removes the file, which load_table
+    it yields them, once the disk has room for the whole file (see
+    _check_disk).  A write cut short removes the file, which load_table
     would refuse on every later read."""
     try:
+        _check_disk(path, _HEAD + 8 * g.k + required_bytes(g.m, n_max))
         fh = open(path, "wb")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
@@ -657,6 +695,16 @@ def _write_table(path, g: Graph, n_max: int, weights, layers) -> None:
         if isinstance(exc, OSError):
             raise IoFailure(str(exc)) from exc
         raise
+
+
+def _check_disk(path, need: int) -> None:
+    """DiskSpaceExceeded unless the free space of path's filesystem, with
+    the bytes of a file at path that the write replaces, holds need bytes."""
+    free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+    if os.path.isfile(path):
+        free += os.path.getsize(path)
+    if need > free:
+        raise DiskSpaceExceeded(need, free)
 
 
 def load_table(path, g: Graph, keep=None) -> ValueTable:

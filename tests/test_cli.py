@@ -1,5 +1,6 @@
 import itertools
 import json
+import shutil
 import tracemalloc
 import warnings
 
@@ -36,6 +37,7 @@ from seqassign.values import (
     compute_table,
     downset_bytes,
     layer_size,
+    load_bytes,
     stream_bytes,
     value_at,
 )
@@ -1248,6 +1250,60 @@ def test_stream_over_budget_exits_3(argv, need, tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert f"table needs {need} bytes" in err
+    assert not cache.exists()
+
+
+def test_phase_charges_the_load_when_the_cache_serves_it(p4_file, tmp_path, capsys, monkeypatch):
+    # under a budget below phase_bytes, a stream is refused, but a cache that
+    # reaches layer n is read instead, and a load is charged its layer only
+    n = 60
+    cache = str(tmp_path / "p4.tbl")
+    assert run(["value", "table", "--graph", p4_file, "--n", "80", "--cache", cache], capsys)[0] == 0
+    block = cli_module._ROW_BYTES * cli_module._CSV_BLOCK
+    budget = phase_bytes(n) - 1
+    assert load_bytes(3, 80, [n]) + block <= budget
+    monkeypatch.setattr(cli_module, "DEFAULT_BUDGET", budget)
+    argv = ["phase", "--graph", p4_file, "--n", str(n), "--out"]
+    code, _, err = run(argv + [str(tmp_path / "a.csv"), "--cache", str(tmp_path / "new.tbl")], capsys)
+    assert code == 3
+    assert f"table needs {phase_bytes(n)} bytes, budget is {budget}" in err
+    assert not (tmp_path / "new.tbl").exists()
+    code, out, _ = run(argv + [str(tmp_path / "b.csv"), "--cache", cache, "--verify"], capsys)
+    assert code == 0
+    assert json.loads(out)["n"] == n
+    monkeypatch.setattr(cli_module, "DEFAULT_BUDGET", load_bytes(3, 80, [n]) + block - 1)
+    assert run(argv + [str(tmp_path / "c.csv"), "--cache", cache], capsys)[0] == 3
+
+
+@pytest.mark.parametrize("short", [1, 0], ids=["one-byte-short", "exact"])
+def test_cache_stream_checks_free_disk_first(short, p4_file, tmp_path, capsys, monkeypatch):
+    # the whole file is charged against the free space before a byte is
+    # written, and a cache too small for n, which the stream replaces,
+    # counts as free.  disk_usage is faked, so no disk is filled
+    n = 40
+    need = values_module._HEAD + 8 * 4 + values_module.required_bytes(3, n)
+    cache = tmp_path / "t.tbl"
+    assert run(["value", "table", "--graph", p4_file, "--n", "10", "--cache", str(cache)], capsys)[0] == 0
+    old = cache.read_bytes()
+    usage = shutil.disk_usage(tmp_path)
+    free = need - len(old) - short
+    monkeypatch.setattr(
+        values_module.shutil, "disk_usage", lambda path: usage._replace(free=free)
+    )
+    argv = ["phase", "--graph", p4_file, "--n", str(n), "--out", str(tmp_path / "g.csv")]
+    code, out, err = run(argv + ["--cache", str(cache)], capsys)
+    if not short:
+        assert code == 0
+        assert cache.stat().st_size == need
+        return
+    assert code == 3
+    assert out == ""
+    assert f"cache file needs {need} bytes, disk has {need - 1} free" in err
+    assert cache.read_bytes() == old
+    cache.unlink()
+    code, _, err = run(argv + ["--cache", str(cache)], capsys)
+    assert code == 3
+    assert f"cache file needs {need} bytes, disk has {free} free" in err
     assert not cache.exists()
 
 

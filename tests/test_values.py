@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import os
+import shutil
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from seqassign.errors import (
+    RESOURCE_ERRORS,
+    DiskSpaceExceeded,
     DomainError,
     FormatMismatch,
     GraphHashMismatch,
@@ -46,6 +49,7 @@ from seqassign.values import (
     downset_table,
     graph_hash,
     layer_size,
+    load_bytes,
     load_table,
     optimal_move,
     rank_config,
@@ -528,13 +532,47 @@ def test_chunked_layers_match_one_chunk(g, n_max, weights, chunk, monkeypatch):
     # each masked edge's slice of the layer below must advance, and edge 1's
     # last candidate carry into edge 0's first, across chunk boundaries,
     # which fall mid-row at a chunk of 37 ranks and at every rank at 1.  The
-    # two-edge path P3 has no masked edge
+    # two-edge path P3 has no masked edge.  A stream's rolled layers are
+    # scaled under the uniform law: the last edge's row is read from the
+    # layer below in place where the chunk lies inside it, but for P3 that
+    # row is edge 1's, which carries into edge 0, so it is still copied
     whole = compute_table(g, n_max, weights)
     monkeypatch.setattr(values_module, "_CHUNK", chunk)
     chunked = compute_table(g, n_max, weights)
     assert max(map(len, chunked.layers)) > 37
     for t, (a, b) in enumerate(zip(chunked.layers, whole.layers)):
         assert np.array_equal(a, b), f"layer {t}"
+    keep = [n_max // 2, n_max - 1, n_max]
+    streamed = stream_table(g, n_max, weights, keep=keep)
+    for t in keep:
+        assert np.array_equal(streamed.layers[t], whole.layers[t]), f"streamed layer {t}"
+
+
+@pytest.mark.parametrize(
+    "g, n_max",
+    [
+        (path_graph(4), 150),
+        (cycle_graph(5), 20),
+        (complete_graph(4), 14),
+        (star_graph(4), 24),
+        (complete_graph(3), 90),
+        (path_graph(3), 2000),
+    ],
+    ids=["P4", "C5", "K4", "S4", "K3", "P3"],
+)
+def test_equal_law_stream_matches_weighted_table(g, n_max):
+    # compute_table keeps every layer, so each takes the per-vertex multiply;
+    # a stream scales each rolled layer by w once and only takes maxima and
+    # sums after it.  Rounding is monotone, so both give the same bits, also
+    # at K3's w = 1/3, which is not dyadic, and on P3's subnormal layers
+    full = compute_table(g, n_max)
+    for keep in ([n_max], [n_max // 3, n_max // 2, n_max]):
+        streamed = stream_table(g, n_max, keep=keep)
+        for t in keep:
+            assert streamed.layer(t).tobytes() == full.layer(t).tobytes(), (keep, t)
+    if g.m == 2:
+        top = full.layer(n_max)
+        assert ((top > 0.0) & (top < np.finfo(float).tiny)).any()
 
 
 def test_stream_keeps_only_the_layers_asked_for(p4, p4_table, tmp_path):
@@ -952,6 +990,40 @@ def test_load_unsupported_version(tmp_path, p4):
 def test_load_from_a_path_that_is_no_file_is_io_failure(tmp_path, p4, name):
     with pytest.raises(IoFailure):
         load_table(tmp_path if name is None else tmp_path / name, p4)
+
+
+def test_cache_writers_refuse_a_short_disk(tmp_path, p4, monkeypatch):
+    # the file's bytes are checked against the free space before it is
+    # opened; disk_usage is faked, so no disk is filled
+    need = values_module._HEAD + 8 * 4 + required_bytes(3, 30)
+    usage = shutil.disk_usage(tmp_path)
+    monkeypatch.setattr(values_module.shutil, "disk_usage", lambda path: usage._replace(free=need - 1))
+    path = tmp_path / "p4.tbl"
+    writes = [
+        lambda: stream_table(p4, 30, keep=[30], path=path),
+        lambda: save_table(compute_table(p4, 30), path),
+    ]
+    for write in writes:
+        with pytest.raises(DiskSpaceExceeded) as exc:
+            write()
+        assert (exc.value.required_bytes, exc.value.free_bytes) == (need, need - 1)
+        assert not path.exists()
+    assert DiskSpaceExceeded in RESOURCE_ERRORS
+
+
+@pytest.mark.parametrize("keep", [[], [300], [150, 299, 300]], ids=["header", "top", "three"])
+def test_load_peak_within_load_bytes(keep, tmp_path, p4):
+    path = tmp_path / "p4.tbl"
+    stream_table(p4, 300, path=path)
+    load_table(path, p4, keep=[3])  # allocations of a first call
+    tracemalloc.start()
+    try:
+        table = load_table(path, p4, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= load_bytes(3, 300, keep)
+    assert [t for t, layer in enumerate(table.layers) if layer is not None] == keep
 
 
 def test_load_refuses_a_file_that_shrinks_while_read(tmp_path, p4, monkeypatch):
