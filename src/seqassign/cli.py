@@ -537,18 +537,15 @@ def _add_common(p, weights=False, cache=False, runs=False, formats=("csv", "json
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="seqassign")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("region", help="region membership of a simplex point")
+def _region_args(p) -> None:
     p.add_argument("mode", choices=["classify", "flow"])
     p.add_argument("--graph", required=True)
     p.add_argument("--point", required=True, help="comma floats or 'xstar'")
     _add_common(p, weights=True, formats=REPORT)
     p.set_defaults(func=_cmd_region)
 
-    p = sub.add_parser("value", help="value table operations")
+
+def _value_args(p) -> None:
     p.add_argument("mode", choices=["table", "at", "argmax"])
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, default=None)
@@ -556,14 +553,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, weights=True, cache=True, formats=REPORT)
     p.set_defaults(func=_cmd_value)
 
-    p = sub.add_parser("phase", help="full probability grid for a 3-edge graph")
+
+def _phase_args(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="re-read 1%% of --out's rows")
     _add_common(p, weights=True, cache=True)
     p.set_defaults(func=_cmd_phase)
 
-    p = sub.add_parser("scan", help="decay/convergence scan along a fixed point")
+
+def _scan_args(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--n-list", required=True, help="comma list or lo:hi:step")
@@ -571,20 +570,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, weights=True, cache=True)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("conjecture", help="path-graph argmax partial sums")
+
+def _conjecture_args(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-list", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_conjecture)
 
-    p = sub.add_parser("window", help="critical-window slice maxima")
+
+def _window_args(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--n-list", required=True)
     p.add_argument("--a-grid", required=True, help="comma list or lo:hi:step")
     _add_common(p, cache=True)
     p.set_defaults(func=_cmd_window)
 
-    p = sub.add_parser("steer", help="steering report")
+
+def _steer_args(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True, help="start total")
     p.add_argument("--n1", type=int, required=True, help="target total")
@@ -596,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, runs=True, formats=REPORT)
     p.set_defaults(func=_cmd_steer)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimate for a strategy")
+
+def _simulate_args(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--strategy", required=True)
@@ -604,11 +607,37 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, weights=True, runs=True, formats=REPORT)
     p.set_defaults(func=_cmd_simulate)
 
+
+# name -> (help line, the function that adds its arguments), in help order
+_SUBCOMMANDS = {
+    "region": ("region membership of a simplex point", _region_args),
+    "value": ("value table operations", _value_args),
+    "phase": ("full probability grid for a 3-edge graph", _phase_args),
+    "scan": ("decay/convergence scan along a fixed point", _scan_args),
+    "conjecture": ("path-graph argmax partial sums", _conjecture_args),
+    "window": ("critical-window slice maxima", _window_args),
+    "steer": ("steering report", _steer_args),
+    "simulate": ("Monte Carlo estimate for a strategy", _simulate_args),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of `argv`: every subcommand is listed, and each gets its
+    arguments unless argv's first word names another, whose parser is then
+    the only one argparse reads."""
+    ap = argparse.ArgumentParser(prog="seqassign")
+    sub = ap.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    for name, (text, add_args) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if named in (None, name):
+            add_args(p)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except RESOURCE_ERRORS as exc:

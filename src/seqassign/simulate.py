@@ -6,16 +6,19 @@ reached after exactly n steps.  Run i of an estimate uses the child stream
 SeedSequence(master_seed, spawn_key=(i,)), so results are reproducible and
 independent of execution order.  Vertex draws consume exactly one uniform
 variate per step (inverse-CDF).  `_uniform_columns` computes the streams of a
-chunk of runs, NumPy's SeedSequence, PCG64 and `random()` re-done in uint32
-and uint64 array arithmetic, block by block in buffers allocated once, and
-yields them one column (one draw of every run) at a time.  The batched paths
-read those columns step by step and reproduce the serial loop bit-for-bit:
-table play walks the policy it builds from a box's values, drawing each vertex
-into the policy's index, and greedy and SteerExact runs, with a steering
-report's traced Stage1Steer games, share one lockstep loop (`_lockstep`), in
-groups that each read their own streams.  A steering run draws one kernel
-uniform more per step until its finishing window, at the same step in every
-run of its group, so those runs read one column too.
+chunk of runs, NumPy's SeedSequence and PCG64 re-done in uint32 and uint64
+array arithmetic, block by block in buffers allocated once, and yields their
+raw 64-bit words one column (one draw of every run) at a time.  `random()`
+is (raw >> 11) * 2**-53, so a batched vertex draw compares the raw word with
+exact integer cuts (`_word_cuts`), and only a kernel uniform is made as a
+float.  The batched paths read those columns step by step and reproduce the
+serial loop bit-for-bit: table play walks the policy it builds from a box's
+values, drawing each vertex into the policy's index, and greedy and
+SteerExact runs, with a steering report's traced Stage1Steer games, share
+one lockstep loop (`_lockstep`), in groups that each read their own streams.
+A steering run draws one kernel uniform more per step until its finishing
+window, at the same step in every run of its group, so those runs read one
+column too.
 """
 
 from __future__ import annotations
@@ -201,7 +204,11 @@ def _lcg_jumps(width: int) -> np.ndarray:
 
 def _muladd128(hi, lo, m, add_hi, add_lo, buffers) -> None:
     """(hi, lo) * m + (add_hi, add_lo) mod 2**128, m either multiplier of
-    `_lcg_jumps`, into buffers[:2], which hi and lo may view: they are read first."""
+    `_lcg_jumps`, into buffers[:2], which hi and lo may view: they are read
+    before any buffer is written.  The high word of lo * m_lo comes from
+    32-bit limbs as lo1*m1 + (t >> 32) + (u >> 32), with t = lo1*m0 +
+    (lo0*m0 >> 32) and u = (t mod 2**32) + lo0*m1, none of which reaches
+    2**64: 23 ufunc passes a state."""
     new_hi, new_lo, x, y, z, carry, lo0, lo1 = buffers
     m_hi, m_lo, m0, m1 = m
     np.bitwise_and(lo, _U32, out=lo0)
@@ -209,17 +216,16 @@ def _muladd128(hi, lo, m, add_hi, add_lo, buffers) -> None:
     np.multiply(hi, m_lo, out=x)
     x += np.multiply(lo, m_hi, out=y)
     np.multiply(lo, m_lo, out=z)
-    # x collects the carries of the limb products and the cross terms
     np.multiply(lo0, m0, out=new_hi)
     new_hi >>= _SHIFT_32
-    for p, q in ((lo0, m1), (lo1, m0)):
-        np.multiply(p, q, out=y)
-        new_hi += np.bitwise_and(y, _U32, out=new_lo)
-        x += np.right_shift(y, _SHIFT_32, out=y)
+    new_hi += np.multiply(lo1, m0, out=y)  # t
+    np.bitwise_and(new_hi, _U32, out=new_lo)
+    new_lo += np.multiply(lo0, m1, out=y)  # u
     new_hi >>= _SHIFT_32
-    x += new_hi
-    np.multiply(lo1, m1, out=new_hi)
+    new_lo >>= _SHIFT_32
+    new_hi += new_lo
     new_hi += x
+    new_hi += np.multiply(lo1, m1, out=y)
     new_hi += add_hi
     np.add(z, add_lo, out=new_lo)
     new_hi += np.less(new_lo, add_lo, out=carry)
@@ -230,12 +236,14 @@ _BLOCK, _WIDTH = 1 << 14, 256
 
 
 def _uniform_columns(master_seed: int, lo: int, hi: int):
-    """The draws of runs lo <= i < hi, one column per draw: the j-th column
-    yielded holds each run's j-th `child_rng(master_seed, i).random()`.  A
-    block of up to _BLOCK draws is jumped ahead from the last state of the
-    block before (the first from the state before PCG64's seeding step, whose
-    row it drops) in buffers allocated once, then scaled into a fresh float
-    array, so a column stays valid after later draws."""
+    """The raw draws of runs lo <= i < hi, one uint64 column per draw: the
+    j-th column yielded holds each run's j-th
+    `child_rng(master_seed, i).bit_generator.random_raw()`, whose top 53
+    bits make its j-th `random()`.  A block of up to _BLOCK draws is jumped
+    ahead from the last state of the block before (the first from the state
+    before PCG64's seeding step, whose row it drops) in buffers allocated
+    once; its XSL-RR words land in a fresh array, so a column stays valid
+    after later draws."""
     runs = []
     # a spawn index below 2**32 is one uint32 word, a larger one two
     for a, b, n_words in ((lo, min(hi, 1 << 32), 1), (max(lo, 1 << 32), hi, 2)):
@@ -258,14 +266,13 @@ def _uniform_columns(master_seed: int, lo: int, hi: int):
     st_hi, skip = inc_hi + s0 + (st_lo < s1), 1
     while True:
         _muladd128(st_hi, st_lo, jump, step_hi, step_lo, buffers)
-        # XSL-RR: hi ^ lo rotated right by the top six bits, then the top 53 bits
+        # XSL-RR: hi ^ lo rotated right by the top six bits r; a uint64
+        # shift by 64 - r = 64 is 0, so r = 0 needs no mask
         np.bitwise_xor(new_hi, new_lo, out=x)
         np.right_shift(new_hi, np.uint64(58), out=y)
         np.right_shift(x, y, out=z)
-        x <<= np.bitwise_and(np.negative(y, out=y), np.uint64(63), out=y)
-        x |= z
-        x >>= np.uint64(11)
-        yield from x[skip:] * 2.0**-53
+        x <<= np.subtract(np.uint64(64), y, out=y)
+        yield from np.bitwise_or(x[skip:], z[skip:])
         st_hi, st_lo, skip = new_hi[-1], new_lo[-1], 0
 
 
@@ -274,12 +281,21 @@ def _draw_vertex(rng, cum_weights: np.ndarray) -> int:
     return int(np.searchsorted(cum_weights[:-1], rng.random(), side="right")) + 1
 
 
-def _draw_vertices(cum_weights: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """The 0-based vertices that `_draw_vertex` draws from a column of
-    uniforms: the number of cumulative weights but the last at or below each
-    uniform.  Unlike a binary search, the count does not branch on every
-    draw, which makes long columns several times faster."""
-    return (cum_weights[:-1, None] <= column).sum(axis=0)
+def _word_cuts(cum_weights: np.ndarray) -> np.ndarray:
+    """The raw-word cut points of the cumulative weights but the last: a
+    uniform u = (raw >> 11) * 2**-53 is at or above c exactly when raw is at
+    or above ceil(c * 2**53) * 2**11.  A cut above 1 - 2**-53, which no
+    uniform reaches, is dropped."""
+    tops = [math.ceil(c * 2.0**53) for c in cum_weights[:-1].tolist()]
+    return np.array([t << 11 for t in tops if t < 1 << 53], dtype=np.uint64)
+
+
+def _draw_vertices(cuts: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """The 0-based vertices that `_draw_vertex` draws from a column of raw
+    words: the number of `_word_cuts` at or below each word.  Unlike a
+    binary search, the count does not branch on every draw, which makes
+    long columns several times faster."""
+    return (cuts[:, None] <= column).sum(axis=0)
 
 
 def play(
@@ -429,9 +445,9 @@ def _box_wins(box: DownSetTable, start, runs: int, master_seed: int, w, budget: 
     in the box, one gather from the box's policy, built under budget, per
     step, and is won when it ends at the empty config.  The drawn vertex is
     `_draw_vertices`' count, added into the gather's position idx * k one
-    cumulative weight at a time, with no (k - 1, runs) temporary."""
+    raw-word cut at a time, with no (k - 1, runs) temporary."""
     nxt = _box_policy(box, max(budget, 0))  # 4k bytes a state: k * states < 2**31
-    cuts, k, wins = np.cumsum(w)[:-1], box.graph.k, 0
+    cuts, k, wins = _word_cuts(np.cumsum(w)), box.graph.k, 0
     for lo in range(0, runs, _CHUNK):
         hi = min(lo + _CHUNK, runs)
         idx, at = np.full(hi - lo, int(start @ box.stride)), np.empty(hi - lo, dtype=bool)
@@ -498,7 +514,7 @@ def _lockstep(g: Graph, start, groups, w) -> list:
     (n, m), the forfeit flags and, when traced, the GameResults (else
     None)."""
     total, m = int(start.sum()), g.m
-    cum_w, incidence = np.cumsum(w), _incidence_rows(g)
+    vertex_cuts, incidence = _word_cuts(np.cumsum(w)), _incidence_rows(g)
     rows = sum(hi - lo for _, _, lo, hi, _, _ in groups)
     # column m stays 0: the count of the incidence padding
     state = np.zeros((rows, m + 1), dtype=np.int64)
@@ -522,7 +538,8 @@ def _lockstep(g: Graph, start, groups, w) -> list:
         record = np.zeros((2, b - a, steps), dtype=np.int64) if trace else None
         plays.append((_uniform_columns(seed, lo, hi), a, b, steps, cut, record))
         a = b
-    columns, uniforms = np.empty((2, rows))  # each group's draws in its own rows
+    # each group's draws in its own rows: raw words, and kernel uniforms
+    columns, uniforms = np.empty(rows, dtype=np.uint64), np.empty(rows)
     live = np.arange(rows)  # the runs still playing
     for t in range(max(steps for _, _, _, steps, _, _ in plays)):
         ahead = False  # some group draws from a kernel
@@ -531,9 +548,10 @@ def _lockstep(g: Graph, start, groups, w) -> list:
                 live = live[(live < a) | (live >= b)]
             elif t < steps:
                 columns[a:b] = next(draws)
-                if cut < total - t:
-                    uniforms[a:b], ahead = next(draws), True
-        v = _draw_vertices(cum_w, columns.take(live))
+                if cut < total - t:  # Generator.random()'s (raw >> 11) * 2**-53
+                    np.multiply(next(draws) >> np.uint64(11), 2.0**-53, out=uniforms[a:b])
+                    ahead = True
+        v = _draw_vertices(vertex_cuts, columns.take(live))
         if not ahead:
             e = _legal_moves(incidence, state, live, v, target)
         else:

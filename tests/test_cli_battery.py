@@ -13,10 +13,11 @@ into DIGESTS.
 
 import hashlib
 import os
+import sys
 
 import pytest
 
-from seqassign.cli import main
+from seqassign.cli import build_parser, main
 from seqassign.graph import complete_graph, format_graph_text, path_graph
 
 P4 = "p4.txt"
@@ -232,3 +233,44 @@ def test_cli_output_bytes(name, workdir, capsys, monkeypatch):
         with open(f, "rb") as fh:
             h.update(fh.read())
     assert h.hexdigest() == DIGESTS[name]
+
+
+# argparse's own output: the help of seqassign and of each subcommand, and the
+# usage errors of an unknown or missing subcommand
+SUBCOMMANDS = ["region", "value", "phase", "scan", "conjecture", "window", "steer", "simulate"]
+HELP = {"top_help": ["-h"], "bogus": ["bogus"], "bare": []}
+HELP.update({f"{name}_help": [name, "-h"] for name in SUBCOMMANDS})
+
+# sha256 of the exit code, stdout and stderr at 80 columns, under Python 3.11
+HELP_DIGESTS = {
+    "bare": "43ef5632e3de6f2c2f63192ed05f7f01c9297b524c730283e77508dfe3c8c8c2",
+    "bogus": "8c138a6871518caf914ced1320f212da52b717df54e45741d092c31ebede0df3",
+    "conjecture_help": "74cf08313274a7b64c12704b905744e5c1b8677ec64104f87dd62128a7e9da3b",
+    "phase_help": "211bff18c543e2c85833466d77e0e4b8e2e617809b152bbf4d9a5619a5e1b714",
+    "region_help": "ac9c1e4b8091e9236162afde761147f09a8e346459fc4742780fa5d34f923b49",
+    "scan_help": "1ca301905ef5eb6a41ba879406e6f40ce8706476067583e95ce426300f9deed7",
+    "simulate_help": "dabd8bcf539932d5c8c49cbc4904bccdfecad28a475d32cc24fafc1cb8d2f102",
+    "steer_help": "9e3c1355ba3e37e747121fe2dd4adf095ac2b8b69514b0f4a1ac4e262fe6a1e4",
+    "top_help": "30b4d97c5171149b2decb378f0f8c0ac4e87649c634f9f0ade6cfb9396407963",
+    "value_help": "3e9788a5ebef2ca61e9875c6dcc31606e7c011c7faf2664fcf6443d28d3e720b",
+    "window_help": "2f8c9ed98d2e62c51f15f7a323fb49c6e898b88efdab130363d4f3294bb0916f",
+}
+
+
+def _exit_digest(run, capsys) -> str:
+    with pytest.raises(SystemExit) as info:
+        run()
+    out = capsys.readouterr()
+    return hashlib.sha256(f"{info.value.code}\n{out.out}\0{out.err}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_cli_help_and_usage_error_bytes(name, capsys, monkeypatch):
+    # main fills only the parsed subcommand's arguments: its bytes are those
+    # of the parser with every subcommand filled
+    argv = HELP[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _exit_digest(lambda: main(argv), capsys)
+    assert got == _exit_digest(lambda: build_parser().parse_args(argv), capsys)
+    if sys.version_info[:2] == (3, 11):  # argparse's wording varies between versions
+        assert got == HELP_DIGESTS[name]

@@ -213,13 +213,17 @@ def test_batched_paths_match_serial_across_chunks(monkeypatch, p4, k4):
 
 
 TOP_UNIFORM = 1.0 - 2.0**-53  # the largest value random() returns
+TOP_WORD = 2**64 - 1  # the raw word it comes from
 
 
-class TopOfUnitInterval:
-    """A generator stub whose every uniform is TOP_UNIFORM."""
+class FixedUniform:
+    """A generator stub whose every uniform is `u`."""
+
+    def __init__(self, u):
+        self.u = u
 
     def random(self):
-        return TOP_UNIFORM
+        return self.u
 
 
 def test_top_uniform_draws_the_last_vertex(monkeypatch):
@@ -227,23 +231,53 @@ def test_top_uniform_draws_the_last_vertex(monkeypatch):
     # largest uniform; that draw is vertex 7, the one edge 5 serves
     g = path_graph(7)
     assert np.cumsum(np.full(7, 1 / 7))[-1] < TOP_UNIFORM
-    def top_uniforms(seed, lo, hi):
+    def top_words(seed, lo, hi):
         while True:
-            yield np.full(hi - lo, TOP_UNIFORM)
+            yield np.full(hi - lo, TOP_WORD, dtype=np.uint64)
 
-    monkeypatch.setattr(simulate, "_uniform_columns", top_uniforms)
+    monkeypatch.setattr(simulate, "_uniform_columns", top_words)
     for cfg, won in (([0, 0, 0, 0, 0, 3], True), ([1, 0, 0, 0, 0, 2], False)):
         for strategy in (GreedyLargest(), TableStrategy(downset_table(g, cfg))):
-            result = play(g, cfg, strategy, TopOfUnitInterval())
+            result = play(g, cfg, strategy, FixedUniform(TOP_UNIFORM))
             assert result.won is won
             assert result.steps_played == (3 if won else 2)
             assert estimate(g, cfg, strategy, 5, 1).successes == (5 if won else 0)
 
 
-def _stacked_columns(seed, lo, hi, total):
+CUTS = [0.0, 5e-324, 2.0**-53, 0.25, 0.1 + 0.2, 1 - 2.0**-53, 1.0, 1 + 1e-10]
+CUM_WEIGHTS = [
+    *([c, 1.0] for c in CUTS),
+    CUTS + [1.0],
+    np.cumsum(np.full(7, 1 / 7)),
+    np.cumsum([0.1, 0.2, 0.3, 0.4]),
+]
+
+
+@pytest.mark.parametrize("cum", CUM_WEIGHTS, ids=range(len(CUM_WEIGHTS)))
+def test_word_cuts_count_the_float_draw(cum):
+    # random() is (raw >> 11) * 2**-53, so u >= c exactly when raw >= ceil(c * 2**53) * 2**11;
+    # test words sit at 0, at 2**64 - 1 and on both sides of every threshold
+    cum = np.asarray(cum, dtype=float)
+    words = {0, 2**64 - 1}
+    for c in cum[:-1].tolist():
+        t = math.ceil(c * 2.0**53)
+        words.update(w for w in (t * 2**11 - 1, t * 2**11, (t + 1) * 2**11 - 1) if 0 <= w < 2**64)
+    words = sorted(words)
+    got = simulate._draw_vertices(simulate._word_cuts(cum), np.array(words, dtype=np.uint64))
+    want = [simulate._draw_vertex(FixedUniform((w >> 11) * 2.0**-53), cum) - 1 for w in words]
+    assert got.tolist() == want
+
+
+def _stacked_words(seed, lo, hi, total):
     """The first `total` columns of `_uniform_columns`, as one row per run."""
     columns = simulate._uniform_columns(seed, lo, hi)
-    return np.array([next(columns) for _ in range(total)]).reshape(total, hi - lo).T
+    words = np.array([next(columns) for _ in range(total)], dtype=np.uint64)
+    return words.reshape(total, hi - lo).T
+
+
+def _stacked_columns(seed, lo, hi, total):
+    """The uniforms of `_stacked_words`, as Generator.random() makes them."""
+    return (_stacked_words(seed, lo, hi, total) >> np.uint64(11)) * 2.0**-53
 
 
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96 + 1, 2**128 - 1, 2**200 + 12345]
@@ -261,7 +295,20 @@ def test_child_uniforms_match_numpy(seed):
             assert np.array_equal(got, want), (seed, lo, total)
 
 
-@pytest.mark.parametrize("block, width", [(64, 256), (1 << 14, 7), (1 << 14, 256)])
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_child_words_match_numpy(seed):
+    for lo, hi in [(0, 100), (2**32 - 50, 2**32 + 50)]:
+        for total in (0, 1, 60):
+            want = [child_rng(seed, i).bit_generator.random_raw(total) for i in range(lo, hi)]
+            got = _stacked_words(seed, lo, hi, total)
+            assert got.dtype == np.uint64 and got.shape == (hi - lo, total)
+            assert np.array_equal(got, np.stack(want)), (seed, lo, total)
+
+
+BLOCKS = [(64, 256), (1 << 14, 7), (1 << 14, 256)]
+
+
+@pytest.mark.parametrize("block, width", BLOCKS)
 def test_child_uniform_blocks_match_numpy(monkeypatch, block, width):
     # one column a block (more runs than half a block), blocks of 7 columns
     # that end mid-stream, and blocks longer than the stream
@@ -270,6 +317,75 @@ def test_child_uniform_blocks_match_numpy(monkeypatch, block, width):
     for lo, hi in [(0, 100), (2**32 - 3, 2**32 + 2)]:
         want = np.stack([child_rng(5, i).random(60) for i in range(lo, hi)])
         assert np.array_equal(_stacked_columns(5, lo, hi, 60), want)
+
+
+@pytest.mark.parametrize("block, width", BLOCKS)
+def test_child_word_blocks_match_numpy(monkeypatch, block, width):
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    monkeypatch.setattr(simulate, "_WIDTH", width)
+    for lo, hi in [(0, 100), (2**32 - 3, 2**32 + 2)]:
+        want = np.stack([child_rng(5, i).bit_generator.random_raw(60) for i in range(lo, hi)])
+        assert np.array_equal(_stacked_words(5, lo, hi, 60), want)
+
+
+def _limbs(values):
+    """A multiplier of `_lcg_jumps`' form from Python ints: (width, 1)
+    arrays of the high word, the low word and the low word's 32-bit limbs."""
+    fields = ((64, 64), (0, 64), (0, 32), (32, 32))
+    return [np.array([[v >> s & (1 << b) - 1] for v in values], np.uint64) for s, b in fields]
+
+
+def test_muladd128_matches_python_ints():
+    # limbs of 2**32 - 1 and of 0, the top bit, and adds that carry out of the low word
+    top, half = 2**64 - 1, 2**32 - 1
+    words = [0, 1, half, half + 1, half << 32, top, 2**63, 0x9E3779B97F4A7C15]
+    states = [(a, b) for a in (0, top, 0x0123456789ABCDEF) for b in words]
+    mults = [top << 64 | top, half, half << 32 | half, top, 2**127 + 1, 0x2360ED051FC65DA44385DF649FCCF645]
+    adds = [[(top << 64 | top) - j * 977 * i for i in range(len(states))] for j in range(len(mults))]
+    shape = (len(mults), len(states))
+    add_hi = np.array([[a >> 64 for a in row] for row in adds], np.uint64)
+    add_lo = np.array([[a & top for a in row] for row in adds], np.uint64)
+    want = np.array(
+        [[(a << 64 | b) * m + add for (a, b), add in zip(states, row)] for m, row in zip(mults, adds)],
+        dtype=object,
+    ) % 2**128
+    for alias in (False, True):
+        new_hi, new_lo, x, y, z = np.empty((5, *shape), dtype=np.uint64)
+        buffers = (new_hi, new_lo, x, y, z, np.empty(shape, bool), *np.empty((2, len(states)), np.uint64))
+        hi = np.array([a for a, _ in states], np.uint64)
+        lo = np.array([b for _, b in states], np.uint64)
+        if alias:  # the block loop passes the last row of the buffers back in
+            new_hi[-1], new_lo[-1] = hi, lo
+            hi, lo = new_hi[-1], new_lo[-1]
+        simulate._muladd128(hi, lo, _limbs(mults), add_hi, add_lo, buffers)
+        got = new_hi.astype(object) << 64 | new_lo.astype(object)
+        assert (got == want).all(), alias
+
+
+def test_xsl_rr_rotates_by_the_top_six_bits(monkeypatch):
+    # rotations 0 (a shift by 64), 1 and 63 of the state's xor; the first
+    # row of the first block is PCG64's seeding step, which is dropped
+    top = 2**64 - 1
+    rows = [(0, 0)]
+    for r in (0, 1, 63, 17):
+        for lo in (0, 1, top, 0x0123456789ABCDEF, 2**63):
+            rows.append((r << 58 | 0x2F0F00FF00FF0F, lo))
+    rows.append((top, top))
+    his = np.array([[a] for a, _ in rows], np.uint64)
+    los = np.array([[b] for _, b in rows], np.uint64)
+
+    def crafted(hi, lo, m, add_hi, add_lo, buffers):
+        buffers[0][:], buffers[1][:] = his, los
+
+    monkeypatch.setattr(simulate, "_WIDTH", len(rows))
+    monkeypatch.setattr(simulate, "_muladd128", crafted)
+    columns = simulate._uniform_columns(0, 0, 1)
+    got = [int(next(columns)[0]) for _ in rows[1:]]
+
+    def rotr(x, r):
+        return (x >> r | x << (64 - r)) & top
+
+    assert got == [rotr(a ^ b, a >> 58) for a, b in rows[1:]]
 
 
 def _no_work(*args, **kwargs):
