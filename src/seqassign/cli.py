@@ -39,7 +39,7 @@ from .geometry import (
     x_star,
 )
 from .graph import Graph, load_graph
-from .simulate import estimate, optimal_box
+from .simulate import estimate
 from .strategies import (
     DEFAULT_Q0,
     OutwardSteer,
@@ -50,11 +50,10 @@ from .strategies import (
 )
 from .values import (
     DEFAULT_BUDGET,
-    _check_budget,
+    ValueTable,
     argmax_config,
     check_config,
     downset_table,
-    load_bytes,
     load_table,
     round_to_config,
     stream_bytes,
@@ -138,10 +137,10 @@ _ROW_BYTES = 256
 
 
 def phase_bytes(n: int) -> int:
-    """Peak memory of phase at layer n when it streams, its guard: the
-    stream that keeps layer n, and one output block of _CSV_BLOCK rows at
-    _ROW_BYTES a row.  A load from --cache is charged its layer instead
-    (see _table_for)."""
+    """Peak memory of phase at layer n when it streams: the stream that
+    keeps layer n, and one output block of _CSV_BLOCK rows at _ROW_BYTES a
+    row, which _table_for takes off the stream's budget.  A load from
+    --cache is charged its layer instead."""
     return stream_bytes(3, n, [n]) + _ROW_BYTES * _CSV_BLOCK
 
 
@@ -260,12 +259,8 @@ def _opened(out: str | None):
 
 
 def _json_default(v):
-    if isinstance(v, (np.integer,)):
+    if isinstance(v, np.integer):
         return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
     raise TypeError(f"cannot serialize {type(v)}")
 
 
@@ -279,9 +274,9 @@ def _table_for(g: Graph, keep, args, beside: int = 0):
     """A table holding the layers in keep: read from --cache when the file
     reaches them under the same law, else streamed to the largest of them,
     and then every layer is written to --cache as it is made.  The path
-    taken is charged, load_bytes or stream_bytes, with the bytes the command
-    holds beside the table."""
-    n = max(keep)
+    taken, load_table or stream_table, checks its own charge against the
+    budget less the bytes the command holds beside the table."""
+    n, budget = max(keep), DEFAULT_BUDGET - beside
     weights = _load_weights(getattr(args, "weights", None))
     cache = getattr(args, "cache", None)
     if cache:
@@ -289,16 +284,16 @@ def _table_for(g: Graph, keep, args, beside: int = 0):
         if os.path.exists(cache):
             stored = load_table(cache, g, keep=())
             if stored.n_max >= n and np.array_equal(stored.weights, want):
-                _check_budget(load_bytes(g.m, stored.n_max, keep) + beside, DEFAULT_BUDGET)
-                return load_table(cache, g, keep)
-    _check_budget(stream_bytes(g.m, n, keep) + beside, DEFAULT_BUDGET)
-    return stream_table(g, n, weights, keep, cache)
+                return load_table(cache, g, keep, budget)
+    return stream_table(g, n, weights, keep, cache, budget)
 
 
 def parse_strategy(spec: str, g: Graph, config, args):
     if spec == "optimal":
-        # the values a game from config reads: the down-set of config
-        return optimal_strategy(optimal_box(g, config, _load_weights(args.weights)))
+        # no layer, only the graph, law and total: estimate builds the box
+        # under config, the values a game from config reads
+        w = check_weights(g, _load_weights(args.weights))
+        return optimal_strategy(ValueTable(g, sum(config), w, layers=[]))
     if spec in ("uniform", "greedy"):
         return baseline_strategy(spec)
     kind, *fields = spec.split(":")

@@ -19,6 +19,11 @@ one lockstep loop (`_lockstep`), in groups that each read their own streams.
 A steering run draws one kernel uniform more per step until its finishing
 window, at the same step in every run of its group, so those runs read one
 column too.
+
+Memory follows values.py's rule: a builder checks its own charge against the
+budget its caller passes.  estimate charges table play's walk, the box's
+values and policy, once, before downset_table builds the box and checks the
+box's own charge against the same budget.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ from .values import (
     _check_budget,
     check_config,
     check_held,
-    downset_bytes,
     downset_table,
     graph_hash,
     round_to_config,
@@ -363,7 +367,15 @@ def estimate(
 ) -> Estimate:
     """Win-probability estimate with a Wilson 95% interval.  Table strategies
     walk the optimal policy of the box under the start, greedy and SteerExact
-    play in lockstep (`_play_chunks`), each bit-for-bit as the serial loop."""
+    play in lockstep (`_play_chunks`), each bit-for-bit as the serial loop.
+
+    A table strategy's table is a DownSetTable, walked as it is, or a
+    ValueTable, whose box under the start is built here: a table that lists
+    no layer (`layers=[]`) names only the graph, the law and a total.  The
+    walk, 8 bytes of values a state and its policy (`policy_bytes`), is
+    charged against the budget less a held table's layers before anything
+    is built, and downset_table then charges the box against the same
+    budget."""
     if runs < 1:
         raise ValueError("need at least one run")
     master_seed = _check_seed(master_seed)
@@ -374,12 +386,17 @@ def estimate(
         if graph_hash(box.graph) != graph_hash(g) or not np.array_equal(box.weights, w):
             raise DomainError("the value table was built for another graph or vertex law")
         check_held(box, config)
-        # a held table, its box and the box's policy share one budget
-        budget = DEFAULT_BUDGET
         if isinstance(box, ValueTable):
-            budget -= sum(layer.nbytes for layer in box.layers if layer is not None)
-            box = downset_table(g, config, w, max(budget, 0))
-        successes = _box_wins(box, config, runs, master_seed, w, budget - box.values.nbytes)
+            held = sum(layer.nbytes for layer in box.layers if layer is not None)
+            budget, top = max(DEFAULT_BUDGET - held, 0), config
+        else:
+            budget, top = DEFAULT_BUDGET, box.top
+        # the walk: the box's values and their policy
+        states = math.prod(int(c) + 1 for c in top)
+        _check_budget(8 * states + policy_bytes(g.k, g.m, states), budget)
+        if isinstance(box, ValueTable):
+            box = downset_table(g, config, w, budget)
+        successes = _box_wins(box, config, runs, master_seed, w)
     else:
         chunks = _play_chunks(g, config, strategy, runs, master_seed, w, int(config.sum()))
         successes = runs - sum(int(np.count_nonzero(forfeit)) for _, forfeit, _ in chunks)
@@ -405,25 +422,13 @@ def policy_bytes(k: int, m: int, states: int) -> int:
     return 4 * k * (states + 1) + 8 * (4 * m + 8) * min(states, _BOX_CHUNK)
 
 
-def optimal_box(g: Graph, config, weights=None) -> DownSetTable:
-    """The box under config that estimate walks for optimal play, refused
-    before anything is allocated when its values, and then its values with
-    their policy, exceed the budget: downset_table's checks and then
-    _box_policy's, in their order."""
-    top, w = check_config(g, config), check_weights(g, weights)
-    states = math.prod(int(c) + 1 for c in top)
-    _check_budget(downset_bytes(g.m, top), DEFAULT_BUDGET)
-    _check_budget(policy_bytes(g.k, g.m, states), DEFAULT_BUDGET - 8 * states)
-    return downset_table(g, top, w)
-
-
-def _box_policy(box: DownSetTable, budget: int) -> np.ndarray:
+def _box_policy(box: DownSetTable) -> np.ndarray:
     """The flat int32 optimal policy of a box: entry i*k + v - 1 is the child
     of state i through the first of v's edges, in incidence order, of
     largest value (optimal_move's edge), or the sink len(values), whose row
-    maps to itself, when v has no positive edge."""
+    maps to itself, when v has no positive edge.  Its bytes, policy_bytes,
+    are charged by estimate with the walk's."""
     g, stride, sink = box.graph, box.stride, len(box.values)
-    _check_budget(policy_bytes(g.k, g.m, sink), budget)
     nxt = np.full((sink + 1, g.k), sink, dtype=np.int32)
     for lo in range(0, sink, _BOX_CHUNK):
         idx = np.arange(lo, min(lo + _BOX_CHUNK, sink))
@@ -440,13 +445,14 @@ def _box_policy(box: DownSetTable, budget: int) -> np.ndarray:
     return nxt.ravel()
 
 
-def _box_wins(box: DownSetTable, start, runs: int, master_seed: int, w, budget: int) -> int:
+def _box_wins(box: DownSetTable, start, runs: int, master_seed: int, w) -> int:
     """Wins of table-optimal play: each run carries the index of its state
-    in the box, one gather from the box's policy, built under budget, per
-    step, and is won when it ends at the empty config.  The drawn vertex is
-    `_draw_vertices`' count, added into the gather's position idx * k one
-    raw-word cut at a time, with no (k - 1, runs) temporary."""
-    nxt = _box_policy(box, max(budget, 0))  # 4k bytes a state: k * states < 2**31
+    in the box, one gather from the box's policy per step (estimate has
+    charged the policy), and is won when it ends at the empty config.  The
+    drawn vertex is `_draw_vertices`' count, added into the gather's
+    position idx * k one raw-word cut at a time, with no (k - 1, runs)
+    temporary."""
+    nxt = _box_policy(box)  # 4k bytes a state: k * states < 2**31
     cuts, k, wins = _word_cuts(np.cumsum(w)), box.graph.k, 0
     for lo in range(0, runs, _CHUNK):
         hi = min(lo + _CHUNK, runs)

@@ -43,8 +43,12 @@ layer keep the per-vertex multiply.  Since a layer reads only
 the one below, stream_table holds the layers asked for, as views of one
 buffer, and one rolling buffer per parity of the total for the others; a
 kept layer n_max, the last and largest, is its parity's buffer.
-compute_table is the stream that keeps every layer, so it rolls none, and
-stream_bytes is the one memory guard of both.
+compute_table is the stream that keeps every layer, so it rolls none.
+
+Each builder checks its own charge once, before it allocates, against the
+memory_budget its caller passes: DEFAULT_BUDGET less what the caller holds
+beside the build.  stream_table checks stream_bytes, load_table load_bytes
+and downset_table downset_bytes.
 
 A query about one start config reads only the configs at or below it.
 DownSetTable evaluates just that box, under mixed-radix indices, and holds
@@ -220,7 +224,9 @@ def graph_hash(g: Graph) -> int:
 @dataclass
 class ValueTable:
     """Layers 0..n_max of the exact values; a streamed table keeps only some
-    of them, and the others are None."""
+    of them, and the others are None.  A table may list fewer layers, none
+    at all for the total and law of a game that walks a box (see
+    simulate.estimate)."""
 
     graph: Graph
     n_max: int
@@ -232,10 +238,11 @@ class ValueTable:
         return graph_hash(self.graph)
 
     def layer(self, t: int) -> np.ndarray:
-        """Layer t; LayerOutOfRange outside 0..n_max or for a layer not kept."""
+        """Layer t; LayerOutOfRange outside 0..n_max or for a layer not kept
+        or not listed."""
         if not 0 <= t <= self.n_max:
             raise LayerOutOfRange(f"layer {t} not in 0..{self.n_max}")
-        if self.layers[t] is None:
+        if t >= len(self.layers) or self.layers[t] is None:
             raise LayerOutOfRange(f"layer {t} was not kept")
         return self.layers[t]
 
@@ -707,10 +714,12 @@ def _check_disk(path, need: int) -> None:
         raise DiskSpaceExceeded(need, free)
 
 
-def load_table(path, g: Graph, keep=None) -> ValueTable:
+def load_table(path, g: Graph, keep=None, memory_budget: int = DEFAULT_BUDGET) -> ValueTable:
     """Read a cache that save_table wrote, after checking its header, graph
     and size.  The layers in keep (all of them when keep is None) are read,
-    each from its offset, and the others are None."""
+    each from its offset, and the others are None.  Like stream_table and
+    downset_table, it checks its own charge, load_bytes, against the budget
+    its caller passes, before any layer buffer exists."""
     try:
         with open(path, "rb") as fh:
             header = fh.read(_HEAD)
@@ -726,8 +735,9 @@ def load_table(path, g: Graph, keep=None) -> ValueTable:
             if size != need:
                 raise FormatMismatch(f"expected {need} bytes, file has {size}")
             weights = np.empty(k, dtype="<f8")
-            keep = range(n_max + 1) if keep is None else keep
-            layers = _kept_layers(m, n_max, _check_keep(keep, n_max), "<f8")
+            keep = _check_keep(range(n_max + 1) if keep is None else keep, n_max)
+            _check_budget(load_bytes(m, n_max, keep), memory_budget)
+            layers = _kept_layers(m, n_max, keep, "<f8")
             reads = [
                 (_HEAD + 8 * k + required_bytes(m, t - 1), layer)
                 for t, layer in enumerate(layers)

@@ -195,7 +195,7 @@ def rss_growth(build: str, setup: str = "") -> tuple[int, int]:
         "    return int(line.split()[1]) * 1024\n"
         "g = complete_graph(4)\n"
         "compute_table(g, 3)\n"
-        "_box_policy(downset_table(g, (1,) * 6), DEFAULT_BUDGET)\n"
+        "_box_policy(downset_table(g, (1,) * 6))\n"
         f"{setup}\n"
         "before = hwm()\n"
         f"{build}\n"

@@ -312,6 +312,28 @@ def test_scan_golden_header_and_summary(p4_file, tmp_path, capsys):
     assert summary["slope"] < 0
 
 
+def test_scan_at_a_boundary_point(p4_file, tmp_path, capsys):
+    # (1/4, 1/4, 1/2) lies on P4's region boundary, on edge 0's face: the
+    # rows carry no decay bound, and the summary neither fits nor limits
+    out_path = tmp_path / "scan.csv"
+    code, out, _ = run(
+        [
+            "scan", "--graph", p4_file, "--point", "0.25,0.25,0.5",
+            "--n-list", "40,80", "--out", str(out_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert out_path.read_text() == (
+        "n,p,log_p,decay_bound\n"
+        "40,0.16914374553749828,-1.7770063602741104,nan\n"
+        "80,0.1442503554994813,-1.936204909129157,nan\n"
+    )
+    assert json.loads(out) == {"class": "BoundaryK", "n_list": [40, 80]}
+    code, out, _ = run(["region", "classify", "--graph", p4_file, "--point", "0.25,0.25,0.5"], capsys)
+    assert json.loads(out)["subset"] == [0]
+
+
 def test_scan_fits_only_the_rows_it_can_log(p4_file, tmp_path, capsys):
     # p = 2^-n underflows to 0.0 past n = 1074: one row has a log, too few to fit
     with warnings.catch_warnings():
@@ -481,7 +503,14 @@ def test_simulate_cache_exits_3_when_only_the_box_is_over_budget(tmp_path, capsy
     assert code == 3
     assert out == ""
     assert top(n) == [7298, 7297]
-    assert err == "error: table needs 647605844 bytes, budget is 647597008\n"
+    assert err == "error: table needs 1073750660 bytes, budget is 1073741824\n"
+    # a box over the budget on its own is named by the walk too; a bad
+    # --runs is an input error first
+    argv = ["simulate", "--graph", str(path), "--config", "100000,100000", "--strategy", "optimal"]
+    code, out, err = run(argv + ["--runs", "1"], capsys)
+    assert (code, out, err) == (3, "", "error: table needs 200012388640 bytes, budget is 1073741824\n")
+    code, out, err = run(argv + ["--runs", "0"], capsys)
+    assert (code, out, err) == (2, "", "error: need at least one run\n")
     assert built == []
     monkeypatch.undo()
     # over the budget while a box held its policy too, now 0.43 GB of values
@@ -1237,7 +1266,7 @@ def test_phase_streams_past_the_full_table_budget(p4_file, tmp_path, capsys):
     "argv, need",
     [
         (["value", "table", "--graph", "K4", "--n", "86"], stream_bytes(6, 86, ())),
-        (["phase", "--graph", "P4", "--n", "11212"], phase_bytes(11212)),
+        (["phase", "--graph", "P4", "--n", "11212"], stream_bytes(3, 11212, [11212])),
     ],
     ids=["value-table-k4", "phase-p4"],
 )
@@ -1266,7 +1295,7 @@ def test_phase_charges_the_load_when_the_cache_serves_it(p4_file, tmp_path, caps
     argv = ["phase", "--graph", p4_file, "--n", str(n), "--out"]
     code, _, err = run(argv + [str(tmp_path / "a.csv"), "--cache", str(tmp_path / "new.tbl")], capsys)
     assert code == 3
-    assert f"table needs {phase_bytes(n)} bytes, budget is {budget}" in err
+    assert f"table needs {stream_bytes(3, n, [n])} bytes, budget is {budget - block}" in err
     assert not (tmp_path / "new.tbl").exists()
     code, out, _ = run(argv + [str(tmp_path / "b.csv"), "--cache", cache, "--verify"], capsys)
     assert code == 0

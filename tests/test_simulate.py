@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from seqassign.values import (
     required_bytes,
     round_to_config,
     stream_bytes,
+    stream_table,
     value_at,
 )
 
@@ -747,6 +749,44 @@ def test_estimate_charges_only_the_layers_a_table_holds(p4):
     assert est == estimate(p4, start, TableStrategy(downset_table(p4, start)), 10, 1)
 
 
+def test_estimate_refuses_the_walk_beside_a_held_table_before_any_build(monkeypatch):
+    # P3's layer 14,595 is held; the box under (7298, 7297) fits the budget
+    # but not with its policy, so the walk is refused before downset_table
+    # runs, and no array of the box's size is allocated
+    p3, top = path_graph(3), [7298, 7297]
+    table = stream_table(p3, 14595, keep=[14595])
+    built = []
+    real = simulate.downset_table
+    monkeypatch.setattr(simulate, "downset_table", lambda *a, **kw: built.append(a) or real(*a, **kw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetExceeded) as exc:
+            estimate(p3, top, TableStrategy(table), 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = 7299 * 7298
+    assert exc.value.required_bytes == 8 * states + policy_bytes(3, 2, states)
+    assert exc.value.budget_bytes == DEFAULT_BUDGET - table.layer(14595).nbytes
+    assert built == []
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("short", [1, 0], ids=["one-byte-short", "exact"])
+def test_estimate_charges_a_given_box_its_walk(p4, monkeypatch, short):
+    # a given box's values are charged with its policy, not its build
+    box = downset_table(p4, (5, 3, 4))
+    states = len(box.values)
+    walk = 8 * states + policy_bytes(4, 3, states)
+    monkeypatch.setattr(simulate, "DEFAULT_BUDGET", walk - short)
+    if short:
+        with pytest.raises(MemoryBudgetExceeded) as exc:
+            estimate(p4, (5, 3, 4), TableStrategy(box), 10, 1)
+        assert (exc.value.required_bytes, exc.value.budget_bytes) == (walk, walk - 1)
+    else:
+        assert estimate(p4, (5, 3, 4), TableStrategy(box), 10, 1).runs == 10
+
+
 def test_estimate_rejects_a_table_of_another_graph_or_law(p4):
     cfg = [2, 2, 2]
     for table in (compute_table(p4, 6, W_P4), downset_table(p4, cfg, W_P4)):
@@ -797,7 +837,7 @@ def test_box_policy_moves_as_optimal_move(k4, p4, c4, k13):
     for g, top, weights in cases:
         box = downset_table(g, top, weights)
         sink = len(box.values)
-        nxt = _box_policy(box, DEFAULT_BUDGET).reshape(sink + 1, g.k)
+        nxt = _box_policy(box).reshape(sink + 1, g.k)
         # the empty config and the sink have no move; the sink maps to itself
         assert np.all(nxt[0] == sink) and np.all(nxt[sink] == sink)
         # box states in index order, the last edge fastest
@@ -813,7 +853,7 @@ def test_box_policy_moves_as_optimal_move(k4, p4, c4, k13):
 def test_policy_bytes_bounds_rss_growth():
     top = (7, 8, 6, 9, 7, 8)
     growth, need = rss_growth(
-        "_box_policy(box, DEFAULT_BUDGET); need = policy_bytes(g.k, g.m, len(box.values))",
+        "_box_policy(box); need = policy_bytes(g.k, g.m, len(box.values))",
         setup=f"box = downset_table(g, {top})",
     )
     assert 0 < growth <= need

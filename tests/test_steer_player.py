@@ -10,6 +10,7 @@ gives.  A move, serial or in lockstep, builds the kernel row of its drawn
 vertex alone.
 """
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -160,6 +161,40 @@ def test_lockstep_stops_once_every_run_has_stopped(monkeypatch):
     seen = _counting(monkeypatch)
     assert estimate(P4, start, greedy, 200, 1).successes == 0
     assert seen["columns"] == played
+
+
+@pytest.mark.parametrize(
+    "raw", [2**64 - 1, 2**11 - 1, 2**11, 0x9E3779B97F4A7FFF], ids=["top", "low", "one", "low-bits"]
+)
+def test_kernel_uniform_is_generator_random(raw, monkeypatch):
+    # every column holds the crafted raw word, so every kernel uniform must
+    # be Generator.random()'s (raw >> 11) * 2**-53: 1 - 2**-53 for the top
+    # word, where raw * 2**-64 rounds to 1.0
+    want = (raw >> 11) * 2.0**-53
+    monkeypatch.setattr(
+        simulate, "_uniform_columns",
+        lambda seed, lo, hi: itertools.repeat(np.full(hi - lo, raw, dtype=np.uint64)),
+    )
+    seen = []
+    mover = simulate._kernel_mover
+
+    def spy(stage1):
+        moves = mover(stage1)
+
+        def spied(s, v, u, *rest):
+            seen.append(u.copy())
+            return moves(s, v, u, *rest)
+
+        return spied
+
+    monkeypatch.setattr(simulate, "_kernel_mover", spy)
+    strategy = SteerExact(P4, SteerPlan(z=x_star(P4), n1=50))
+    estimate(P4, np.array([120, 136, 144]), strategy, 3, 0)
+    assert seen
+    u = np.concatenate(seen)
+    assert u.tobytes() == np.full(len(u), want).tobytes()
+    if raw == 2**64 - 1:
+        assert want == 1 - 2.0**-53 and raw * 2.0**-64 == 1.0
 
 
 def test_player_chunks_match_serial_loop(monkeypatch):

@@ -22,7 +22,7 @@ from seqassign.errors import (
     MemoryBudgetExceeded,
     NegativeEntry,
 )
-from seqassign.geometry import face_values, x_star
+from seqassign.geometry import check_weights, face_values, x_star
 import seqassign.values as values_module
 from seqassign.graph import (
     build_graph,
@@ -36,6 +36,7 @@ from seqassign.strategies import TableStrategy
 from seqassign.values import (
     DEFAULT_BUDGET,
     LOSS,
+    ValueTable,
     _chunk_starts,
     _configs,
     _layer_bars,
@@ -686,6 +687,15 @@ def test_scan_classifies_under_the_table_law(p4):
     assert summary["class"] == RegionKind.INACCESSIBLE.value
 
 
+def test_p4_xstar_value_is_the_layer_maximum_at_1000(p4):
+    # c_G of P4: from n = 1000 on, the value at round(n x*) is the layer's
+    # maximum to the last bit
+    table = stream_table(p4, 1000, keep=[1000])
+    value = value_at(table, (375, 250, 375))
+    assert abs(value - 0.258326989847935) <= 1e-12
+    assert value == float(table.layer(1000).max())
+
+
 def test_phase_decay_outside_rectangle(p4_table):
     # far outside the critical rectangle the win probability is near zero
     assert value_at(p4_table, [30, 110, 60]) < 1e-3   # m/n = 0.15 < 1/4
@@ -878,6 +888,31 @@ def test_save_load_weighted_roundtrip(tmp_path, p4):
     assert np.array_equal(loaded.weights, table.weights)
     for a, b in zip(loaded.layers, table.layers):
         assert np.array_equal(a, b)
+
+
+def test_load_budget_one_byte_short(tmp_path, p4, monkeypatch):
+    # the load is charged after the header and before any layer buffer exists
+    path = tmp_path / "p4.tbl"
+    save_table(compute_table(p4, 20), path)
+    keep, need = [5, 20], load_bytes(3, 20, [5, 20])
+    made = []
+    real = values_module._kept_layers
+    monkeypatch.setattr(values_module, "_kept_layers", lambda *a: made.append(a) or real(*a))
+    with pytest.raises(MemoryBudgetExceeded) as exc:
+        load_table(path, p4, keep, memory_budget=need - 1)
+    assert exc.value.required_bytes == need
+    assert made == []
+    loaded = load_table(path, p4, keep, memory_budget=need)
+    assert len(made) == 1
+    assert loaded.layer(20).tobytes() == compute_table(p4, 20).layer(20).tobytes()
+
+
+def test_a_table_that_lists_no_layer(p4):
+    # the graph, law and total of a game: every layer is out of range
+    table = ValueTable(p4, 10, check_weights(p4, None), layers=[])
+    for t in (0, 10):
+        with pytest.raises(LayerOutOfRange, match="was not kept"):
+            table.layer(t)
 
 
 @pytest.mark.parametrize("keep", [(0,), (12,), (3, 7, 12), ()], ids=["first", "last", "three", "none"])
