@@ -54,6 +54,7 @@ from .values import (
     argmax_config,
     check_config,
     downset_table,
+    graph_hash,
     load_table,
     round_to_config,
     stream_bytes,
@@ -343,8 +344,8 @@ def _cmd_value(args) -> int:
     if args.mode == "table":
         if args.n is None or not args.cache:
             raise DomainError("value table needs --n and --cache")
-        table = stream_table(g, args.n, _load_weights(args.weights), path=args.cache)
-        _emit_report(args.out, {"n_max": args.n, "cache": args.cache, "graph_hash": table.hash})
+        stream_table(g, args.n, _load_weights(args.weights), path=args.cache)
+        _emit_report(args.out, {"n_max": args.n, "cache": args.cache, "graph_hash": graph_hash(g)})
         return 0
     if args.mode == "at":
         if args.config is None:
@@ -514,7 +515,8 @@ def _cmd_simulate(args) -> int:
     if args.q0 is not None and not args.strategy.startswith(("steer:", "steer-k:")):
         raise DomainError(f"strategy {args.strategy!r} does not use --q0")
     strategy = parse_strategy(args.strategy, g, config, args)
-    weights = _load_weights(args.weights)
+    # the optimal strategy's table holds the law parse_strategy read and checked
+    weights = strategy.table.weights if args.strategy == "optimal" else _load_weights(args.weights)
     est = estimate(g, config, strategy, args.runs, args.seed, weights)
     _emit_report(args.out, est.to_json(g, config, args.strategy, args.seed))
     return 0

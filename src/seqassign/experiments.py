@@ -2,8 +2,8 @@
 curves, the path-graph argmax scan, and steering reports.
 
 Each driver returns its table plus a summary dict: the phase grid as a
-PhaseGrid, which makes its columns a block of rows at a time, the other
-tables as plain rows.  Column sets are fixed:
+PhaseGrid, which unranks its columns a block of rows at a time through
+values._unranker, the other tables as plain rows.  Column sets are fixed:
 
     phase:      m, l, p
     scan:       n, p, log_p, decay_bound
@@ -15,7 +15,7 @@ tables as plain rows.  Column sets are fixed:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .simulate import deviation_tail, trace_diagnostics
 from .strategies import SteerPlan, steering_strategy
 from .values import (
     ValueTable,
+    _unranker,
     argmax_config,
     check_config,
     round_to_config,
@@ -53,27 +54,19 @@ def check_phase_graph(g: Graph) -> None:
 class PhaseGrid:
     """Layer n of a three-edge table as the phase columns (m, l, p) in rank
     order: m the first and l the last edge count, the middle edge holding
-    n-m-l, and p the layer itself.  m and l are made a block of ranks at a
-    time from the layer's rows (see values._layer_bars): row j holds the
-    ranks from j(j+1)/2 on, where l = n - j, and m runs from 0 along it."""
+    n-m-l, and p the layer itself.  m and l are unranked a block of ranks at
+    a time (see values._unranker)."""
 
     n: int
     p: np.ndarray
-    starts: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        j = np.arange(self.n + 1, dtype=np.int64)
-        self.starts = j * (j + 1) // 2
 
     def __len__(self) -> int:
         return len(self.p)
 
     def block(self, lo: int, hi: int) -> list[np.ndarray]:
         """The columns of rows lo..hi-1."""
-        m = np.arange(lo, hi, dtype=np.int64)
-        row = np.searchsorted(self.starts, m, side="right")  # j + 1
-        m -= self.starts[row - 1]
-        return [m, np.subtract(self.n + 1, row, out=row), self.p[lo:hi]]
+        cfgs = _unranker(self.n, 3)(np.arange(lo, hi))
+        return [cfgs[:, 0], cfgs[:, 2], self.p[lo:hi]]
 
 
 def phase_diagram(n: int, table: ValueTable):

@@ -388,11 +388,10 @@ def estimate(
         check_held(box, config)
         if isinstance(box, ValueTable):
             held = sum(layer.nbytes for layer in box.layers if layer is not None)
-            budget, top = max(DEFAULT_BUDGET - held, 0), config
+            budget, states = max(DEFAULT_BUDGET - held, 0), math.prod(int(c) + 1 for c in config)
         else:
-            budget, top = DEFAULT_BUDGET, box.top
+            budget, states = DEFAULT_BUDGET, len(box.values)
         # the walk: the box's values and their policy
-        states = math.prod(int(c) + 1 for c in top)
         _check_budget(8 * states + policy_bytes(g.k, g.m, states), budget)
         if isinstance(box, ValueTable):
             box = downset_table(g, config, w, budget)
@@ -432,10 +431,8 @@ def _box_policy(box: DownSetTable) -> np.ndarray:
     nxt = np.full((sink + 1, g.k), sink, dtype=np.int32)
     for lo in range(0, sink, _BOX_CHUNK):
         idx = np.arange(lo, min(lo + _BOX_CHUNK, sink))
-        # the children's values as in downset_table, but -1.0, below every
-        # value, for an empty edge: the largest only where v has no move
-        cand = np.take(box.values, idx - stride[:, None], mode="clip")
-        cand[idx // stride[:, None] % (box.top + 1)[:, None] == 0] = -1.0
+        # -1.0, below every value, for an empty edge: the largest only where v has no move
+        cand = box.child_values(idx, -1.0)
         for v, edges in enumerate(map(list, g.incidence)):
             top, step = cand[edges].max(axis=0), np.full(len(idx), stride[edges[-1]])
             for e in edges[-2::-1]:  # last to first: the first of the largest wins

@@ -53,7 +53,8 @@ and downset_table downset_bytes.
 A query about one start config reads only the configs at or below it.
 DownSetTable evaluates just that box, under mixed-radix indices, and holds
 its values only, the table's bit for bit: layers and boxes both sum over
-the vertices in _vertex_pass.  The batched simulator builds its policy.
+the vertices in _vertex_pass.  DownSetTable.child_values is the box's
+child rule, which downset_table and the batched simulator's policy read.
 """
 
 from __future__ import annotations
@@ -232,10 +233,6 @@ class ValueTable:
     n_max: int
     weights: np.ndarray
     layers: list[np.ndarray | None]
-
-    @property
-    def hash(self) -> int:
-        return graph_hash(self.graph)
 
     def layer(self, t: int) -> np.ndarray:
         """Layer t; LayerOutOfRange outside 0..n_max or for a layer not kept
@@ -607,6 +604,13 @@ class DownSetTable:
     stride: np.ndarray
     values: np.ndarray
 
+    def child_values(self, idx: np.ndarray, empty: float) -> np.ndarray:
+        """Row e: the values of the children of states idx through edge e,
+        and `empty` where n_e = 0, whose clipped gather reads a stray value."""
+        cand = np.take(self.values, idx - self.stride[:, None], mode="clip")
+        cand[idx // self.stride[:, None] % (self.top + 1)[:, None] == 0] = empty
+        return cand
+
 
 def downset_bytes(m: int, top) -> int:
     """Peak memory of a DownSetTable build: per state its value (8 bytes);
@@ -650,6 +654,7 @@ def downset_table(
     stride[:-1] = np.cumprod(radix[:0:-1])[::-1]
     values = np.empty(int(radix.prod()))
     values[0] = 1.0
+    box = DownSetTable(graph=g, top=top, weights=w, stride=stride, values=values)
     # the edge read off the total: the one with the most counts, the last among ties
     d = max(range(g.m), key=lambda e: (top[e], e))
     base, starts = _grid(top, stride, d)
@@ -658,14 +663,12 @@ def downset_table(
         first, end = starts[max(t - top[d], 0)], starts[min(t, last) + 1]
         for lo in range(first, end, _BOX_CHUNK):
             idx = base[lo : min(lo + _BOX_CHUNK, end)] + t * stride[d]
-            # the states of one total, whose children are all done; where
-            # n_e = 0 the child index may fall outside the box: candidate 0.0
-            cand = np.take(values, idx - stride[:, None], mode="clip")
-            cand[idx // stride[:, None] % radix[:, None] == 0] = 0.0
+            # the states of one total, whose children are all done
+            cand = box.child_values(idx, 0.0)
             out, acc = np.empty((2, len(idx)))
             _vertex_pass(g, w, cand, out, acc)
             values[idx] = out
-    return DownSetTable(graph=g, top=top, weights=w, stride=stride, values=values)
+    return box
 
 
 # --- persistence ------------------------------------------------------------

@@ -1,12 +1,17 @@
 import itertools
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqassign
 import seqassign.cli as cli_module
 import seqassign.simulate as simulate_module
 import seqassign.values as values_module
@@ -1369,3 +1374,47 @@ def test_memory_error_exit_code(p4_file, capsys, monkeypatch):
     assert out == ""
     assert "out of memory" in err
 
+
+def test_simulate_optimal_reads_the_weights_file_once(p4_file, tmp_path, capsys, monkeypatch):
+    # the optimal strategy's table carries the law it was read under
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("0.1 0.2 0.3 0.4\n")
+    calls = []
+    load = cli_module._load_weights
+
+    def counting(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli_module, "_load_weights", counting)
+    code, out, _ = run(
+        [
+            "simulate", "--graph", p4_file, "--config", "5,3,4", "--strategy", "optimal",
+            "--runs", "50", "--weights", str(wfile),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert calls == [str(wfile)]
+    assert json.loads(out)["runs"] == 50
+
+
+def test_json_default_refuses_an_object_it_cannot_write():
+    assert json.dumps({"n": np.int64(3)}, default=cli_module._json_default) == '{"n": 3}'
+    with pytest.raises(TypeError, match="cannot serialize"):
+        json.dumps({"x": object()}, default=cli_module._json_default)
+
+
+def test_cli_module_runs_as_a_script(p4_file):
+    # `python -m seqassign.cli` is the console script's entry point too
+    src = str(Path(seqassign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-m", "seqassign.cli", "region", "classify", "--graph", p4_file,
+         "--point", "xstar"],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["class"] == "InteriorReachable"

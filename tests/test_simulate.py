@@ -487,6 +487,10 @@ def test_wilson_interval():
     assert hi == 1.0
 
 
+def test_wilson_interval_of_no_runs_is_the_unit_interval():
+    assert wilson_interval(0, 0) == (0.0, 1.0)
+
+
 def test_estimate_json_record(p4):
     est = estimate(p4, [1, 0, 0], FirstPositive(), 10, 3)
     record = est.to_json(p4, [1, 0, 0], "first-positive", 3)

@@ -427,6 +427,14 @@ def test_kernel_points_add_each_row_as_a_vector(m):
         assert np.array_equal(_kernel_points(rows), clipped / sums[:, None])
 
 
+def test_kernel_points_refuse_a_non_finite_row():
+    # a NaN entry makes its row's sum NaN: OutsideSimplex names that sum
+    rows = np.array([[0.2, 0.3, 0.5], [np.nan, 0.5, 0.5]])
+    # the refusal is under test, not whether a numpy warns on NaN
+    with np.errstate(invalid="ignore"), pytest.raises(OutsideSimplex, match="sum to nan, not 1"):
+        _kernel_points(rows)
+
+
 @pytest.mark.parametrize("m", range(2, 41))
 def test_norm_is_numpys_bit_for_bit(m):
     # every steering radius compares _norm; it must give np.linalg.norm's bits
