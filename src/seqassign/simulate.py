@@ -13,9 +13,11 @@ is (raw >> 11) * 2**-53, so a batched vertex draw compares the raw word with
 exact integer cuts (`_word_cuts`), and only a kernel uniform is made as a
 float.  The batched paths read those columns step by step and reproduce the
 serial loop bit-for-bit: table play walks the policy it builds from a box's
-values, drawing each vertex into the policy's index, and greedy and
-SteerExact runs, with a steering report's traced Stage1Steer games, share
-one lockstep loop (`_lockstep`), in groups that each read their own streams.
+values, and greedy play the policy it builds from the box's counts where
+that costs no more than the games, each drawing the vertex into the
+policy's index (`_box_wins`); other greedy and SteerExact runs, with a
+steering report's traced Stage1Steer games, share one lockstep loop
+(`_lockstep`), in groups that each read their own streams.
 A steering run draws one kernel uniform more per step until its finishing
 window, at the same step in every run of its group, so those runs read one
 column too.
@@ -23,7 +25,8 @@ column too.
 Memory follows values.py's rule: a builder checks its own charge against the
 budget its caller passes.  estimate charges table play's walk, the box's
 values and policy, once, before downset_table builds the box and checks the
-box's own charge against the same budget.
+box's own charge against the same budget.  Greedy play walks its box only
+where the policy fits the budget, and plays in lockstep elsewhere.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .strategies import (
 from .values import (
     _BOX_CHUNK,
     DEFAULT_BUDGET,
+    Box,
     DownSetTable,
     ValueTable,
     _check_budget,
@@ -366,8 +370,11 @@ def estimate(
     weights=None,
 ) -> Estimate:
     """Win-probability estimate with a Wilson 95% interval.  Table strategies
-    walk the optimal policy of the box under the start, greedy and SteerExact
-    play in lockstep (`_play_chunks`), each bit-for-bit as the serial loop.
+    walk the optimal policy of the box under the start (`_box_wins`).
+    Greedy walks the box's greedy policy where `_greedy_walks_box` holds,
+    that is where building it, k rows a state, costs no more than the runs'
+    moves and it fits the budget; else it plays in lockstep (`_play_chunks`),
+    as SteerExact does.  Each is bit-for-bit the serial loop.
 
     A table strategy's table is a DownSetTable, walked as it is, or a
     ValueTable, whose box under the start is built here: a table that lists
@@ -381,6 +388,8 @@ def estimate(
     master_seed = _check_seed(master_seed)
     w = _vertex_law(g, strategy, weights)
     config = check_config(g, config)
+    total, states = int(config.sum()), math.prod(int(c) + 1 for c in config)
+    nxt = None
     if isinstance(strategy, TableStrategy):
         box = strategy.table
         if graph_hash(box.graph) != graph_hash(g) or not np.array_equal(box.weights, w):
@@ -388,17 +397,22 @@ def estimate(
         check_held(box, config)
         if isinstance(box, ValueTable):
             held = sum(layer.nbytes for layer in box.layers if layer is not None)
-            budget, states = max(DEFAULT_BUDGET - held, 0), math.prod(int(c) + 1 for c in config)
+            budget = max(DEFAULT_BUDGET - held, 0)
         else:
-            budget, states = DEFAULT_BUDGET, len(box.values)
+            budget, states = DEFAULT_BUDGET, box.states
         # the walk: the box's values and their policy
         _check_budget(8 * states + policy_bytes(g.k, g.m, states), budget)
         if isinstance(box, ValueTable):
             box = downset_table(g, config, w, budget)
-        successes = _box_wins(box, config, runs, master_seed, w)
-    else:
-        chunks = _play_chunks(g, config, strategy, runs, master_seed, w, int(config.sum()))
+        nxt = _box_policy(box)
+    elif isinstance(strategy, GreedyLargest) and _greedy_walks_box(g.k, g.m, states, runs, total):
+        box = Box(g, config)
+        nxt = _box_policy(box, _greedy_scores)
+    if nxt is None:
+        chunks = _play_chunks(g, config, strategy, runs, master_seed, w, total)
         successes = runs - sum(int(np.count_nonzero(forfeit)) for _, forfeit, _ in chunks)
+    else:
+        successes = _box_wins(nxt, int(config @ box.stride), total, runs, master_seed, w)
     lo, hi = wilson_interval(successes, runs)
     return Estimate(runs=runs, successes=successes, p_hat=successes / runs, ci_lo=lo, ci_hi=hi)
 
@@ -421,46 +435,68 @@ def policy_bytes(k: int, m: int, states: int) -> int:
     return 4 * k * (states + 1) + 8 * (4 * m + 8) * min(states, _BOX_CHUNK)
 
 
-def _box_policy(box: DownSetTable) -> np.ndarray:
-    """The flat int32 optimal policy of a box: entry i*k + v - 1 is the child
-    of state i through the first of v's edges, in incidence order, of
-    largest value (optimal_move's edge), or the sink len(values), whose row
-    maps to itself, when v has no positive edge.  Its bytes, policy_bytes,
-    are charged by estimate with the walk's."""
-    g, stride, sink = box.graph, box.stride, len(box.values)
+def _optimal_scores(box: DownSetTable, idx: np.ndarray) -> np.ndarray:
+    """optimal_move's scores: the children's values, and -1.0, below every
+    value, on an empty edge."""
+    return box.child_values(idx, -1.0)
+
+
+def _greedy_scores(box: Box, idx: np.ndarray) -> np.ndarray:
+    """_legal_move's scores: the counts, and -1 on an empty edge."""
+    counts = box.counts(idx)
+    counts[counts == 0] = -1
+    return counts
+
+
+def _box_policy(box: Box, scores=_optimal_scores) -> np.ndarray:
+    """The flat int32 policy of a box: entry i*k + v - 1 is the child of
+    state i through the first of v's edges, in incidence order, of largest
+    score, or the sink box.states, whose row maps to itself, when every
+    score of v's edges is below 0.  `scores(box, idx)` gives row e the
+    scores of edge e at states idx: by default optimal play's, whose child
+    is optimal_move's edge, or `_greedy_scores`, whose child is
+    `_legal_move`'s.  Its bytes, policy_bytes, are checked by estimate."""
+    g, stride, sink = box.graph, box.stride, box.states
     nxt = np.full((sink + 1, g.k), sink, dtype=np.int32)
     for lo in range(0, sink, _BOX_CHUNK):
         idx = np.arange(lo, min(lo + _BOX_CHUNK, sink))
-        # -1.0, below every value, for an empty edge: the largest only where v has no move
-        cand = box.child_values(idx, -1.0)
+        cand = scores(box, idx)
         for v, edges in enumerate(map(list, g.incidence)):
             top, step = cand[edges].max(axis=0), np.full(len(idx), stride[edges[-1]])
             for e in edges[-2::-1]:  # last to first: the first of the largest wins
                 step[cand[e] == top] = stride[e]
-            nxt[lo : lo + len(idx), v] = np.where(top < 0.0, sink, idx - step)
+            nxt[lo : lo + len(idx), v] = np.where(top < 0, sink, idx - step)
         del cand, top, step  # the next chunk's candidates need their room
     return nxt.ravel()
 
 
-def _box_wins(box: DownSetTable, start, runs: int, master_seed: int, w) -> int:
-    """Wins of table-optimal play: each run carries the index of its state
-    in the box, one gather from the box's policy per step (estimate has
-    charged the policy), and is won when it ends at the empty config.  The
-    drawn vertex is `_draw_vertices`' count, added into the gather's
-    position idx * k one raw-word cut at a time, with no (k - 1, runs)
-    temporary."""
-    nxt = _box_policy(box)  # 4k bytes a state: k * states < 2**31
-    cuts, k, wins = _word_cuts(np.cumsum(w)), box.graph.k, 0
+def _box_wins(nxt: np.ndarray, start: int, steps: int, runs: int, master_seed: int, w) -> int:
+    """Wins of play by a box's policy `nxt` (`_box_policy`'s, which the
+    walk scales in place) from the state of index `start`, `steps` moves a
+    run: each run carries the gather position idx * k of its state, one
+    gather a step, and is won when it ends at the empty config.  The drawn
+    vertex is `_draw_vertices`' count, added into the position one raw-word
+    cut at a time, with no (k - 1, runs) temporary."""
+    k = len(w)
+    nxt *= k  # each child as its row's position: k * states < 2**31
+    cuts, wins = _word_cuts(np.cumsum(w)), 0
     for lo in range(0, runs, _CHUNK):
         hi = min(lo + _CHUNK, runs)
-        idx, at = np.full(hi - lo, int(start @ box.stride)), np.empty(hi - lo, dtype=bool)
-        for _, column in zip(range(int(start.sum())), _uniform_columns(master_seed, lo, hi)):
-            idx *= k
+        idx, at = np.full(hi - lo, start * k), np.empty(hi - lo, dtype=bool)
+        for _, column in zip(range(steps), _uniform_columns(master_seed, lo, hi)):
             for c in cuts:
                 idx += np.greater_equal(column, c, out=at)
             idx = nxt.take(idx)
         wins += int(np.count_nonzero(idx == 0))
     return wins
+
+
+def _greedy_walks_box(k: int, m: int, states: int, runs: int, total: int) -> bool:
+    """Whether greedy play walks the box under the start rather than play in
+    lockstep: when building its policy, k entries a state, costs no more
+    than the runs' moves, k * states <= runs * total, and the policy fits
+    the budget."""
+    return k * states <= runs * total and policy_bytes(k, m, states) <= DEFAULT_BUDGET
 
 
 def _incidence_rows(g: Graph) -> np.ndarray:
@@ -479,7 +515,10 @@ def _play_chunks(
     0..runs-1, one chunk of n <= _CHUNK runs at a time, each run stopped
     after `steps` moves: run i ends as play(g, start, strategy,
     child_rng(master_seed, i), w, steps) does.  Greedy and SteerExact runs
-    play in `_lockstep`, any other strategy the serial loop.
+    play in `_lockstep`, any other strategy the serial loop.  This is
+    estimate's engine for greedy runs whose box does not pay (see
+    `_greedy_walks_box`), and deviation_tail's for all, since it needs
+    their final states.
     `traced`, a tuple (stage1, seed, count, limit), adds the games
     play(g, start, stage1, child_rng(seed, i), w, limit, trace=True),
     i < count, to the first chunk's lockstep loop, and that chunk carries

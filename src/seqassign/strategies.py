@@ -132,12 +132,15 @@ def _kernel_points(rows: np.ndarray) -> np.ndarray:
     """Region points, the rows of an array, as a flow kernel takes them:
     clipped at 0 and divided by their own sums, which clears numerically
     stray inputs.  A reduce along the rows adds each row up as a reduce of
-    that row alone would."""
+    that row alone would.  A row whose clipped sum is not positive and
+    finite (0, inf or NaN) is refused before the divide."""
     points = np.maximum(rows, 0.0)
-    points /= np.add.reduce(points, axis=1, keepdims=True)
-    if not np.isfinite(points).all():
-        bad = np.isfinite(points).all(axis=1).argmin()
-        raise OutsideSimplex(f"entries sum to {points[bad].sum()}, not 1")
+    sums = np.add.reduce(points, axis=1, keepdims=True)
+    ok = (sums > 0.0) & (sums < math.inf)  # False for a NaN sum
+    if not ok.all():
+        bad = ok.argmin()
+        raise OutsideSimplex(f"entries sum to {sums[bad, 0]}, not 1")
+    points /= sums
     return points
 
 

@@ -51,10 +51,12 @@ beside the build.  stream_table checks stream_bytes, load_table load_bytes
 and downset_table downset_bytes.
 
 A query about one start config reads only the configs at or below it.
-DownSetTable evaluates just that box, under mixed-radix indices, and holds
-its values only, the table's bit for bit: layers and boxes both sum over
-the vertices in _vertex_pass.  DownSetTable.child_values is the box's
-child rule, which downset_table and the batched simulator's policy read.
+A Box holds the mixed-radix indices of that box and reads a state's counts
+off its index (Box.counts), which the batched simulator's greedy policy
+reads.  DownSetTable evaluates just that box and holds its values only,
+the table's bit for bit: layers and boxes both sum over the vertices in
+_vertex_pass.  DownSetTable.child_values is the box's child rule, which
+downset_table and the batched simulator's optimal policy read.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import operator
 import os
 import shutil
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, prod
 
 import numpy as np
@@ -588,27 +590,45 @@ _BOX_CHUNK = 1 << 16  # box states evaluated per vectorised step
 
 
 @dataclass
-class DownSetTable:
-    """Exact values on the box {c : 0 <= c <= top}, which holds every state
-    a game started at top can reach.
+class Box:
+    """The box {c : 0 <= c <= top}, which holds every state a game started
+    at top can reach.
 
     A config c has the mixed-radix index sum_e c_e * stride[e] (the last
     edge varies fastest), so decrementing edge e lowers the index by
-    stride[e].  values[i] is the win probability of state i, bit for bit the
-    full table's.
+    stride[e].
     """
 
     graph: Graph
     top: np.ndarray
+    stride: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.stride = np.ones(self.graph.m, dtype=np.int64)
+        self.stride[:-1] = np.cumprod(self.top[:0:-1] + 1)[::-1]
+
+    @property
+    def states(self) -> int:
+        return prod(int(c) + 1 for c in self.top)
+
+    def counts(self, idx: np.ndarray) -> np.ndarray:
+        """Row e: the counts n_e of states idx."""
+        return idx // self.stride[:, None] % (self.top + 1)[:, None]
+
+
+@dataclass
+class DownSetTable(Box):
+    """Exact values on a box: values[i] is the win probability of state i,
+    bit for bit the full table's."""
+
     weights: np.ndarray
-    stride: np.ndarray
     values: np.ndarray
 
     def child_values(self, idx: np.ndarray, empty: float) -> np.ndarray:
         """Row e: the values of the children of states idx through edge e,
         and `empty` where n_e = 0, whose clipped gather reads a stray value."""
         cand = np.take(self.values, idx - self.stride[:, None], mode="clip")
-        cand[idx // self.stride[:, None] % (self.top + 1)[:, None] == 0] = empty
+        cand[self.counts(idx) == 0] = empty
         return cand
 
 
@@ -649,12 +669,9 @@ def downset_table(
     top = check_config(g, top)
     w = check_weights(g, weights)
     _check_budget(downset_bytes(g.m, top), memory_budget)
-    radix = top + 1
-    stride = np.ones(g.m, dtype=np.int64)
-    stride[:-1] = np.cumprod(radix[:0:-1])[::-1]
-    values = np.empty(int(radix.prod()))
+    box = DownSetTable(graph=g, top=top, weights=w, values=np.empty(prod(int(c) + 1 for c in top)))
+    values, stride = box.values, box.stride
     values[0] = 1.0
-    box = DownSetTable(graph=g, top=top, weights=w, stride=stride, values=values)
     # the edge read off the total: the one with the most counts, the last among ties
     d = max(range(g.m), key=lambda e: (top[e], e))
     base, starts = _grid(top, stride, d)

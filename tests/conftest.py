@@ -17,6 +17,7 @@ from seqassign.graph import (
     star_graph,
 )
 from seqassign.simulate import _play_chunks
+from seqassign.strategies import FORFEIT, _legal_move
 from seqassign.values import _configs, _layer_bars, compute_table
 
 
@@ -111,6 +112,25 @@ def _exact(g, cfg, weights, memo) -> Fraction:
         total += weights[v - 1] * (best if found else Fraction(0))
     memo[cfg] = total
     return total
+
+
+def greedy_value(g, cfg) -> Fraction:
+    """Exact win probability of greedy play under the uniform law: the
+    optimality recursion with `_legal_move`'s edge in place of the max,
+    memoised over the configs of the box under cfg."""
+    memo = {(0,) * g.m: Fraction(1)}
+
+    def value(state: tuple) -> Fraction:
+        if state not in memo:
+            total = Fraction(0)
+            for v in range(1, g.k + 1):
+                e = _legal_move(g, state, v)
+                if e != FORFEIT:
+                    total += value(state[:e] + (state[e] - 1,) + state[e + 1 :])
+            memo[state] = total / g.k
+        return memo[state]
+
+    return value(tuple(int(c) for c in cfg))
 
 
 def compositions(total: int, m: int) -> np.ndarray:

@@ -42,6 +42,7 @@ from seqassign.graph import path_graph, star_graph
 from seqassign.values import (
     DEFAULT_BUDGET,
     LOSS,
+    Box,
     ValueTable,
     active_faces,
     compute_table,
@@ -56,7 +57,7 @@ from seqassign.values import (
     value_at,
 )
 
-from conftest import lockstep_runs, rss_growth
+from conftest import greedy_value, lockstep_runs, rss_growth
 
 
 class FirstPositive(Strategy):
@@ -399,7 +400,7 @@ def _no_work(*args, **kwargs):
 )
 def test_bad_seed_rejected_before_any_work(p4, monkeypatch, bad, error):
     table = compute_table(p4, 6)
-    for name in ("play", "_box_wins", "downset_table", "_play_chunks", "_uniform_columns"):
+    for name in ("play", "_box_wins", "_box_policy", "downset_table", "_play_chunks", "_uniform_columns"):
         monkeypatch.setattr(simulate, name, _no_work)
     for strategy in (TableStrategy(table), GreedyLargest(), UniformIncident()):
         with pytest.raises(error) as info:
@@ -851,6 +852,104 @@ def test_box_policy_moves_as_optimal_move(k4, p4, c4, k13):
             for v in range(1, g.k + 1):
                 e = optimal_move(box, cfg, v)
                 assert nxt[i, v - 1] == (sink if e == LOSS else i - box.stride[e])
+
+
+def test_greedy_box_policy_moves_as_legal_move(k4, p4, c4, k13):
+    for g, top in [(k4, (2, 1, 2, 1, 2, 1)), (p4, (5, 3, 4)), (c4, (3, 2, 3, 2)), (k13, (4, 3, 5))]:
+        box = Box(g, np.array(top))
+        sink = box.states
+        nxt = _box_policy(box, simulate._greedy_scores).reshape(sink + 1, g.k)
+        assert np.all(nxt[0] == sink) and np.all(nxt[sink] == sink)
+        for i, cfg in enumerate(itertools.product(*(range(c + 1) for c in top))):
+            for v in range(1, g.k + 1):
+                e = strategies._legal_move(g, cfg, v)
+                assert nxt[i, v - 1] == (sink if e == FORFEIT else i - box.stride[e])
+
+
+def _spy_engines(monkeypatch) -> list:
+    """The engines estimate runs, in call order: "box" for the walk,
+    "lockstep" for the lockstep loop."""
+    ran = []
+    for name, engine in (("_box_wins", "box"), ("_lockstep", "lockstep")):
+        real = getattr(simulate, name)
+        spy = lambda *a, _real=real, _engine=engine: ran.append(_engine) or _real(*a)
+        monkeypatch.setattr(simulate, name, spy)
+    return ran
+
+
+@pytest.mark.parametrize("walks", [True, False], ids=["box", "lockstep"])
+def test_greedy_engines_match_serial(request, monkeypatch, walks):
+    # each engine forced: test_batch_matches_serial's greedy cases, a start
+    # from which greedy forfeits, the empty config, and K4's ties
+    monkeypatch.setattr(simulate, "_greedy_walks_box", lambda *args: walks)
+    ran = _spy_engines(monkeypatch)
+    cases = [
+        ("p4", 24, None, 123),
+        ("c4", 16, None, 5),
+        ("k4", 12, None, 6),
+        ("k13", 15, None, 7),
+        ("p4", 20, W_P4, 8),
+        ("p4", (6, 0, 0), None, 9),
+        ("p4", (0, 0, 0), None, 10),
+        ("k4", (4, 3, 4, 3, 4, 3), None, 11),
+    ]
+    for graph, start, weights, seed in cases:
+        g = request.getfixturevalue(graph)
+        if isinstance(start, int):  # a total: its rounding of x*
+            start = round_to_config(start, x_star(g))
+        wins = sum(
+            play(g, start, GreedyLargest(), child_rng(seed, i), weights).won for i in range(300)
+        )
+        del ran[:]
+        assert estimate(g, start, GreedyLargest(), 300, seed, weights).successes == wins
+        assert ran == ["box" if walks else "lockstep"], (graph, start)
+
+
+@pytest.mark.parametrize(
+    "start, runs, engine",
+    [
+        # 4 * 8,832 box states <= 2,000 * 60 moves: the policy costs less than the games
+        ((23, 15, 22), 2000, "box"),
+        # 4 * 4,004,001 > 2,000 * 4,000, and every run is lost within a few dozen steps
+        ((0, 2000, 2000), 2000, "lockstep"),
+        # 4 * 8,832 = 35,328 > 500 * 60 = 30,000: test_pinned's 96 stays in lockstep
+        ((23, 15, 22), 500, "lockstep"),
+    ],
+)
+def test_greedy_engine_follows_the_inputs(p4, monkeypatch, start, runs, engine):
+    ran = _spy_engines(monkeypatch)
+    estimate(p4, start, GreedyLargest(), runs, 1)
+    assert ran == [engine]
+
+
+@pytest.mark.parametrize("short", [1, 0], ids=["one-byte-short", "exact"])
+def test_greedy_plays_in_lockstep_when_its_policy_is_over_budget(p4, monkeypatch, short):
+    start, states = (23, 15, 22), 24 * 16 * 23
+    want = estimate(p4, start, GreedyLargest(), 2000, 4).successes
+    monkeypatch.setattr(simulate, "DEFAULT_BUDGET", policy_bytes(4, 3, states) - short)
+    ran = _spy_engines(monkeypatch)
+    assert estimate(p4, start, GreedyLargest(), 2000, 4).successes == want
+    assert ran == ["lockstep" if short else "box"]
+
+
+@pytest.mark.parametrize(
+    "graph, start, seed, digits",
+    [
+        ("p4", (23, 15, 22), 21, "0.183028"),
+        ("c4", (5, 4, 6, 5), 22, None),
+        ("k4", (4, 3, 4, 3, 4, 3), 23, "0.313011"),
+        ("k13", (7, 5, 6), 24, None),
+    ],
+)
+def test_greedy_estimate_matches_the_exact_value(request, graph, start, seed, digits):
+    g = request.getfixturevalue(graph)
+    exact = greedy_value(g, start)
+    if digits is not None:
+        assert f"{float(exact):.6f}" == digits
+    assert 0 < exact < 1
+    runs = 20000
+    est = estimate(g, start, GreedyLargest(), runs, seed)
+    assert abs(est.p_hat - float(exact)) <= 4 * math.sqrt(float(exact * (1 - exact)) / runs)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")

@@ -435,6 +435,14 @@ def test_kernel_points_refuse_a_non_finite_row():
         _kernel_points(rows)
 
 
+def test_kernel_points_refuse_a_row_clipped_to_zero():
+    # the row clips to all zeros: refused before it is divided by its zero
+    # sum, so no numpy warning comes first, and the refusal names that sum
+    rows = np.array([[0.2, 0.3, 0.5], [-0.1, 0.0, -0.2]])
+    with pytest.raises(OutsideSimplex, match="sum to 0.0, not 1"):
+        _kernel_points(rows)
+
+
 @pytest.mark.parametrize("m", range(2, 41))
 def test_norm_is_numpys_bit_for_bit(m):
     # every steering radius compares _norm; it must give np.linalg.norm's bits
